@@ -7,9 +7,20 @@ unique feature values.  Leaf values use the per-leaf Newton update
 ((K-1)/K * sum(residual) / sum(p*(1-p))); class scores accumulate
 learning_rate times the tree output.
 
+Split search is the exact greedy algorithm with presorted columns
+(Chen & Guestrin 2016): a tree sorts every column once, stably, and each
+split divides every column's order between the two children with a
+boolean mask.  That keeps each child's order equal to a stable sort of
+its own rows, ties in ascending row order, so no node sorts again.  A
+node scores all searched features in one pass (2-D gather, cumulative
+sums along each feature, an argmax per feature).  Ties go to the lowest
+feature index, then the lowest threshold; node totals are summed over the
+rows in row order.  The trees are the same as those of a per-node sort.
+
 Model files are a versioned flat binary: per tree the node arrays
 (feature index, threshold, child offsets, leaf value), then a JSON
-metadata block.
+metadata block.  Loading checks lengths, tree structure and metadata and
+raises InputError on a malformed file.
 """
 
 import io
@@ -19,7 +30,7 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .errors import ConfigurationError, ShapeError, ValidationError
+from .errors import ConfigurationError, InputError, ShapeError, ValidationError
 from .probs import LABELS, LABEL_TO_CLASS, ProbTriple
 from .nnet import softmax_batch
 from .seeding import derive_seed, make_rng
@@ -91,39 +102,45 @@ class RegressionTree:
         return self.value[self.apply(X)]
 
 
-def best_split(X: np.ndarray, y: np.ndarray, features=None):
+def presort(X: np.ndarray) -> np.ndarray:
+    """Row j is a stable argsort of column j of X: shape (n_features, n)."""
+    return np.argsort(X.T, axis=1, kind="stable")
+
+
+def best_split(X: np.ndarray, y: np.ndarray, features=None, order=None):
     """Exact best (feature, midpoint threshold) by variance reduction.
 
     Reduction is SSE(parent) - SSE(left) - SSE(right); candidates are
     midpoints between consecutive distinct sorted values.  Ties resolve to
-    the lowest feature index, then the lowest threshold.  Returns
+    the lowest feature index, then the lowest threshold.  ``order`` is
+    ``presort(X)``, computed when omitted.  Returns
     (feature, threshold, reduction) or None when no split exists.
     """
-    n, n_feat = X.shape
-    cols = range(n_feat) if features is None else features
+    n = len(y)
+    if n < 2:
+        return None
+    if order is None:
+        order = presort(X)
+    feats = np.arange(X.shape[1]) if features is None else np.asarray(features, dtype=np.intp)
+    rows = order[feats]
+    xs = X[rows, feats[:, None]]
+    ys = y[rows]
     total = y.sum()
     total2 = float(y @ y)
     sse_parent = total2 - total * total / n
-    best = None
-    for j in cols:
-        order = np.argsort(X[:, j], kind="stable")
-        xs = X[order, j]
-        ys = y[order]
-        valid = xs[1:] > xs[:-1]
-        if not valid.any():
-            continue
-        csum = np.cumsum(ys)[:-1]
-        c2 = np.cumsum(ys * ys)[:-1]
-        n_left = np.arange(1, n)
-        sse_left = c2 - csum * csum / n_left
-        sse_right = (total2 - c2) - (total - csum) ** 2 / (n - n_left)
-        reduction = np.where(valid, sse_parent - sse_left - sse_right, -np.inf)
-        k = int(np.argmax(reduction))
-        if reduction[k] == -np.inf:
-            continue
-        if best is None or reduction[k] > best[2]:
-            best = (j, (xs[k] + xs[k + 1]) / 2.0, float(reduction[k]))
-    return best
+    csum = np.cumsum(ys, axis=1)[:, :-1]
+    c2 = np.cumsum(ys * ys, axis=1)[:, :-1]
+    n_left = np.arange(1, n)
+    sse_left = c2 - csum * csum / n_left
+    sse_right = (total2 - c2) - (total - csum) ** 2 / (n - n_left)
+    valid = xs[:, 1:] > xs[:, :-1]
+    reduction = np.where(valid, sse_parent - sse_left - sse_right, -np.inf)
+    k = reduction.argmax(axis=1)
+    per_feature = reduction[np.arange(len(feats)), k]
+    f = int(per_feature.argmax())
+    if per_feature[f] == -np.inf:
+        return None
+    return int(feats[f]), (xs[f, k[f]] + xs[f, k[f] + 1]) / 2.0, float(per_feature[f])
 
 
 def fit_tree(X: np.ndarray, y: np.ndarray, depth_limit: int, min_split: int,
@@ -136,7 +153,8 @@ def fit_tree(X: np.ndarray, y: np.ndarray, depth_limit: int, min_split: int,
     n_feat = X.shape[1]
     tree = RegressionTree()
 
-    def grow(idx, depth):
+    # idx: the node's rows in ascending order; order: presort(X[idx])
+    def grow(idx, order, depth):
         node = tree._add_node()
         sub_y = y[idx]
         tree.value[node] = float(sub_y.mean())
@@ -146,7 +164,7 @@ def fit_tree(X: np.ndarray, y: np.ndarray, depth_limit: int, min_split: int,
         if feature_subsample is not None:
             k = max(1, int(np.floor(feature_subsample * n_feat)))
             features = sorted(rng.choice(n_feat, size=k, replace=False))
-        found = best_split(X[idx], sub_y, features)
+        found = best_split(X[idx], sub_y, features, order)
         if found is None or found[2] <= 0.0:
             return node
         j, thr, _ = found
@@ -154,13 +172,22 @@ def fit_tree(X: np.ndarray, y: np.ndarray, depth_limit: int, min_split: int,
         # adjacent floats can round their midpoint onto the upper value
         if goes_left.all() or not goes_left.any():
             return node
+        # each row's position within its child; masking every row of
+        # `order` keeps it sorted, ties included, so no child sorts again
+        before = np.cumsum(goes_left)
+        child_pos = np.where(goes_left, before - 1, np.arange(len(idx)) - before)
+        in_left = goes_left[order]
         tree.feature[node] = j
         tree.threshold[node] = thr
-        tree.left[node] = grow(idx[goes_left], depth + 1)
-        tree.right[node] = grow(idx[~goes_left], depth + 1)
+        tree.left[node] = grow(
+            idx[goes_left], child_pos[order[in_left]].reshape(n_feat, -1), depth + 1
+        )
+        tree.right[node] = grow(
+            idx[~goes_left], child_pos[order[~in_left]].reshape(n_feat, -1), depth + 1
+        )
         return node
 
-    grow(np.arange(len(X)), 0)
+    grow(np.arange(len(X)), presort(X), 0)
     return tree.finalize()
 
 
@@ -289,39 +316,85 @@ def save_gbc(model: BoostedModel, path) -> None:
         f.write(buf.getvalue())
 
 
+def _tree_is_valid(tree: RegressionTree, n_features: int) -> bool:
+    """Leaves are all -1; split children come after their parent, so apply() ends."""
+    nodes = np.arange(tree.n_nodes)
+    leaf = (tree.feature == _LEAF) & (tree.left == _LEAF) & (tree.right == _LEAF)
+    split = (
+        (tree.feature >= 0) & (tree.feature < n_features)
+        & (tree.left > nodes) & (tree.left < tree.n_nodes)
+        & (tree.right > nodes) & (tree.right < tree.n_nodes)
+    )
+    return (
+        tree.n_nodes >= 1 and bool((leaf | split).all())
+        and bool(np.isfinite(tree.threshold).all()) and bool(np.isfinite(tree.value).all())
+    )
+
+
 def load_gbc(path) -> BoostedModel:
+    """Read a CPBG v1 file; malformed or inconsistent content raises InputError."""
     with open(path, "rb") as f:
         data = f.read()
-    buf = io.BytesIO(data)
-    if buf.read(4) != GBC_MAGIC:
-        raise ValueError(f"{path}: not a boosted model file")
+    if data[:4] != GBC_MAGIC:
+        raise InputError(f"{path}: not a boosted model file")
+    pos = 4
+
+    def read(size):
+        nonlocal pos
+        if size > len(data) - pos:
+            raise InputError(f"{path}: truncated boosted model file")
+        pos += size
+        return data[pos - size:pos]
+
     version, n_rounds, n_classes, n_features, learning_rate = struct.unpack(
-        "<IIIId", buf.read(24)
+        "<IIIId", read(24)
     )
     if version != GBC_VERSION:
-        raise ValueError(f"{path}: unsupported model version {version}")
-    init_scores = np.frombuffer(buf.read(8 * n_classes), dtype="<f8").copy()
+        raise InputError(f"{path}: unsupported model version {version}")
+    if n_classes != len(LABELS):
+        raise InputError(f"{path}: model has {n_classes} classes, expected {len(LABELS)}")
+    init_scores = np.frombuffer(read(8 * n_classes), dtype="<f8").copy()
     trees = []
     for _ in range(n_rounds):
         round_trees = []
         for _ in range(n_classes):
-            (n_nodes,) = struct.unpack("<I", buf.read(4))
+            (n_nodes,) = struct.unpack("<I", read(4))
             tree = RegressionTree()
-            tree.feature = np.frombuffer(buf.read(4 * n_nodes), dtype="<i4").copy()
-            tree.threshold = np.frombuffer(buf.read(8 * n_nodes), dtype="<f8").copy()
-            tree.left = np.frombuffer(buf.read(4 * n_nodes), dtype="<i4").copy()
-            tree.right = np.frombuffer(buf.read(4 * n_nodes), dtype="<i4").copy()
-            tree.value = np.frombuffer(buf.read(8 * n_nodes), dtype="<f8").copy()
+            tree.feature = np.frombuffer(read(4 * n_nodes), dtype="<i4").copy()
+            tree.threshold = np.frombuffer(read(8 * n_nodes), dtype="<f8").copy()
+            tree.left = np.frombuffer(read(4 * n_nodes), dtype="<i4").copy()
+            tree.right = np.frombuffer(read(4 * n_nodes), dtype="<i4").copy()
+            tree.value = np.frombuffer(read(8 * n_nodes), dtype="<f8").copy()
+            if not _tree_is_valid(tree, n_features):
+                raise InputError(f"{path}: malformed tree in boosted model file")
             round_trees.append(tree)
         trees.append(round_trees)
-    (meta_len,) = struct.unpack("<Q", buf.read(8))
-    meta = json.loads(buf.read(meta_len).decode("utf-8"))
+    (meta_len,) = struct.unpack("<Q", read(8))
+    meta_bytes = read(meta_len)
+    if pos != len(data):
+        raise InputError(f"{path}: trailing bytes after boosted model metadata")
+    try:
+        meta = json.loads(meta_bytes.decode("utf-8"))
+        config = GbcConfig(**meta["config"])
+        label_to_class = {int(k): v for k, v in meta["label_to_class"].items()}
+        train_logloss = meta["train_logloss"]
+        consistent = (
+            config.n_estimators == n_rounds
+            and config.learning_rate == learning_rate
+            and label_to_class == LABEL_TO_CLASS
+            and len(train_logloss) == n_rounds + 1
+            and bool(np.isfinite(init_scores).all())
+        )
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        raise InputError(f"{path}: bad boosted model metadata: {exc}") from exc
+    if not consistent:
+        raise InputError(f"{path}: boosted model metadata does not match its trees")
     return BoostedModel(
         trees=trees,
         init_scores=init_scores,
         learning_rate=learning_rate,
         n_features=n_features,
-        config=GbcConfig(**meta["config"]),
-        label_to_class={int(k): v for k, v in meta["label_to_class"].items()},
-        train_logloss=meta["train_logloss"],
+        config=config,
+        label_to_class=label_to_class,
+        train_logloss=train_logloss,
     )

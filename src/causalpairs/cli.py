@@ -10,17 +10,14 @@ Each command writes a ``<command>.run.meta`` JSON (parameters, seeds, input
 checksums) sufficient to reproduce its outputs byte-for-byte.
 
 Exit codes: 0 success, 2 input error, 3 training failure, 4 undefined
-metric.  The environment variable CPB_THREADS caps the per-instance worker
-count.
+metric.
 """
 
 import argparse
 import dataclasses
 import hashlib
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -58,26 +55,6 @@ EXIT_TRAINING = 3
 EXIT_METRIC = 4
 
 DEFAULT_SWEEP_COUNTS = "100,200,500,1000"
-
-
-def _worker_count() -> int:
-    env = os.environ.get("CPB_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ConfigurationError(f"CPB_THREADS must be an integer, got {env!r}")
-    return min(4, os.cpu_count() or 1)
-
-
-def _parallel_map(fn, items):
-    """Order-preserving map over a capped thread pool."""
-    workers = _worker_count()
-    items = list(items)
-    if workers == 1 or len(items) < 2:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 def _sha256_file(path) -> str:
@@ -142,7 +119,7 @@ def _manifest_splits(args, instances):
 
 def _rasterize_all(instances, side):
     cfg = raster.RasterConfig(m=side)
-    return _parallel_map(lambda inst: raster.rasterize(inst, cfg), instances)
+    return [raster.rasterize(inst, cfg) for inst in instances]
 
 
 def _fmt(v: float) -> str:
@@ -285,7 +262,7 @@ def _train_cnn(args, train_insts, val_insts, out):
 def _train_gbc(args, train_insts, out):
     if args.augment:
         train_insts = augment_all(train_insts)
-    mat = np.array(_parallel_map(features.extract_features, train_insts))
+    mat = np.array([features.extract_features(i) for i in train_insts])
     labels = [inst.label for inst in train_insts]
     cfg = boosting.GbcConfig(
         n_estimators=args.n_estimators,
@@ -330,7 +307,12 @@ def _model_probs(path, instances):
         return cnn.predict_batch(model, images)
     if magic == boosting.GBC_MAGIC:
         model = boosting.load_gbc(path)
-        mat = np.array(_parallel_map(features.extract_features, instances))
+        if model.n_features != features.N_FEATURES:
+            raise InputError(
+                f"{path}: model expects {model.n_features} features, "
+                f"the extractor gives {features.N_FEATURES}"
+            )
+        mat = np.array([features.extract_features(i) for i in instances])
         return boosting.gbc_predict_batch(model, mat)
     raise InputError(f"{path}: unrecognized model file")
 
@@ -451,7 +433,7 @@ def cmd_sparse_sweep(args):
             learning_rate=args.gbc_lr,
         )
         gbc_model = boosting.gbc_fit(
-            np.array(_parallel_map(features.extract_features, aug_train)),
+            np.array([features.extract_features(i) for i in aug_train]),
             [i.label for i in aug_train],
             gcfg,
             seed=args.seed,
@@ -460,7 +442,7 @@ def cmd_sparse_sweep(args):
         truths = [i.label for i in test_insts]
         cnn_probs = cnn.predict_batch(cnn_model, _rasterize_all(test_insts, args.side))
         gbc_probs = boosting.gbc_predict_batch(
-            gbc_model, np.array(_parallel_map(features.extract_features, test_insts))
+            gbc_model, np.array([features.extract_features(i) for i in test_insts])
         )
         row = {
             "count": count,
@@ -614,3 +596,7 @@ def main(argv=None) -> int:
 
 def entrypoint():
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    entrypoint()

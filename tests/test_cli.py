@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -190,6 +193,22 @@ class TestEvaluate:
         assert float(row[4]) == pytest.approx(p1 - pn, abs=1e-12)
         assert int(row[5]) in (1, 0, -1)
 
+    @pytest.mark.parametrize("damage", ["truncated", "width"])
+    def test_bad_gbc_model_is_input_error(self, corpus, trained, tmp_path, damage):
+        from causalpairs.boosting import GbcConfig, gbc_fit, save_gbc
+
+        bad = tmp_path / "gbc.model"
+        if damage == "truncated":
+            data = (trained / "models" / "gbc.model").read_bytes()
+            bad.write_bytes(data[: len(data) // 2])
+        else:
+            X = np.array([[0.0, 1.0], [1.0, 0.0], [2.0, 2.0], [3.0, 1.0]])
+            save_gbc(gbc_fit(X, [1, 0, -1, 1], GbcConfig(n_estimators=1)), bad)
+        code = run(
+            "evaluate", *corpus_flags(corpus), "--out", trained, "--model", bad,
+        )
+        assert code == 2
+
     def test_undefined_metric_exit_code(self, corpus, trained, tmp_path):
         # corpus where the evaluated split has no -1 labels at all:
         # backward AUC is undefined
@@ -236,3 +255,16 @@ class TestSparseSweep:
             "--obs-counts", "1,5",
         )
         assert code == 2
+
+
+def test_module_entry_point_prints_usage():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (str(src), os.environ.get("PYTHONPATH")) if p
+    )}
+    proc = subprocess.run(
+        [sys.executable, "-m", "causalpairs.cli", "--help"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0
+    assert proc.stdout.startswith("usage:")
