@@ -14,7 +14,13 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from . import nnet
-from .errors import ConfigurationError, ShapeError, TrainingError, ValidationError
+from .errors import (
+    ConfigurationError,
+    InputError,
+    ShapeError,
+    TrainingError,
+    ValidationError,
+)
 from .probs import CLASS_TO_LABEL, LABEL_TO_CLASS, ProbTriple
 from .raster import ScatterImage
 from .seeding import derive_seed, make_rng
@@ -78,27 +84,31 @@ def build_paper_arch(input_side: int, channel_plan=DEFAULT_CHANNEL_PLAN) -> CnnA
     return CnnArchitecture(stages=plan, input_side=input_side)
 
 
+def _layer_plan(arch: CnnArchitecture) -> list:
+    """(kind, *sizes) record of every layer, in stack order."""
+    plan = []
+    in_ch = 1
+    for a, b in arch.stages:
+        plan += [("conv", in_ch, a), ("relu",), ("conv", a, b), ("relu",), ("pool",)]
+        in_ch = b
+    plan.append(("flatten",))
+    n_in = arch.flatten_length()
+    for i, units in enumerate(arch.dense_units):
+        plan.append(("dense", n_in, units))
+        if i < 2:
+            plan.append(("relu",))
+        n_in = units
+    plan += [("dense", n_in, arch.output_units), ("softmax",)]
+    return plan
+
+
 def build_network(arch: CnnArchitecture, seed: int) -> nnet.Network:
     """Instantiate the layer stack with seeded Glorot-uniform weights."""
     rng = make_rng(derive_seed(seed, "init"))
     layers = []
-    in_ch = 1
-    for a, b in arch.stages:
-        layers.append(nnet.Conv(in_ch, a, rng))
-        layers.append(nnet.Relu())
-        layers.append(nnet.Conv(a, b, rng))
-        layers.append(nnet.Relu())
-        layers.append(nnet.MaxPool())
-        in_ch = b
-    layers.append(nnet.Flatten())
-    n_in = arch.flatten_length()
-    for i, units in enumerate(arch.dense_units):
-        layers.append(nnet.Dense(n_in, units, rng))
-        if i < 2:
-            layers.append(nnet.Relu())
-        n_in = units
-    layers.append(nnet.Dense(n_in, arch.output_units, rng))
-    layers.append(nnet.Softmax())
+    for kind, *dims in _layer_plan(arch):
+        layer_type = nnet.LAYER_TYPES[kind]
+        layers.append(layer_type(*dims, rng) if dims else layer_type())
     return nnet.Network(layers)
 
 
@@ -235,6 +245,8 @@ def predict_cnn(model: CnnModel, image: ScatterImage) -> ProbTriple:
 
 MODEL_MAGIC = b"CPBM"
 MODEL_VERSION = 1
+# magic, version, metadata length, network length
+_HEADER = struct.Struct("<4sIQQ")
 
 
 def save_model(model: CnnModel, path) -> None:
@@ -252,32 +264,61 @@ def save_model(model: CnnModel, path) -> None:
     meta_bytes = json.dumps(meta, sort_keys=True, separators=(",", ":")).encode("utf-8")
     net_bytes = nnet.network_to_bytes(model.network)
     with open(path, "wb") as f:
-        f.write(MODEL_MAGIC)
-        f.write(struct.pack("<IQQ", MODEL_VERSION, len(meta_bytes), len(net_bytes)))
+        f.write(_HEADER.pack(MODEL_MAGIC, MODEL_VERSION, len(meta_bytes), len(net_bytes)))
         f.write(meta_bytes)
         f.write(net_bytes)
 
 
 def load_model(path) -> CnnModel:
+    """Read a CPBM v1 file; malformed or inconsistent content raises InputError."""
     with open(path, "rb") as f:
-        magic = f.read(4)
-        if magic != MODEL_MAGIC:
-            raise ValueError(f"{path}: not a CNN model file")
-        version, meta_len, net_len = struct.unpack("<IQQ", f.read(20))
-        if version != MODEL_VERSION:
-            raise ValueError(f"{path}: unsupported model version {version}")
-        meta = json.loads(f.read(meta_len).decode("utf-8"))
-        network = nnet.network_from_bytes(f.read(net_len))
-    arch = CnnArchitecture(
-        stages=tuple(tuple(s) for s in meta["arch"]["stages"]),
-        dense_units=tuple(meta["arch"]["dense_units"]),
-        output_units=meta["arch"]["output_units"],
-        input_side=meta["arch"]["input_side"],
-    )
-    return CnnModel(
-        network=network,
-        arch=arch,
-        label_to_class={int(k): v for k, v in meta["label_to_class"].items()},
-        train_config=meta["train_config"],
-        data_checksum=meta["data_checksum"],
-    )
+        data = f.read()
+    if data[:4] != MODEL_MAGIC:
+        raise InputError(f"{path}: not a CNN model file")
+    if len(data) < _HEADER.size:
+        raise InputError(f"{path}: truncated CNN model file")
+    _, version, meta_len, net_len = _HEADER.unpack_from(data)
+    if version != MODEL_VERSION:
+        raise InputError(f"{path}: unsupported model version {version}")
+    meta_end = _HEADER.size + meta_len
+    if meta_end + net_len != len(data):
+        raise InputError(
+            f"{path}: truncated CNN model file" if meta_end + net_len > len(data)
+            else f"{path}: trailing bytes after CNN model network"
+        )
+    try:
+        network = nnet.network_from_bytes(data[meta_end:])
+    except InputError as exc:
+        raise InputError(f"{path}: {exc}") from exc
+    try:
+        meta = json.loads(data[_HEADER.size : meta_end].decode("utf-8"))
+        a = meta["arch"]
+        arch = CnnArchitecture(
+            stages=tuple(tuple(s) for s in a["stages"]),
+            dense_units=tuple(a["dense_units"]),
+            output_units=a["output_units"],
+            input_side=a["input_side"],
+        )
+        sizes = [
+            arch.input_side, arch.output_units, *arch.dense_units,
+            *(c for s in arch.stages for c in s),
+        ]
+        if not all(type(v) is int and v > 0 for v in sizes):
+            raise ValueError(f"architecture sizes {sizes} are not positive integers")
+        consistent = _layer_plan(arch) == [
+            (layer.kind, *nnet.layer_dims(layer)) for layer in network.layers
+        ]
+        model = CnnModel(
+            network=network,
+            arch=arch,
+            label_to_class={int(k): v for k, v in meta["label_to_class"].items()},
+            train_config=meta["train_config"],
+            data_checksum=meta["data_checksum"],
+        )
+    except (ValueError, KeyError, TypeError, AttributeError, ConfigurationError) as exc:
+        raise InputError(f"{path}: bad CNN model metadata: {exc}") from exc
+    if not consistent or model.label_to_class != LABEL_TO_CLASS:
+        raise InputError(
+            f"{path}: CNN model metadata does not match its layers or the label mapping"
+        )
+    return model

@@ -10,10 +10,10 @@ Label-0 instances count as negatives in both sub-AUCs by default
 """
 
 import numpy as np
-from scipy import stats
 
 from .errors import ConfigurationError, UndefinedMetricError, ValidationError
 from .probs import ProbTriple
+from .ranks import rankdata
 
 WEIGHT_GRID = tuple(i / 10.0 for i in range(11))
 
@@ -52,7 +52,7 @@ def rank_auc(scores, positives) -> float:
         raise UndefinedMetricError(
             f"AUC undefined with {n_pos} positives and {n_neg} negatives"
         )
-    ranks = stats.rankdata(scores)
+    ranks = rankdata(scores)
     return float((ranks[positives].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
 
 

@@ -16,10 +16,10 @@ feature unchanged; SWAP_EXCHANGE lists the exchanged index pairs.
 """
 
 import numpy as np
-from scipy import stats
 
 from .dataset import AttributeKind, PairInstance
 from .errors import ValidationError
+from .ranks import rankdata
 from .raster import discretize
 
 FEATURE_BINS = 10
@@ -56,7 +56,7 @@ SWAP_EXCHANGE = tuple(
 
 def _normalize(values: np.ndarray, kind: AttributeKind) -> np.ndarray:
     if kind is AttributeKind.NUMERICAL:
-        return stats.rankdata(values) / len(values)
+        return rankdata(values) / len(values)
     return values.astype(np.float64)
 
 
@@ -114,8 +114,8 @@ def extract_features(instance: PairInstance) -> np.ndarray:
     out = {}
     xn = _normalize(instance.x, instance.x_kind)
     yn = _normalize(instance.y, instance.y_kind)
-    rx = stats.rankdata(instance.x)
-    ry = stats.rankdata(instance.y)
+    rx = rankdata(instance.x)
+    ry = rankdata(instance.y)
 
     for side, raw, norm, kind in (
         ("x", instance.x, xn, instance.x_kind),

@@ -6,9 +6,20 @@ single-instance contracts used throughout the package.  Convolutions are
 3x3, stride 1, zero same-padding; pooling is 2x2 stride 2 with floor
 semantics and first-index tie-break in backward.
 
+A convolution walks its batch in chunks whose [n, C*9, H*W] patch matrix
+fits _CHUNK_BYTES (1 MiB; one image per chunk when a single image's patches
+are larger).  Each chunk's patches are unrolled into one reused buffer and
+multiplied in one GEMM per image.  No patch matrix is cached: the layer
+keeps a reference to its input and backward rebuilds each chunk's patches
+from it, so memory stays at the activations plus a few chunk buffers.  The
+kernel gradient is accumulated image by image in batch order, which is the
+order a sum over the whole batch's per-image products adds in, so results do
+not depend on the chunk size.
+
 Parameter serialization is a versioned flat binary: magic, format version,
 layer records with shapes, then every parameter as little-endian float64 in
-declaration order.
+declaration order.  Loading checks every length against the data and raises
+InputError on a malformed blob.
 """
 
 import io
@@ -16,49 +27,83 @@ import struct
 
 import numpy as np
 
-from .errors import ConfigurationError, ShapeError, TrainingError
+from .errors import ConfigurationError, InputError, ShapeError, TrainingError
 
 EPS_LOG = 1e-12
+
+# Byte budget of one chunk's patch matrix; see the module docstring.
+_CHUNK_BYTES = 1 << 20
 
 # ---------------------------------------------------------------------------
 # Batched primitives (internal carriers for the layer classes).
 
 
-def _im2col(x: np.ndarray) -> np.ndarray:
-    """[N,C,H,W] -> [N, C*9, H*W] patch matrix for 3x3 same convolution.
+def _chunk_size(c: int, h: int, w: int) -> int:
+    """Images per chunk so that one [n, C*9, H*W] patch matrix fits the budget."""
+    return max(1, _CHUNK_BYTES // (c * 9 * h * w * 8))
+
+
+def _shift(k: int, size: int):
+    """(patch, image) slices along one axis for tap offset k - 1, clipped to the image."""
+    return (
+        slice(max(0, 1 - k), min(size, size + 1 - k)),
+        slice(max(0, k - 1), min(size, size + k - 1)),
+    )
+
+
+def _im2col(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Fill out[:n] with the [n, C*9, H*W] patch matrix of [n,C,H,W] x.
 
     Row order is (c, di, dj) with dj fastest, matching kernels reshaped as
-    [K, C*9].
+    [K, C*9].  Each tap is copied straight from x; only the border strip the
+    shifted copy leaves uncovered is zeroed (the same-padding).
     """
     n, c, h, w = x.shape
-    xp = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
-    cols = np.empty((n, c * 9, h * w), dtype=np.float64)
+    cols = out[:n]
+    taps = cols.reshape(n, c, 3, 3, h, w)
     for di in range(3):
+        patch_rows, image_rows = _shift(di, h)
         for dj in range(3):
-            patch = xp[:, :, di : di + h, dj : dj + w].reshape(n, c, h * w)
-            cols[:, di * 3 + dj :: 9, :] = patch
+            patch_cols, image_cols = _shift(dj, w)
+            tap = taps[:, :, di, dj]
+            tap[:, :, patch_rows, patch_cols] = x[:, :, image_rows, image_cols]
+            if di != 1:
+                tap[:, :, 0 if di == 0 else h - 1, :] = 0.0
+            if dj != 1:
+                tap[:, :, :, 0 if dj == 0 else w - 1] = 0.0
     return cols
 
 
-def _col2im(dcols: np.ndarray, shape) -> np.ndarray:
-    """Adjoint of _im2col: scatter-add patch gradients back to [N,C,H,W]."""
-    n, c, h, w = shape
-    dxp = np.zeros((n, c, h + 2, w + 2), dtype=np.float64)
+def _col2im(dcols: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Adjoint of _im2col: scatter-add patch gradients into zeroed [n,C,H,W] out.
+
+    Taps are added in (di, dj) order, so every pixel sums its contributions
+    in the same order as a scatter into a padded buffer would.
+    """
+    n, c, h, w = out.shape
+    out[...] = 0.0
+    taps = dcols.reshape(n, c, 3, 3, h, w)
     for di in range(3):
+        patch_rows, image_rows = _shift(di, h)
         for dj in range(3):
-            dxp[:, :, di : di + h, dj : dj + w] += dcols[:, di * 3 + dj :: 9, :].reshape(
-                n, c, h, w
-            )
-    return dxp[:, :, 1 : h + 1, 1 : w + 1]
+            patch_cols, image_cols = _shift(dj, w)
+            out[:, :, image_rows, image_cols] += taps[:, :, di, dj, patch_rows, patch_cols]
+    return out
 
 
 def _conv2d_batch(x, kernels, bias):
+    """3x3 same convolution of [N,C,H,W] x, one patch-matrix chunk at a time."""
     n, c, h, w = x.shape
     k = kernels.shape[0]
-    cols = _im2col(x)
     wmat = kernels.reshape(k, c * 9)
-    out = np.matmul(wmat, cols) + bias[:, None]
-    return out.reshape(n, k, h, w), cols
+    step = _chunk_size(c, h, w)
+    cols = np.empty((min(n, step), c * 9, h * w))
+    out = np.empty((n, k, h * w))
+    for start in range(0, n, step):
+        sl = slice(start, start + step)
+        np.matmul(wmat, _im2col(x[sl], cols), out=out[sl])
+    out += bias[:, None]
+    return out.reshape(n, k, h, w)
 
 
 def _maxpool_batch(x):
@@ -112,8 +157,7 @@ def conv2d_forward(x: np.ndarray, kernels: np.ndarray, bias: np.ndarray) -> np.n
         )
     if bias.shape != (kernels.shape[0],):
         raise ShapeError(f"conv2d: bias {bias.shape} vs kernels {kernels.shape}")
-    out, _ = _conv2d_batch(x[None], kernels, bias)
-    return out[0]
+    return _conv2d_batch(x[None], kernels, bias)[0]
 
 
 def maxpool_forward(x: np.ndarray) -> np.ndarray:
@@ -183,29 +227,43 @@ class Conv:
         self.bias = np.zeros(out_channels)
         self.d_kernels = np.zeros_like(self.kernels)
         self.d_bias = np.zeros_like(self.bias)
-        self._cols = None
-        self._in_shape = None
+        self._input = None
 
     def forward(self, x):
         if x.shape[1] != self.in_channels:
             raise ShapeError(
                 f"conv expects {self.in_channels} channels, input is {x.shape}"
             )
-        out, cols = _conv2d_batch(x, self.kernels, self.bias)
-        self._cols = cols
-        self._in_shape = x.shape
-        return out
+        self._input = x
+        return _conv2d_batch(x, self.kernels, self.bias)
 
     def backward(self, g):
-        n, k, h, w = g.shape
+        x = self._input
+        n, c, h, w = x.shape
+        k = self.out_channels
         gmat = g.reshape(n, k, h * w)
-        self.d_kernels = np.matmul(gmat, self._cols.transpose(0, 2, 1)).sum(axis=0).reshape(
-            self.kernels.shape
-        )
+        wmat = self.kernels.reshape(k, c * 9)
+        step = _chunk_size(c, h, w)
+        cols = np.empty((min(n, step), c * 9, h * w))
+        dcols = np.empty_like(cols)
+        part = np.empty((len(cols), k, c * 9))
+        d_kernels = np.empty((k, c * 9))
+        dx = np.empty(x.shape)
+        for start in range(0, n, step):
+            sl = slice(start, start + step)
+            m = min(step, n - start)
+            np.matmul(gmat[sl], _im2col(x[sl], cols).transpose(0, 2, 1), out=part[:m])
+            # image by image in batch order, as a sum over the batch axis adds
+            for j in range(m):
+                if start + j == 0:
+                    d_kernels[...] = part[0]
+                else:
+                    d_kernels += part[j]
+            np.matmul(wmat.T, gmat[sl], out=dcols[:m])
+            _col2im(dcols[:m], dx[sl])
+        self.d_kernels = d_kernels.reshape(self.kernels.shape)
         self.d_bias = g.sum(axis=(0, 2, 3))
-        wmat = self.kernels.reshape(k, -1)
-        dcols = np.matmul(wmat.T, gmat)
-        return _col2im(dcols, self._in_shape)
+        return dx
 
     def parameters(self):
         return [("kernels", self.kernels), ("bias", self.bias)]
@@ -464,8 +522,19 @@ def sgd_step(parameters, gradients, velocities, learning_rate: float, momentum: 
 
 MAGIC = b"CPNN"
 FORMAT_VERSION = 1
-_LAYER_CODES = {"conv": 0, "pool": 1, "relu": 2, "flatten": 3, "dense": 4, "softmax": 5}
-_CODE_LAYERS = {v: k for k, v in _LAYER_CODES.items()}
+# Layer classes in the order of their one-byte record codes.
+_LAYER_ORDER = (Conv, MaxPool, Relu, Flatten, Dense, Softmax)
+LAYER_TYPES = {cls.kind: cls for cls in _LAYER_ORDER}
+_LAYER_CODES = {cls.kind: code for code, cls in enumerate(_LAYER_ORDER)}
+
+
+def layer_dims(layer) -> tuple:
+    """Sizes a layer record stores: (in, out) for conv and dense, else ()."""
+    if layer.kind == "conv":
+        return (layer.in_channels, layer.out_channels)
+    if layer.kind == "dense":
+        return (layer.in_features, layer.units)
+    return ()
 
 
 def save_network(network: Network, buf) -> None:
@@ -474,44 +543,15 @@ def save_network(network: Network, buf) -> None:
     buf.write(struct.pack("<II", FORMAT_VERSION, len(network.layers)))
     for layer in network.layers:
         buf.write(struct.pack("<B", _LAYER_CODES[layer.kind]))
-        if layer.kind == "conv":
-            buf.write(struct.pack("<II", layer.in_channels, layer.out_channels))
-        elif layer.kind == "dense":
-            buf.write(struct.pack("<II", layer.in_features, layer.units))
+        dims = layer_dims(layer)
+        if dims:
+            buf.write(struct.pack("<II", *dims))
     for _, arr in network.parameters():
         buf.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
 
 
 def load_network(buf) -> Network:
-    magic = buf.read(4)
-    if magic != MAGIC:
-        raise ValueError(f"bad magic {magic!r}; not a serialized network")
-    version, n_layers = struct.unpack("<II", buf.read(8))
-    if version != FORMAT_VERSION:
-        raise ValueError(f"unsupported format version {version}")
-    layers = []
-    for _ in range(n_layers):
-        (code,) = struct.unpack("<B", buf.read(1))
-        kind = _CODE_LAYERS[code]
-        if kind == "conv":
-            cin, cout = struct.unpack("<II", buf.read(8))
-            layers.append(Conv(cin, cout))
-        elif kind == "dense":
-            fin, units = struct.unpack("<II", buf.read(8))
-            layers.append(Dense(fin, units))
-        elif kind == "pool":
-            layers.append(MaxPool())
-        elif kind == "relu":
-            layers.append(Relu())
-        elif kind == "flatten":
-            layers.append(Flatten())
-        elif kind == "softmax":
-            layers.append(Softmax())
-    net = Network(layers)
-    for _, arr in net.parameters():
-        raw = buf.read(arr.size * 8)
-        arr[...] = np.frombuffer(raw, dtype="<f8").reshape(arr.shape)
-    return net
+    return network_from_bytes(buf.read())
 
 
 def network_to_bytes(network: Network) -> bytes:
@@ -521,4 +561,47 @@ def network_to_bytes(network: Network) -> bytes:
 
 
 def network_from_bytes(data: bytes) -> Network:
-    return load_network(io.BytesIO(data))
+    """Parse a CPNN v1 blob; malformed or inconsistent content raises InputError."""
+    if data[:4] != MAGIC:
+        raise InputError(f"bad magic {data[:4]!r}; not a serialized network")
+    pos = 4
+
+    def read(fmt):
+        nonlocal pos
+        size = struct.calcsize(fmt)
+        if size > len(data) - pos:
+            raise InputError("truncated network")
+        pos += size
+        return struct.unpack_from(fmt, data, pos - size)
+
+    version, n_layers = read("<II")
+    if version != FORMAT_VERSION:
+        raise InputError(f"unsupported network format version {version}")
+    records = []
+    n_params = 0
+    for _ in range(n_layers):
+        (code,) = read("<B")
+        if code >= len(_LAYER_ORDER):
+            raise InputError(f"unknown layer code {code}")
+        layer_type = _LAYER_ORDER[code]
+        dims = read("<II") if layer_type in (Conv, Dense) else ()
+        if dims:
+            n_in, n_out = dims
+            if n_in == 0 or n_out == 0:
+                raise InputError(f"{layer_type.kind} layer with sizes {dims}")
+            n_params += n_out * (n_in * (9 if layer_type is Conv else 1) + 1)
+        records.append((layer_type, dims))
+    # sizes are checked against the data before any layer is allocated
+    if 8 * n_params != len(data) - pos:
+        raise InputError(
+            "truncated network" if 8 * n_params > len(data) - pos
+            else "trailing bytes after network parameters"
+        )
+    values = np.frombuffer(data, dtype="<f8", offset=pos)
+    if not np.isfinite(values).all():
+        raise InputError("non-finite network parameter")
+    net = Network([layer_type(*dims) for layer_type, dims in records])
+    for _, arr in net.parameters():
+        arr[...] = values[: arr.size].reshape(arr.shape)
+        values = values[arr.size :]
+    return net

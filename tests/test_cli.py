@@ -209,6 +209,16 @@ class TestEvaluate:
         )
         assert code == 2
 
+    def test_truncated_cnn_model_is_input_error(self, corpus, trained, tmp_path):
+        data = (trained / "models" / "cnn.model").read_bytes()
+        bad = tmp_path / "cnn.model"
+        for cut in (10, 40, len(data) // 2, len(data) - 3):
+            bad.write_bytes(data[:cut])
+            code = run(
+                "evaluate", *corpus_flags(corpus), "--out", trained, "--model", bad,
+            )
+            assert code == 2
+
     def test_undefined_metric_exit_code(self, corpus, trained, tmp_path):
         # corpus where the evaluated split has no -1 labels at all:
         # backward AUC is undefined
@@ -257,14 +267,27 @@ class TestSparseSweep:
         assert code == 2
 
 
-def test_module_entry_point_prints_usage():
+def run_python(*args):
     src = Path(__file__).resolve().parents[1] / "src"
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (str(src), os.environ.get("PYTHONPATH")) if p
     )}
-    proc = subprocess.run(
-        [sys.executable, "-m", "causalpairs.cli", "--help"],
-        capture_output=True, text=True, env=env, timeout=120,
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=120,
     )
+
+
+def test_module_entry_point_prints_usage():
+    proc = run_python("-m", "causalpairs.cli", "--help")
     assert proc.returncode == 0
     assert proc.stdout.startswith("usage:")
+
+
+def test_cli_import_does_not_load_scipy():
+    # scipy is a test-only dependency; every CLI process would pay its import
+    proc = run_python(
+        "-c", "import sys, causalpairs.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -1,9 +1,13 @@
+import json
+import struct
+
 import numpy as np
 import pytest
 
 from causalpairs import nnet
 from causalpairs.cnn import (
     CnnArchitecture,
+    CnnModel,
     TrainConfig,
     build_network,
     build_paper_arch,
@@ -13,7 +17,7 @@ from causalpairs.cnn import (
     save_model,
     train_cnn,
 )
-from causalpairs.errors import ConfigurationError, ShapeError
+from causalpairs.errors import ConfigurationError, InputError, ShapeError
 from causalpairs.raster import ScatterImage
 
 TINY_PLAN = ((4, 4),) * 5
@@ -182,3 +186,75 @@ class TestModelFile:
         save_model(model, p1)
         save_model(model, p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+
+def small_arch(channels=2):
+    return CnnArchitecture(stages=((channels, channels),) * 5, dense_units=(4, 4, 4),
+                           input_side=32)
+
+
+@pytest.fixture(scope="module")
+def small_model_file(tmp_path_factory):
+    """Bytes of a side-32 model with 2 channels per conv and 4-unit dense layers."""
+    path = tmp_path_factory.mktemp("cnn") / "small.model"
+    save_model(CnnModel(network=build_network(small_arch(), seed=1), arch=small_arch()), path)
+    return path.read_bytes()
+
+
+class TestCorruptModel:
+    def load(self, tmp_path, data):
+        path = tmp_path / "bad.model"
+        path.write_bytes(data)
+        return load_model(path)
+
+    def test_small_model_loads(self, small_model_file, tmp_path):
+        model = self.load(tmp_path, small_model_file)
+        assert model.arch == small_arch()
+
+    def test_every_truncation_is_input_error(self, small_model_file, tmp_path):
+        path = tmp_path / "cut.model"
+        for cut in range(len(small_model_file)):
+            path.write_bytes(small_model_file[:cut])
+            with pytest.raises(InputError):
+                load_model(path)
+
+    def test_trailing_bytes(self, small_model_file, tmp_path):
+        with pytest.raises(InputError, match="trailing"):
+            self.load(tmp_path, small_model_file + b"\0")
+
+    def test_bad_version(self, small_model_file, tmp_path):
+        data = small_model_file[:4] + struct.pack("<I", 2) + small_model_file[8:]
+        with pytest.raises(InputError, match="version"):
+            self.load(tmp_path, data)
+
+    def test_unknown_layer_code(self, small_model_file, tmp_path):
+        (meta_len,) = struct.unpack_from("<Q", small_model_file, 8)
+        # model header, network magic, version and layer count
+        code = 24 + meta_len + 12
+        data = small_model_file[:code] + bytes([200]) + small_model_file[code + 1:]
+        with pytest.raises(InputError, match="layer code"):
+            self.load(tmp_path, data)
+
+    def test_bad_metadata(self, small_model_file, tmp_path):
+        (meta_len,) = struct.unpack_from("<Q", small_model_file, 8)
+        meta = small_model_file[24:24 + meta_len]
+        good = json.loads(meta)
+        bad_side = dict(good, arch=dict(good["arch"], input_side="32"))
+        for bad in (
+            b"x" * meta_len,
+            meta.replace(b'"data_checksum"', b'"data_checks0m"'),
+            json.dumps(bad_side).encode(),
+        ):
+            data = small_model_file[:8] + struct.pack("<Q", len(bad)) + \
+                small_model_file[16:24] + bad + small_model_file[24 + meta_len:]
+            with pytest.raises(InputError, match="metadata"):
+                self.load(tmp_path, data)
+
+    def test_arch_disagreeing_with_layers(self, tmp_path):
+        network = build_network(small_arch(), seed=1)
+        for arch in (small_arch(channels=3), CnnArchitecture(
+                stages=((2, 2),) * 5, dense_units=(4, 4, 5), input_side=32)):
+            path = tmp_path / "mismatch.model"
+            save_model(CnnModel(network=network, arch=arch), path)
+            with pytest.raises(InputError, match="does not match"):
+                load_model(path)

@@ -1,8 +1,11 @@
+import struct
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from causalpairs import nnet
-from causalpairs.errors import ConfigurationError, ShapeError, TrainingError
+from causalpairs.errors import ConfigurationError, InputError, ShapeError, TrainingError
 from causalpairs.nnet import (
     Conv,
     Dense,
@@ -257,5 +260,113 @@ class TestSerialization:
         assert again.forward(x) == pytest.approx(net.forward(x), abs=0)
 
     def test_magic_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InputError):
             nnet.network_from_bytes(b"JUNKxxxxxxxxxxxx")
+
+    def test_every_truncation_and_trailing_byte_is_input_error(self):
+        rng = np.random.Generator(np.random.PCG64(9))
+        blob = nnet.network_to_bytes(Network([
+            Conv(1, 2, rng), Relu(), MaxPool(), Flatten(), Dense(2, 3, rng), Softmax(),
+        ]))
+        for cut in range(len(blob)):
+            with pytest.raises(InputError):
+                nnet.network_from_bytes(blob[:cut])
+        with pytest.raises(InputError, match="trailing"):
+            nnet.network_from_bytes(blob + b"\0")
+
+    def test_bad_records_are_input_errors(self):
+        blob = nnet.network_to_bytes(Network([Dense(2, 3, None), Softmax()]))
+        cases = {
+            "version": blob[:4] + struct.pack("<I", 2) + blob[8:],
+            "unknown layer code": blob[:12] + bytes([6]) + blob[13:],
+            "sizes": blob[:13] + struct.pack("<II", 0, 3) + blob[21:],
+            # a huge layer is refused from its record, before any allocation
+            "truncated": blob[:13] + struct.pack("<II", 2**32 - 1, 2**32 - 1) + blob[21:],
+            "non-finite": blob[:-8] + struct.pack("<d", float("nan")),
+        }
+        for message, data in cases.items():
+            with pytest.raises(InputError, match=message):
+                nnet.network_from_bytes(data)
+
+
+# ---------------------------------------------------------------------------
+# The batched convolution as it was before the chunked rewrite: whole-batch
+# patch matrices built through a padded copy and kept for backward.  The
+# chunked layer must match it bit for bit.
+
+
+def ref_im2col(x):
+    n, c, h, w = x.shape
+    xp = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
+    cols = np.empty((n, c * 9, h * w), dtype=np.float64)
+    for di in range(3):
+        for dj in range(3):
+            patch = xp[:, :, di : di + h, dj : dj + w].reshape(n, c, h * w)
+            cols[:, di * 3 + dj :: 9, :] = patch
+    return cols
+
+
+def ref_col2im(dcols, shape):
+    n, c, h, w = shape
+    dxp = np.zeros((n, c, h + 2, w + 2), dtype=np.float64)
+    for di in range(3):
+        for dj in range(3):
+            dxp[:, :, di : di + h, dj : dj + w] += dcols[:, di * 3 + dj :: 9, :].reshape(
+                n, c, h, w
+            )
+    return dxp[:, :, 1 : h + 1, 1 : w + 1]
+
+
+def ref_conv(x, kernels, bias, g):
+    """(out, dx, d_kernels, d_bias) of the unchunked batched convolution."""
+    n, c, h, w = x.shape
+    k = kernels.shape[0]
+    cols = ref_im2col(x)
+    wmat = kernels.reshape(k, c * 9)
+    out = (np.matmul(wmat, cols) + bias[:, None]).reshape(n, k, h, w)
+    gmat = g.reshape(n, k, h * w)
+    d_kernels = np.matmul(gmat, cols.transpose(0, 2, 1)).sum(axis=0).reshape(kernels.shape)
+    d_bias = g.sum(axis=(0, 2, 3))
+    dx = ref_col2im(np.matmul(wmat.T, gmat), x.shape)
+    return out, dx, d_kernels, d_bias
+
+
+class TestChunkedConv:
+    @pytest.mark.parametrize("n,c,k,h,w", [
+        (3, 4, 3, 64, 64),    # one image per chunk: C*9*H*W*8 > 1 MiB
+        (8, 1, 2, 64, 64),    # chunks of 3, the last one partial
+        (20, 2, 3, 32, 32),   # chunks of 7, the last one partial
+        (1, 3, 2, 16, 16),
+        (5, 1, 1, 8, 8),
+        (4, 2, 3, 5, 7),      # non-square odd sides
+        (2, 2, 2, 1, 3),
+        (32, 8, 8, 64, 64),   # the benchmark's widest layer
+    ])
+    def test_bit_identical_to_unchunked(self, n, c, k, h, w):
+        rng = np.random.Generator(np.random.PCG64(n * 1000 + c * 100 + h))
+        x = rng.normal(size=(n, c, h, w))
+        x[x < 0.2] = 0.0
+        x.flat[::7] = -0.0
+        g = rng.normal(size=(n, k, h, w))
+        conv = Conv(c, k, rng)
+        conv.bias[...] = rng.normal(size=k)
+        expected = ref_conv(x, conv.kernels, conv.bias, g)
+        got = (conv.forward(x), conv.backward(g), conv.d_kernels, conv.d_bias)
+        for name, a, b in zip(("out", "dx", "d_kernels", "d_bias"), got, expected):
+            assert a.shape == b.shape, name
+            assert a.tobytes() == b.tobytes(), name
+
+    def test_memory_bounded_by_chunks(self):
+        # the unchunked layer kept a 75 MB patch matrix per call here
+        rng = np.random.Generator(np.random.PCG64(32))
+        x = rng.normal(size=(32, 8, 64, 64))
+        g = rng.normal(size=x.shape)
+        conv = Conv(8, 8, rng)
+        tracemalloc.start()
+        try:
+            conv.forward(x)
+            conv.backward(g)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * x.nbytes
