@@ -11,7 +11,9 @@ from causalpairs.features import FEATURE_NAMES, extract_features, feature_matrix
 from causalpairs.synth import generate_benchmark
 
 insts = generate_benchmark(300, n_obs_range=(300, 300), seed=31)
-train, test = insts[: 240], insts[240:]
+# the generator emits each mechanism as one block, so shuffle before the cut
+order = np.random.default_rng(31).permutation(len(insts))
+train, test = [insts[i] for i in order[:240]], [insts[i] for i in order[240:]]
 
 vec = extract_features(train[0])
 print(f"{len(FEATURE_NAMES)} features per pair; a few of them:")

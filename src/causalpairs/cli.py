@@ -297,14 +297,12 @@ def cmd_train(args):
     return EXIT_OK
 
 
-def _model_probs(path, instances):
-    """Probabilities from a model file (sniffed by magic) for instances."""
+def _load_model(path):
+    """A CNN or GBC model from a file, sniffed by magic and checked for use."""
     with open(path, "rb") as f:
         magic = f.read(4)
     if magic == cnn.MODEL_MAGIC:
-        model = cnn.load_model(path)
-        images = _rasterize_all(instances, model.arch.input_side)
-        return cnn.predict_batch(model, images)
+        return cnn.load_model(path)
     if magic == boosting.GBC_MAGIC:
         model = boosting.load_gbc(path)
         if model.n_features != features.N_FEATURES:
@@ -312,9 +310,17 @@ def _model_probs(path, instances):
                 f"{path}: model expects {model.n_features} features, "
                 f"the extractor gives {features.N_FEATURES}"
             )
-        mat = np.array([features.extract_features(i) for i in instances])
-        return boosting.gbc_predict_batch(model, mat)
+        return model
     raise InputError(f"{path}: unrecognized model file")
+
+
+def _model_probs(model, instances):
+    """Probabilities from a model returned by _load_model for instances."""
+    if isinstance(model, cnn.CnnModel):
+        images = _rasterize_all(instances, model.arch.input_side)
+        return cnn.predict_batch(model, images)
+    mat = np.array([features.extract_features(i) for i in instances])
+    return boosting.gbc_predict_batch(model, mat)
 
 
 def cmd_evaluate(args):
@@ -323,16 +329,18 @@ def cmd_evaluate(args):
     splits = dict(zip(("train", "val", "test"), _manifest_splits(args, instances)))
     target = splits[args.split]
     truths = [inst.label for inst in target]
-    p1 = _model_probs(args.model, target)
+    model = _load_model(args.model)
+    p1 = _model_probs(model, target)
     chosen_w = None
     if args.model2:
-        p2 = _model_probs(args.model2, target)
+        model2 = _load_model(args.model2)
+        p2 = _model_probs(model2, target)
         if args.weight == "tune":
             val = splits["val"]
             val_truths = [inst.label for inst in val]
             chosen_w = tune_weight(
-                _model_probs(args.model, val),
-                _model_probs(args.model2, val),
+                _model_probs(model, val),
+                _model_probs(model2, val),
                 val_truths,
                 metric=args.tune_metric,
             )

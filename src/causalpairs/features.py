@@ -175,7 +175,7 @@ def extract_features(instance: PairInstance) -> np.ndarray:
     vec = np.array([out[name] for name in FEATURE_NAMES], dtype=np.float64)
     if not np.isfinite(vec).all():
         bad = [FEATURE_NAMES[i] for i in np.flatnonzero(~np.isfinite(vec))]
-        raise AssertionError(f"non-finite features {bad} for instance {instance.id}")
+        raise ValidationError(f"non-finite features {bad} for instance {instance.id}")
     return vec
 
 

@@ -4,7 +4,14 @@ All computation is float64 on contiguous numpy arrays.  Layers operate on
 batches (NCHW for spatial data); the module-level ops mirror the
 single-instance contracts used throughout the package.  Convolutions are
 3x3, stride 1, zero same-padding; pooling is 2x2 stride 2 with floor
-semantics and first-index tie-break in backward.
+semantics and first-index tie-break in backward: a window's gradient goes to
+the first of its elements, in row-major order, that equals the max.
+
+The elementwise layers keep one byte per element for backward.  ReLU works in
+place on the array it receives and keeps a bool x > 0 mask; max pooling takes
+the max of the four strided window views and keeps the uint8 position of each
+window's winner.  The backward sweep stops at the first layer's parameter
+gradients: the gradient with respect to the network input is never formed.
 
 A convolution walks its batch in chunks whose [n, C*9, H*W] patch matrix
 fits _CHUNK_BYTES (1 MiB; one image per chunk when a single image's patches
@@ -106,32 +113,42 @@ def _conv2d_batch(x, kernels, bias):
     return out.reshape(n, k, h, w)
 
 
+def _pool_windows(x: np.ndarray):
+    """The four [n, C, H//2, W//2] views of x's 2x2 windows, in row-major order.
+
+    A trailing odd row or column belongs to no window (floor semantics).
+    """
+    ho, wo = x.shape[2] // 2, x.shape[3] // 2
+    return [x[:, :, di : 2 * ho : 2, dj : 2 * wo : 2] for di in (0, 1) for dj in (0, 1)]
+
+
 def _maxpool_batch(x):
-    n, c, h, w = x.shape
-    ho, wo = h // 2, w // 2
-    windows = (
-        x[:, :, : 2 * ho, : 2 * wo]
-        .reshape(n, c, ho, 2, wo, 2)
-        .transpose(0, 1, 2, 4, 3, 5)
-        .reshape(n, c, ho, wo, 4)
-    )
-    # argmax scans windows row-major, giving the stated first-index tie-break
-    arg = windows.argmax(axis=-1)
-    out = np.take_along_axis(windows, arg[..., None], axis=-1)[..., 0]
+    """(max, winner) of each 2x2 window of [N,C,H,W] x.
+
+    winner is the uint8 position (0..3, row-major) of the first element equal
+    to the max, so ties go to the first scanned.  The layer's inputs are ReLU
+    output, never NaN or -0.0, so the max is the first maximal element bit
+    for bit, whatever order np.maximum compares in; on other inputs it is
+    equal in value.
+    """
+    a, b, c, d = _pool_windows(x)
+    out = np.maximum(a, b)
+    np.maximum(out, c, out=out)
+    np.maximum(out, d, out=out)
+    # winner = (a != out) * (1 + (b != out) * (1 + (c != out)))
+    arg = np.not_equal(c, out).view(np.uint8)
+    arg += 1
+    arg *= b != out
+    arg += 1
+    arg *= a != out
     return out, arg
 
 
 def _maxpool_backward_batch(g, arg, in_shape):
-    n, c, h, w = in_shape
-    ho, wo = h // 2, w // 2
-    dwin = np.zeros((n, c, ho, wo, 4), dtype=np.float64)
-    np.put_along_axis(dwin, arg[..., None], g[..., None], axis=-1)
+    """Route each window's gradient to its winner; every other input gets 0."""
     dx = np.zeros(in_shape, dtype=np.float64)
-    dx[:, :, : 2 * ho, : 2 * wo] = (
-        dwin.reshape(n, c, ho, wo, 2, 2)
-        .transpose(0, 1, 2, 4, 3, 5)
-        .reshape(n, c, 2 * ho, 2 * wo)
-    )
+    for k, view in enumerate(_pool_windows(dx)):
+        np.copyto(view, g, where=arg == k)
     return dx
 
 
@@ -237,7 +254,8 @@ class Conv:
         self._input = x
         return _conv2d_batch(x, self.kernels, self.bias)
 
-    def backward(self, g):
+    def backward(self, g, input_grad=True):
+        """Fill d_kernels and d_bias; return dx, or None when not input_grad."""
         x = self._input
         n, c, h, w = x.shape
         k = self.out_channels
@@ -248,7 +266,7 @@ class Conv:
         dcols = np.empty_like(cols)
         part = np.empty((len(cols), k, c * 9))
         d_kernels = np.empty((k, c * 9))
-        dx = np.empty(x.shape)
+        dx = np.empty(x.shape) if input_grad else None
         for start in range(0, n, step):
             sl = slice(start, start + step)
             m = min(step, n - start)
@@ -259,8 +277,9 @@ class Conv:
                     d_kernels[...] = part[0]
                 else:
                     d_kernels += part[j]
-            np.matmul(wmat.T, gmat[sl], out=dcols[:m])
-            _col2im(dcols[:m], dx[sl])
+            if input_grad:
+                np.matmul(wmat.T, gmat[sl], out=dcols[:m])
+                _col2im(dcols[:m], dx[sl])
         self.d_kernels = d_kernels.reshape(self.kernels.shape)
         self.d_bias = g.sum(axis=(0, 2, 3))
         return dx
@@ -273,7 +292,10 @@ class Conv:
 
 
 class MaxPool:
-    """2x2 stride-2 max pooling, floor semantics."""
+    """2x2 stride-2 max pooling, floor semantics.
+
+    Keeps one uint8 winner per output for backward.
+    """
 
     kind = "pool"
 
@@ -300,14 +322,23 @@ class MaxPool:
 
 
 class Relu:
+    """max(x, 0), computed in place in x; keeps a 1-byte x > 0 mask for backward.
+
+    NaN and -0.0 map to +0.0.  Network.forward never hands it the caller's
+    input.
+    """
+
     kind = "relu"
 
     def __init__(self):
         self._mask = None
 
     def forward(self, x):
+        # fmax maps NaN to 0 but may keep -0.0; adding +0.0 turns that into +0.0
+        np.fmax(x, 0.0, out=x)
+        x += 0.0
         self._mask = x > 0
-        return np.where(self._mask, x, 0.0)
+        return x
 
     def backward(self, g):
         return np.where(self._mask, g, 0.0)
@@ -362,10 +393,11 @@ class Dense:
         self._input = x
         return x @ self.weights.T + self.bias
 
-    def backward(self, g):
+    def backward(self, g, input_grad=True):
+        """Fill d_weights and d_bias; return dx, or None when not input_grad."""
         self.d_weights = g.T @ self._input
         self.d_bias = g.sum(axis=0)
-        return g @ self.weights
+        return g @ self.weights if input_grad else None
 
     def parameters(self):
         return [("weights", self.weights), ("bias", self.bias)]
@@ -402,6 +434,11 @@ class Network:
         self.layers = list(layers)
 
     def forward(self, x: np.ndarray) -> np.ndarray:
+        """Output of the stack for batch x; x itself is never modified."""
+        if not isinstance(self.layers[0], (Conv, MaxPool, Dense)):
+            # ReLU works in place, so the caller's array goes only to a layer
+            # that returns a new one
+            x = x.copy()
         for layer in self.layers:
             x = layer.forward(x)
         return x
@@ -421,8 +458,12 @@ class Network:
         g = probs.copy()
         g[np.arange(n), classes] -= 1.0
         g /= n
-        for layer in reversed(self.layers[:-1]):
+        for layer in reversed(self.layers[1:-1]):
             g = layer.backward(g)
+        # the gradient with respect to the input itself is not needed
+        first = self.layers[0]
+        if first.parameters():
+            first.backward(g, input_grad=False)
         return loss
 
     def parameters(self):

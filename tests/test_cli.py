@@ -240,6 +240,45 @@ class TestEvaluate:
         assert code == 4
 
 
+    def test_tuned_ensemble_loads_each_model_once(self, corpus, trained, monkeypatch):
+        from causalpairs import boosting, cnn
+
+        loads = []
+        for module, name in ((cnn, "load_model"), (boosting, "load_gbc")):
+            original = getattr(module, name)
+            monkeypatch.setattr(
+                module, name, lambda path, f=original: loads.append(path) or f(path)
+            )
+        code = run(
+            "evaluate", *corpus_flags(corpus), "--out", trained,
+            "--model", trained / "models" / "cnn.model",
+            "--model2", trained / "models" / "gbc.model",
+            "--weight", "tune",
+        )
+        assert code == 0
+        assert loads == [str(trained / "models" / name) for name in ("cnn.model", "gbc.model")]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_non_finite_features_are_input_error(tmp_path):
+    import dataclasses
+
+    from causalpairs import dataset, synth
+
+    # finite values whose spread overflows: the correlation is not finite
+    instances = [
+        dataclasses.replace(inst, x=np.concatenate([[1e308, 1e308], inst.x[2:]]))
+        for inst in synth.generate_benchmark(12, n_obs_range=(40, 40), seed=2)
+    ]
+    flags = [tmp_path / name for name in ("pairs.csv", "info.csv", "target.csv")]
+    dataset.write_pairs_files(instances, *flags)
+    flags = [x for flag, path in zip(("--pairs", "--info", "--target"), flags)
+             for x in (flag, path)]
+    assert run("ingest", *flags, "--out", tmp_path, "--seed", 1) == 0
+    code = run("train", "gbc", *flags, "--out", tmp_path, "--n-estimators", 2)
+    assert code == 2
+
+
 class TestSparseSweep:
     def test_table_and_clamp_warning(self, corpus, tmp_path, capsys):
         out = tmp_path / "sweep"

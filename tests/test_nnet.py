@@ -370,3 +370,165 @@ class TestChunkedConv:
         finally:
             tracemalloc.stop()
         assert peak < 4 * x.nbytes
+
+
+# ---------------------------------------------------------------------------
+# Max pooling and ReLU as they were before the strided-view rewrite: a
+# transposed [N, C, H/2, W/2, 4] window copy with argmax and an int64 winner
+# per output, and ReLU through np.where.  The layers must match them bit for
+# bit on everything a pool can receive, which is ReLU output.
+
+
+def ref_maxpool(x):
+    n, c, h, w = x.shape
+    ho, wo = h // 2, w // 2
+    windows = (
+        x[:, :, : 2 * ho, : 2 * wo]
+        .reshape(n, c, ho, 2, wo, 2)
+        .transpose(0, 1, 2, 4, 3, 5)
+        .reshape(n, c, ho, wo, 4)
+    )
+    arg = windows.argmax(axis=-1)
+    out = np.take_along_axis(windows, arg[..., None], axis=-1)[..., 0]
+    return out, arg
+
+
+def ref_maxpool_backward(g, arg, in_shape):
+    n, c, h, w = in_shape
+    ho, wo = h // 2, w // 2
+    dwin = np.zeros((n, c, ho, wo, 4), dtype=np.float64)
+    np.put_along_axis(dwin, arg[..., None], g[..., None], axis=-1)
+    dx = np.zeros(in_shape, dtype=np.float64)
+    dx[:, :, : 2 * ho, : 2 * wo] = (
+        dwin.reshape(n, c, ho, wo, 2, 2)
+        .transpose(0, 1, 2, 4, 3, 5)
+        .reshape(n, c, 2 * ho, 2 * wo)
+    )
+    return dx
+
+
+def ref_relu(x):
+    mask = x > 0
+    return np.where(mask, x, 0.0), mask
+
+
+SPECIALS = np.array([0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, -5e-324, 1.0, 1.0])
+
+
+def special_input(rng, shape, integer_valued=False):
+    """Normal draws, or small integers (many ties), seeded with special values."""
+    if integer_valued:
+        x = rng.integers(-2, 3, size=shape).astype(np.float64)
+    else:
+        x = rng.normal(size=shape)
+    flat = x.reshape(-1)
+    at = rng.choice(flat.size, size=min(flat.size, 3 * SPECIALS.size), replace=False)
+    flat[at] = np.resize(SPECIALS, at.size)
+    return x
+
+
+LAYER_SHAPES = [
+    (2, 3, 64, 64),
+    (4, 8, 32, 32),
+    (3, 2, 5, 7),     # odd sides: the last row and column belong to no window
+    (1, 1, 2, 2),
+    (2, 1, 3, 3),
+    (1, 2, 9, 4),
+    (1, 1, 1, 17),    # below the SIMD width: fmax's scalar tail
+]
+
+
+class TestLeanPoolAndRelu:
+    @pytest.mark.parametrize("shape", LAYER_SHAPES)
+    @pytest.mark.parametrize("integer_valued", [False, True])
+    def test_relu_bit_identical_to_where(self, shape, integer_valued):
+        rng = np.random.Generator(np.random.PCG64(sum(shape) + integer_valued))
+        x = special_input(rng, shape, integer_valued)
+        g = special_input(rng, shape)
+        want, mask = ref_relu(x)
+        relu = Relu()
+        got = relu.forward(x.copy())
+        assert got.tobytes() == want.tobytes()
+        assert relu.backward(g).tobytes() == np.where(mask, g, 0.0).tobytes()
+
+    @pytest.mark.parametrize("shape", [s for s in LAYER_SHAPES if min(s[2:]) >= 2])
+    @pytest.mark.parametrize("integer_valued", [False, True])
+    def test_pool_bit_identical_on_relu_output(self, shape, integer_valued):
+        rng = np.random.Generator(np.random.PCG64(sum(shape) * 3 + integer_valued))
+        x, _ = ref_relu(special_input(rng, shape, integer_valued))
+        want, arg = ref_maxpool(x)
+        g = special_input(rng, want.shape)
+        pool = MaxPool()
+        got = pool.forward(x)
+        assert got.tobytes() == want.tobytes()
+        assert pool.backward(g).tobytes() == ref_maxpool_backward(g, arg, x.shape).tobytes()
+
+    def test_pool_tie_order_is_row_major(self):
+        # every subset of tied maxima in one window: the first one wins
+        pool = MaxPool()
+        for bits in range(1, 16):
+            x = np.array([1.0 if bits >> k & 1 else 0.0 for k in range(4)]).reshape(1, 1, 2, 2)
+            pool.forward(x)
+            dx = pool.backward(np.ones((1, 1, 1, 1)))
+            first = (bits & -bits).bit_length() - 1
+            assert dx.reshape(-1).tolist() == [1.0 if k == first else 0.0 for k in range(4)]
+
+    def test_layers_retain_one_byte_per_element(self):
+        rng = np.random.Generator(np.random.PCG64(40))
+        x = rng.normal(size=(16, 8, 33, 31))
+        slack = 4096  # array headers
+        relu = Relu()
+        tracemalloc.start()
+        try:
+            relu.forward(x)
+            relu_current, relu_peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # in place: nothing but the mask, not even transiently
+        assert relu_peak <= x.size + slack
+        pool = MaxPool()
+        tracemalloc.start()
+        try:
+            out = pool.forward(x)
+            pool_current, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert pool_current - out.nbytes <= out.size + slack
+
+    @pytest.mark.parametrize("first", ["relu", "flatten", "conv"])
+    def test_network_never_modifies_its_input(self, first):
+        rng = np.random.Generator(np.random.PCG64(41))
+        head = {
+            "relu": [Relu(), Flatten()],
+            "flatten": [Flatten(), Relu()],
+            "conv": [Conv(1, 2, rng), Relu(), MaxPool(), Flatten()],
+        }[first]
+        width = 2 * 2 * 2 if first == "conv" else 4 * 4
+        net = Network([*head, Dense(width, 3, rng), Softmax()])
+        x = rng.normal(size=(3, 1, 4, 4))
+        x.flat[::3] = -0.0
+        before = x.tobytes()
+        net.forward(x)
+        net.loss_and_backward(x, np.array([0, 1, 2]))
+        assert x.tobytes() == before
+
+    def test_skipped_input_gradient_leaves_parameter_gradients_unchanged(self):
+        rng = np.random.Generator(np.random.PCG64(42))
+        net = Network([
+            Conv(1, 3, rng), Relu(), Conv(3, 3, rng), Relu(), MaxPool(),
+            Flatten(), Dense(3 * 4 * 4, 3, rng), Softmax(),
+        ])
+        x = rng.normal(size=(5, 1, 8, 8))
+        cls = np.array([0, 1, 2, 0, 1])
+        net.loss_and_backward(x, cls)
+        got = [g.tobytes() for _, g in net.gradients()]
+        # the full sweep, input gradient included
+        probs = net.forward(x)
+        g = probs.copy()
+        g[np.arange(5), cls] -= 1.0
+        g /= 5
+        for layer in reversed(net.layers[:-1]):
+            g = layer.backward(g)
+        assert g.shape == x.shape
+        assert got == [g.tobytes() for _, g in net.gradients()]
+        assert net.layers[0].backward(np.ones((5, 3, 8, 8)), input_grad=False) is None
