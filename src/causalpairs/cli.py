@@ -262,7 +262,7 @@ def _train_cnn(args, train_insts, val_insts, out):
 def _train_gbc(args, train_insts, out):
     if args.augment:
         train_insts = augment_all(train_insts)
-    mat = np.array([features.extract_features(i) for i in train_insts])
+    mat = features.feature_matrix(train_insts)
     labels = [inst.label for inst in train_insts]
     cfg = boosting.GbcConfig(
         n_estimators=args.n_estimators,
@@ -319,7 +319,7 @@ def _model_probs(model, instances):
     if isinstance(model, cnn.CnnModel):
         images = _rasterize_all(instances, model.arch.input_side)
         return cnn.predict_batch(model, images)
-    mat = np.array([features.extract_features(i) for i in instances])
+    mat = features.feature_matrix(instances)
     return boosting.gbc_predict_batch(model, mat)
 
 
@@ -441,7 +441,7 @@ def cmd_sparse_sweep(args):
             learning_rate=args.gbc_lr,
         )
         gbc_model = boosting.gbc_fit(
-            np.array([features.extract_features(i) for i in aug_train]),
+            features.feature_matrix(aug_train),
             [i.label for i in aug_train],
             gcfg,
             seed=args.seed,
@@ -449,9 +449,7 @@ def cmd_sparse_sweep(args):
 
         truths = [i.label for i in test_insts]
         cnn_probs = cnn.predict_batch(cnn_model, _rasterize_all(test_insts, args.side))
-        gbc_probs = boosting.gbc_predict_batch(
-            gbc_model, np.array([features.extract_features(i) for i in test_insts])
-        )
+        gbc_probs = boosting.gbc_predict_batch(gbc_model, features.feature_matrix(test_insts))
         row = {
             "count": count,
             "cnn_accuracy": accuracy(

@@ -38,7 +38,8 @@ class PairInstance:
     """One labeled pair: two aligned observation vectors and their kinds.
 
     label 1 means the first attribute causes the second, -1 the reverse,
-    0 neither.  Vectors are float64 and frozen after construction.
+    0 neither.  Vectors are float64 and frozen after construction; a
+    categorical or binary vector holds non-negative integer codes below 2**53.
     """
 
     id: str
@@ -66,10 +67,11 @@ class PairInstance:
         for name, vec, kind in (("x", x, self.x_kind), ("y", y, self.y_kind)):
             if kind is AttributeKind.NUMERICAL:
                 continue
-            if not np.array_equal(vec, np.round(vec)) or vec.min() < 0:
+            # codes must survive the int64 cast of discretize
+            if not np.array_equal(vec, np.round(vec)) or vec.min() < 0 or vec.max() >= 2.0**53:
                 raise ValidationError(
                     f"instance {self.id}: {kind.value} attribute {name} must hold"
-                    " non-negative integer codes"
+                    " non-negative integer codes below 2**53"
                 )
             if kind is AttributeKind.BINARY and not np.isin(vec, (0.0, 1.0)).all():
                 raise ValidationError(
@@ -100,13 +102,10 @@ class SplitSpec:
 
 def _encode_categories(values: np.ndarray) -> np.ndarray:
     """Map raw categorical values to 0,1,2,... in order of first appearance."""
-    codes = {}
-    out = np.empty(len(values), dtype=np.float64)
-    for i, v in enumerate(values):
-        if v not in codes:
-            codes[v] = len(codes)
-        out[i] = codes[v]
-    return out
+    _, first, inverse = np.unique(values, return_index=True, return_inverse=True)
+    codes = np.empty(len(first))
+    codes[np.argsort(first)] = np.arange(len(first))
+    return codes[inverse]
 
 
 def _split_csv_row(row: str, n_fields: int, path: str, lineno: int) -> list[str]:
@@ -122,7 +121,8 @@ def _split_csv_row(row: str, n_fields: int, path: str, lineno: int) -> list[str]
 
 def _parse_vector(text: str, path: str, lineno: int) -> np.ndarray:
     try:
-        vec = np.array([float(t) for t in text.split()], dtype=np.float64)
+        # numpy converts each token with float(): the same values and errors
+        vec = np.array(text.split(), dtype=np.float64)
     except ValueError as exc:
         raise ParseError(f"bad observation value: {exc}", line=lineno, path=path)
     return vec
@@ -173,6 +173,9 @@ def parse_pairs(pairs_text: str, info_text: str, target_text: str) -> list[PairI
         y = _parse_vector(ys, "pairs", lineno)
         if len(x) == 0 or len(y) == 0:
             raise ValidationError(f"instance {pid}: empty observation vector")
+        # before encoding: np.unique would merge NaNs into one category
+        if not (np.isfinite(x).all() and np.isfinite(y).all()):
+            raise ValidationError(f"instance {pid}: non-finite observation")
         x_kind, y_kind = kinds[pid]
         if x_kind is AttributeKind.CATEGORICAL:
             x = _encode_categories(x)
@@ -213,14 +216,18 @@ def format_pairs(instances) -> tuple[str, str, str]:
     )
 
 
+def _read_text(path) -> str:
+    try:
+        with open(path, "r", encoding="utf-8") as f:
+            return f.read()
+    except UnicodeDecodeError as exc:
+        raise ParseError(
+            f"not UTF-8 text: byte {exc.start} ({exc.reason})", path=str(path)
+        ) from exc
+
+
 def read_pairs_files(pairs_path, info_path, target_path) -> list[PairInstance]:
-    with open(pairs_path, "r", encoding="utf-8") as f:
-        pairs_text = f.read()
-    with open(info_path, "r", encoding="utf-8") as f:
-        info_text = f.read()
-    with open(target_path, "r", encoding="utf-8") as f:
-        target_text = f.read()
-    return parse_pairs(pairs_text, info_text, target_text)
+    return parse_pairs(_read_text(pairs_path), _read_text(info_path), _read_text(target_path))
 
 
 def write_pairs_files(instances, pairs_path, info_path, target_path) -> None:

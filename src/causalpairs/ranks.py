@@ -3,11 +3,12 @@
 import numpy as np
 
 
-def rankdata(values) -> np.ndarray:
-    """1-based ranks of a finite 1-D array; tied values share their mean rank.
+def rank_groups(values) -> tuple[np.ndarray, int]:
+    """Average ranks of a finite 1-D array and its number of distinct values.
 
-    Equal to ``scipy.stats.rankdata(values)`` (method "average"): the ranks
-    are exact half-integers.
+    One stable sort gives both: the ranks are 1-based and tied values share
+    their mean rank (exact half-integers), and the distinct count is the
+    number of runs of equal values in sorted order (``0.0 == -0.0``).
     """
     values = np.asarray(values)
     order = np.argsort(values, kind="stable")
@@ -17,5 +18,13 @@ def rankdata(values) -> np.ndarray:
     starts[1:-1] = ordered[1:] != ordered[:-1]
     bounds = np.flatnonzero(starts)
     ranks = np.empty(len(values))
-    ranks[order] = np.repeat(0.5 * (bounds[:-1] + bounds[1:] + 1), np.diff(bounds))
-    return ranks
+    ranks[order] = np.repeat(0.5 * (bounds[:-1] + bounds[1:] + 1), bounds[1:] - bounds[:-1])
+    return ranks, len(bounds) - 1
+
+
+def rankdata(values) -> np.ndarray:
+    """1-based average ranks of a finite 1-D array.
+
+    Equal to ``scipy.stats.rankdata(values)`` (method "average").
+    """
+    return rank_groups(values)[0]

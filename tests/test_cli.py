@@ -72,6 +72,27 @@ class TestIngest:
         )
         assert code == 2
 
+    def test_undecodable_pairs_is_input_error(self, corpus, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes((corpus / "pairs.csv").read_bytes().replace(b"0", b"\xff", 1))
+        code = run(
+            "ingest", "--pairs", bad, "--info", corpus / "info.csv",
+            "--target", corpus / "target.csv", "--out", tmp_path / "x",
+        )
+        assert code == 2
+        assert str(bad) in capsys.readouterr().err
+
+    def test_non_finite_categorical_is_input_error(self, tmp_path):
+        flags = []
+        for flag, name, text in (
+            ("--pairs", "pairs.csv", "p1, 1 2 nan nan 3, 0 1 0 1 0\n"),
+            ("--info", "info.csv", "p1,cat,bin\n"),
+            ("--target", "target.csv", "p1,1\n"),
+        ):
+            (tmp_path / name).write_text(text)
+            flags += [flag, tmp_path / name]
+        assert run("ingest", *flags, "--out", tmp_path / "x") == 2
+
     def test_malformed_pairs_is_input_error(self, corpus, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("p1, 1 2\n")
@@ -277,6 +298,48 @@ def test_non_finite_features_are_input_error(tmp_path):
     assert run("ingest", *flags, "--out", tmp_path, "--seed", 1) == 0
     code = run("train", "gbc", *flags, "--out", tmp_path, "--n-estimators", 2)
     assert code == 2
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_pearson_overflow_is_input_error(tmp_path):
+    import dataclasses
+
+    from causalpairs import dataset, synth
+
+    # y follows x, but one large positive and one large negative x make the
+    # spread of x overflow float64, which used to read as a Pearson of +-0.0
+    rng = np.random.default_rng(4)
+    instances = []
+    for inst in synth.generate_benchmark(12, n_obs_range=(40, 40), seed=2):
+        x = rng.normal(size=40)
+        y = x + rng.normal(scale=0.1, size=40)
+        x[3], x[7] = 1e308, -1e308
+        y[3] = y[7] = 0.0
+        instances.append(dataclasses.replace(inst, x=x, y=y))
+    flags = [tmp_path / name for name in ("pairs.csv", "info.csv", "target.csv")]
+    dataset.write_pairs_files(instances, *flags)
+    flags = [x for flag, path in zip(("--pairs", "--info", "--target"), flags)
+             for x in (flag, path)]
+    assert run("ingest", *flags, "--out", tmp_path, "--seed", 1) == 0
+    code = run("train", "gbc", *flags, "--out", tmp_path, "--n-estimators", 2)
+    assert code == 2
+
+
+def test_train_gbc_extracts_each_row_once(corpus, tmp_path, monkeypatch):
+    # the per-pair entry point stays the one a tracer can wrap and count
+    from causalpairs import features
+
+    calls = []
+    original = features.extract_features
+    monkeypatch.setattr(
+        features, "extract_features", lambda inst: calls.append(inst.id) or original(inst)
+    )
+    flags = corpus_flags(corpus)
+    assert run("ingest", *flags, "--out", tmp_path, "--seed", 1) == 0
+    code = run("train", "gbc", *flags, "--out", tmp_path, "--augment", "--n-estimators", 2)
+    assert code == 0
+    n_train = len((tmp_path / "manifests" / "train.ids").read_text().split())
+    assert len(calls) == 2 * n_train == len(set(calls))
 
 
 class TestSparseSweep:

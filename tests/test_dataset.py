@@ -6,10 +6,12 @@ from causalpairs.dataset import (
     AttributeKind,
     PairInstance,
     SplitSpec,
+    _encode_categories,
     augment_all,
     augment_swap,
     format_pairs,
     parse_pairs,
+    read_pairs_files,
     split,
 )
 from causalpairs.errors import (
@@ -50,6 +52,28 @@ class TestParse:
     def test_categorical_first_appearance_encoding(self):
         (inst,) = parse_pairs("p1, 7 7 5 9 5, 0 0 1 1 0\n", "p1,cat,bin\n", TARGET)
         assert np.array_equal(inst.x, [0, 0, 1, 2, 1])
+
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
+    def test_non_finite_categorical_value_rejected(self, token):
+        # encoding would make each NaN a new category; num and bin reject it
+        with pytest.raises(ValidationError, match="non-finite"):
+            parse_pairs(f"p1, 1 2 {token} {token} 3, 0 1 0 1 0\n", "p1,cat,bin\n", TARGET)
+
+    def test_undecodable_file_is_parse_error(self, tmp_path):
+        paths = [tmp_path / name for name in ("pairs.csv", "info.csv", "target.csv")]
+        for path, text in zip(paths, (PAIRS, INFO, TARGET)):
+            path.write_text(text)
+        paths[0].write_bytes(b"p1, 0 1 2, 2 4 \xff\n")
+        with pytest.raises(ParseError) as err:
+            read_pairs_files(*paths)
+        assert err.value.path == str(paths[0])
+
+    @pytest.mark.parametrize(
+        "token", ["0.1", "-0", "+1.5e3", "1_000", "5e-324", "2.2250738585072014e-308"]
+    )
+    def test_values_parse_as_python_float(self, token):
+        (inst,) = parse_pairs(f"p1, {token} 1, 2 3\n", INFO, TARGET)
+        assert inst.x[:1].tobytes() == np.array([float(token)]).tobytes()
 
     def test_malformed_row_reports_line(self):
         with pytest.raises(ParseError) as err:
@@ -98,6 +122,13 @@ class TestParse:
             assert np.array_equal(before.x, after.x)
             assert np.array_equal(before.y, after.y)
             assert before.label == after.label
+
+
+@pytest.mark.parametrize("code", [-1.0, 0.5, 2.0**53, 1e19])
+def test_categorical_code_out_of_range_rejected(code):
+    # a code of 2**63 or more casts to a negative bin index in discretize
+    with pytest.raises(ValidationError, match="integer codes"):
+        make_instance(x=(0.0, code, 1.0), x_kind=AttributeKind.CATEGORICAL)
 
 
 class TestSplit:
@@ -210,3 +241,26 @@ def test_augment_equalizes_direction_labels(labels):
     got = [i.label for i in out]
     assert len(out) == 2 * len(insts)
     assert got.count(1) == got.count(-1)
+
+
+def ref_encode_categories(values):
+    """The first-appearance encoding as a dict over every observation."""
+    codes = {}
+    out = np.empty(len(values), dtype=np.float64)
+    for i, v in enumerate(values):
+        if v not in codes:
+            codes[v] = len(codes)
+        out[i] = codes[v]
+    return out
+
+
+@given(
+    values=st.lists(st.sampled_from([0.0, -0.0, 1.0, 2.5, -7.0, 1e300, -1e-300, 5e-324]),
+                    min_size=1, max_size=80)
+    | st.lists(st.integers(min_value=0, max_value=40).map(float), min_size=1, max_size=300)
+    | st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=60),
+)
+@settings(max_examples=300, deadline=None)
+def test_encode_categories_bytes_equal_reference(values):
+    values = np.array(values, dtype=np.float64)
+    assert _encode_categories(values).tobytes() == ref_encode_categories(values).tobytes()

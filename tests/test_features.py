@@ -1,10 +1,14 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from causalpairs import synth
 from causalpairs.dataset import AttributeKind, PairInstance, augment_swap
 from causalpairs.errors import ValidationError
 from causalpairs.features import (
+    FEATURE_BINS,
     FEATURE_NAMES,
     N_FEATURES,
     SWAP_EXCHANGE,
@@ -12,6 +16,8 @@ from causalpairs.features import (
     feature_matrix,
     write_feature_csv,
 )
+from causalpairs.ranks import rankdata
+from causalpairs.raster import discretize
 
 NUM = AttributeKind.NUMERICAL
 CAT = AttributeKind.CATEGORICAL
@@ -151,3 +157,214 @@ def test_feature_csv(tmp_path):
     row = lines[1].split(",")
     assert row[0] == "i0"
     assert float(row[1 + FEATURE_NAMES.index("log_n")]) == pytest.approx(np.log(5))
+
+
+def test_raw_variance_overflow_is_validation_error():
+    # y follows x (r = 0.99 without the two extreme points), but the spread
+    # of x overflows float64: Pearson is undefined, not -0.0
+    rng = np.random.default_rng(3)
+    x = rng.normal(size=60)
+    y = x + rng.normal(scale=0.1, size=60)
+    x[3], x[7] = 1e308, -1e308
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValidationError, match="overflows"):
+            extract_features(instance(x, y))
+        with pytest.raises(ValidationError, match="overflows"):
+            extract_features(instance(y, x))
+
+
+# ---------------------------------------------------------------------------
+# The straightforward formulation of the 43 features, kept as the reference
+# for extract_features: one numpy call per statistic, np.ptp for the constant
+# test, np.unique for distinct counts and one boolean mask per bin.
+
+
+def ref_normalize(values, kind):
+    if kind is AttributeKind.NUMERICAL:
+        return rankdata(values) / len(values)
+    return values.astype(np.float64)
+
+
+def ref_moments(v):
+    mean = float(v.mean())
+    if np.ptp(v) == 0.0:
+        return mean, 0.0, 0.0, 0.0
+    std = float(v.std())
+    if std < 1e-12:
+        return mean, std, 0.0, 0.0
+    z = (v - mean) / std
+    return mean, std, float((z**3).mean()), float((z**4).mean() - 3.0)
+
+
+def ref_entropy(counts):
+    p = counts[counts > 0] / counts.sum()
+    return float(-(p * np.log(p)).sum())
+
+
+def ref_corr(a, b):
+    sa, sb = a.std(), b.std()
+    if sa < 1e-12 or sb < 1e-12:
+        return 0.0
+    ca, cb = a - a.mean(), b - b.mean()
+    return float(np.dot(ca, cb) / (len(a) * sa * sb))
+
+
+def ref_fit_stats(a, b):
+    va = a.var()
+    if va < 1e-24:
+        slope = 0.0
+    else:
+        slope = float(np.dot(a - a.mean(), b - b.mean()) / (len(a) * va))
+    resid = b - (b.mean() + slope * (a - a.mean()))
+    _, _, rskew, rkurt = ref_moments(resid)
+    return slope, float(max(resid.var(), 0.0)), rskew, rkurt
+
+
+def ref_conditional_stats(bins_a, b):
+    stds = []
+    for k in np.unique(bins_a):
+        stds.append(b[bins_a == k].std())
+    stds = np.array(stds)
+    return float(stds.mean()), float(stds.std())
+
+
+def ref_extract_features(inst):
+    n = inst.n_obs
+    if n < 2:
+        raise ValidationError(f"instance {inst.id}: need >= 2 observations")
+    out = {}
+    xn = ref_normalize(inst.x, inst.x_kind)
+    yn = ref_normalize(inst.y, inst.y_kind)
+    rx = rankdata(inst.x)
+    ry = rankdata(inst.y)
+    for side, raw, norm, kind in (
+        ("x", inst.x, xn, inst.x_kind),
+        ("y", inst.y, yn, inst.y_kind),
+    ):
+        out[f"kind_num_{side}"] = float(kind is AttributeKind.NUMERICAL)
+        out[f"kind_cat_{side}"] = float(kind is AttributeKind.CATEGORICAL)
+        out[f"kind_bin_{side}"] = float(kind is AttributeKind.BINARY)
+        mean, std, skew, kurt = ref_moments(norm)
+        out[f"mean_{side}"] = mean
+        out[f"std_{side}"] = std
+        out[f"skew_{side}"] = skew
+        out[f"kurt_{side}"] = kurt
+        out[f"uniq_ratio_{side}"] = len(np.unique(raw)) / n
+    xb = discretize(xn, FEATURE_BINS, inst.x_kind)
+    yb = discretize(yn, FEATURE_BINS, inst.y_kind)
+    joint = np.zeros((FEATURE_BINS, FEATURE_BINS))
+    np.add.at(joint, (xb, yb), 1.0)
+    cx = joint.sum(axis=1)
+    cy = joint.sum(axis=0)
+    hx = ref_entropy(cx)
+    hy = ref_entropy(cy)
+    hxy = ref_entropy(joint.ravel())
+    mi = max(hx + hy - hxy, 0.0)
+    log_bins = np.log(FEATURE_BINS)
+    out["entropy_x"] = hx / log_bins
+    out["entropy_y"] = hy / log_bins
+    out["mode_freq_x"] = float(cx.max()) / n
+    out["mode_freq_y"] = float(cy.max()) / n
+    out["condstd_mean_xy"], out["condstd_spread_xy"] = ref_conditional_stats(xb, yn)
+    out["condstd_mean_yx"], out["condstd_spread_yx"] = ref_conditional_stats(yb, xn)
+    out["condent_xy"] = (hxy - hx) / log_bins
+    out["condent_yx"] = (hxy - hy) / log_bins
+    for d, a, b in (("xy", xn, yn), ("yx", yn, xn)):
+        slope, resvar, rskew, rkurt = ref_fit_stats(a, b)
+        out[f"slope_{d}"] = slope
+        out[f"resvar_{d}"] = resvar
+        out[f"res_skew_{d}"] = rskew
+        out[f"res_kurt_{d}"] = rkurt
+    out["log_n"] = float(np.log(n))
+    pearson = ref_corr(inst.x, inst.y)
+    spearman = ref_corr(rx, ry)
+    out["pearson"] = pearson
+    out["abs_pearson"] = abs(pearson)
+    out["spearman"] = spearman
+    out["abs_spearman"] = abs(spearman)
+    out["mutual_info"] = mi
+    denom = np.sqrt(hx * hy)
+    out["mutual_info_norm"] = mi / denom if denom > 1e-12 else 0.0
+    out["joint_entropy_norm"] = hxy / (2.0 * log_bins)
+    out["occupied_ratio"] = float((joint > 0).sum()) / (FEATURE_BINS * FEATURE_BINS)
+    vec = np.array([out[name] for name in FEATURE_NAMES], dtype=np.float64)
+    if not np.isfinite(vec).all():
+        raise ValidationError(f"non-finite features for instance {inst.id}")
+    return vec
+
+
+def outcome(extract, inst):
+    """The feature bytes, or None when the instance is rejected."""
+    with np.errstate(all="ignore"):
+        try:
+            return extract(inst).tobytes()
+        except ValidationError:
+            return None
+
+
+def assert_matches_reference(inst):
+    got = outcome(extract_features, inst)
+    want = outcome(ref_extract_features, inst)
+    if got is None and want is not None:
+        # the one intended difference: a raw spread that overflows float64
+        # is rejected instead of giving a Pearson of +-0.0
+        with np.errstate(all="ignore"):
+            assert not (np.isfinite(inst.x.std()) and np.isfinite(inst.y.std()))
+    else:
+        assert got == want
+
+
+MODES = ("normal", "ties", "constant", "signed_zero", "scaled", "copy", "affine")
+
+
+def attribute_values(rng, n, kind, mode, exponent, codes, other):
+    if mode == "copy" and other is not None:
+        return other.copy()
+    if kind is BIN:
+        if mode == "constant":
+            return np.full(n, float(rng.integers(0, 2)))
+        return rng.integers(0, 2, n).astype(float)
+    if kind is CAT:
+        if mode == "constant":
+            return np.full(n, float(rng.integers(0, codes)))
+        return rng.integers(0, codes, n).astype(float)
+    if mode == "ties":
+        return rng.integers(-3, 4, n).astype(float)
+    if mode == "constant":
+        return np.full(n, rng.normal())
+    if mode == "signed_zero":
+        v = rng.choice([0.0, -0.0, 1.5, -2.0], n)
+        v[rng.random(n) < 0.3] = rng.normal()
+        return v
+    if mode == "scaled":
+        return rng.normal(size=n) * 10.0**exponent
+    if mode == "affine" and other is not None:
+        return 2.0 * other + rng.normal(scale=0.1, size=n)
+    return rng.normal(size=n)
+
+
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    n=st.integers(min_value=2, max_value=1200) | st.integers(min_value=2, max_value=12),
+    kinds=st.sampled_from(list(itertools.product((NUM, CAT, BIN), repeat=2))),
+    modes=st.tuples(st.sampled_from(MODES), st.sampled_from(MODES)),
+    exponent=st.integers(min_value=-300, max_value=300),
+    codes=st.sampled_from([1, 2, 3, 9, FEATURE_BINS, FEATURE_BINS + 1, 37, 10**6, 2**40]),
+)
+@settings(max_examples=300, deadline=None)
+def test_bytes_equal_reference(seed, n, kinds, modes, exponent, codes):
+    rng = np.random.default_rng(seed)
+    x = attribute_values(rng, n, kinds[0], modes[0], exponent, codes, None)
+    y = attribute_values(
+        rng, n, kinds[1], modes[1], exponent, codes, x if kinds[0] is kinds[1] else None
+    )
+    assert_matches_reference(instance(x, y, kinds[0], kinds[1]))
+
+
+def test_bytes_equal_reference_on_benchmark_corpus():
+    # the mechanisms and the categorical share of the evaluate benchmark
+    insts = synth.generate_benchmark(40, n_obs_range=(200, 1000), seed=1)
+    for i, inst in enumerate(insts):
+        if i % 4 == 0:
+            inst = synth.to_categorical(inst, 8)
+        assert_matches_reference(inst)
