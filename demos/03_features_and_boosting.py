@@ -6,7 +6,7 @@ Run:  python demos/03_features_and_boosting.py
 import numpy as np
 
 from causalpairs.boosting import GbcConfig, gbc_fit, gbc_predict_batch
-from causalpairs.ensemble import accuracy, auc_bidirectional, predict_class
+from causalpairs.ensemble import accuracy, auc_bidirectional, predict_labels
 from causalpairs.features import FEATURE_NAMES, extract_features, feature_matrix
 from causalpairs.synth import generate_benchmark
 
@@ -27,8 +27,9 @@ model = gbc_fit(feature_matrix(train), [i.label for i in train], cfg)
 print(f"\nboosting: {cfg.n_estimators} rounds x 3 class trees, "
       f"logloss {model.train_logloss[0]:.3f} -> {model.train_logloss[-1]:.3f}")
 
+# one row per pair, columns p_1, p_0, p_-1
 probs = gbc_predict_batch(model, feature_matrix(test))
 truths = [i.label for i in test]
-preds = [predict_class(p) for p in probs]
+preds = predict_labels(probs)
 print(f"held out: accuracy={accuracy(preds, truths):.3f} "
       f"auc={auc_bidirectional(probs, truths):.3f}")

@@ -23,10 +23,9 @@ from .ensemble import (
     accuracy,
     auc_bidirectional,
     ensemble,
-    predict_class,
+    predict_labels,
     tune_weight,
 )
-from .probs import ProbTriple
 from .raster import RasterConfig, ScatterImage, discretize, rasterize, read_image, write_image
 from .synth import GenSpec, Mechanism, generate, generate_benchmark
 
@@ -38,7 +37,6 @@ __all__ = [
     "augment_swap",
     "parse_pairs",
     "split",
-    "ProbTriple",
     "RasterConfig",
     "ScatterImage",
     "discretize",
@@ -48,7 +46,7 @@ __all__ = [
     "accuracy",
     "auc_bidirectional",
     "ensemble",
-    "predict_class",
+    "predict_labels",
     "tune_weight",
     "GenSpec",
     "Mechanism",

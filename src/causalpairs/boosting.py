@@ -31,7 +31,7 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from .errors import ConfigurationError, InputError, ShapeError, ValidationError
-from .probs import LABELS, LABEL_TO_CLASS, ProbTriple
+from .probs import LABELS, LABEL_TO_CLASS, check_probs
 from .nnet import softmax_batch
 from .seeding import derive_seed, make_rng
 
@@ -270,15 +270,9 @@ def gbc_fit(X: np.ndarray, labels, cfg: GbcConfig = GbcConfig(), seed: int = 0) 
     )
 
 
-def gbc_predict_batch(model: BoostedModel, X: np.ndarray) -> list[ProbTriple]:
-    probs = softmax_batch(model.decision_scores(X))
-    return [ProbTriple.from_array(row) for row in probs]
-
-
-def gbc_predict(model: BoostedModel, features: np.ndarray) -> ProbTriple:
-    """Class probabilities for one feature vector."""
-    features = np.asarray(features, dtype=np.float64)
-    return gbc_predict_batch(model, features[None])[0]
+def gbc_predict_batch(model: BoostedModel, X: np.ndarray) -> np.ndarray:
+    """[N, 3] class probabilities (columns p_1, p_0, p_-1) for the rows of X."""
+    return check_probs(softmax_batch(model.decision_scores(X)))
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,7 @@ from .ensemble import (
     auc_bidirectional,
     auc_bidirectional_parts,
     ensemble as combine_probs,
-    predict_class,
+    predict_labels,
     signed_scores,
     tune_weight,
 )
@@ -126,13 +126,17 @@ def _fmt(v: float) -> str:
     return repr(float(v))
 
 
+def _parse_ints(text, flag, sep=",", maxsplit=-1) -> list:
+    try:
+        return [int(t) for t in text.split(sep, maxsplit)]
+    except ValueError:
+        raise ConfigurationError(f"{flag} must be integers, got {text!r}") from None
+
+
 def _parse_channels(spec_text) -> tuple:
     if not spec_text:
         return cnn.DEFAULT_CHANNEL_PLAN
-    try:
-        vals = [int(t) for t in spec_text.split(",")]
-    except ValueError:
-        raise ConfigurationError(f"--channels must be integers, got {spec_text!r}")
+    vals = _parse_ints(spec_text, "--channels")
     if len(vals) != 10:
         raise ConfigurationError("--channels needs 10 integers (5 stage pairs)")
     return tuple((vals[2 * i], vals[2 * i + 1]) for i in range(5))
@@ -150,11 +154,15 @@ def cmd_generate(args):
         mix = {}
         for part in args.mix.split(","):
             name, _, frac = part.partition("=")
-            mix[synth.Mechanism(name.strip())] = float(frac)
-    if ":" in args.n_obs:
-        lo, hi = (int(t) for t in args.n_obs.split(":", 1))
-    else:
-        lo = hi = int(args.n_obs)
+            try:
+                mix[synth.Mechanism(name.strip())] = float(frac)
+            except ValueError:
+                raise ConfigurationError(
+                    f"--mix entries are <mechanism>=<fraction> with a mechanism in "
+                    f"{[m.value for m in synth.Mechanism]}, got {part!r}"
+                ) from None
+    n_obs = _parse_ints(args.n_obs, "--n-obs", ":", 1)
+    lo, hi = n_obs[0], n_obs[-1]
     instances = synth.generate_benchmark(
         count=args.count,
         mix=mix,
@@ -221,12 +229,8 @@ def _load_or_raster(instances, side, imgdir):
     return images
 
 
-def _train_cnn(args, train_insts, val_insts, out):
-    if args.augment:
-        train_insts = augment_all(train_insts)
-    imgdir = args.images or (Path(args.out) / "images")
-    train_images = _load_or_raster(train_insts, args.side, imgdir)
-    val_images = _load_or_raster(val_insts, args.side, imgdir)
+def _fit_cnn(args, train_insts, val_insts, imgdir):
+    """(CnnModel, history) from the CLI's CNN flags; imgdir None rasterizes in memory."""
     arch = cnn.build_paper_arch(args.side, _parse_channels(args.channels))
     cfg = cnn.TrainConfig(
         epochs=args.epochs,
@@ -236,52 +240,25 @@ def _train_cnn(args, train_insts, val_insts, out):
         seed=args.seed,
         deterministic=args.deterministic,
     )
-    model, history = cnn.train_cnn(
-        list(zip(train_images, (i.label for i in train_insts))),
-        list(zip(val_images, (i.label for i in val_insts))),
+    return cnn.train_cnn(
+        list(zip(_load_or_raster(train_insts, args.side, imgdir), (i.label for i in train_insts))),
+        list(zip(_load_or_raster(val_insts, args.side, imgdir), (i.label for i in val_insts))),
         arch,
         cfg,
     )
-    (out / "models").mkdir(parents=True, exist_ok=True)
-    cnn.save_model(model, out / "models" / "cnn.model")
-    (out / "reports").mkdir(parents=True, exist_ok=True)
-    with open(out / "reports" / "cnn_train_log.csv", "w", newline="\n") as f:
-        f.write("epoch,train_loss,train_accuracy,val_accuracy,n_train\n")
-        for m in history:
-            f.write(
-                f"{m.epoch},{_fmt(m.train_loss)},{_fmt(m.train_accuracy)},"
-                f"{_fmt(m.val_accuracy)},{len(train_insts)}\n"
-            )
-    print(
-        f"trained cnn on {len(train_insts)} instances "
-        f"({'augmented' if args.augment else 'plain'}); "
-        f"best val accuracy {max((m.val_accuracy for m in history), default=float('nan'))}"
-    )
 
 
-def _train_gbc(args, train_insts, out):
-    if args.augment:
-        train_insts = augment_all(train_insts)
-    mat = features.feature_matrix(train_insts)
-    labels = [inst.label for inst in train_insts]
+def _fit_gbc(args, train_insts):
+    """BoostedModel from the CLI's GBC flags."""
     cfg = boosting.GbcConfig(
         n_estimators=args.n_estimators,
         max_depth=args.max_depth,
         min_samples_split=args.min_samples_split,
         learning_rate=args.gbc_lr,
     )
-    model = boosting.gbc_fit(mat, labels, cfg, seed=args.seed)
-    (out / "models").mkdir(parents=True, exist_ok=True)
-    boosting.save_gbc(model, out / "models" / "gbc.model")
-    (out / "reports").mkdir(parents=True, exist_ok=True)
-    with open(out / "reports" / "gbc_train_log.csv", "w", newline="\n") as f:
-        f.write("round,train_logloss,n_train\n")
-        for r, ll in enumerate(model.train_logloss):
-            f.write(f"{r},{_fmt(ll)},{len(train_insts)}\n")
-    print(
-        f"trained gbc on {len(train_insts)} instances "
-        f"({'augmented' if args.augment else 'plain'}); "
-        f"final train logloss {model.train_logloss[-1]:.4f}"
+    return boosting.gbc_fit(
+        features.feature_matrix(train_insts), [i.label for i in train_insts], cfg,
+        seed=args.seed,
     )
 
 
@@ -289,10 +266,39 @@ def cmd_train(args):
     out = Path(args.out)
     instances = _load_corpus(args)
     train_insts, val_insts, _ = _manifest_splits(args, instances)
+    if args.augment:
+        train_insts = augment_all(train_insts)
     if args.kind == "cnn":
-        _train_cnn(args, train_insts, val_insts, out)
+        model, history = _fit_cnn(
+            args, train_insts, val_insts, args.images or out / "images"
+        )
+        save = cnn.save_model
+        log = ["epoch,train_loss,train_accuracy,val_accuracy"] + [
+            f"{m.epoch},{_fmt(m.train_loss)},{_fmt(m.train_accuracy)},{_fmt(m.val_accuracy)}"
+            for m in history
+        ]
+        summary = (
+            f"best val accuracy "
+            f"{max((m.val_accuracy for m in history), default=float('nan'))}"
+        )
     else:
-        _train_gbc(args, train_insts, out)
+        model = _fit_gbc(args, train_insts)
+        save = boosting.save_gbc
+        log = ["round,train_logloss"] + [
+            f"{r},{_fmt(ll)}" for r, ll in enumerate(model.train_logloss)
+        ]
+        summary = f"final train logloss {model.train_logloss[-1]:.4f}"
+    (out / "models").mkdir(parents=True, exist_ok=True)
+    save(model, out / "models" / f"{args.kind}.model")
+    (out / "reports").mkdir(parents=True, exist_ok=True)
+    with open(out / "reports" / f"{args.kind}_train_log.csv", "w", newline="\n") as f:
+        f.write(f"{log[0]},n_train\n")
+        for line in log[1:]:
+            f.write(f"{line},{len(train_insts)}\n")
+    print(
+        f"trained {args.kind} on {len(train_insts)} instances "
+        f"({'augmented' if args.augment else 'plain'}); {summary}"
+    )
     _write_run_meta(out, f"train-{args.kind}", args, _corpus_paths(args))
     return EXIT_OK
 
@@ -315,7 +321,7 @@ def _load_model(path):
 
 
 def _model_probs(model, instances):
-    """Probabilities from a model returned by _load_model for instances."""
+    """[N, 3] probabilities from a model returned by _load_model for instances."""
     if isinstance(model, cnn.CnnModel):
         images = _rasterize_all(instances, model.arch.input_side)
         return cnn.predict_batch(model, images)
@@ -351,10 +357,10 @@ def cmd_evaluate(args):
                 raise ConfigurationError(
                     f"--weight must be a number in [0,1] or 'tune', got {args.weight!r}"
                 )
-        probs = [combine_probs(a, b, chosen_w) for a, b in zip(p1, p2)]
+        probs = combine_probs(p1, p2, chosen_w)
     else:
         probs = p1
-    preds = [predict_class(p) for p in probs]
+    preds = predict_labels(probs)
     acc = accuracy(preds, truths)
     auc, auc_fwd, auc_bwd = auc_bidirectional_parts(
         probs, truths, exclude_zero=args.exclude_zero
@@ -365,10 +371,7 @@ def cmd_evaluate(args):
     with open(rdir / "predictions.csv", "w", newline="\n") as f:
         f.write("id,p1,p0,p_neg1,score,predicted_label\n")
         for inst, p, s, pred in zip(target, probs, scores, preds):
-            f.write(
-                f"{inst.id},{_fmt(p.p1)},{_fmt(p.p0)},{_fmt(p.p_neg1)},"
-                f"{_fmt(s)},{pred}\n"
-            )
+            f.write(f"{inst.id},{','.join(map(_fmt, p))},{_fmt(s)},{pred}\n")
     with open(rdir / "report.txt", "w", newline="\n") as f:
         f.write(f"accuracy={_fmt(acc)}\n")
         f.write(f"auc={_fmt(auc)}\n")
@@ -396,7 +399,7 @@ def _subsample(inst: PairInstance, count: int, seed: int) -> tuple[PairInstance,
 def cmd_sparse_sweep(args):
     out = Path(args.out)
     instances = _load_corpus(args)
-    counts = [int(t) for t in args.obs_counts.split(",")]
+    counts = _parse_ints(args.obs_counts, "--obs-counts")
     if any(c < 2 for c in counts):
         raise ConfigurationError(f"observation counts must be >= 2: {counts}")
     rows = []
@@ -415,67 +418,26 @@ def cmd_sparse_sweep(args):
                 f"instances; clamped to available",
                 file=sys.stderr,
             )
-        spec = SplitSpec(seed=args.seed)
-        train_insts, val_insts, test_insts = split(subsampled, spec)
-        aug_train = augment_all(train_insts) if args.augment else train_insts
-
-        arch = cnn.build_paper_arch(args.side, _parse_channels(args.channels))
-        cfg = cnn.TrainConfig(
-            epochs=args.epochs,
-            batch_size=args.batch_size,
-            learning_rate=args.lr,
-            momentum=args.momentum,
-            seed=args.seed,
-            deterministic=args.deterministic,
-        )
-        cnn_model, _ = cnn.train_cnn(
-            list(zip(_rasterize_all(aug_train, args.side), (i.label for i in aug_train))),
-            list(zip(_rasterize_all(val_insts, args.side), (i.label for i in val_insts))),
-            arch,
-            cfg,
-        )
-        gcfg = boosting.GbcConfig(
-            n_estimators=args.n_estimators,
-            max_depth=args.max_depth,
-            min_samples_split=args.min_samples_split,
-            learning_rate=args.gbc_lr,
-        )
-        gbc_model = boosting.gbc_fit(
-            features.feature_matrix(aug_train),
-            [i.label for i in aug_train],
-            gcfg,
-            seed=args.seed,
-        )
-
+        train_insts, val_insts, test_insts = split(subsampled, SplitSpec(seed=args.seed))
+        if args.augment:
+            train_insts = augment_all(train_insts)
+        cnn_model, _ = _fit_cnn(args, train_insts, val_insts, None)
+        gbc_model = _fit_gbc(args, train_insts)
         truths = [i.label for i in test_insts]
-        cnn_probs = cnn.predict_batch(cnn_model, _rasterize_all(test_insts, args.side))
-        gbc_probs = boosting.gbc_predict_batch(gbc_model, features.feature_matrix(test_insts))
-        row = {
-            "count": count,
-            "cnn_accuracy": accuracy(
-                [predict_class(p) for p in cnn_probs], truths
-            ),
-            "cnn_auc": auc_bidirectional(cnn_probs, truths),
-            "gbc_accuracy": accuracy(
-                [predict_class(p) for p in gbc_probs], truths
-            ),
-            "gbc_auc": auc_bidirectional(gbc_probs, truths),
-        }
+        row = [count]
+        for probs in [_model_probs(m, test_insts) for m in (cnn_model, gbc_model)]:
+            row += [accuracy(predict_labels(probs), truths), auc_bidirectional(probs, truths)]
         rows.append(row)
         print(
-            f"count {count}: cnn auc={row['cnn_auc']:.4f} "
-            f"acc={row['cnn_accuracy']:.4f} | gbc auc={row['gbc_auc']:.4f} "
-            f"acc={row['gbc_accuracy']:.4f}"
+            f"count {count}: cnn auc={row[2]:.4f} acc={row[1]:.4f} | "
+            f"gbc auc={row[4]:.4f} acc={row[3]:.4f}"
         )
     rdir = out / "reports"
     rdir.mkdir(parents=True, exist_ok=True)
     with open(rdir / "sparse_sweep.csv", "w", newline="\n") as f:
         f.write("count,cnn_accuracy,cnn_auc,gbc_accuracy,gbc_auc\n")
-        for row in rows:
-            f.write(
-                f"{row['count']},{_fmt(row['cnn_accuracy'])},{_fmt(row['cnn_auc'])},"
-                f"{_fmt(row['gbc_accuracy'])},{_fmt(row['gbc_auc'])}\n"
-            )
+        for count, *scores in rows:
+            f.write(f"{count},{','.join(map(_fmt, scores))}\n")
     _write_run_meta(out, "sparse-sweep", args, _corpus_paths(args))
     return EXIT_OK
 

@@ -6,7 +6,6 @@ dense 25 -> dense 3 -> softmax.  Image intensities are fed as darkness/255.
 """
 
 import hashlib
-import io
 import json
 import struct
 from dataclasses import dataclass, field, asdict
@@ -21,7 +20,7 @@ from .errors import (
     TrainingError,
     ValidationError,
 )
-from .probs import CLASS_TO_LABEL, LABEL_TO_CLASS, ProbTriple
+from .probs import LABEL_TO_CLASS, check_probs
 from .raster import ScatterImage
 from .seeding import derive_seed, make_rng
 
@@ -226,18 +225,13 @@ def _dataset_checksum(pairs) -> str:
     return h.hexdigest()
 
 
-def predict_batch(model: CnnModel, images) -> list[ProbTriple]:
+def predict_batch(model: CnnModel, images) -> np.ndarray:
+    """[N, 3] class probabilities (columns p_1, p_0, p_-1); pure in (model, images)."""
     side = model.arch.input_side
     xs = np.empty((len(images), 1, side, side), dtype=np.float64)
     for i, img in enumerate(images):
         xs[i, 0] = _to_input(img, side)
-    probs = _predict_classes(model.network, xs)
-    return [ProbTriple.from_array(row) for row in probs]
-
-
-def predict_cnn(model: CnnModel, image: ScatterImage) -> ProbTriple:
-    """Class probabilities for one image; pure function of (model, image)."""
-    return predict_batch(model, [image])[0]
+    return check_probs(_predict_classes(model.network, xs))
 
 
 # ---------------------------------------------------------------------------

@@ -7,27 +7,33 @@ indicator(label == -1), and the reported value is their mean.  Rank AUC is
 the Mann-Whitney form with average ranks, so exact ties count 1/2.
 Label-0 instances count as negatives in both sub-AUCs by default
 (exclude_zero=True removes them instead).
+
+Probabilities are [N, 3] arrays with columns p_1, p_0, p_-1; every public
+function here checks the probabilities it is given with probs.check_probs.
 """
 
 import numpy as np
 
 from .errors import ConfigurationError, UndefinedMetricError, ValidationError
-from .probs import ProbTriple
+from .probs import LABELS, check_probs
 from .ranks import rankdata
 
 WEIGHT_GRID = tuple(i / 10.0 for i in range(11))
 
 
-def ensemble(pc: ProbTriple, pg: ProbTriple, w: float) -> ProbTriple:
-    """Componentwise convex combination w*pc + (1-w)*pg."""
+def ensemble(pc, pg, w: float) -> np.ndarray:
+    """Rowwise convex combination w*pc + (1-w)*pg of two [N, 3] arrays."""
     if not 0.0 <= w <= 1.0:
         raise ConfigurationError(f"ensemble weight {w} outside [0, 1]")
-    return ProbTriple.from_array(w * pc.as_array() + (1.0 - w) * pg.as_array())
+    pc, pg = check_probs(pc), check_probs(pg)
+    if pc.shape != pg.shape:
+        raise ValidationError(f"probability arrays {pc.shape} and {pg.shape} differ")
+    return w * pc + (1.0 - w) * pg
 
 
-def predict_class(p: ProbTriple) -> int:
-    """Label of the largest probability; ties resolve in order 1, 0, -1."""
-    return (1, 0, -1)[int(np.argmax(p.as_array()))]
+def predict_labels(probs) -> np.ndarray:
+    """Label of each row's largest probability; ties resolve in order 1, 0, -1."""
+    return np.array(LABELS)[check_probs(probs).argmax(axis=1)]
 
 
 def accuracy(predictions, truths) -> float:
@@ -36,9 +42,9 @@ def accuracy(predictions, truths) -> float:
         raise ValidationError(
             f"length mismatch: {len(predictions)} predictions vs {len(truths)} truths"
         )
-    if not predictions:
+    if len(predictions) == 0:
         raise ValidationError("accuracy undefined on empty input")
-    correct = sum(1 for p, t in zip(predictions, truths) if p == t)
+    correct = int((np.asarray(predictions) == np.asarray(truths)).sum())
     return correct / len(predictions)
 
 
@@ -57,15 +63,16 @@ def rank_auc(scores, positives) -> float:
 
 
 def signed_scores(probs) -> np.ndarray:
-    """Signed direction score p_1 - p_-1 per instance."""
-    return np.array([p.p1 - p.p_neg1 for p in probs], dtype=np.float64)
+    """Signed direction score p_1 - p_-1 per row of an [N, 3] array."""
+    p = check_probs(probs)
+    return p[:, 0] - p[:, 2]
 
 
 def auc_bidirectional_parts(probs, truths, exclude_zero: bool = False):
     """(mean, forward, backward) AUC triple; see module docstring."""
     if len(probs) != len(truths):
         raise ValidationError(f"length mismatch: {len(probs)} probs vs {len(truths)} truths")
-    if not probs:
+    if len(probs) == 0:
         raise UndefinedMetricError("AUC undefined on empty input")
     truths = np.asarray(truths)
     s = signed_scores(probs)
@@ -90,17 +97,17 @@ def tune_weight(val_pc, val_pg, val_labels, metric: str = "auc") -> float:
         raise ValidationError(
             f"misaligned lists: {len(val_pc)}/{len(val_pg)}/{len(val_labels)}"
         )
-    if not val_pc:
+    if len(val_pc) == 0:
         raise ValidationError("cannot tune on an empty validation set")
     if metric not in ("auc", "accuracy"):
         raise ConfigurationError(f"unknown tuning metric {metric!r}")
     best_w, best_score = None, -np.inf
     for w in WEIGHT_GRID:
-        mixed = [ensemble(pc, pg, w) for pc, pg in zip(val_pc, val_pg)]
+        mixed = ensemble(val_pc, val_pg, w)
         if metric == "auc":
             score = auc_bidirectional(mixed, val_labels)
         else:
-            score = accuracy([predict_class(p) for p in mixed], val_labels)
+            score = accuracy(predict_labels(mixed), val_labels)
         if score > best_score:
             best_w, best_score = w, score
     return best_w

@@ -1,11 +1,10 @@
 """Minimal dense-tensor neural network core.
 
 All computation is float64 on contiguous numpy arrays.  Layers operate on
-batches (NCHW for spatial data); the module-level ops mirror the
-single-instance contracts used throughout the package.  Convolutions are
-3x3, stride 1, zero same-padding; pooling is 2x2 stride 2 with floor
-semantics and first-index tie-break in backward: a window's gradient goes to
-the first of its elements, in row-major order, that equals the max.
+batches (NCHW for spatial data).  Convolutions are 3x3, stride 1, zero
+same-padding; pooling is 2x2 stride 2 with floor semantics and first-index
+tie-break in backward: a window's gradient goes to the first of its
+elements, in row-major order, that equals the max.
 
 The elementwise layers keep one byte per element for backward.  ReLU works in
 place on the array it receives and keeps a bool x > 0 mask; max pooling takes
@@ -29,7 +28,6 @@ declaration order.  Loading checks every length against the data and raises
 InputError on a malformed blob.
 """
 
-import io
 import struct
 
 import numpy as np
@@ -157,61 +155,6 @@ def softmax_batch(logits: np.ndarray) -> np.ndarray:
     shifted = logits - logits.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
     return e / e.sum(axis=-1, keepdims=True)
-
-
-# ---------------------------------------------------------------------------
-# Single-instance operations.
-
-
-def conv2d_forward(x: np.ndarray, kernels: np.ndarray, bias: np.ndarray) -> np.ndarray:
-    """3x3 same convolution of one [C,H,W] input with [K,C,3,3] kernels."""
-    x = np.asarray(x, dtype=np.float64)
-    kernels = np.asarray(kernels, dtype=np.float64)
-    bias = np.asarray(bias, dtype=np.float64)
-    if x.ndim != 3 or kernels.ndim != 4 or kernels.shape[1:] != (x.shape[0], 3, 3):
-        raise ShapeError(
-            f"conv2d: input {x.shape} does not conform to kernels {kernels.shape}"
-        )
-    if bias.shape != (kernels.shape[0],):
-        raise ShapeError(f"conv2d: bias {bias.shape} vs kernels {kernels.shape}")
-    return _conv2d_batch(x[None], kernels, bias)[0]
-
-
-def maxpool_forward(x: np.ndarray) -> np.ndarray:
-    """2x2 stride-2 max pooling of one [C,H,W] input (floor semantics)."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 3 or x.shape[1] < 2 or x.shape[2] < 2:
-        raise ShapeError(f"maxpool: input {x.shape} must be [C,H>=2,W>=2]")
-    out, _ = _maxpool_batch(x[None])
-    return out[0]
-
-
-def dense_forward(x: np.ndarray, weights: np.ndarray, bias: np.ndarray) -> np.ndarray:
-    """Affine map weights @ x + bias for one input vector."""
-    x = np.asarray(x, dtype=np.float64)
-    weights = np.asarray(weights, dtype=np.float64)
-    bias = np.asarray(bias, dtype=np.float64)
-    if x.ndim != 1 or weights.ndim != 2 or weights.shape[1] != x.shape[0]:
-        raise ShapeError(f"dense: weights {weights.shape} vs input {x.shape}")
-    if bias.shape != (weights.shape[0],):
-        raise ShapeError(f"dense: bias {bias.shape} vs weights {weights.shape}")
-    return weights @ x + bias
-
-
-def softmax(logits: np.ndarray) -> np.ndarray:
-    """Stable softmax of a logit vector (max-subtraction)."""
-    logits = np.asarray(logits, dtype=np.float64)
-    if logits.ndim != 1 or logits.shape[0] < 2:
-        raise ShapeError(f"softmax: need a vector of length >= 2, got {logits.shape}")
-    return softmax_batch(logits[None])[0]
-
-
-def cross_entropy(probabilities: np.ndarray, true_class: int) -> float:
-    """-log(p[true_class] + 1e-12)."""
-    probabilities = np.asarray(probabilities, dtype=np.float64)
-    if not 0 <= true_class < probabilities.shape[0]:
-        raise IndexError(f"class {true_class} out of range for {probabilities.shape}")
-    return float(-np.log(probabilities[true_class] + EPS_LOG))
 
 
 # ---------------------------------------------------------------------------
@@ -482,23 +425,6 @@ class Network:
         return out
 
 
-def backward(network: Network, x: np.ndarray, true_class: int):
-    """Gradients of the single-example loss for every parameter.
-
-    Returns (loss, {name: gradient array}).
-    """
-    loss = network.loss_and_backward(
-        np.asarray(x, dtype=np.float64)[None], np.array([true_class])
-    )
-    grads = {name: arr.copy() for name, arr in network.gradients()}
-    return loss, grads
-
-
-def _forward_loss(network: Network, x: np.ndarray, true_class: int) -> float:
-    probs = network.forward(x[None])[0]
-    return cross_entropy(probs, true_class)
-
-
 def gradient_check(
     network: Network,
     x: np.ndarray,
@@ -509,13 +435,16 @@ def gradient_check(
 ) -> float:
     """Max relative error between analytic and central-difference gradients.
 
+    The analytic gradients are those of Network.loss_and_backward on x as a
+    batch of one; the differences are of -log(p[true_class] + 1e-12).
     Samples up to max_params parameters (at least 200 when available,
     seeded); relative error is |a - n| / max(|a|, |n|, 1e-8).
     """
     if not (1e-7 <= epsilon <= 1e-4):
         raise ConfigurationError(f"epsilon {epsilon} outside [1e-7, 1e-4]")
-    x = np.asarray(x, dtype=np.float64)
-    _, grads = backward(network, x, true_class)
+    x = np.asarray(x, dtype=np.float64)[None]
+    network.loss_and_backward(x, np.array([true_class]))
+    grads = dict(network.gradients())
     params = network.parameters()
     flat = []
     for name, arr in params:
@@ -524,14 +453,19 @@ def gradient_check(
     rng = np.random.Generator(np.random.PCG64(seed))
     n_check = min(len(flat), max(max_params, 200))
     chosen = rng.choice(len(flat), size=n_check, replace=False) if len(flat) > n_check else np.arange(len(flat))
+
+    def loss():
+        # forward alone leaves the analytic gradients in grads untouched
+        return float(-np.log(network.forward(x)[0, true_class] + EPS_LOG))
+
     worst = 0.0
     for fi in chosen:
         name, arr, idx = flat[fi]
         orig = arr.flat[idx]
         arr.flat[idx] = orig + epsilon
-        up = _forward_loss(network, x, true_class)
+        up = loss()
         arr.flat[idx] = orig - epsilon
-        down = _forward_loss(network, x, true_class)
+        down = loss()
         arr.flat[idx] = orig
         numeric = (up - down) / (2.0 * epsilon)
         analytic = grads[name].flat[idx]
@@ -578,27 +512,17 @@ def layer_dims(layer) -> tuple:
     return ()
 
 
-def save_network(network: Network, buf) -> None:
+def network_to_bytes(network: Network) -> bytes:
     """Versioned flat binary: magic, version, layer records, float64 params."""
-    buf.write(MAGIC)
-    buf.write(struct.pack("<II", FORMAT_VERSION, len(network.layers)))
+    parts = [MAGIC, struct.pack("<II", FORMAT_VERSION, len(network.layers))]
     for layer in network.layers:
-        buf.write(struct.pack("<B", _LAYER_CODES[layer.kind]))
+        parts.append(struct.pack("<B", _LAYER_CODES[layer.kind]))
         dims = layer_dims(layer)
         if dims:
-            buf.write(struct.pack("<II", *dims))
+            parts.append(struct.pack("<II", *dims))
     for _, arr in network.parameters():
-        buf.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
-
-
-def load_network(buf) -> Network:
-    return network_from_bytes(buf.read())
-
-
-def network_to_bytes(network: Network) -> bytes:
-    buf = io.BytesIO()
-    save_network(network, buf)
-    return buf.getvalue()
+        parts.append(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+    return b"".join(parts)
 
 
 def network_from_bytes(data: bytes) -> Network:

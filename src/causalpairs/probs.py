@@ -1,6 +1,4 @@
-"""Class-probability triple over the three causal labels."""
-
-from dataclasses import dataclass
+"""Class probabilities over the three causal labels as [N, 3] arrays."""
 
 import numpy as np
 
@@ -10,28 +8,25 @@ from .errors import ValidationError
 # Serialized with every model so train/predict can never skew.
 LABELS = (1, 0, -1)
 LABEL_TO_CLASS = {1: 0, 0: 1, -1: 2}
-CLASS_TO_LABEL = {0: 1, 1: 0, 2: -1}
 
 
-@dataclass(frozen=True)
-class ProbTriple:
-    """(p_1, p_0, p_-1): probabilities of first-causes-second, neither, reverse."""
+def check_probs(probs) -> np.ndarray:
+    """probs as a float64 [N, 3] array whose rows are distributions.
 
-    p1: float
-    p0: float
-    p_neg1: float
-
-    def __post_init__(self):
-        vals = (self.p1, self.p0, self.p_neg1)
-        if any(not np.isfinite(v) or v < -1e-12 or v > 1.0 + 1e-9 for v in vals):
-            raise ValidationError(f"probabilities out of range: {vals}")
-        if abs(sum(vals) - 1.0) > 1e-9:
-            raise ValidationError(f"probabilities sum to {sum(vals)!r}, not 1")
-
-    def as_array(self) -> np.ndarray:
-        """Probabilities in class-index order (label 1, then 0, then -1)."""
-        return np.array([self.p1, self.p0, self.p_neg1], dtype=np.float64)
-
-    @classmethod
-    def from_array(cls, arr) -> "ProbTriple":
-        return cls(float(arr[0]), float(arr[1]), float(arr[2]))
+    Columns are in class-index order: p_1, p_0, p_-1.  The first row with a
+    non-finite entry, an entry outside [-1e-12, 1 + 1e-9] or a sum more than
+    1e-9 from 1 raises ValidationError.
+    """
+    p = np.asarray(probs, dtype=np.float64)
+    if p.ndim != 2 or p.shape[1] != 3:
+        raise ValidationError(f"probabilities must be an [N, 3] array, got shape {p.shape}")
+    out_of_range = (~np.isfinite(p) | (p < -1e-12) | (p > 1.0 + 1e-9)).any(axis=1)
+    # left to right from +0.0, the order of Python's sum() before 3.12
+    sums = 0.0 + p[:, 0] + p[:, 1] + p[:, 2]
+    bad = np.flatnonzero(out_of_range | (np.abs(sums - 1.0) > 1e-9))
+    if bad.size:
+        i = bad[0]
+        if out_of_range[i]:
+            raise ValidationError(f"probabilities out of range: {tuple(map(float, p[i]))}")
+        raise ValidationError(f"probabilities sum to {float(sums[i])!r}, not 1")
+    return p

@@ -142,7 +142,9 @@ def read_image(path) -> ScatterImage:
     dims = parts[1].split()
     if len(dims) != 2 or dims[0] != dims[1] or parts[2] != b"255":
         raise ParseError("unsupported PGM header", path=str(path))
-    m = int(dims[0])
+    m = int(dims[0]) if dims[0].isdigit() else 0
+    if m < 1:
+        raise ParseError(f"PGM side {dims[0]!r} is not a positive integer", path=str(path))
     payload = parts[3]
     if len(payload) != m * m:
         raise ParseError(

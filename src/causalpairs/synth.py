@@ -23,7 +23,7 @@ from enum import Enum
 import numpy as np
 
 from .dataset import AttributeKind, PairInstance, augment_swap
-from .errors import ConfigurationError, ValidationError
+from .errors import ConfigurationError
 from .raster import discretize
 from .seeding import derive_seed, make_rng
 
@@ -174,8 +174,11 @@ def _allocate(count, mix):
     """Exact largest-remainder allocation of count across the mix."""
     mechs = list(mix.keys())
     fracs = np.array([mix[m] for m in mechs], dtype=np.float64)
-    if abs(fracs.sum() - 1.0) > 1e-9:
-        raise ConfigurationError(f"mechanism fractions sum to {fracs.sum()}, not 1")
+    # written so that a NaN fraction fails too
+    if (fracs < 0).any() or not abs(fracs.sum() - 1.0) <= 1e-9:
+        raise ConfigurationError(
+            f"mechanism fractions {fracs.tolist()} must be >= 0 and sum to 1"
+        )
     raw = fracs * count
     base = np.floor(raw).astype(int)
     remainder = count - base.sum()

@@ -28,7 +28,7 @@ from causalpairs.ensemble import (
     accuracy,
     auc_bidirectional,
     ensemble,
-    predict_class,
+    predict_labels,
     rank_auc,
     tune_weight,
 )
@@ -43,7 +43,6 @@ from causalpairs.nnet import (
     Softmax,
     gradient_check,
 )
-from causalpairs.probs import ProbTriple
 from causalpairs.raster import RasterConfig, rasterize
 from causalpairs.synth import Mechanism, generate_benchmark
 
@@ -203,13 +202,12 @@ def test_criterion_5_ensemble_endpoint_guarantee():
         labels = [int(l) for l in rng.choice([1, 0, -1], size=n)]
         while len(set(labels)) < 3:
             labels = [int(l) for l in rng.choice([1, 0, -1], size=n)]
-        pc = [ProbTriple.from_array(rng.dirichlet([1, 1, 1])) for _ in range(n)]
-        pg = [ProbTriple.from_array(rng.dirichlet([1, 1, 1])) for _ in range(n)]
+        pc = np.array([rng.dirichlet([1, 1, 1]) for _ in range(n)])
+        pg = np.array([rng.dirichlet([1, 1, 1]) for _ in range(n)])
         w = tune_weight(pc, pg, labels, metric="auc")
 
         def auc_at(weight):
-            mixed = [ensemble(a, b, weight) for a, b in zip(pc, pg)]
-            return auc_bidirectional(mixed, labels)
+            return auc_bidirectional(ensemble(pc, pg, weight), labels)
 
         ok_runs += int(auc_at(w) >= max(auc_at(0.0), auc_at(1.0)))
     report(
@@ -255,7 +253,7 @@ def test_criterion_7_overfit_sanity():
         TrainConfig(epochs=200, batch_size=32, learning_rate=0.1, momentum=0.9, seed=0),
     )
     probs = predict_batch(model, [img for img, _ in data])
-    cnn_acc = accuracy([predict_class(p) for p in probs], [l for _, l in data])
+    cnn_acc = accuracy(predict_labels(probs), [l for _, l in data])
     cnn_time = time.time() - t0
 
     t0 = time.time()
@@ -265,7 +263,7 @@ def test_criterion_7_overfit_sanity():
     X = np.array([centers[l] for l in labels]) + rng.normal(scale=0.2, size=(60, 2))
     gmodel = gbc_fit(X, labels, GbcConfig(n_estimators=50, max_depth=3,
                                           min_samples_split=2))
-    gpreds = [predict_class(p) for p in gbc_predict_batch(gmodel, X)]
+    gpreds = predict_labels(gbc_predict_batch(gmodel, X))
     gbc_acc = accuracy(gpreds, labels)
     gbc_time = time.time() - t0
 

@@ -11,7 +11,6 @@ from causalpairs.boosting import (
     best_split,
     fit_tree,
     gbc_fit,
-    gbc_predict,
     gbc_predict_batch,
     load_gbc,
     presort,
@@ -259,27 +258,25 @@ class TestGbcFit:
         X = np.zeros((30, 2))
         labels = [1] * 10 + [0] * 10 + [-1] * 10
         model = gbc_fit(X, labels, GbcConfig(n_estimators=1, learning_rate=0.0))
-        p = gbc_predict(model, np.zeros(2))
-        assert p.as_array() == pytest.approx([1 / 3] * 3, abs=1e-9)
+        p = gbc_predict_batch(model, np.zeros((1, 2)))
+        assert p == pytest.approx(np.full((1, 3), 1 / 3), abs=1e-9)
 
     def test_learning_rate_zero_predicts_priors(self):
         rng = np.random.default_rng(3)
         X = rng.normal(size=(40, 3))
         labels = [1] * 20 + [0] * 10 + [-1] * 10
         model = gbc_fit(X, labels, GbcConfig(n_estimators=5, learning_rate=0.0))
-        for row in rng.normal(size=(5, 3)):
-            p = gbc_predict(model, row)
-            assert p.as_array() == pytest.approx([0.5, 0.25, 0.25], abs=1e-9)
+        p = gbc_predict_batch(model, rng.normal(size=(5, 3)))
+        assert p == pytest.approx(np.tile([0.5, 0.25, 0.25], (5, 1)), abs=1e-9)
 
     def test_separable_reaches_perfect_accuracy(self):
         rng = np.random.default_rng(5)
         X, labels = separable_toy(rng)
         model = gbc_fit(X, labels, GbcConfig(n_estimators=50, max_depth=3,
                                              min_samples_split=2))
-        preds = gbc_predict_batch(model, X)
-        from causalpairs.ensemble import predict_class
+        from causalpairs.ensemble import predict_labels
 
-        assert all(predict_class(p) == l for p, l in zip(preds, labels))
+        assert predict_labels(gbc_predict_batch(model, X)).tolist() == labels
 
     def test_logloss_non_increasing(self):
         rng = np.random.default_rng(9)
@@ -324,16 +321,27 @@ class TestGbcPredict:
         X, labels = separable_toy(rng, n=30)
         model = gbc_fit(X, labels, GbcConfig(n_estimators=10, max_depth=2,
                                              min_samples_split=2))
-        for row in rng.normal(size=(10, 2)):
-            assert abs(sum(gbc_predict(model, row).as_array()) - 1.0) < 1e-9
+        p = gbc_predict_batch(model, rng.normal(size=(10, 2)))
+        assert p.shape == (10, 3) and p.dtype == np.float64
+        assert np.abs(p.sum(axis=1) - 1.0).max() < 1e-9
 
     def test_purity(self):
         rng = np.random.default_rng(16)
         X, labels = separable_toy(rng, n=30)
         model = gbc_fit(X, labels, GbcConfig(n_estimators=5, max_depth=2,
                                              min_samples_split=2))
-        row = rng.normal(size=2)
-        assert gbc_predict(model, row) == gbc_predict(model, row)
+        rows = rng.normal(size=(3, 2))
+        assert gbc_predict_batch(model, rows).tobytes() == gbc_predict_batch(model, rows).tobytes()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_output_is_validation_error(self):
+        rng = np.random.default_rng(18)
+        X, labels = separable_toy(rng, n=30)
+        model = gbc_fit(X, labels, GbcConfig(n_estimators=2, max_depth=2,
+                                             min_samples_split=2))
+        model.init_scores[...] = np.inf
+        with pytest.raises(ValidationError, match="out of range"):
+            gbc_predict_batch(model, X[:2])
 
     def test_feature_width_mismatch(self):
         rng = np.random.default_rng(17)
@@ -341,7 +349,7 @@ class TestGbcPredict:
         model = gbc_fit(X, labels, GbcConfig(n_estimators=2, max_depth=2,
                                              min_samples_split=2))
         with pytest.raises(ShapeError):
-            gbc_predict(model, np.zeros(5))
+            gbc_predict_batch(model, np.zeros((1, 5)))
 
 
 class TestSerialization:

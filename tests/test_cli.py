@@ -7,7 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from causalpairs.cli import main
+from causalpairs.cli import build_parser, main
+from causalpairs.errors import ConfigurationError
 
 TINY_CHANNELS = "4,4,4,4,4,4,4,4,4,4"
 
@@ -46,6 +47,16 @@ class TestGenerate:
         meta = json.loads((corpus / "generate.run.meta").read_text())
         assert meta["command"] == "generate"
         assert meta["params"]["seed"] == 5
+
+    @pytest.mark.parametrize("n_obs,expected", [("30:40", range(30, 41)), ("25", [25])])
+    def test_n_obs(self, tmp_path, n_obs, expected):
+        from causalpairs.dataset import read_pairs_files
+
+        assert run("generate", "--out", tmp_path, "--count", 12, "--n-obs", n_obs) == 0
+        counts = {inst.n_obs for inst in read_pairs_files(
+            *(tmp_path / name for name in ("pairs.csv", "info.csv", "target.csv"))
+        )}
+        assert counts <= set(expected) and len(counts) >= min(len(expected), 3)
 
 
 class TestIngest:
@@ -240,6 +251,24 @@ class TestEvaluate:
             )
             assert code == 2
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_cnn_probabilities_are_input_error(
+        self, corpus, trained, tmp_path, capsys
+    ):
+        from causalpairs import cnn
+
+        # finite weights, so the model loads, whose forward pass gives NaN
+        model = cnn.load_model(trained / "models" / "cnn.model")
+        for layer in model.network.layers:
+            for name, arr in layer.parameters():
+                if name in ("kernels", "weights"):
+                    arr[...] = 1e300
+        bad = tmp_path / "cnn.model"
+        cnn.save_model(model, bad)
+        code = run("evaluate", *corpus_flags(corpus), "--out", trained, "--model", bad)
+        assert code == 2
+        assert "probabilities out of range: (nan, nan, nan)" in capsys.readouterr().err
+
     def test_undefined_metric_exit_code(self, corpus, trained, tmp_path):
         # corpus where the evaluated split has no -1 labels at all:
         # backward AUC is undefined
@@ -278,6 +307,45 @@ class TestEvaluate:
         )
         assert code == 0
         assert loads == [str(trained / "models" / name) for name in ("cnn.model", "gbc.model")]
+
+
+@pytest.mark.parametrize("match,argv", [
+    ("--mix", ["generate", "--count", 4, "--mix", "bogus=1.0"]),
+    ("--mix", ["generate", "--count", 4, "--mix", "anm=0.5,linear=half"]),
+    ("fractions", ["generate", "--count", 4, "--mix", "anm=nan"]),
+    ("fractions", ["generate", "--count", 4, "--mix", "anm=-1,linear=2"]),
+    ("--n-obs", ["generate", "--count", 4, "--n-obs", "5:x"]),
+    ("--n-obs", ["generate", "--count", 4, "--n-obs", "5:6:7"]),
+    ("--obs-counts", ["sparse-sweep", "--obs-counts", "10,x"]),
+    ("--channels", ["train", "cnn", "--channels", "4,4,4,4,4,x,4,4,4,4"]),
+], ids=[
+    "mechanism", "fraction", "nan-fraction", "negative-fraction",
+    "n-obs", "n-obs-three", "obs-counts", "channels",
+])
+def test_malformed_argument_text_is_configuration_error(corpus, tmp_path, match, argv):
+    argv = [str(a) for a in argv] + ["--out", str(tmp_path)]
+    if argv[0] != "generate":
+        assert run("ingest", *corpus_flags(corpus), "--out", tmp_path) == 0
+        argv += [str(a) for a in corpus_flags(corpus)]
+    args = build_parser().parse_args(argv)
+    with pytest.raises(ConfigurationError, match=match):
+        args.func(args)
+    assert main(argv) == 2
+
+
+def test_bad_image_header_is_input_error(corpus, tmp_path, capsys):
+    flags = corpus_flags(corpus)
+    assert run("ingest", *flags, "--out", tmp_path, "--seed", 1) == 0
+    first = (tmp_path / "manifests" / "train.ids").read_text().split()[0]
+    (tmp_path / "images").mkdir()
+    bad = tmp_path / "images" / f"{first}.pgm"
+    bad.write_bytes(b"P5\nab ab\n255\n" + bytes(4))
+    code = run(
+        "train", "cnn", *flags, "--out", tmp_path, "--side", 32,
+        "--channels", TINY_CHANNELS, "--epochs", 1,
+    )
+    assert code == 2
+    assert f"{bad}" in capsys.readouterr().err
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -360,6 +428,22 @@ class TestSparseSweep:
         # count 100 exceeds the 60 available observations -> clamp warning
         err = capsys.readouterr().err
         assert "clamped" in err
+
+    def test_rerun_byte_identical(self, corpus, tmp_path):
+        tables = []
+        for name in ("a", "b"):
+            out = tmp_path / name
+            code = run(
+                "sparse-sweep", *corpus_flags(corpus), "--out", out,
+                "--obs-counts", "15,40", "--side", 32,
+                "--channels", TINY_CHANNELS, "--epochs", 2, "--batch-size", 8,
+                "--lr", 0.005, "--n-estimators", 4, "--max-depth", 3,
+                "--min-samples-split", 4, "--seed", 2, "--augment",
+            )
+            assert code == 0
+            tables.append((out / "reports" / "sparse_sweep.csv").read_bytes())
+        assert tables[0] == tables[1]
+        assert len(tables[0].splitlines()) == 3
 
     def test_bad_counts(self, corpus, tmp_path):
         code = run(

@@ -13,7 +13,6 @@ from causalpairs.cnn import (
     build_paper_arch,
     load_model,
     predict_batch,
-    predict_cnn,
     save_model,
     train_cnn,
 )
@@ -75,8 +74,8 @@ class TestPredict:
 
         model = CnnModel(network=net, arch=arch)
         rng = np.random.default_rng(0)
-        probs = predict_cnn(model, random_image(rng, 32))
-        assert probs.as_array() == pytest.approx([1 / 3] * 3, abs=1e-12)
+        probs = predict_batch(model, [random_image(rng, 32) for _ in range(2)])
+        assert probs == pytest.approx(np.full((2, 3), 1 / 3), abs=1e-12)
 
     def test_purity(self):
         arch = build_paper_arch(32, TINY_PLAN)
@@ -85,9 +84,9 @@ class TestPredict:
         model = CnnModel(network=build_network(arch, seed=5), arch=arch)
         rng = np.random.default_rng(1)
         img = random_image(rng, 32)
-        a = predict_cnn(model, img)
-        b = predict_cnn(model, img)
-        assert a == b
+        a = predict_batch(model, [img])
+        b = predict_batch(model, [img])
+        assert a.tobytes() == b.tobytes()
 
     def test_distribution(self):
         arch = build_paper_arch(32, TINY_PLAN)
@@ -95,8 +94,21 @@ class TestPredict:
 
         model = CnnModel(network=build_network(arch, seed=5), arch=arch)
         rng = np.random.default_rng(2)
-        for p in predict_batch(model, [random_image(rng, 32) for _ in range(4)]):
-            assert abs(sum(p.as_array()) - 1.0) < 1e-9
+        probs = predict_batch(model, [random_image(rng, 32) for _ in range(4)])
+        assert probs.shape == (4, 3) and probs.dtype == np.float64
+        assert np.abs(probs.sum(axis=1) - 1.0).max() < 1e-9
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_output_is_validation_error(self):
+        from causalpairs.errors import ValidationError
+
+        arch = build_paper_arch(32, TINY_PLAN)
+        model = CnnModel(network=build_network(arch, seed=5), arch=arch)
+        for _, param in model.network.parameters():
+            param[...] = 1e300
+        rng = np.random.default_rng(3)
+        with pytest.raises(ValidationError, match="out of range"):
+            predict_batch(model, [random_image(rng, 32)])
 
     def test_size_mismatch(self):
         arch = build_paper_arch(32, TINY_PLAN)
@@ -105,7 +117,7 @@ class TestPredict:
         model = CnnModel(network=build_network(arch, seed=5), arch=arch)
         rng = np.random.default_rng(3)
         with pytest.raises(ShapeError):
-            predict_cnn(model, random_image(rng, 64))
+            predict_batch(model, [random_image(rng, 64)])
 
 
 def small_training_set(rng, n=8, side=32):

@@ -8,16 +8,22 @@ from causalpairs.ensemble import (
     auc_bidirectional,
     auc_bidirectional_parts,
     ensemble,
-    predict_class,
+    predict_labels,
     rank_auc,
+    signed_scores,
     tune_weight,
 )
 from causalpairs.errors import ConfigurationError, UndefinedMetricError, ValidationError
-from causalpairs.probs import ProbTriple
+from causalpairs.probs import check_probs
 
 
 def triple(p1, p0, pn):
-    return ProbTriple(p1, p0, pn)
+    """One row of an [N, 3] probability array."""
+    return [p1, p0, pn]
+
+
+def probs(*rows):
+    return np.array(rows, dtype=np.float64)
 
 
 def pair_counting_auc(scores, positives):
@@ -39,15 +45,15 @@ def pair_counting_auc(scores, positives):
 
 class TestEnsemble:
     def test_endpoints(self):
-        pc = triple(0.6, 0.3, 0.1)
-        pg = triple(0.2, 0.5, 0.3)
-        assert ensemble(pc, pg, 1.0) == pc
-        assert ensemble(pc, pg, 0.0) == pg
+        pc = probs(triple(0.6, 0.3, 0.1))
+        pg = probs(triple(0.2, 0.5, 0.3))
+        assert np.array_equal(ensemble(pc, pg, 1.0), pc)
+        assert np.array_equal(ensemble(pc, pg, 0.0), pg)
 
     def test_hand_combination(self):
         # 0.4*0.6+0.6*0.2 = 0.36, 0.4*0.3+0.6*0.5 = 0.42, 0.4*0.1+0.6*0.3 = 0.22
-        out = ensemble(triple(0.6, 0.3, 0.1), triple(0.2, 0.5, 0.3), 0.4)
-        assert out.as_array() == pytest.approx([0.36, 0.42, 0.22], abs=1e-15)
+        out = ensemble(probs(triple(0.6, 0.3, 0.1)), probs(triple(0.2, 0.5, 0.3)), 0.4)
+        assert out == pytest.approx(probs([0.36, 0.42, 0.22]), abs=1e-15)
 
     def test_output_is_distribution(self):
         rng = np.random.default_rng(0)
@@ -55,35 +61,119 @@ class TestEnsemble:
             a = rng.dirichlet([1, 1, 1])
             b = rng.dirichlet([1, 1, 1])
             w = rng.uniform()
-            out = ensemble(ProbTriple.from_array(a), ProbTriple.from_array(b), w)
-            assert abs(sum(out.as_array()) - 1.0) < 1e-12
+            out = ensemble(probs(a), probs(b), w)
+            assert abs(out.sum() - 1.0) < 1e-12
+
+    def test_rowwise(self):
+        pc = probs(triple(0.6, 0.3, 0.1), triple(0.0, 0.0, 1.0))
+        pg = probs(triple(0.2, 0.5, 0.3), triple(1.0, 0.0, 0.0))
+        out = ensemble(pc, pg, 0.25)
+        for i in range(2):
+            assert out[i].tobytes() == ensemble(pc[i:i + 1], pg[i:i + 1], 0.25).tobytes()
 
     def test_idempotent_on_equal_inputs(self):
-        p = triple(0.2, 0.5, 0.3)
+        p = probs(triple(0.2, 0.5, 0.3))
         for w in WEIGHT_GRID:
-            assert ensemble(p, p, w).as_array() == pytest.approx(p.as_array())
+            assert ensemble(p, p, w) == pytest.approx(p)
 
     def test_weight_out_of_range(self):
         with pytest.raises(ConfigurationError):
-            ensemble(triple(1, 0, 0), triple(1, 0, 0), 1.5)
+            ensemble(probs(triple(1, 0, 0)), probs(triple(1, 0, 0)), 1.5)
+
+    def test_misaligned_arrays(self):
+        with pytest.raises(ValidationError):
+            ensemble(probs(triple(1, 0, 0)), probs(triple(1, 0, 0), triple(0, 1, 0)), 0.5)
 
 
 class TestPredictClass:
     def test_argmax(self):
-        assert predict_class(triple(0.5, 0.3, 0.2)) == 1
-        assert predict_class(triple(0.1, 0.6, 0.3)) == 0
-        assert predict_class(triple(0.1, 0.2, 0.7)) == -1
+        p = probs(triple(0.5, 0.3, 0.2), triple(0.1, 0.6, 0.3), triple(0.1, 0.2, 0.7))
+        assert predict_labels(p).tolist() == [1, 0, -1]
 
     def test_tie_order(self):
         third = 1.0 / 3.0
-        assert predict_class(triple(third, third, third)) == 1
-        assert predict_class(triple(0.2, 0.4, 0.4)) == 0
+        assert predict_labels(probs(triple(third, third, third))).tolist() == [1]
+        assert predict_labels(probs(triple(0.2, 0.4, 0.4))).tolist() == [0]
 
     def test_rescaling_invariance(self):
-        p = triple(0.5, 0.3, 0.2)
-        scaled = 2.5 * p.as_array()
-        renorm = ProbTriple.from_array(scaled / scaled.sum())
-        assert predict_class(renorm) == predict_class(p)
+        p = probs(triple(0.5, 0.3, 0.2))
+        scaled = 2.5 * p
+        assert predict_labels(scaled / scaled.sum()).tolist() == predict_labels(p).tolist()
+
+
+def ref_check_row(vals):
+    """The per-row check of the former probability-triple class; None if valid.
+
+    Its sum() added left to right from 0 (Python before 3.12); the sum is
+    spelled out so that the reference does not move with the interpreter.
+    """
+    if any(not np.isfinite(v) or v < -1e-12 or v > 1.0 + 1e-9 for v in vals):
+        return f"probabilities out of range: {vals}"
+    total = 0 + vals[0] + vals[1] + vals[2]
+    if abs(total - 1.0) > 1e-9:
+        return f"probabilities sum to {total!r}, not 1"
+    return None
+
+
+EDGE_VALUES = [
+    0.0, -0.0, 1.0, 0.5, 0.25, 1 / 3, -1e-12, -1.1e-12, 1.0 + 1e-9, 1.0 + 2e-9,
+    5e-10, 2e-9, np.nan, np.inf, -np.inf, 1e300,
+]
+
+
+class TestCheckProbs:
+    @given(rows=st.lists(
+        st.tuples(*[st.sampled_from(EDGE_VALUES) | st.floats(-0.1, 1.1)] * 3),
+        min_size=1, max_size=6,
+    ))
+    @settings(max_examples=300, deadline=None)
+    def test_rejects_the_rows_the_triple_class_rejected(self, rows):
+        errors = [ref_check_row(tuple(map(float, r))) for r in rows]
+        first = next((e for e in errors if e is not None), None)
+        if first is None:
+            assert check_probs(rows).tobytes() == np.array(rows, dtype=np.float64).tobytes()
+        else:
+            with pytest.raises(ValidationError) as err:
+                check_probs(rows)
+            assert str(err.value) == first
+
+    def test_nan_row_message(self):
+        with pytest.raises(ValidationError, match=r"out of range: \(nan, nan, nan\)"):
+            check_probs(probs(triple(0.2, 0.5, 0.3), [np.nan] * 3))
+
+    def test_tolerances(self):
+        check_probs(probs(
+            [0.5, 0.5, 5e-10], [-1e-12, 0.5, 0.5 + 1e-12], [1.0 + 1e-9, 0.0, -1e-12],
+        ))
+        for row, message in (
+            ([0.5, 0.5, 2e-9], "sum to"),
+            ([0.5, 0.5 - 2e-9, 0.0], "sum to"),
+            ([-2e-12, 0.5, 0.5], "out of range"),
+            ([1.0 + 2e-9, 0.0, -2e-9], "out of range"),
+        ):
+            with pytest.raises(ValidationError, match=message):
+                check_probs(probs(row))
+
+    @pytest.mark.parametrize("shape", [(3,), (2, 4), (1, 3, 1), (0,)])
+    def test_shape(self, shape):
+        with pytest.raises(ValidationError, match="N, 3"):
+            check_probs(np.full(shape, 1 / 3))
+
+    def test_public_functions_check_their_inputs(self):
+        good = probs(triple(0.6, 0.3, 0.1), triple(0.1, 0.3, 0.6))
+        bad = probs(triple(0.6, 0.3, 0.1), triple(0.5, 0.3, 0.3))
+        for call in (
+            lambda p: ensemble(p, good, 0.5),
+            lambda p: ensemble(good, p, 0.5),
+            predict_labels,
+            signed_scores,
+            lambda p: auc_bidirectional_parts(p, [1, -1]),
+            lambda p: tune_weight(p, good, [1, -1]),
+            lambda p: tune_weight(good, p, [1, -1], metric="accuracy"),
+        ):
+            call(good)
+            with pytest.raises(ValidationError, match="sum to"):
+                call(bad)
 
 
 class TestAccuracy:
@@ -108,36 +198,40 @@ class TestAccuracy:
 
 class TestAuc:
     def test_perfect_three_class_ordering(self):
-        probs = [triple(0.8, 0.1, 0.1), triple(0.2, 0.6, 0.2), triple(0.1, 0.1, 0.8)]
+        p = probs(triple(0.8, 0.1, 0.1), triple(0.2, 0.6, 0.2), triple(0.1, 0.1, 0.8))
         truths = [1, 0, -1]
-        assert auc_bidirectional(probs, truths) == 1.0
+        assert auc_bidirectional(p, truths) == 1.0
 
     def test_all_scores_equal(self):
-        probs = [triple(1 / 3, 1 / 3, 1 / 3)] * 6
+        p = probs(*[triple(1 / 3, 1 / 3, 1 / 3)] * 6)
         truths = [1, 1, 0, 0, -1, -1]
-        assert auc_bidirectional(probs, truths) == 0.5
+        assert auc_bidirectional(p, truths) == 0.5
 
     def test_derived_three_instance_case(self):
         # truths [1,-1,0], scores [0.4,-0.2,0.1]: forward positives {0.4}
         # beat {-0.2, 0.1}; backward positives {0.2} beat {-0.4, -0.1}
-        probs = [triple(0.5, 0.4, 0.1), triple(0.2, 0.4, 0.4), triple(0.3, 0.5, 0.2)]
+        p = probs(triple(0.5, 0.4, 0.1), triple(0.2, 0.4, 0.4), triple(0.3, 0.5, 0.2))
         truths = [1, -1, 0]
-        mean, fwd, bwd = auc_bidirectional_parts(probs, truths)
+        mean, fwd, bwd = auc_bidirectional_parts(p, truths)
         assert (fwd, bwd, mean) == (1.0, 1.0, 1.0)
 
     def test_undefined_without_positives(self):
-        probs = [triple(0.5, 0.4, 0.1), triple(0.2, 0.4, 0.4)]
+        p = probs(triple(0.5, 0.4, 0.1), triple(0.2, 0.4, 0.4))
         with pytest.raises(UndefinedMetricError):
-            auc_bidirectional(probs, [0, 0])
+            auc_bidirectional(p, [0, 0])
+
+    def test_undefined_on_empty_input(self):
+        with pytest.raises(UndefinedMetricError):
+            auc_bidirectional(np.empty((0, 3)), [])
 
     def test_exclude_zero_flag(self):
-        probs = [
+        p = probs(
             triple(0.9, 0.05, 0.05),
             triple(0.05, 0.05, 0.9),
             triple(0.4, 0.3, 0.3),
-        ]
+        )
         truths = [1, -1, 0]
-        assert auc_bidirectional(probs, truths, exclude_zero=True) == 1.0
+        assert auc_bidirectional(p, truths, exclude_zero=True) == 1.0
 
     def test_monotone_transform_invariance(self):
         rng = np.random.default_rng(5)
@@ -169,8 +263,8 @@ def test_rank_auc_matches_pair_counting_oracle(seed, n):
 
 class TestTuneWeight:
     def _grid_probs(self, rng, n):
-        pc = [ProbTriple.from_array(rng.dirichlet([1, 1, 1])) for _ in range(n)]
-        pg = [ProbTriple.from_array(rng.dirichlet([1, 1, 1])) for _ in range(n)]
+        pc = np.array([rng.dirichlet([1, 1, 1]) for _ in range(n)])
+        pg = np.array([rng.dirichlet([1, 1, 1]) for _ in range(n)])
         labels = [int(l) for l in rng.choice([1, 0, -1], size=n)]
         while len(set(labels)) < 3:
             labels = [int(l) for l in rng.choice([1, 0, -1], size=n)]
@@ -186,10 +280,10 @@ class TestTuneWeight:
         for metric in ("auc", "accuracy"):
             w = tune_weight(pc, pg, labels, metric=metric)
             def score(weight):
-                mixed = [ensemble(a, b, weight) for a, b in zip(pc, pg)]
+                mixed = ensemble(pc, pg, weight)
                 if metric == "auc":
                     return auc_bidirectional(mixed, labels)
-                return accuracy([predict_class(p) for p in mixed], labels)
+                return accuracy(predict_labels(mixed), labels)
             assert score(w) >= max(score(0.0), score(1.0))
 
     def test_identical_models_tie_to_zero(self):
@@ -199,4 +293,6 @@ class TestTuneWeight:
 
     def test_misaligned(self):
         with pytest.raises(ValidationError):
-            tune_weight([triple(1, 0, 0)], [], [1])
+            tune_weight(probs(triple(1, 0, 0)), np.empty((0, 3)), [1])
+        with pytest.raises(ValidationError, match="empty"):
+            tune_weight(np.empty((0, 3)), np.empty((0, 3)), [])

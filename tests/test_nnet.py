@@ -14,63 +14,80 @@ from causalpairs.nnet import (
     Network,
     Relu,
     Softmax,
-    backward,
-    conv2d_forward,
-    cross_entropy,
-    dense_forward,
     gradient_check,
-    maxpool_forward,
     sgd_step,
-    softmax,
+    softmax_batch,
 )
+
+
+def conv_forward(x, kernels, bias):
+    """Forward pass of a Conv layer holding kernels and bias on the batch x."""
+    conv = Conv(kernels.shape[1], kernels.shape[0])
+    conv.kernels[...] = kernels
+    conv.bias[...] = bias
+    return conv.forward(x)
+
+
+def dense_forward(x, weights, bias):
+    dense = Dense(weights.shape[1], weights.shape[0])
+    dense.weights[...] = weights
+    dense.bias[...] = bias
+    return dense.forward(x)
+
+
+def softmax_loss(logits, true_class):
+    """Network.loss_and_backward on one row: cross-entropy of softmax(logits)."""
+    return Network([Softmax()]).loss_and_backward(
+        np.asarray(logits, dtype=np.float64)[None], np.array([true_class])
+    )
 
 
 class TestConvForward:
     def test_identity_kernel(self):
-        x = np.array([[[5.0]]])
+        x = np.array([[[[5.0]]]])
         k = np.zeros((1, 1, 3, 3))
         k[0, 0, 1, 1] = 1.0
-        out = conv2d_forward(x, k, np.zeros(1))
-        assert out == pytest.approx(np.array([[[5.0]]]))
+        out = conv_forward(x, k, np.zeros(1))
+        assert out == pytest.approx(np.array([[[[5.0]]]]))
 
     def test_all_ones_zero_padding(self):
         # 3x3 ones vs 3x3 ones kernel: center sums the full window (9),
         # edge centers see 6 in-range cells, corners see 4
-        x = np.ones((1, 3, 3))
+        x = np.ones((1, 1, 3, 3))
         k = np.ones((1, 1, 3, 3))
-        out = conv2d_forward(x, k, np.zeros(1))[0]
+        out = conv_forward(x, k, np.zeros(1))[0, 0]
         expected = np.array([[4.0, 6.0, 4.0], [6.0, 9.0, 6.0], [4.0, 6.0, 4.0]])
         assert out == pytest.approx(expected)
 
     def test_same_padding_shape(self):
-        x = np.zeros((2, 5, 7))
+        x = np.zeros((3, 2, 5, 7))
         k = np.zeros((4, 2, 3, 3))
-        assert conv2d_forward(x, k, np.zeros(4)).shape == (4, 5, 7)
+        assert conv_forward(x, k, np.zeros(4)).shape == (3, 4, 5, 7)
 
     def test_bias_added(self):
-        x = np.zeros((1, 2, 2))
+        x = np.zeros((1, 1, 2, 2))
         k = np.zeros((3, 1, 3, 3))
-        out = conv2d_forward(x, k, np.array([1.0, -2.0, 0.5]))
+        out = conv_forward(x, k, np.array([1.0, -2.0, 0.5]))[0]
         assert out[0] == pytest.approx(np.ones((2, 2)))
         assert out[1] == pytest.approx(-2 * np.ones((2, 2)))
 
     def test_shape_mismatch_names_shapes(self):
         with pytest.raises(ShapeError) as err:
-            conv2d_forward(np.zeros((2, 4, 4)), np.zeros((3, 1, 3, 3)), np.zeros(3))
-        assert "(2, 4, 4)" in str(err.value) and "(3, 1, 3, 3)" in str(err.value)
+            conv_forward(np.zeros((1, 2, 4, 4)), np.zeros((3, 1, 3, 3)), np.zeros(3))
+        assert "1 channels" in str(err.value) and "(1, 2, 4, 4)" in str(err.value)
 
 
 class TestMaxPool:
     def test_single_window(self):
-        out = maxpool_forward(np.array([[[1.0, 2.0], [3.0, 4.0]]]))
-        assert out == pytest.approx(np.array([[[4.0]]]))
+        out = MaxPool().forward(np.array([[[[1.0, 2.0], [3.0, 4.0]]]]))
+        assert out == pytest.approx(np.array([[[[4.0]]]]))
 
     def test_floor_semantics(self):
-        assert maxpool_forward(np.zeros((3, 5, 5))).shape == (3, 2, 2)
+        assert MaxPool().forward(np.zeros((2, 3, 5, 5))).shape == (2, 3, 2, 2)
 
     def test_too_small(self):
         with pytest.raises(ShapeError):
-            maxpool_forward(np.zeros((1, 1, 4)))
+            MaxPool().forward(np.zeros((1, 1, 1, 4)))
 
     def test_tie_gradient_goes_to_first_scanned(self):
         pool = MaxPool()
@@ -82,53 +99,57 @@ class TestMaxPool:
 
 class TestDense:
     def test_identity(self):
-        x = np.array([1.0, -2.0, 3.0])
+        x = np.array([[1.0, -2.0, 3.0], [0.5, 0.0, -1.0]])
         assert dense_forward(x, np.eye(3), np.zeros(3)) == pytest.approx(x)
 
     def test_zero_weights_gives_bias(self):
         b = np.array([4.0, 5.0])
-        assert dense_forward(np.ones(3), np.zeros((2, 3)), b) == pytest.approx(b)
+        assert dense_forward(np.ones((1, 3)), np.zeros((2, 3)), b) == pytest.approx(b[None])
 
     def test_hand_value(self):
-        out = dense_forward(np.array([1.0, 1.0]), np.array([[1.0, 2.0], [3.0, 4.0]]),
+        out = dense_forward(np.array([[1.0, 1.0]]), np.array([[1.0, 2.0], [3.0, 4.0]]),
                             np.zeros(2))
-        assert out == pytest.approx([3.0, 7.0])
+        assert out == pytest.approx(np.array([[3.0, 7.0]]))
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
-            dense_forward(np.ones(3), np.ones((2, 4)), np.zeros(2))
+            dense_forward(np.ones((1, 3)), np.ones((2, 4)), np.zeros(2))
 
 
 class TestSoftmaxAndLoss:
     def test_uniform(self):
-        assert softmax(np.zeros(3)) == pytest.approx([1 / 3] * 3)
+        assert softmax_batch(np.zeros((2, 3))) == pytest.approx(np.full((2, 3), 1 / 3))
 
     def test_stability(self):
-        out = softmax(np.array([1000.0, 0.0, 0.0]))
+        out = softmax_batch(np.array([[1000.0, 0.0, 0.0], [0.0, -1000.0, 1000.0]]))
         assert np.isfinite(out).all()
-        assert out[0] == pytest.approx(1.0)
+        assert out[:, [0, 2]].tolist() == [[1.0, 0.0], [0.0, 1.0]]
 
     def test_shift_invariance(self):
-        z = np.array([0.3, -1.2, 2.5])
-        assert softmax(z + 17.0) == pytest.approx(softmax(z), abs=1e-12)
+        z = np.array([[0.3, -1.2, 2.5], [4.0, 0.0, -4.0]])
+        assert softmax_batch(z + 17.0) == pytest.approx(softmax_batch(z), abs=1e-12)
 
     def test_sums_to_one(self):
         rng = np.random.default_rng(0)
-        for _ in range(20):
-            out = softmax(rng.normal(size=5) * 10)
-            assert abs(out.sum() - 1.0) < 1e-12
+        out = softmax_batch(rng.normal(size=(20, 5)) * 10)
+        assert np.abs(out.sum(axis=1) - 1.0).max() < 1e-12
 
     def test_cross_entropy_values(self):
-        assert cross_entropy(np.array([1.0, 0.0, 0.0]), 0) == pytest.approx(0.0, abs=1e-9)
-        assert cross_entropy(np.array([1 / 3] * 3), 2) == pytest.approx(np.log(3))
+        assert softmax_loss([1000.0, 0.0, 0.0], 0) == pytest.approx(0.0, abs=1e-9)
+        assert softmax_loss([0.0, 0.0, 0.0], 2) == pytest.approx(np.log(3))
 
     def test_cross_entropy_monotone(self):
-        losses = [cross_entropy(np.array([p, 1 - p]), 0) for p in (0.2, 0.5, 0.9)]
+        losses = [softmax_loss(np.log([p, 1 - p]), 0) for p in (0.2, 0.5, 0.9)]
         assert losses[0] > losses[1] > losses[2]
+
+    def test_cross_entropy_is_batch_mean(self):
+        logits = np.array([[0.3, -1.2, 2.5], [4.0, 0.0, -4.0]])
+        both = Network([Softmax()]).loss_and_backward(logits, np.array([2, 1]))
+        assert both == pytest.approx((softmax_loss(logits[0], 2) + softmax_loss(logits[1], 1)) / 2)
 
     def test_cross_entropy_bad_index(self):
         with pytest.raises(IndexError):
-            cross_entropy(np.array([0.5, 0.5]), 2)
+            softmax_loss([0.0, 0.0], 2)
 
 
 def tiny_dense_net(n_in=4, n_out=3, seed=0):
@@ -141,7 +162,8 @@ class TestBackward:
         # d(loss)/d(weights) = (p - onehot) outer input
         net = tiny_dense_net(seed=3)
         x = np.array([0.5, -1.0, 2.0, 0.25])
-        _, grads = backward(net, x, true_class=1)
+        net.loss_and_backward(x[None], np.array([1]))
+        grads = dict(net.gradients())
         p = net.forward(x[None])[0]
         delta = p.copy()
         delta[1] -= 1.0
@@ -152,8 +174,8 @@ class TestBackward:
         rng = np.random.Generator(np.random.PCG64(1))
         net = Network([Conv(1, 2, rng), Flatten(),
                        Dense(2 * 4 * 4, 3, rng), Softmax()])
-        x = np.zeros((1, 4, 4))
-        _, grads = backward(net, x, true_class=0)
+        net.loss_and_backward(np.zeros((1, 1, 4, 4)), np.array([0]))
+        grads = dict(net.gradients())
         assert grads["layer0.conv.kernels"] == pytest.approx(np.zeros((2, 1, 3, 3)))
         assert np.abs(grads["layer0.conv.bias"]).max() > 0
 
@@ -258,6 +280,17 @@ class TestSerialization:
         assert nnet.network_to_bytes(again) == blob
         x = rng.normal(size=(2, 1, 4, 4))
         assert again.forward(x) == pytest.approx(net.forward(x), abs=0)
+
+    def test_format_bytes(self):
+        net = Network([Dense(2, 3, None), Softmax()])
+        net.layers[0].weights[...] = np.arange(6.0).reshape(3, 2)
+        net.layers[0].bias[...] = [-1.0, 0.5, 2.0]
+        expected = (
+            b"CPNN" + struct.pack("<II", 1, 2)
+            + struct.pack("<BII", 4, 2, 3) + struct.pack("<B", 5)
+            + struct.pack("<6d", *range(6)) + struct.pack("<3d", -1.0, 0.5, 2.0)
+        )
+        assert nnet.network_to_bytes(net) == expected
 
     def test_magic_rejected(self):
         with pytest.raises(InputError):

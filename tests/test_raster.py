@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from causalpairs.dataset import AttributeKind, PairInstance, augment_swap
-from causalpairs.errors import ConfigurationError, ValidationError
+from causalpairs.errors import ConfigurationError, ParseError, ValidationError
 from causalpairs.raster import (
     RasterConfig,
     ScatterImage,
@@ -171,3 +171,11 @@ class TestImageIO:
         with pytest.raises(OSError) as err:
             write_image(img, tmp_path / "no" / "such" / "dir.pgm")
         assert "dir.pgm" in str(err.value)
+
+    @pytest.mark.parametrize("side", [b"ab", b"0", b"-4", b"4.0"])
+    def test_side_not_a_positive_integer_is_parse_error(self, tmp_path, side):
+        path = tmp_path / "bad.pgm"
+        path.write_bytes(b"P5\n" + side + b" " + side + b"\n255\n" + bytes(16))
+        with pytest.raises(ParseError, match="not a positive integer") as err:
+            read_image(path)
+        assert str(path) in str(err.value)
