@@ -16,26 +16,21 @@ node scores all searched features in one pass (2-D gather, cumulative
 sums along each feature, an argmax per feature).  Ties go to the lowest
 feature index, then the lowest threshold; node totals are summed over the
 rows in row order.  The trees are the same as those of a per-node sort.
-
-Model files are a versioned flat binary: per tree the node arrays
-(feature index, threshold, child offsets, leaf value), then a JSON
-metadata block.  Loading checks lengths, tree structure and metadata and
-raises InputError on a malformed file.
 """
 
-import io
-import json
-import struct
 from dataclasses import dataclass, asdict
 
 import numpy as np
 
+from . import modelfile
 from .errors import ConfigurationError, InputError, ShapeError, ValidationError
 from .probs import LABELS, LABEL_TO_CLASS, check_probs
 from .nnet import softmax_batch
 from .seeding import derive_seed, make_rng
 
 _LEAF = -1
+# a RegressionTree's node arrays, as finalize() leaves them
+_NODE_DTYPES = {"feature": "<i4", "threshold": "<f8", "left": "<i4", "right": "<i4", "value": "<f8"}
 
 
 @dataclass(frozen=True)
@@ -74,11 +69,8 @@ class RegressionTree:
         return len(self.feature) - 1
 
     def finalize(self):
-        self.feature = np.asarray(self.feature, dtype=np.int32)
-        self.threshold = np.asarray(self.threshold, dtype=np.float64)
-        self.left = np.asarray(self.left, dtype=np.int32)
-        self.right = np.asarray(self.right, dtype=np.int32)
-        self.value = np.asarray(self.value, dtype=np.float64)
+        for name, dtype in _NODE_DTYPES.items():
+            setattr(self, name, np.asarray(getattr(self, name), dtype=dtype))
         return self
 
     @property
@@ -195,7 +187,6 @@ def fit_tree(X: np.ndarray, y: np.ndarray, depth_limit: int, min_split: int,
 class BoostedModel:
     trees: list  # trees[round][class_index]
     init_scores: np.ndarray
-    learning_rate: float
     n_features: int
     config: GbcConfig
     label_to_class: dict
@@ -210,7 +201,7 @@ class BoostedModel:
         scores = np.tile(self.init_scores, (len(X), 1))
         for round_trees in self.trees:
             for k, tree in enumerate(round_trees):
-                scores[:, k] += self.learning_rate * tree.predict(X)
+                scores[:, k] += self.config.learning_rate * tree.predict(X)
         return scores
 
 
@@ -262,7 +253,6 @@ def gbc_fit(X: np.ndarray, labels, cfg: GbcConfig = GbcConfig(), seed: int = 0) 
     return BoostedModel(
         trees=trees,
         init_scores=init_scores,
-        learning_rate=cfg.learning_rate,
         n_features=n_feat,
         config=cfg,
         label_to_class=dict(LABEL_TO_CLASS),
@@ -276,117 +266,80 @@ def gbc_predict_batch(model: BoostedModel, X: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Serialization.
+# Model file: a modelfile container of kind "gbc".  Its arrays are the initial
+# scores, every tree's node count (round-major, then class) and the five node
+# arrays of all trees, each concatenated in that order.
 
-GBC_MAGIC = b"CPBG"
-GBC_VERSION = 1
+_ARRAYS = {"init_scores": "<f8", "n_nodes": "<i4", **_NODE_DTYPES}
 
 
 def save_gbc(model: BoostedModel, path) -> None:
-    buf = io.BytesIO()
-    buf.write(GBC_MAGIC)
-    n_rounds = len(model.trees)
-    n_classes = len(model.init_scores)
-    buf.write(struct.pack("<IIIId", GBC_VERSION, n_rounds, n_classes,
-                          model.n_features, model.learning_rate))
-    buf.write(np.ascontiguousarray(model.init_scores, dtype="<f8").tobytes())
-    for round_trees in model.trees:
-        for tree in round_trees:
-            buf.write(struct.pack("<I", tree.n_nodes))
-            buf.write(tree.feature.astype("<i4").tobytes())
-            buf.write(tree.threshold.astype("<f8").tobytes())
-            buf.write(tree.left.astype("<i4").tobytes())
-            buf.write(tree.right.astype("<i4").tobytes())
-            buf.write(tree.value.astype("<f8").tobytes())
+    trees = [tree for round_trees in model.trees for tree in round_trees]
     meta = {
+        "n_features": model.n_features,
         "config": asdict(model.config),
         "label_to_class": {str(k): v for k, v in model.label_to_class.items()},
         "train_logloss": model.train_logloss,
     }
-    meta_bytes = json.dumps(meta, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    buf.write(struct.pack("<Q", len(meta_bytes)))
-    buf.write(meta_bytes)
-    with open(path, "wb") as f:
-        f.write(buf.getvalue())
+    arrays = {
+        "init_scores": model.init_scores,
+        "n_nodes": np.array([tree.n_nodes for tree in trees], dtype=np.int32),
+        **{name: np.concatenate([getattr(tree, name) for tree in trees]) for name in _NODE_DTYPES},
+    }
+    modelfile.write(path, "gbc", meta, arrays)
 
 
-def _tree_is_valid(tree: RegressionTree, n_features: int) -> bool:
-    """Leaves are all -1; split children come after their parent, so apply() ends."""
-    nodes = np.arange(tree.n_nodes)
-    leaf = (tree.feature == _LEAF) & (tree.left == _LEAF) & (tree.right == _LEAF)
+def _trees_are_valid(feature, left, right, n_nodes, n_features) -> bool:
+    """Leaves are all -1; split children follow their parent in its tree, so apply() ends."""
+    size = np.repeat(n_nodes, n_nodes)
+    node = np.arange(len(feature)) - np.repeat(np.cumsum(n_nodes) - n_nodes, n_nodes)
+    leaf = (feature == _LEAF) & (left == _LEAF) & (right == _LEAF)
     split = (
-        (tree.feature >= 0) & (tree.feature < n_features)
-        & (tree.left > nodes) & (tree.left < tree.n_nodes)
-        & (tree.right > nodes) & (tree.right < tree.n_nodes)
+        (feature >= 0) & (feature < n_features)
+        & (left > node) & (left < size) & (right > node) & (right < size)
     )
-    return (
-        tree.n_nodes >= 1 and bool((leaf | split).all())
-        and bool(np.isfinite(tree.threshold).all()) and bool(np.isfinite(tree.value).all())
-    )
+    return bool((leaf | split).all())
 
 
 def load_gbc(path) -> BoostedModel:
-    """Read a CPBG v1 file; malformed or inconsistent content raises InputError."""
-    with open(path, "rb") as f:
-        data = f.read()
-    if data[:4] != GBC_MAGIC:
-        raise InputError(f"{path}: not a boosted model file")
-    pos = 4
+    """Read a GBC model file; malformed or inconsistent content raises InputError."""
+    _, meta, arrays = modelfile.read(path, "gbc")
+    return gbc_from_file(path, meta, arrays)
 
-    def read(size):
-        nonlocal pos
-        if size > len(data) - pos:
-            raise InputError(f"{path}: truncated boosted model file")
-        pos += size
-        return data[pos - size:pos]
 
-    version, n_rounds, n_classes, n_features, learning_rate = struct.unpack(
-        "<IIIId", read(24)
-    )
-    if version != GBC_VERSION:
-        raise InputError(f"{path}: unsupported model version {version}")
-    if n_classes != len(LABELS):
-        raise InputError(f"{path}: model has {n_classes} classes, expected {len(LABELS)}")
-    init_scores = np.frombuffer(read(8 * n_classes), dtype="<f8").copy()
-    trees = []
-    for _ in range(n_rounds):
-        round_trees = []
-        for _ in range(n_classes):
-            (n_nodes,) = struct.unpack("<I", read(4))
-            tree = RegressionTree()
-            tree.feature = np.frombuffer(read(4 * n_nodes), dtype="<i4").copy()
-            tree.threshold = np.frombuffer(read(8 * n_nodes), dtype="<f8").copy()
-            tree.left = np.frombuffer(read(4 * n_nodes), dtype="<i4").copy()
-            tree.right = np.frombuffer(read(4 * n_nodes), dtype="<i4").copy()
-            tree.value = np.frombuffer(read(8 * n_nodes), dtype="<f8").copy()
-            if not _tree_is_valid(tree, n_features):
-                raise InputError(f"{path}: malformed tree in boosted model file")
-            round_trees.append(tree)
-        trees.append(round_trees)
-    (meta_len,) = struct.unpack("<Q", read(8))
-    meta_bytes = read(meta_len)
-    if pos != len(data):
-        raise InputError(f"{path}: trailing bytes after boosted model metadata")
+def gbc_from_file(path, meta: dict, arrays: dict) -> BoostedModel:
+    """The BoostedModel a model file's meta and arrays describe (see load_gbc)."""
     try:
-        meta = json.loads(meta_bytes.decode("utf-8"))
         config = GbcConfig(**meta["config"])
+        n_features = meta["n_features"]
         label_to_class = {int(k): v for k, v in meta["label_to_class"].items()}
         train_logloss = meta["train_logloss"]
+        init_scores, n_nodes, *nodes = columns = [arrays[name] for name in _ARRAYS]
         consistent = (
-            config.n_estimators == n_rounds
-            and config.learning_rate == learning_rate
+            type(n_features) is int
             and label_to_class == LABEL_TO_CLASS
-            and len(train_logloss) == n_rounds + 1
-            and bool(np.isfinite(init_scores).all())
+            and len(train_logloss) == config.n_estimators + 1
+            and all(a.dtype == dtype and a.ndim == 1 for a, dtype in zip(columns, _ARRAYS.values()))
+            and init_scores.shape == (len(LABELS),)
+            and n_nodes.shape == (config.n_estimators * len(LABELS),)
+            and (n_nodes >= 1).all()
+            and all(len(a) == n_nodes.sum() for a in nodes)
+            and _trees_are_valid(nodes[0], nodes[2], nodes[3], n_nodes, n_features)
         )
     except (ValueError, KeyError, TypeError, AttributeError) as exc:
         raise InputError(f"{path}: bad boosted model metadata: {exc}") from exc
     if not consistent:
-        raise InputError(f"{path}: boosted model metadata does not match its trees")
+        raise InputError(f"{path}: malformed trees, or metadata that does not match them")
+    bounds = np.cumsum(n_nodes)[:-1]
+    trees = []
+    for parts in zip(*(np.split(np.array(a), bounds) for a in nodes)):
+        tree = RegressionTree()
+        tree.feature, tree.threshold, tree.left, tree.right, tree.value = parts
+        trees.append(tree)
+    n_classes = len(LABELS)
     return BoostedModel(
-        trees=trees,
-        init_scores=init_scores,
-        learning_rate=learning_rate,
+        trees=[trees[i : i + n_classes] for i in range(0, len(trees), n_classes)],
+        init_scores=np.array(init_scores),
         n_features=n_features,
         config=config,
         label_to_class=label_to_class,

@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from . import boosting, cnn, features, raster, synth
+from . import boosting, cnn, features, modelfile, raster, synth
 from .ensemble import (
     accuracy,
     auc_bidirectional,
@@ -170,7 +170,7 @@ def cmd_generate(args):
         seed=args.seed,
         noise_scale=args.noise_scale,
     )
-    if args.cat_bins:
+    if args.cat_bins is not None:
         instances = [synth.to_categorical(inst, args.cat_bins) for inst in instances]
     write_pairs_files(
         instances, out / "pairs.csv", out / "info.csv", out / "target.csv"
@@ -238,7 +238,6 @@ def _fit_cnn(args, train_insts, val_insts, imgdir):
         learning_rate=args.lr,
         momentum=args.momentum,
         seed=args.seed,
-        deterministic=args.deterministic,
     )
     return cnn.train_cnn(
         list(zip(_load_or_raster(train_insts, args.side, imgdir), (i.label for i in train_insts))),
@@ -304,20 +303,17 @@ def cmd_train(args):
 
 
 def _load_model(path):
-    """A CNN or GBC model from a file, sniffed by magic and checked for use."""
-    with open(path, "rb") as f:
-        magic = f.read(4)
-    if magic == cnn.MODEL_MAGIC:
-        return cnn.load_model(path)
-    if magic == boosting.GBC_MAGIC:
-        model = boosting.load_gbc(path)
-        if model.n_features != features.N_FEATURES:
-            raise InputError(
-                f"{path}: model expects {model.n_features} features, "
-                f"the extractor gives {features.N_FEATURES}"
-            )
-        return model
-    raise InputError(f"{path}: unrecognized model file")
+    """A CNN or GBC model from a file, by the kind the file records, checked for use."""
+    kind, meta, arrays = modelfile.read(path, "cnn", "gbc")
+    if kind == "cnn":
+        return cnn.model_from_file(path, meta, arrays)
+    model = boosting.gbc_from_file(path, meta, arrays)
+    if model.n_features != features.N_FEATURES:
+        raise InputError(
+            f"{path}: model expects {model.n_features} features, "
+            f"the extractor gives {features.N_FEATURES}"
+        )
+    return model
 
 
 def _model_probs(model, instances):
@@ -511,7 +507,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--augment", action="store_true",
                    help="add the swapped twin of every training instance")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--deterministic", action="store_true", default=True)
     p.add_argument("--images", default=None,
                    help="directory of pre-rasterized PGMs (default: <out>/images)")
     _add_cnn_flags(p)
@@ -538,7 +533,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--obs-counts", default=DEFAULT_SWEEP_COUNTS)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--augment", action="store_true")
-    p.add_argument("--deterministic", action="store_true", default=True)
     _add_cnn_flags(p)
     _add_gbc_flags(p)
     p.set_defaults(func=cmd_sparse_sweep)

@@ -6,13 +6,12 @@ dense 25 -> dense 3 -> softmax.  Image intensities are fed as darkness/255.
 """
 
 import hashlib
-import json
 import struct
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from . import nnet
+from . import modelfile, nnet
 from .errors import (
     ConfigurationError,
     InputError,
@@ -38,10 +37,14 @@ class CnnArchitecture:
     input_side: int = 200
 
     def __post_init__(self):
-        if len(self.stages) != N_STAGES:
-            raise ConfigurationError(f"exactly {N_STAGES} stages required")
-        if self.output_units != 3:
+        if len(self.stages) != N_STAGES or any(len(s) != 2 for s in self.stages):
+            raise ConfigurationError(f"exactly {N_STAGES} stages of two channel counts required")
+        if type(self.output_units) is not int or self.output_units != 3:
             raise ConfigurationError("output layer must have 3 units")
+        sizes = [self.input_side, *self.dense_units, *(c for s in self.stages for c in s)]
+        # five poolings must leave a side of at least 1
+        if not all(type(v) is int and v > 0 for v in sizes) or self.input_side < 32:
+            raise ConfigurationError(f"sizes {sizes} must be positive ints, input side >= 32")
 
     def spatial_sides(self):
         """Side length after each pooling stage."""
@@ -64,7 +67,6 @@ class TrainConfig:
     learning_rate: float = 0.01
     momentum: float = 0.9
     seed: int = 0
-    deterministic: bool = True
 
     def __post_init__(self):
         if self.learning_rate <= 0:
@@ -74,13 +76,10 @@ class TrainConfig:
 
 
 def build_paper_arch(input_side: int, channel_plan=DEFAULT_CHANNEL_PLAN) -> CnnArchitecture:
-    """Architecture for a given input side; five poolings must leave side >= 1."""
-    if input_side < 32:
-        raise ConfigurationError(f"input_side must be >= 32, got {input_side}")
-    plan = tuple((int(a), int(b)) for a, b in channel_plan)
-    if len(plan) != N_STAGES or any(a < 1 or b < 1 for a, b in plan):
-        raise ConfigurationError(f"channel plan needs {N_STAGES} pairs of positive ints")
-    return CnnArchitecture(stages=plan, input_side=input_side)
+    """Architecture for a given input side and (in, out) channel pair per stage."""
+    return CnnArchitecture(
+        stages=tuple((int(a), int(b)) for a, b in channel_plan), input_side=input_side
+    )
 
 
 def _layer_plan(arch: CnnArchitecture) -> list:
@@ -175,7 +174,7 @@ def train_cnn(train, val, arch: CnnArchitecture, cfg: TrainConfig):
     n = len(xs)
     history = []
     best_val = -1.0
-    best_blob = None
+    best_params = None
     for epoch in range(cfg.epochs):
         order = np.arange(n)
         rng = make_rng(derive_seed(cfg.seed, "epoch", epoch))
@@ -205,9 +204,9 @@ def train_cnn(train, val, arch: CnnArchitecture, cfg: TrainConfig):
         )
         if val and val_acc > best_val:
             best_val = val_acc
-            best_blob = nnet.network_to_bytes(network)
-    if best_blob is not None:
-        network = nnet.network_from_bytes(best_blob)
+            best_params = network.flat_parameters()
+    if best_params is not None:
+        network.set_flat_parameters(best_params)
     model = CnnModel(
         network=network,
         arch=arch,
@@ -235,84 +234,48 @@ def predict_batch(model: CnnModel, images) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Model file: serialized network + length-prefixed JSON metadata block.
-
-MODEL_MAGIC = b"CPBM"
-MODEL_VERSION = 1
-# magic, version, metadata length, network length
-_HEADER = struct.Struct("<4sIQQ")
+# Model file: a modelfile container of kind "cnn" holding every parameter as
+# one flat "params" array.
 
 
 def save_model(model: CnnModel, path) -> None:
     meta = {
-        "arch": {
-            "stages": [list(s) for s in model.arch.stages],
-            "dense_units": list(model.arch.dense_units),
-            "output_units": model.arch.output_units,
-            "input_side": model.arch.input_side,
-        },
+        "arch": asdict(model.arch),
         "label_to_class": {str(k): v for k, v in model.label_to_class.items()},
         "train_config": model.train_config,
         "data_checksum": model.data_checksum,
     }
-    meta_bytes = json.dumps(meta, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    net_bytes = nnet.network_to_bytes(model.network)
-    with open(path, "wb") as f:
-        f.write(_HEADER.pack(MODEL_MAGIC, MODEL_VERSION, len(meta_bytes), len(net_bytes)))
-        f.write(meta_bytes)
-        f.write(net_bytes)
+    modelfile.write(path, "cnn", meta, {"params": model.network.flat_parameters()})
 
 
 def load_model(path) -> CnnModel:
-    """Read a CPBM v1 file; malformed or inconsistent content raises InputError."""
-    with open(path, "rb") as f:
-        data = f.read()
-    if data[:4] != MODEL_MAGIC:
-        raise InputError(f"{path}: not a CNN model file")
-    if len(data) < _HEADER.size:
-        raise InputError(f"{path}: truncated CNN model file")
-    _, version, meta_len, net_len = _HEADER.unpack_from(data)
-    if version != MODEL_VERSION:
-        raise InputError(f"{path}: unsupported model version {version}")
-    meta_end = _HEADER.size + meta_len
-    if meta_end + net_len != len(data):
-        raise InputError(
-            f"{path}: truncated CNN model file" if meta_end + net_len > len(data)
-            else f"{path}: trailing bytes after CNN model network"
-        )
+    """Read a CNN model file; malformed or inconsistent content raises InputError."""
+    _, meta, arrays = modelfile.read(path, "cnn")
+    return model_from_file(path, meta, arrays)
+
+
+def model_from_file(path, meta: dict, arrays: dict) -> CnnModel:
+    """The CnnModel a model file's meta and arrays describe (see load_model)."""
     try:
-        network = nnet.network_from_bytes(data[meta_end:])
-    except InputError as exc:
-        raise InputError(f"{path}: {exc}") from exc
-    try:
-        meta = json.loads(data[_HEADER.size : meta_end].decode("utf-8"))
         a = meta["arch"]
-        arch = CnnArchitecture(
-            stages=tuple(tuple(s) for s in a["stages"]),
-            dense_units=tuple(a["dense_units"]),
-            output_units=a["output_units"],
-            input_side=a["input_side"],
-        )
-        sizes = [
-            arch.input_side, arch.output_units, *arch.dense_units,
-            *(c for s in arch.stages for c in s),
-        ]
-        if not all(type(v) is int and v > 0 for v in sizes):
-            raise ValueError(f"architecture sizes {sizes} are not positive integers")
-        consistent = _layer_plan(arch) == [
-            (layer.kind, *nnet.layer_dims(layer)) for layer in network.layers
-        ]
-        model = CnnModel(
-            network=network,
-            arch=arch,
-            label_to_class={int(k): v for k, v in meta["label_to_class"].items()},
-            train_config=meta["train_config"],
-            data_checksum=meta["data_checksum"],
-        )
+        arch = CnnArchitecture(**dict(
+            a, stages=tuple(tuple(s) for s in a["stages"]), dense_units=tuple(a["dense_units"])
+        ))
+        label_to_class = {int(k): v for k, v in meta["label_to_class"].items()}
+        train_config, data_checksum = meta["train_config"], meta["data_checksum"]
+        params = arrays["params"]
     except (ValueError, KeyError, TypeError, AttributeError, ConfigurationError) as exc:
         raise InputError(f"{path}: bad CNN model metadata: {exc}") from exc
-    if not consistent or model.label_to_class != LABEL_TO_CLASS:
-        raise InputError(
-            f"{path}: CNN model metadata does not match its layers or the label mapping"
-        )
-    return model
+    plan = _layer_plan(arch)
+    # counted from the conv and dense records, before any layer is allocated
+    n_params = sum(
+        n_out * (n_in * (9 if kind == "conv" else 1) + 1)
+        for kind, n_in, n_out in (r for r in plan if len(r) == 3)
+    )
+    if params.dtype != "<f8" or params.shape != (n_params,):
+        raise InputError(f"{path}: {params.shape} CNN parameters, the arch needs {n_params}")
+    if label_to_class != LABEL_TO_CLASS:
+        raise InputError(f"{path}: CNN model label mapping {label_to_class} is not the fixed one")
+    network = nnet.Network(nnet.LAYER_TYPES[kind](*dims) for kind, *dims in plan)
+    network.set_flat_parameters(params)
+    return CnnModel(network, arch, label_to_class, train_config, data_checksum)

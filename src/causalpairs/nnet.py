@@ -21,18 +21,11 @@ from it, so memory stays at the activations plus a few chunk buffers.  The
 kernel gradient is accumulated image by image in batch order, which is the
 order a sum over the whole batch's per-image products adds in, so results do
 not depend on the chunk size.
-
-Parameter serialization is a versioned flat binary: magic, format version,
-layer records with shapes, then every parameter as little-endian float64 in
-declaration order.  Loading checks every length against the data and raises
-InputError on a malformed blob.
 """
-
-import struct
 
 import numpy as np
 
-from .errors import ConfigurationError, InputError, ShapeError, TrainingError
+from .errors import ConfigurationError, ShapeError, TrainingError
 
 EPS_LOG = 1e-12
 
@@ -370,6 +363,9 @@ class Softmax:
         return []
 
 
+LAYER_TYPES = {cls.kind: cls for cls in (Conv, MaxPool, Relu, Flatten, Dense, Softmax)}
+
+
 class Network:
     """Ordered layer stack ending in Softmax, trained with cross-entropy."""
 
@@ -397,6 +393,8 @@ class Network:
         probs = self.forward(x)
         n = x.shape[0]
         classes = np.asarray(classes)
+        if ((classes < 0) | (classes >= probs.shape[1])).any():
+            raise IndexError(f"classes {classes} outside [0, {probs.shape[1]})")
         loss = float(-np.log(probs[np.arange(n), classes] + EPS_LOG).mean())
         g = probs.copy()
         g[np.arange(n), classes] -= 1.0
@@ -423,6 +421,17 @@ class Network:
             for name, arr in layer.gradients():
                 out.append((f"layer{i}.{layer.kind}.{name}", arr))
         return out
+
+    def flat_parameters(self) -> np.ndarray:
+        """Copy of every parameter, raveled and concatenated in declaration order."""
+        return np.concatenate([arr.ravel() for _, arr in self.parameters()])
+
+    def set_flat_parameters(self, flat: np.ndarray) -> None:
+        """Copy a flat_parameters() vector back into the live parameter arrays."""
+        start = 0
+        for _, arr in self.parameters():
+            arr[...] = flat[start : start + arr.size].reshape(arr.shape)
+            start += arr.size
 
 
 def gradient_check(
@@ -491,82 +500,3 @@ def sgd_step(parameters, gradients, velocities, learning_rate: float, momentum: 
         param += vel
     return parameters, velocities
 
-
-# ---------------------------------------------------------------------------
-# Serialization.
-
-MAGIC = b"CPNN"
-FORMAT_VERSION = 1
-# Layer classes in the order of their one-byte record codes.
-_LAYER_ORDER = (Conv, MaxPool, Relu, Flatten, Dense, Softmax)
-LAYER_TYPES = {cls.kind: cls for cls in _LAYER_ORDER}
-_LAYER_CODES = {cls.kind: code for code, cls in enumerate(_LAYER_ORDER)}
-
-
-def layer_dims(layer) -> tuple:
-    """Sizes a layer record stores: (in, out) for conv and dense, else ()."""
-    if layer.kind == "conv":
-        return (layer.in_channels, layer.out_channels)
-    if layer.kind == "dense":
-        return (layer.in_features, layer.units)
-    return ()
-
-
-def network_to_bytes(network: Network) -> bytes:
-    """Versioned flat binary: magic, version, layer records, float64 params."""
-    parts = [MAGIC, struct.pack("<II", FORMAT_VERSION, len(network.layers))]
-    for layer in network.layers:
-        parts.append(struct.pack("<B", _LAYER_CODES[layer.kind]))
-        dims = layer_dims(layer)
-        if dims:
-            parts.append(struct.pack("<II", *dims))
-    for _, arr in network.parameters():
-        parts.append(np.ascontiguousarray(arr, dtype="<f8").tobytes())
-    return b"".join(parts)
-
-
-def network_from_bytes(data: bytes) -> Network:
-    """Parse a CPNN v1 blob; malformed or inconsistent content raises InputError."""
-    if data[:4] != MAGIC:
-        raise InputError(f"bad magic {data[:4]!r}; not a serialized network")
-    pos = 4
-
-    def read(fmt):
-        nonlocal pos
-        size = struct.calcsize(fmt)
-        if size > len(data) - pos:
-            raise InputError("truncated network")
-        pos += size
-        return struct.unpack_from(fmt, data, pos - size)
-
-    version, n_layers = read("<II")
-    if version != FORMAT_VERSION:
-        raise InputError(f"unsupported network format version {version}")
-    records = []
-    n_params = 0
-    for _ in range(n_layers):
-        (code,) = read("<B")
-        if code >= len(_LAYER_ORDER):
-            raise InputError(f"unknown layer code {code}")
-        layer_type = _LAYER_ORDER[code]
-        dims = read("<II") if layer_type in (Conv, Dense) else ()
-        if dims:
-            n_in, n_out = dims
-            if n_in == 0 or n_out == 0:
-                raise InputError(f"{layer_type.kind} layer with sizes {dims}")
-            n_params += n_out * (n_in * (9 if layer_type is Conv else 1) + 1)
-        records.append((layer_type, dims))
-    # sizes are checked against the data before any layer is allocated
-    if 8 * n_params != len(data) - pos:
-        raise InputError(
-            "truncated network" if 8 * n_params > len(data) - pos
-            else "trailing bytes after network parameters"
-        )
-    values = np.frombuffer(data, dtype="<f8", offset=pos)
-    if not np.isfinite(values).all():
-        raise InputError("non-finite network parameter")
-    net = Network([layer_type(*dims) for layer_type, dims in records])
-    for _, arr in net.parameters():
-        arr[...] = values[: arr.size].reshape(arr.shape)
-        values = values[arr.size :]
-    return net

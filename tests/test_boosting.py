@@ -1,9 +1,10 @@
+import hashlib
 import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
+from causalpairs import modelfile
 from causalpairs.boosting import (
     BoostedModel,
     GbcConfig,
@@ -381,19 +382,32 @@ class TestSerialization:
 
 @pytest.fixture(scope="module")
 def small_model(tmp_path_factory):
-    """Path, bytes and training rows of a 2-round depth-2 model file."""
+    """Path and bytes of a 2-round depth-2 model file."""
     rng = np.random.default_rng(21)
     X, labels = separable_toy(rng, n=30)
     model = gbc_fit(X, labels, GbcConfig(n_estimators=2, max_depth=2,
                                          min_samples_split=2))
     path = tmp_path_factory.mktemp("gbc") / "small.model"
     save_gbc(model, path)
-    return path, path.read_bytes(), X
+    return path, path.read_bytes()
 
 
 class TestCorruptModel:
+    def rewrite(self, small_model, tmp_path, edit):
+        """Load a copy of the small model whose meta and arrays went through edit.
+
+        The copy is written by modelfile.write, so its digest is valid.
+        """
+        src, _ = small_model
+        _, meta, arrays = modelfile.read(src, "gbc")
+        arrays = {name: np.array(a) for name, a in arrays.items()}
+        edit(meta, arrays)
+        path = tmp_path / "edited.model"
+        modelfile.write(path, "gbc", meta, arrays)
+        return load_gbc(path)
+
     def test_every_truncation_is_input_error(self, small_model, tmp_path):
-        _, data, _ = small_model
+        _, data = small_model
         path = tmp_path / "cut.model"
         for cut in range(len(data)):
             path.write_bytes(data[:cut])
@@ -401,57 +415,98 @@ class TestCorruptModel:
                 load_gbc(path)
 
     def test_trailing_bytes(self, small_model, tmp_path):
-        _, data, _ = small_model
+        _, data = small_model
         path = tmp_path / "long.model"
         path.write_bytes(data + b"\0")
-        with pytest.raises(InputError, match="trailing"):
+        with pytest.raises(InputError, match="checksum"):
             load_gbc(path)
 
     def test_bad_version(self, small_model, tmp_path):
-        _, data, _ = small_model
-        path = tmp_path / "v2.model"
-        path.write_bytes(data[:4] + struct.pack("<I", 2) + data[8:])
+        _, data = small_model
+        path = tmp_path / "v3.model"
+        body = data[:4] + struct.pack("<I", 3) + data[8:-32]
+        path.write_bytes(body + hashlib.sha256(body).digest())
         with pytest.raises(InputError, match="version"):
             load_gbc(path)
 
-    def test_bad_metadata(self, small_model, tmp_path):
-        _, data, _ = small_model
-        meta_start = data.rindex(b'{"config"')
-        meta = data[meta_start:]
-        path = tmp_path / "meta.model"
-        for bad in (b"x" * len(meta), meta.replace(b'"train_logloss"', b'"train_logl0ss"')):
-            path.write_bytes(data[:meta_start] + bad)
-            with pytest.raises(InputError, match="metadata"):
-                load_gbc(path)
-
-    def test_child_pointing_backwards(self, small_model, tmp_path):
-        src, data, _ = small_model
-        n_nodes = load_gbc(src).trees[0][0].n_nodes
-        # magic, header, 3 init scores, node count, feature and threshold arrays
-        left = 4 + 24 + 8 * 3 + 4 + 12 * n_nodes
-        path = tmp_path / "loop.model"
-        path.write_bytes(data[:left] + struct.pack("<i", 0) + data[left + 4:])
-        with pytest.raises(InputError, match="malformed tree"):
+    def test_version_1_file(self, tmp_path):
+        path = tmp_path / "v1.model"
+        path.write_bytes(b"CPBG" + struct.pack("<IIIId", 1, 0, 3, 2, 0.1))
+        with pytest.raises(InputError, match="retrain"):
             load_gbc(path)
 
-    @given(bit=st.integers(min_value=0, max_value=10**9))
-    @settings(max_examples=300, deadline=None)
-    def test_bit_flip_is_input_error_or_usable_model(self, small_model, bit):
-        src, data, X = small_model
-        bit %= 8 * len(data)
-        flipped = bytearray(data)
-        flipped[bit // 8] ^= 1 << (bit % 8)
-        path = src.with_name("flip.model")
-        path.write_bytes(bytes(flipped))
-        try:
-            model = load_gbc(path)
-        except InputError:
-            return
-        # a flip inside a float, or onto another valid index, leaves a model
-        # the v1 format cannot tell apart; it must still predict and stop
-        if model.n_features != X.shape[1]:
-            with pytest.raises(ShapeError):
-                model.decision_scores(X)
-            return
-        with np.errstate(all="ignore"):
-            assert model.decision_scores(X).shape == (len(X), 3)
+    def test_bad_metadata(self, small_model, tmp_path):
+        edits = [
+            lambda meta, arrays: meta.pop("train_logloss"),
+            lambda meta, arrays: meta["config"].update(depth=3),
+            lambda meta, arrays: meta.update(label_to_class={"one": 0}),
+            lambda meta, arrays: arrays.pop("value"),
+        ]
+        for edit in edits:
+            with pytest.raises(InputError, match="bad boosted model metadata"):
+                self.rewrite(small_model, tmp_path, edit)
+
+    def test_metadata_disagreeing_with_arrays(self, small_model, tmp_path):
+        edits = [
+            lambda meta, arrays: meta.update(n_features="2"),
+            lambda meta, arrays: meta.update(label_to_class={"1": 2, "0": 1, "-1": 0}),
+            lambda meta, arrays: meta["train_logloss"].append(0.5),
+            lambda meta, arrays: arrays.update(left=arrays["left"].astype(np.float64)),
+            lambda meta, arrays: arrays.update(value=arrays["value"][None]),
+            lambda meta, arrays: arrays.update(init_scores=arrays["init_scores"][:2]),
+            lambda meta, arrays: arrays.update(n_nodes=arrays["n_nodes"][:-1]),
+        ]
+        for edit in edits:
+            with pytest.raises(InputError, match="metadata that does not match"):
+                self.rewrite(small_model, tmp_path, edit)
+
+    def test_child_pointing_backwards(self, small_model, tmp_path):
+        def edit(meta, arrays):
+            split = np.flatnonzero(arrays["feature"] >= 0)[0]
+            arrays["left"][split] = split
+
+        with pytest.raises(InputError, match="malformed trees"):
+            self.rewrite(small_model, tmp_path, edit)
+
+    def test_other_malformed_trees(self, small_model, tmp_path):
+        def root_child(side, value):
+            def edit(meta, arrays):
+                assert arrays["feature"][0] >= 0
+                arrays[side][0] = value(arrays)
+            return edit
+
+        def node_counts(change):
+            def edit(meta, arrays):
+                arrays["n_nodes"] = change(arrays["n_nodes"]).astype(np.int32)
+            return edit
+
+        def empty_last_tree(meta, arrays):
+            n = arrays["n_nodes"][-1]
+            arrays["n_nodes"][-1] = 0
+            for name in ("feature", "threshold", "left", "right", "value"):
+                arrays[name] = arrays[name][:-n]
+
+        edits = [
+            root_child("right", lambda arrays: -1),
+            # past the end of the first tree, though inside the second
+            root_child("right", lambda arrays: arrays["n_nodes"][0]),
+            root_child("left", lambda arrays: 0),
+            node_counts(lambda n: np.r_[n[:-1], n[-1] + 1]),
+            node_counts(lambda n: np.r_[0, n[0] + n[1], n[2:]]),
+            empty_last_tree,
+            lambda meta, arrays: meta.update(n_features=0),
+            lambda meta, arrays: arrays["feature"].__setitem__(0, -2),
+        ]
+        for edit in edits:
+            with pytest.raises(InputError, match="malformed trees"):
+                self.rewrite(small_model, tmp_path, edit)
+
+    def test_every_bit_flip_is_input_error(self, small_model, tmp_path):
+        _, data = small_model
+        path = tmp_path / "flip.model"
+        for bit in range(8 * len(data)):
+            flipped = bytearray(data)
+            flipped[bit // 8] ^= 1 << (bit % 8)
+            path.write_bytes(flipped)
+            with pytest.raises(InputError):
+                load_gbc(path)

@@ -1,5 +1,6 @@
 import json
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -291,14 +292,13 @@ class TestEvaluate:
 
 
     def test_tuned_ensemble_loads_each_model_once(self, corpus, trained, monkeypatch):
-        from causalpairs import boosting, cnn
+        from causalpairs import modelfile
 
-        loads = []
-        for module, name in ((cnn, "load_model"), (boosting, "load_gbc")):
-            original = getattr(module, name)
-            monkeypatch.setattr(
-                module, name, lambda path, f=original: loads.append(path) or f(path)
-            )
+        reads = []
+        original = modelfile.read
+        monkeypatch.setattr(
+            modelfile, "read", lambda path, *kinds: reads.append(path) or original(path, *kinds)
+        )
         code = run(
             "evaluate", *corpus_flags(corpus), "--out", trained,
             "--model", trained / "models" / "cnn.model",
@@ -306,7 +306,27 @@ class TestEvaluate:
             "--weight", "tune",
         )
         assert code == 0
-        assert loads == [str(trained / "models" / name) for name in ("cnn.model", "gbc.model")]
+        assert reads == [str(trained / "models" / name) for name in ("cnn.model", "gbc.model")]
+
+    @pytest.mark.parametrize("data", [
+        b"CPBM" + struct.pack("<IQQ", 1, 2, 0) + b"{}",
+        b"CPBG" + struct.pack("<IIIId", 1, 0, 3, 43, 0.1) + struct.pack("<Q", 2) + b"{}",
+    ], ids=["cnn", "gbc"])
+    def test_version_1_model_is_input_error(self, corpus, trained, tmp_path, capsys, data):
+        bad = tmp_path / "v1.model"
+        bad.write_bytes(data)
+        code = run("evaluate", *corpus_flags(corpus), "--out", trained, "--model", bad)
+        assert code == 2
+        assert "not a version 2 model file; retrain" in capsys.readouterr().err
+
+    def test_models_record_no_deterministic_flag(self, trained):
+        from causalpairs import cnn
+
+        model = cnn.load_model(trained / "models" / "cnn.model")
+        assert "deterministic" not in model.train_config
+        for command in ("train-cnn", "train-gbc"):
+            meta = json.loads((trained / f"{command}.run.meta").read_text())
+            assert "deterministic" not in meta["params"]
 
 
 @pytest.mark.parametrize("match,argv", [
@@ -318,9 +338,10 @@ class TestEvaluate:
     ("--n-obs", ["generate", "--count", 4, "--n-obs", "5:6:7"]),
     ("--obs-counts", ["sparse-sweep", "--obs-counts", "10,x"]),
     ("--channels", ["train", "cnn", "--channels", "4,4,4,4,4,x,4,4,4,4"]),
+    ("bins", ["generate", "--count", 4, "--cat-bins", 0]),
 ], ids=[
     "mechanism", "fraction", "nan-fraction", "negative-fraction",
-    "n-obs", "n-obs-three", "obs-counts", "channels",
+    "n-obs", "n-obs-three", "obs-counts", "channels", "cat-bins-zero",
 ])
 def test_malformed_argument_text_is_configuration_error(corpus, tmp_path, match, argv):
     argv = [str(a) for a in argv] + ["--out", str(tmp_path)]

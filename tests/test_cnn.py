@@ -1,10 +1,10 @@
-import json
+import hashlib
 import struct
 
 import numpy as np
 import pytest
 
-from causalpairs import nnet
+from causalpairs import modelfile
 from causalpairs.cnn import (
     CnnArchitecture,
     CnnModel,
@@ -137,7 +137,7 @@ class TestTraining:
         m1, h1 = train_cnn(data, data[:3], arch, cfg)
         m2, h2 = train_cnn(data, data[:3], arch, cfg)
         assert h1[0].train_loss == h2[0].train_loss
-        assert nnet.network_to_bytes(m1.network) == nnet.network_to_bytes(m2.network)
+        assert m1.network.flat_parameters().tobytes() == m2.network.flat_parameters().tobytes()
 
     def test_history_and_selection(self):
         rng = np.random.default_rng(5)
@@ -185,7 +185,9 @@ class TestModelFile:
         assert loaded.label_to_class == model.label_to_class
         assert loaded.train_config == model.train_config
         assert loaded.data_checksum == model.data_checksum
-        assert nnet.network_to_bytes(loaded.network) == nnet.network_to_bytes(model.network)
+        assert (
+            loaded.network.flat_parameters().tobytes() == model.network.flat_parameters().tobytes()
+        )
 
     def test_save_twice_identical_bytes(self, tmp_path):
         rng = np.random.default_rng(8)
@@ -219,6 +221,19 @@ class TestCorruptModel:
         path.write_bytes(data)
         return load_model(path)
 
+    def rewrite(self, tmp_path, small_model_file, edit, kind="cnn"):
+        """Load a copy of the small model whose meta and arrays went through edit.
+
+        The copy is written by modelfile.write, so its digest is valid.
+        """
+        path = tmp_path / "small.model"
+        path.write_bytes(small_model_file)
+        _, meta, arrays = modelfile.read(path, "cnn")
+        arrays = dict(arrays)
+        edit(meta, arrays)
+        modelfile.write(path, kind, meta, arrays)
+        return load_model(path)
+
     def test_small_model_loads(self, small_model_file, tmp_path):
         model = self.load(tmp_path, small_model_file)
         assert model.arch == small_arch()
@@ -231,36 +246,72 @@ class TestCorruptModel:
                 load_model(path)
 
     def test_trailing_bytes(self, small_model_file, tmp_path):
-        with pytest.raises(InputError, match="trailing"):
+        with pytest.raises(InputError, match="checksum"):
             self.load(tmp_path, small_model_file + b"\0")
 
+    def test_every_bit_flip_is_input_error(self, tmp_path):
+        # one channel and one unit per layer keep the file, and the loop, small
+        arch = CnnArchitecture(stages=((1, 1),) * 5, dense_units=(1, 1, 1), input_side=32)
+        path = tmp_path / "tiny.model"
+        save_model(CnnModel(network=build_network(arch, seed=2), arch=arch), path)
+        data = path.read_bytes()
+        for bit in range(8 * len(data)):
+            flipped = bytearray(data)
+            flipped[bit // 8] ^= 1 << (bit % 8)
+            path.write_bytes(flipped)
+            with pytest.raises(InputError):
+                load_model(path)
+
     def test_bad_version(self, small_model_file, tmp_path):
-        data = small_model_file[:4] + struct.pack("<I", 2) + small_model_file[8:]
+        body = small_model_file[:4] + struct.pack("<I", 3) + small_model_file[8:-32]
         with pytest.raises(InputError, match="version"):
+            self.load(tmp_path, body + hashlib.sha256(body).digest())
+
+    def test_version_1_file(self, tmp_path):
+        data = b"CPBM" + struct.pack("<IQQ", 1, 2, 0) + b"{}"
+        with pytest.raises(InputError, match="retrain"):
             self.load(tmp_path, data)
 
-    def test_unknown_layer_code(self, small_model_file, tmp_path):
-        (meta_len,) = struct.unpack_from("<Q", small_model_file, 8)
-        # model header, network magic, version and layer count
-        code = 24 + meta_len + 12
-        data = small_model_file[:code] + bytes([200]) + small_model_file[code + 1:]
-        with pytest.raises(InputError, match="layer code"):
-            self.load(tmp_path, data)
+    def test_wrong_kind(self, small_model_file, tmp_path):
+        with pytest.raises(InputError, match="holds a 'gbc' model, expected cnn"):
+            self.rewrite(tmp_path, small_model_file, lambda meta, arrays: None, kind="gbc")
+
+    def test_non_finite_parameter(self, small_model_file, tmp_path):
+        def edit(meta, arrays):
+            arrays["params"] = np.where(np.arange(arrays["params"].size) == 5, np.nan, 0.0)
+
+        with pytest.raises(InputError, match="non-finite"):
+            self.rewrite(tmp_path, small_model_file, edit)
+
+    @pytest.mark.parametrize("size", [-1, 1])
+    def test_params_of_the_wrong_size(self, small_model_file, tmp_path, size):
+        def edit(meta, arrays):
+            n = arrays["params"].size + size
+            arrays["params"] = np.zeros(n)
+
+        with pytest.raises(InputError, match="CNN parameters, the arch needs"):
+            self.rewrite(tmp_path, small_model_file, edit)
+
+    def test_bad_label_map(self, small_model_file, tmp_path):
+        def edit(meta, arrays):
+            meta["label_to_class"] = {"1": 2, "0": 1, "-1": 0}
+
+        with pytest.raises(InputError, match="label mapping"):
+            self.rewrite(tmp_path, small_model_file, edit)
 
     def test_bad_metadata(self, small_model_file, tmp_path):
-        (meta_len,) = struct.unpack_from("<Q", small_model_file, 8)
-        meta = small_model_file[24:24 + meta_len]
-        good = json.loads(meta)
-        bad_side = dict(good, arch=dict(good["arch"], input_side="32"))
-        for bad in (
-            b"x" * meta_len,
-            meta.replace(b'"data_checksum"', b'"data_checks0m"'),
-            json.dumps(bad_side).encode(),
-        ):
-            data = small_model_file[:8] + struct.pack("<Q", len(bad)) + \
-                small_model_file[16:24] + bad + small_model_file[24 + meta_len:]
-            with pytest.raises(InputError, match="metadata"):
-                self.load(tmp_path, data)
+        edits = [
+            lambda meta, arrays: meta.pop("data_checksum"),
+            lambda meta, arrays: meta["arch"].update(input_side="32"),
+            lambda meta, arrays: meta["arch"].update(input_side=16),
+            lambda meta, arrays: meta["arch"]["stages"].__setitem__(0, [2, 2, 2]),
+            lambda meta, arrays: meta["arch"].update(output_units=3.0),
+            lambda meta, arrays: meta.update(label_to_class={"one": 0}),
+            lambda meta, arrays: arrays.pop("params"),
+        ]
+        for edit in edits:
+            with pytest.raises(InputError, match="bad CNN model metadata"):
+                self.rewrite(tmp_path, small_model_file, edit)
 
     def test_arch_disagreeing_with_layers(self, tmp_path):
         network = build_network(small_arch(), seed=1)
@@ -268,5 +319,5 @@ class TestCorruptModel:
                 stages=((2, 2),) * 5, dense_units=(4, 4, 5), input_side=32)):
             path = tmp_path / "mismatch.model"
             save_model(CnnModel(network=network, arch=arch), path)
-            with pytest.raises(InputError, match="does not match"):
+            with pytest.raises(InputError, match="the arch needs"):
                 load_model(path)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from causalpairs import nnet
-from causalpairs.errors import ConfigurationError, InputError, ShapeError, TrainingError
+from causalpairs.errors import ConfigurationError, ShapeError, TrainingError
 from causalpairs.nnet import (
     Conv,
     Dense,
@@ -148,8 +148,9 @@ class TestSoftmaxAndLoss:
         assert both == pytest.approx((softmax_loss(logits[0], 2) + softmax_loss(logits[1], 1)) / 2)
 
     def test_cross_entropy_bad_index(self):
-        with pytest.raises(IndexError):
-            softmax_loss([0.0, 0.0], 2)
+        for bad in (2, -1):
+            with pytest.raises(IndexError):
+                softmax_loss([0.0, 0.0], bad)
 
 
 def tiny_dense_net(n_in=4, n_out=3, seed=0):
@@ -269,15 +270,19 @@ class TestLossDescent:
 
 
 class TestSerialization:
+    """The flat parameter vector that model files store and training restores."""
+
     def test_round_trip_bytes_and_behavior(self):
+        def stack(rng):
+            return Network([
+                Conv(1, 2, rng), Relu(), MaxPool(), Flatten(), Dense(2 * 2 * 2, 3, rng), Softmax(),
+            ])
+
         rng = np.random.Generator(np.random.PCG64(8))
-        net = Network([
-            Conv(1, 2, rng), Relu(), MaxPool(), Flatten(),
-            Dense(2 * 2 * 2, 3, rng), Softmax(),
-        ])
-        blob = nnet.network_to_bytes(net)
-        again = nnet.network_from_bytes(blob)
-        assert nnet.network_to_bytes(again) == blob
+        net, again = stack(rng), stack(None)
+        flat = net.flat_parameters()
+        again.set_flat_parameters(flat)
+        assert again.flat_parameters().tobytes() == flat.tobytes()
         x = rng.normal(size=(2, 1, 4, 4))
         assert again.forward(x) == pytest.approx(net.forward(x), abs=0)
 
@@ -285,41 +290,11 @@ class TestSerialization:
         net = Network([Dense(2, 3, None), Softmax()])
         net.layers[0].weights[...] = np.arange(6.0).reshape(3, 2)
         net.layers[0].bias[...] = [-1.0, 0.5, 2.0]
-        expected = (
-            b"CPNN" + struct.pack("<II", 1, 2)
-            + struct.pack("<BII", 4, 2, 3) + struct.pack("<B", 5)
-            + struct.pack("<6d", *range(6)) + struct.pack("<3d", -1.0, 0.5, 2.0)
-        )
-        assert nnet.network_to_bytes(net) == expected
-
-    def test_magic_rejected(self):
-        with pytest.raises(InputError):
-            nnet.network_from_bytes(b"JUNKxxxxxxxxxxxx")
-
-    def test_every_truncation_and_trailing_byte_is_input_error(self):
-        rng = np.random.Generator(np.random.PCG64(9))
-        blob = nnet.network_to_bytes(Network([
-            Conv(1, 2, rng), Relu(), MaxPool(), Flatten(), Dense(2, 3, rng), Softmax(),
-        ]))
-        for cut in range(len(blob)):
-            with pytest.raises(InputError):
-                nnet.network_from_bytes(blob[:cut])
-        with pytest.raises(InputError, match="trailing"):
-            nnet.network_from_bytes(blob + b"\0")
-
-    def test_bad_records_are_input_errors(self):
-        blob = nnet.network_to_bytes(Network([Dense(2, 3, None), Softmax()]))
-        cases = {
-            "version": blob[:4] + struct.pack("<I", 2) + blob[8:],
-            "unknown layer code": blob[:12] + bytes([6]) + blob[13:],
-            "sizes": blob[:13] + struct.pack("<II", 0, 3) + blob[21:],
-            # a huge layer is refused from its record, before any allocation
-            "truncated": blob[:13] + struct.pack("<II", 2**32 - 1, 2**32 - 1) + blob[21:],
-            "non-finite": blob[:-8] + struct.pack("<d", float("nan")),
-        }
-        for message, data in cases.items():
-            with pytest.raises(InputError, match=message):
-                nnet.network_from_bytes(data)
+        expected = struct.pack("<6d", *range(6)) + struct.pack("<3d", -1.0, 0.5, 2.0)
+        assert net.flat_parameters().tobytes() == expected
+        # a copy: changing it leaves the network alone
+        net.flat_parameters()[0] = 9.0
+        assert net.layers[0].weights[0, 0] == 0.0
 
 
 # ---------------------------------------------------------------------------
