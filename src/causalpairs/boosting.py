@@ -12,12 +12,16 @@ Split search is the exact greedy algorithm with presorted columns
 split divides every column's order between the two children with a
 boolean mask.  That keeps each child's order equal to a stable sort of
 its own rows, ties in ascending row order, so no node sorts again.  A
-node scores all searched features in one pass (2-D gather, cumulative
-sums along each feature, an argmax per feature).  Ties go to the lowest
+node scores every feature in one pass (2-D gather, cumulative sums along
+each feature, an argmax per feature).  Ties go to the lowest
 feature index, then the lowest threshold; node totals are summed over the
 rows in row order.  The trees are the same as those of a per-node sort.
+
+Fitting draws no random numbers: the model is a pure function of the
+feature matrix, the labels and the config.
 """
 
+import math
 from dataclasses import dataclass, asdict
 
 import numpy as np
@@ -26,7 +30,6 @@ from . import modelfile
 from .errors import ConfigurationError, InputError, ShapeError, ValidationError
 from .probs import LABELS, LABEL_TO_CLASS, check_probs
 from .nnet import softmax_batch
-from .seeding import derive_seed, make_rng
 
 _LEAF = -1
 # a RegressionTree's node arrays, as finalize() leaves them
@@ -39,15 +42,15 @@ class GbcConfig:
     max_depth: int = 9
     min_samples_split: int = 8
     learning_rate: float = 0.1
-    feature_subsample: float | None = None
 
     def __post_init__(self):
         if self.n_estimators < 1 or self.max_depth < 1 or self.min_samples_split < 2:
             raise ConfigurationError(f"invalid boosting config {self}")
-        if self.learning_rate < 0:
-            raise ConfigurationError("learning_rate must be >= 0")
-        if self.feature_subsample is not None and not 0 < self.feature_subsample <= 1:
-            raise ConfigurationError("feature_subsample must be in (0, 1]")
+        # written so that NaN fails too
+        if not 0 <= self.learning_rate < math.inf:
+            raise ConfigurationError(
+                f"learning_rate must be finite and >= 0, got {self.learning_rate}"
+            )
 
 
 class RegressionTree:
@@ -99,7 +102,7 @@ def presort(X: np.ndarray) -> np.ndarray:
     return np.argsort(X.T, axis=1, kind="stable")
 
 
-def best_split(X: np.ndarray, y: np.ndarray, features=None, order=None):
+def best_split(X: np.ndarray, y: np.ndarray, order=None):
     """Exact best (feature, midpoint threshold) by variance reduction.
 
     Reduction is SSE(parent) - SSE(left) - SSE(right); candidates are
@@ -113,10 +116,8 @@ def best_split(X: np.ndarray, y: np.ndarray, features=None, order=None):
         return None
     if order is None:
         order = presort(X)
-    feats = np.arange(X.shape[1]) if features is None else np.asarray(features, dtype=np.intp)
-    rows = order[feats]
-    xs = X[rows, feats[:, None]]
-    ys = y[rows]
+    xs = X[order, np.arange(X.shape[1])[:, None]]
+    ys = y[order]
     total = y.sum()
     total2 = float(y @ y)
     sse_parent = total2 - total * total / n
@@ -128,15 +129,14 @@ def best_split(X: np.ndarray, y: np.ndarray, features=None, order=None):
     valid = xs[:, 1:] > xs[:, :-1]
     reduction = np.where(valid, sse_parent - sse_left - sse_right, -np.inf)
     k = reduction.argmax(axis=1)
-    per_feature = reduction[np.arange(len(feats)), k]
+    per_feature = reduction[np.arange(len(k)), k]
     f = int(per_feature.argmax())
     if per_feature[f] == -np.inf:
         return None
-    return int(feats[f]), (xs[f, k[f]] + xs[f, k[f] + 1]) / 2.0, float(per_feature[f])
+    return f, (xs[f, k[f]] + xs[f, k[f] + 1]) / 2.0, float(per_feature[f])
 
 
-def fit_tree(X: np.ndarray, y: np.ndarray, depth_limit: int, min_split: int,
-             feature_subsample: float | None = None, rng=None) -> RegressionTree:
+def fit_tree(X: np.ndarray, y: np.ndarray, depth_limit: int, min_split: int) -> RegressionTree:
     """Greedy variance-reduction regression tree; leaves hold target means."""
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -152,11 +152,7 @@ def fit_tree(X: np.ndarray, y: np.ndarray, depth_limit: int, min_split: int,
         tree.value[node] = float(sub_y.mean())
         if depth >= depth_limit or len(idx) < min_split or np.ptp(sub_y) == 0.0:
             return node
-        features = None
-        if feature_subsample is not None:
-            k = max(1, int(np.floor(feature_subsample * n_feat)))
-            features = sorted(rng.choice(n_feat, size=k, replace=False))
-        found = best_split(X[idx], sub_y, features, order)
+        found = best_split(X[idx], sub_y, order)
         if found is None or found[2] <= 0.0:
             return node
         j, thr, _ = found
@@ -210,7 +206,7 @@ def _logloss(scores, cls):
     return float(-np.log(probs[np.arange(len(cls)), cls] + 1e-15).mean())
 
 
-def gbc_fit(X: np.ndarray, labels, cfg: GbcConfig = GbcConfig(), seed: int = 0) -> BoostedModel:
+def gbc_fit(X: np.ndarray, labels, cfg: GbcConfig = GbcConfig()) -> BoostedModel:
     """Fit the multiclass boosted model on (feature matrix, labels in {1,0,-1})."""
     X = np.asarray(X, dtype=np.float64)
     cls = np.array([LABEL_TO_CLASS[l] for l in labels], dtype=np.int64)
@@ -224,7 +220,6 @@ def gbc_fit(X: np.ndarray, labels, cfg: GbcConfig = GbcConfig(), seed: int = 0) 
     scores = np.tile(init_scores, (n, 1))
     onehot = np.zeros((n, n_classes))
     onehot[np.arange(n), cls] = 1.0
-    rng = make_rng(derive_seed(seed, "gbc")) if cfg.feature_subsample is not None else None
 
     trees = []
     logloss = [_logloss(scores, cls)]
@@ -233,10 +228,7 @@ def gbc_fit(X: np.ndarray, labels, cfg: GbcConfig = GbcConfig(), seed: int = 0) 
         residual = onehot - probs
         round_trees = []
         for k in range(n_classes):
-            tree = fit_tree(
-                X, residual[:, k], cfg.max_depth, cfg.min_samples_split,
-                cfg.feature_subsample, rng,
-            )
+            tree = fit_tree(X, residual[:, k], cfg.max_depth, cfg.min_samples_split)
             leaves = tree.apply(X)
             hess = probs[:, k] * (1.0 - probs[:, k])
             num = np.bincount(leaves, weights=residual[:, k], minlength=tree.n_nodes)

@@ -6,6 +6,7 @@ dense 25 -> dense 3 -> softmax.  Image intensities are fed as darkness/255.
 """
 
 import hashlib
+import math
 import struct
 from dataclasses import dataclass, field, asdict
 
@@ -69,8 +70,11 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ConfigurationError("learning_rate must be positive")
+        # written so that NaN fails too
+        if not 0 < self.learning_rate < math.inf:
+            raise ConfigurationError(
+                f"learning_rate must be finite and positive, got {self.learning_rate}"
+            )
         if self.batch_size < 1 or self.epochs < 1:
             raise ConfigurationError("batch_size and epochs must be >= 1")
 

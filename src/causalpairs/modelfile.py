@@ -6,9 +6,9 @@ the arrays' little-endian bytes in header order; then the SHA-256 of every
 byte before it.  Array dtypes are ``<f8`` or ``<i4``.
 
 Reading checks the digest before it parses anything and every array's size
-against the payload before it allocates.  A corrupt, truncated or
-inconsistent file, a non-finite float and a kind other than the one asked
-for each raise InputError.
+against the payload before it allocates.  An unreadable, corrupt, truncated
+or inconsistent file, a non-finite float and a kind other than the one
+asked for each raise InputError.
 """
 
 import hashlib
@@ -52,8 +52,11 @@ def read(path, *kinds: str) -> tuple:
     The arrays are read-only views of the file's bytes, keyed by name in
     file order.
     """
-    with open(path, "rb") as f:
-        data = f.read()
+    try:
+        with open(path, "rb") as f:
+            data = f.read()
+    except OSError as exc:
+        raise InputError(f"{path}: cannot read model file: {exc.strerror}") from exc
     if data[: len(_SIGNATURE)] != _SIGNATURE:
         raise InputError(
             f"{path}: not a version {VERSION} model file; retrain the model with this version"

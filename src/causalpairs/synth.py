@@ -101,16 +101,10 @@ def _spread(rng, values, scale, n, families=("uniform", "laplace", "symexp")):
     return target * _unit_noise(rng, n, families)
 
 
-def generate(spec: GenSpec, _force_coin=None) -> PairInstance:
-    """One labeled instance; a pure, bit-reproducible function of the spec.
-
-    _force_coin overrides the direction coin (for symmetry tests) without
-    shifting the generator stream.
-    """
+def generate(spec: GenSpec) -> PairInstance:
+    """One labeled instance; a pure, bit-reproducible function of the spec."""
     rng = make_rng(spec.seed)
     coin = bool(rng.random() < 0.5)
-    if _force_coin is not None:
-        coin = bool(_force_coin)
     n = spec.n_obs
     mech = spec.mechanism
 

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import struct
 
@@ -127,15 +128,14 @@ class TestSplitOracle:
         assert best_split(X, y) is None
 
 
-def reference_best_split(X, y, features=None):
+def reference_best_split(X, y):
     """Per-node search: argsort each feature's column again at every node."""
     n, n_feat = X.shape
-    cols = range(n_feat) if features is None else features
     total = y.sum()
     total2 = float(y @ y)
     sse_parent = total2 - total * total / n
     best = None
-    for j in cols:
+    for j in range(n_feat):
         order = np.argsort(X[:, j], kind="stable")
         xs = X[order, j]
         ys = y[order]
@@ -156,9 +156,8 @@ def reference_best_split(X, y, features=None):
     return best
 
 
-def reference_fit_tree(X, y, depth_limit, min_split, feature_subsample=None, rng=None):
+def reference_fit_tree(X, y, depth_limit, min_split):
     """Recursive tree growth calling reference_best_split on each node's rows."""
-    n_feat = X.shape[1]
     tree = RegressionTree()
 
     def grow(idx, depth):
@@ -167,11 +166,7 @@ def reference_fit_tree(X, y, depth_limit, min_split, feature_subsample=None, rng
         tree.value[node] = float(sub_y.mean())
         if depth >= depth_limit or len(idx) < min_split or np.ptp(sub_y) == 0.0:
             return node
-        features = None
-        if feature_subsample is not None:
-            k = max(1, int(np.floor(feature_subsample * n_feat)))
-            features = sorted(rng.choice(n_feat, size=k, replace=False))
-        found = reference_best_split(X[idx], sub_y, features)
+        found = reference_best_split(X[idx], sub_y)
         if found is None or found[2] <= 0.0:
             return node
         j, thr, _ = found
@@ -200,14 +195,13 @@ def tied_matrix(rng, n=150, n_feat=8):
 
 
 class TestPresortedSearch:
-    @pytest.mark.parametrize("subsample", [None, 0.5])
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_trees_identical_to_reference(self, seed, subsample):
+    def test_trees_identical_to_reference(self, seed):
         rng = np.random.default_rng(seed)
         X = tied_matrix(rng)
         for y in (rng.normal(size=len(X)), rng.integers(0, 3, size=len(X)) - 1.0):
-            got = fit_tree(X, y, 9, 2, subsample, np.random.default_rng(seed + 10))
-            want = reference_fit_tree(X, y, 9, 2, subsample, np.random.default_rng(seed + 10))
+            got = fit_tree(X, y, 9, 2)
+            want = reference_fit_tree(X, y, 9, 2)
             assert got.n_nodes > 1
             for name in ("feature", "threshold", "left", "right", "value"):
                 assert np.array_equal(getattr(got, name), getattr(want, name)), name
@@ -216,11 +210,10 @@ class TestPresortedSearch:
         rng = np.random.default_rng(4)
         X = tied_matrix(rng, n=90)
         labels = [int(v) for v in rng.integers(-1, 2, size=len(X))]
-        cfg = GbcConfig(n_estimators=4, max_depth=5, min_samples_split=4,
-                        feature_subsample=0.5)
-        got = gbc_fit(X, labels, cfg, seed=3)
+        cfg = GbcConfig(n_estimators=4, max_depth=5, min_samples_split=4)
+        got = gbc_fit(X, labels, cfg)
         monkeypatch.setattr("causalpairs.boosting.fit_tree", reference_fit_tree)
-        want = gbc_fit(X, labels, cfg, seed=3)
+        want = gbc_fit(X, labels, cfg)
         assert got.train_logloss == want.train_logloss
         for got_round, want_round in zip(got.trees, want.trees):
             for a, b in zip(got_round, want_round):
@@ -232,11 +225,9 @@ class TestPresortedSearch:
         for trial in range(30):
             X = tied_matrix(rng, n=int(rng.integers(2, 60)), n_feat=6)
             y = rng.normal(size=len(X))
-            features = sorted(rng.choice(6, size=3, replace=False))
-            for feats in (None, features):
-                plain = best_split(X, y, feats)
-                assert plain == best_split(X, y, feats, presort(X))
-                assert plain == reference_best_split(X, y, feats)
+            plain = best_split(X, y)
+            assert plain == best_split(X, y, presort(X))
+            assert plain == reference_best_split(X, y)
 
     def test_presort_is_stable_column_argsort(self):
         X = tied_matrix(np.random.default_rng(6), n=40)
@@ -307,13 +298,17 @@ class TestGbcFit:
         assert cfg.n_estimators == 500
         assert cfg.max_depth == 9
         assert cfg.min_samples_split == 8
-        assert cfg.feature_subsample is None
+        assert cfg.learning_rate == 0.1
+        assert [f.name for f in dataclasses.fields(cfg)] == [
+            "n_estimators", "max_depth", "min_samples_split", "learning_rate"
+        ]
 
     def test_bad_config(self):
         with pytest.raises(ConfigurationError):
             GbcConfig(n_estimators=0)
-        with pytest.raises(ConfigurationError):
-            GbcConfig(feature_subsample=1.5)
+        for rate in (-0.1, float("nan"), float("inf")):
+            with pytest.raises(ConfigurationError, match="learning_rate"):
+                GbcConfig(learning_rate=rate)
 
 
 class TestGbcPredict:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from causalpairs import synth
 from causalpairs.dataset import AttributeKind, augment_swap, format_pairs, parse_pairs
 from causalpairs.errors import ConfigurationError
 from causalpairs.synth import (
@@ -14,6 +15,33 @@ from causalpairs.synth import (
 )
 
 ANM = Mechanism.ADDITIVE_NOISE_NONLINEAR
+
+
+class ForcedFirstDraw:
+    """A generator whose first random() returns ``value`` in place of its own
+    draw, which it still consumes, so every later draw is unchanged."""
+
+    def __init__(self, rng, value):
+        self._rng = rng
+        self._value = value
+
+    def random(self, *args, **kwargs):
+        draw = self._rng.random(*args, **kwargs)
+        value, self._value = self._value, None
+        return draw if value is None else value
+
+    def __getattr__(self, name):
+        return getattr(self._rng, name)
+
+
+def generate_with_coin(spec, coin):
+    """generate(spec) with the direction coin, the spec stream's first draw, forced."""
+    real = synth.make_rng
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(
+            synth, "make_rng", lambda seed: ForcedFirstDraw(real(seed), 0.0 if coin else 0.75)
+        )
+        return generate(spec)
 
 
 class TestGenerate:
@@ -55,8 +83,11 @@ class TestGenerate:
     def test_forced_coin_matches_swap(self):
         for seed in (0, 3, 9):
             spec = GenSpec(ANM, 40, seed=seed)
-            plain = generate(spec, _force_coin=False)
-            flipped = generate(spec, _force_coin=True)
+            plain = generate_with_coin(spec, False)
+            flipped = generate_with_coin(spec, True)
+            # forcing the coin leaves the rest of the stream alone
+            natural = generate(spec)
+            assert any(np.array_equal(natural.x, inst.x) for inst in (plain, flipped))
             swapped = augment_swap(plain)
             assert flipped.label == swapped.label == -plain.label
             assert np.array_equal(flipped.x, swapped.x)
