@@ -27,7 +27,9 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from . import modelfile
-from .errors import ConfigurationError, InputError, ShapeError, ValidationError
+from .errors import (
+    ConfigurationError, InputError, ShapeError, TrainingError, ValidationError,
+)
 from .probs import LABELS, LABEL_TO_CLASS, check_probs
 from .nnet import softmax_batch
 
@@ -223,7 +225,7 @@ def gbc_fit(X: np.ndarray, labels, cfg: GbcConfig = GbcConfig()) -> BoostedModel
 
     trees = []
     logloss = [_logloss(scores, cls)]
-    for _ in range(cfg.n_estimators):
+    for round_index in range(cfg.n_estimators):
         probs = softmax_batch(scores)
         residual = onehot - probs
         round_trees = []
@@ -238,8 +240,12 @@ def gbc_fit(X: np.ndarray, labels, cfg: GbcConfig = GbcConfig()) -> BoostedModel
             upd[nonzero] = (n_classes - 1) / n_classes * num[nonzero] / den[nonzero]
             is_leaf = tree.feature < 0
             tree.value = np.where(is_leaf, upd, tree.value)
-            scores[:, k] += cfg.learning_rate * tree.value[leaves]
+            # an overflow here is reported as a TrainingError after the round
+            with np.errstate(over="ignore"):
+                scores[:, k] += cfg.learning_rate * tree.value[leaves]
             round_trees.append(tree)
+        if not np.isfinite(scores).all():
+            raise TrainingError(f"non-finite class scores at boosting round {round_index}")
         trees.append(round_trees)
         logloss.append(_logloss(scores, cls))
     return BoostedModel(

@@ -3,6 +3,11 @@
 Each stage is conv-relu-conv-relu-pool (3x3 same convolutions, 2x2 pool),
 five stages in a row, then dense 1024 -> relu -> dense 512 -> relu ->
 dense 25 -> dense 3 -> softmax.  Image intensities are fed as darkness/255.
+
+The network is float32 end to end: parameters, inputs, activations and
+gradients (DTYPE, fixed here and nowhere else).  Its softmax computes in
+float64, so class probabilities are float64.  Model files store the
+parameters as float32.
 """
 
 import hashlib
@@ -28,6 +33,7 @@ DEFAULT_CHANNEL_PLAN = ((32, 32), (64, 64), (128, 128), (256, 256), (256, 256))
 DENSE_UNITS = (1024, 512, 25)
 OUTPUT_UNITS = 3
 N_STAGES = 5
+DTYPE = np.float32
 
 
 @dataclass(frozen=True)
@@ -104,14 +110,21 @@ def _layer_plan(arch: CnnArchitecture) -> list:
     return plan
 
 
-def build_network(arch: CnnArchitecture, seed: int) -> nnet.Network:
-    """Instantiate the layer stack with seeded Glorot-uniform weights."""
-    rng = make_rng(derive_seed(seed, "init"))
+def _network(arch: CnnArchitecture, rng=None) -> nnet.Network:
+    """The layer stack of arch in DTYPE: Glorot-uniform draws from rng, zeros without one."""
     layers = []
     for kind, *dims in _layer_plan(arch):
         layer_type = nnet.LAYER_TYPES[kind]
-        layers.append(layer_type(*dims, rng) if dims else layer_type())
+        layer = layer_type(*dims, rng) if dims else layer_type()
+        for name, arr in layer.parameters():
+            setattr(layer, name, arr.astype(DTYPE))
+        layers.append(layer)
     return nnet.Network(layers)
+
+
+def build_network(arch: CnnArchitecture, seed: int) -> nnet.Network:
+    """Instantiate the layer stack with seeded Glorot-uniform weights."""
+    return _network(arch, make_rng(derive_seed(seed, "init")))
 
 
 @dataclass
@@ -134,11 +147,11 @@ class EpochMetrics:
 def _to_input(image: ScatterImage, side: int) -> np.ndarray:
     if image.m != side:
         raise ShapeError(f"image side {image.m} does not match model side {side}")
-    return image.pixels.astype(np.float64) / 255.0
+    return image.pixels.astype(DTYPE) / 255
 
 
 def _stack_images(pairs, side):
-    xs = np.empty((len(pairs), 1, side, side), dtype=np.float64)
+    xs = np.empty((len(pairs), 1, side, side), dtype=DTYPE)
     cls = np.empty(len(pairs), dtype=np.int64)
     for i, (img, label) in enumerate(pairs):
         xs[i, 0] = _to_input(img, side)
@@ -231,7 +244,7 @@ def _dataset_checksum(pairs) -> str:
 def predict_batch(model: CnnModel, images) -> np.ndarray:
     """[N, 3] class probabilities (columns p_1, p_0, p_-1); pure in (model, images)."""
     side = model.arch.input_side
-    xs = np.empty((len(images), 1, side, side), dtype=np.float64)
+    xs = np.empty((len(images), 1, side, side), dtype=DTYPE)
     for i, img in enumerate(images):
         xs[i, 0] = _to_input(img, side)
     return check_probs(_predict_classes(model.network, xs))
@@ -239,7 +252,7 @@ def predict_batch(model: CnnModel, images) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # Model file: a modelfile container of kind "cnn" holding every parameter as
-# one flat "params" array.
+# one flat float32 "params" array.
 
 
 def save_model(model: CnnModel, path) -> None:
@@ -276,10 +289,15 @@ def model_from_file(path, meta: dict, arrays: dict) -> CnnModel:
         n_out * (n_in * (9 if kind == "conv" else 1) + 1)
         for kind, n_in, n_out in (r for r in plan if len(r) == 3)
     )
-    if params.dtype != "<f8" or params.shape != (n_params,):
+    if params.shape != (n_params,):
         raise InputError(f"{path}: {params.shape} CNN parameters, the arch needs {n_params}")
+    if params.dtype != DTYPE:
+        raise InputError(
+            f"{path}: {params.dtype} CNN parameters, this version stores float32;"
+            " retrain the model with this version"
+        )
     if label_to_class != LABEL_TO_CLASS:
         raise InputError(f"{path}: CNN model label mapping {label_to_class} is not the fixed one")
-    network = nnet.Network(nnet.LAYER_TYPES[kind](*dims) for kind, *dims in plan)
+    network = _network(arch)
     network.set_flat_parameters(params)
     return CnnModel(network, arch, label_to_class, train_config, data_checksum)

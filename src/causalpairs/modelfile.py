@@ -3,7 +3,7 @@
 Layout: the magic ``CPMF``, a u32 version (2) and a u64 header length; a
 UTF-8 JSON header ``{"kind", "meta", "arrays": [[name, dtype, shape], ...]}``;
 the arrays' little-endian bytes in header order; then the SHA-256 of every
-byte before it.  Array dtypes are ``<f8`` or ``<i4``.
+byte before it.  Array dtypes are ``<f8``, ``<f4`` or ``<i4``.
 
 Reading checks the digest before it parses anything and every array's size
 against the payload before it allocates.  An unreadable, corrupt, truncated
@@ -22,7 +22,7 @@ from .errors import InputError
 
 MAGIC = b"CPMF"
 VERSION = 2
-DTYPES = ("<f8", "<i4")
+DTYPES = ("<f8", "<f4", "<i4")
 # magic and u32 version, then the u64 header length
 _SIGNATURE = MAGIC + struct.pack("<I", VERSION)
 _PREFIX_SIZE = len(_SIGNATURE) + 8
@@ -88,7 +88,7 @@ def read(path, *kinds: str) -> tuple:
     offset = payload_start
     for (name, dtype, shape), size in zip(specs, sizes):
         arr = np.frombuffer(body[offset : offset + size], dtype=dtype).reshape(shape)
-        if dtype == "<f8" and not np.isfinite(arr).all():
+        if arr.dtype.kind == "f" and not np.isfinite(arr).all():
             raise InputError(f"{path}: non-finite value in model array {name!r}")
         arrays[name] = arr
         offset += size

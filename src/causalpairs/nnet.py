@@ -1,10 +1,15 @@
 """Minimal dense-tensor neural network core.
 
-All computation is float64 on contiguous numpy arrays.  Layers operate on
-batches (NCHW for spatial data).  Convolutions are 3x3, stride 1, zero
-same-padding; pooling is 2x2 stride 2 with floor semantics and first-index
-tie-break in backward: a window's gradient goes to the first of its
-elements, in row-major order, that equals the max.
+Layers compute in the dtype of the array they are given: every buffer is
+allocated in the input's dtype, so a layer fed float32 runs in float32.
+Layers built here hold float64 parameters; a caller that wants another
+dtype converts them (cnn does).  Softmax computes in float64 whatever its
+input, so probabilities are float64.
+
+Layers operate on batches (NCHW for spatial data).  Convolutions are 3x3,
+stride 1, zero same-padding; pooling is 2x2 stride 2 with floor semantics
+and first-index tie-break in backward: a window's gradient goes to the
+first of its elements, in row-major order, that equals the max.
 
 The elementwise layers keep one byte per element for backward.  ReLU works in
 place on the array it receives and keeps a bool x > 0 mask; max pooling takes
@@ -13,14 +18,15 @@ window's winner.  The backward sweep stops at the first layer's parameter
 gradients: the gradient with respect to the network input is never formed.
 
 A convolution walks its batch in chunks whose [n, C*9, H*W] patch matrix
-fits _CHUNK_BYTES (1 MiB; one image per chunk when a single image's patches
-are larger).  Each chunk's patches are unrolled into one reused buffer and
-multiplied in one GEMM per image.  No patch matrix is cached: the layer
-keeps a reference to its input and backward rebuilds each chunk's patches
-from it, so memory stays at the activations plus a few chunk buffers.  The
-kernel gradient is accumulated image by image in batch order, which is the
-order a sum over the whole batch's per-image products adds in, so results do
-not depend on the chunk size.
+fits _CHUNK_BYTES (1 MiB, counted at the input's itemsize; one image per
+chunk when a single image's patches are larger).  Each chunk's patches are
+unrolled into one reused buffer and multiplied in one GEMM per image.  No
+patch matrix is cached: the layer keeps a reference to its input and
+backward rebuilds each chunk's patches from it, so memory stays at the
+activations plus a few chunk buffers.  The kernel gradient is accumulated
+image by image in batch order, which is the order a sum over the whole
+batch's per-image products adds in, so results do not depend on the chunk
+size.
 """
 
 import numpy as np
@@ -36,9 +42,9 @@ _CHUNK_BYTES = 1 << 20
 # Batched primitives (internal carriers for the layer classes).
 
 
-def _chunk_size(c: int, h: int, w: int) -> int:
+def _chunk_size(c: int, h: int, w: int, itemsize: int) -> int:
     """Images per chunk so that one [n, C*9, H*W] patch matrix fits the budget."""
-    return max(1, _CHUNK_BYTES // (c * 9 * h * w * 8))
+    return max(1, _CHUNK_BYTES // (c * 9 * h * w * itemsize))
 
 
 def _shift(k: int, size: int):
@@ -94,9 +100,9 @@ def _conv2d_batch(x, kernels, bias):
     n, c, h, w = x.shape
     k = kernels.shape[0]
     wmat = kernels.reshape(k, c * 9)
-    step = _chunk_size(c, h, w)
-    cols = np.empty((min(n, step), c * 9, h * w))
-    out = np.empty((n, k, h * w))
+    step = _chunk_size(c, h, w, x.itemsize)
+    cols = np.empty((min(n, step), c * 9, h * w), dtype=x.dtype)
+    out = np.empty((n, k, h * w), dtype=x.dtype)
     for start in range(0, n, step):
         sl = slice(start, start + step)
         np.matmul(wmat, _im2col(x[sl], cols), out=out[sl])
@@ -137,15 +143,19 @@ def _maxpool_batch(x):
 
 def _maxpool_backward_batch(g, arg, in_shape):
     """Route each window's gradient to its winner; every other input gets 0."""
-    dx = np.zeros(in_shape, dtype=np.float64)
+    dx = np.zeros(in_shape, dtype=g.dtype)
     for k, view in enumerate(_pool_windows(dx)):
         np.copyto(view, g, where=arg == k)
     return dx
 
 
 def softmax_batch(logits: np.ndarray) -> np.ndarray:
-    """Row-wise stable softmax of [N, K] logits."""
-    shifted = logits - logits.max(axis=-1, keepdims=True)
+    """Row-wise stable softmax of [N, K] logits, computed in float64."""
+    logits = np.asarray(logits, dtype=np.float64)
+    # a finite gap past the float64 range overflows to -inf, whose exp is the
+    # correctly rounded 0
+    with np.errstate(over="ignore"):
+        shifted = logits - logits.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
     return e / e.sum(axis=-1, keepdims=True)
 
@@ -197,12 +207,12 @@ class Conv:
         k = self.out_channels
         gmat = g.reshape(n, k, h * w)
         wmat = self.kernels.reshape(k, c * 9)
-        step = _chunk_size(c, h, w)
-        cols = np.empty((min(n, step), c * 9, h * w))
+        step = _chunk_size(c, h, w, x.itemsize)
+        cols = np.empty((min(n, step), c * 9, h * w), dtype=x.dtype)
         dcols = np.empty_like(cols)
-        part = np.empty((len(cols), k, c * 9))
-        d_kernels = np.empty((k, c * 9))
-        dx = np.empty(x.shape) if input_grad else None
+        part = np.empty((len(cols), k, c * 9), dtype=x.dtype)
+        d_kernels = np.empty((k, c * 9), dtype=x.dtype)
+        dx = np.empty(x.shape, dtype=x.dtype) if input_grad else None
         for start in range(0, n, step):
             sl = slice(start, start + step)
             m = min(step, n - start)
@@ -386,7 +396,9 @@ class Network:
         """Mean cross-entropy over the batch; fills every layer's gradients.
 
         The softmax/cross-entropy pair is differentiated jointly as
-        (p - onehot)/N for stability; the final layer must be Softmax.
+        (p - onehot)/N for stability; the final layer must be Softmax.  That
+        gradient is formed from the float64 probabilities, then cast to x's
+        dtype for the rest of the backward sweep.
         """
         if not isinstance(self.layers[-1], Softmax):
             raise ConfigurationError("network must end in a softmax layer")
@@ -399,6 +411,7 @@ class Network:
         g = probs.copy()
         g[np.arange(n), classes] -= 1.0
         g /= n
+        g = g.astype(x.dtype, copy=False)
         for layer in reversed(self.layers[1:-1]):
             g = layer.backward(g)
         # the gradient with respect to the input itself is not needed

@@ -259,12 +259,13 @@ class TestEvaluate:
     ):
         from causalpairs import cnn
 
-        # finite weights, so the model loads, whose forward pass gives NaN
+        # weights finite in float32, so the model loads, whose forward pass
+        # overflows to inf and then NaN
         model = cnn.load_model(trained / "models" / "cnn.model")
         for layer in model.network.layers:
             for name, arr in layer.parameters():
                 if name in ("kernels", "weights"):
-                    arr[...] = 1e300
+                    arr[...] = 1e30
         bad = tmp_path / "cnn.model"
         cnn.save_model(model, bad)
         code = run("evaluate", *corpus_flags(corpus), "--out", trained, "--model", bad)
@@ -355,6 +356,29 @@ class TestEvaluate:
         code = run("evaluate", *corpus_flags(corpus), "--out", trained, "--model", old)
         assert code == 2
         assert "feature_subsample" in capsys.readouterr().err
+
+    def test_float64_cnn_model_is_input_error(self, corpus, trained, tmp_path, capsys):
+        from causalpairs import modelfile
+
+        # cnn.model files stored float64 parameters before the network went float32
+        kind, meta, arrays = modelfile.read(trained / "models" / "cnn.model", "cnn")
+        old = tmp_path / "cnn.model"
+        modelfile.write(old, kind, meta, {"params": arrays["params"].astype("<f8")})
+        code = run("evaluate", *corpus_flags(corpus), "--out", trained, "--model", old)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "float64 CNN parameters" in err and "retrain" in err
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_diverging_gbc_is_training_error(corpus, tmp_path, capsys):
+    out = tmp_path / "run"
+    assert run("ingest", *corpus_flags(corpus), "--out", out, "--seed", 1) == 0
+    code = run("train", "gbc", *corpus_flags(corpus), "--out", out,
+               "--n-estimators", 3, "--gbc-lr", "1e308")
+    assert code == 3
+    assert "non-finite class scores at boosting round" in capsys.readouterr().err
+    assert not (out / "models" / "gbc.model").exists()
 
 
 @pytest.mark.parametrize("argv", [

@@ -9,6 +9,7 @@ from causalpairs.cnn import (
     CnnArchitecture,
     CnnModel,
     TrainConfig,
+    _stack_images,
     build_network,
     build_paper_arch,
     load_model,
@@ -17,6 +18,7 @@ from causalpairs.cnn import (
     train_cnn,
 )
 from causalpairs.errors import ConfigurationError, InputError, ShapeError
+from causalpairs.probs import check_probs
 from causalpairs.raster import ScatterImage
 
 TINY_PLAN = ((4, 4),) * 5
@@ -200,6 +202,60 @@ class TestModelFile:
         save_model(model, p1)
         save_model(model, p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+
+class TestFloat32:
+    """The network computes in float32; its softmax and probabilities are float64."""
+
+    @staticmethod
+    def record_outputs(network):
+        """Wrap every layer's forward and backward to log (kind, pass, output dtype)."""
+        log = []
+        for layer in network.layers:
+            for name in ("forward", "backward"):
+                def wrapped(*args, _call=getattr(layer, name), _key=(layer.kind, name), **kw):
+                    out = _call(*args, **kw)
+                    log.append((*_key, None if out is None else out.dtype))
+                    return out
+
+                setattr(layer, name, wrapped)
+        return log
+
+    def test_built_and_loaded_networks_are_float32(self, tmp_path):
+        arch = build_paper_arch(32, TINY_PLAN)
+        save_model(CnnModel(network=build_network(arch, seed=3), arch=arch), tmp_path / "m.model")
+        rng = np.random.default_rng(9)
+        xs, cls = _stack_images(small_training_set(rng, n=5), 32)
+        assert xs.dtype == np.float32
+        built = build_network(arch, seed=3)
+        loaded = load_model(tmp_path / "m.model").network
+        for network in (built, loaded):
+            assert {p.dtype for _, p in network.parameters()} == {np.dtype(np.float32)}
+            log = self.record_outputs(network)
+            network.loss_and_backward(xs, cls)
+            # every layer runs both passes but softmax backward, which the loss
+            # replaces; the first conv forms no input gradient
+            assert len(log) == 2 * len(network.layers) - 1
+            assert log[-1] == ("conv", "backward", None)
+            assert [dtype for kind, _, dtype in log if kind == "softmax"] == [np.float64]
+            assert all(dtype == np.float32 for kind, _, dtype in log[:-1] if kind != "softmax")
+            assert {g.dtype for _, g in network.gradients()} == {np.dtype(np.float32)}
+
+    def test_probabilities_are_float64(self):
+        arch = build_paper_arch(32, TINY_PLAN)
+        model = CnnModel(network=build_network(arch, seed=4), arch=arch)
+        rng = np.random.default_rng(10)
+        probs = predict_batch(model, [random_image(rng, 32) for _ in range(5)])
+        assert probs.dtype == np.float64 and probs.shape == (5, 3)
+        check_probs(probs)  # raises on a row that is not a distribution
+
+    def test_model_file_stores_float32(self, tmp_path):
+        arch = build_paper_arch(32, TINY_PLAN)
+        network = build_network(arch, seed=5)
+        save_model(CnnModel(network=network, arch=arch), tmp_path / "m.model")
+        _, _, arrays = modelfile.read(tmp_path / "m.model", "cnn")
+        assert arrays["params"].dtype.str == "<f4"
+        assert arrays["params"].tobytes() == network.flat_parameters().tobytes()
 
 
 def small_arch(channels=2):

@@ -63,7 +63,7 @@ def test_layout(toy):
 
 
 def test_writer_refuses_other_dtypes(tmp_path):
-    for bad in (np.arange(3), np.zeros(3, dtype=np.float32), np.ones(2, dtype=bool)):
+    for bad in (np.arange(3), np.zeros(3, dtype=np.float16), np.ones(2, dtype=bool)):
         with pytest.raises(ValueError):
             modelfile.write(tmp_path / "bad.model", "toy", {}, {"a": bad})
 

@@ -366,18 +366,21 @@ class TestChunkedConv:
 
     def test_memory_bounded_by_chunks(self):
         # the unchunked layer kept a 75 MB patch matrix per call here
-        rng = np.random.Generator(np.random.PCG64(32))
-        x = rng.normal(size=(32, 8, 64, 64))
-        g = rng.normal(size=x.shape)
-        conv = Conv(8, 8, rng)
-        tracemalloc.start()
-        try:
-            conv.forward(x)
-            conv.backward(g)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 4 * x.nbytes
+        for dtype in (np.float64, np.float32):
+            rng = np.random.Generator(np.random.PCG64(32))
+            x = rng.normal(size=(32, 8, 64, 64)).astype(dtype)
+            g = rng.normal(size=x.shape).astype(dtype)
+            conv = Conv(8, 8, rng)
+            conv.kernels, conv.bias = conv.kernels.astype(dtype), conv.bias.astype(dtype)
+            tracemalloc.start()
+            try:
+                conv.forward(x)
+                conv.backward(g)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            # dx and two chunk buffers; float64 buffers on float32 input take 3.2x
+            assert peak < 2 * x.nbytes, dtype
 
 
 # ---------------------------------------------------------------------------
@@ -540,3 +543,125 @@ class TestLeanPoolAndRelu:
         assert g.shape == x.shape
         assert got == [g.tobytes() for _, g in net.gradients()]
         assert net.layers[0].backward(np.ones((5, 3, 8, 8)), input_grad=False) is None
+
+
+# ---------------------------------------------------------------------------
+# Float32.  A layer fed float32 computes in float32; fed the same values in
+# float64 it is the reference.  A sum of L terms rounded in any order, with
+# or without fused multiply-adds, is off by at most about L * u * (the sum of
+# the terms' magnitudes), u = eps / 2 the unit roundoff; the bound below uses
+# L * eps, which also covers the final rounding to float32.  The magnitudes
+# come from the float64 layer run on absolute values.  Max pooling and ReLU
+# only select and copy, so they match exactly.
+
+F32_EPS = float(np.finfo(np.float32).eps)
+
+
+def assert_float32_rounding_of(got, want, magnitude, length):
+    assert got.dtype == np.float32 and got.shape == want.shape
+    assert (np.abs(got - want) <= length * F32_EPS * magnitude).all()
+
+
+def conv_pass(x, kernels, bias, g):
+    """(out, dx, d_kernels, d_bias) of a Conv holding kernels and bias."""
+    conv = Conv(kernels.shape[1], kernels.shape[0])
+    conv.kernels, conv.bias = kernels, bias
+    return conv.forward(x), conv.backward(g), conv.d_kernels, conv.d_bias
+
+
+# The distinct convolutions of the benchmark's network (side 64, channels
+# 8,8,16,16,16,16,32,32,32,32, batch 32) as (n, c, k, h, w), then odd sides.
+FLOAT32_CONV_SHAPES = [
+    (32, 1, 8, 64, 64), (32, 8, 8, 64, 64), (32, 8, 16, 32, 32), (32, 16, 16, 32, 32),
+    (32, 16, 16, 16, 16), (32, 16, 32, 8, 8), (32, 32, 32, 8, 8), (32, 32, 32, 4, 4),
+    (4, 2, 3, 5, 7), (2, 2, 2, 1, 3), (3, 3, 2, 9, 11),
+]
+
+
+def float32_conv_case(n, c, k, h, w):
+    """Float32 x, kernels, bias and g of a conv of that shape."""
+    rng = np.random.Generator(np.random.PCG64(n * 1000 + c * 100 + k * 10 + h))
+    kernels = Conv(c, k, rng).kernels.astype(np.float32)
+    bias = rng.normal(size=k).astype(np.float32)
+    x = rng.normal(size=(n, c, h, w)).astype(np.float32)
+    g = rng.normal(size=(n, k, h, w)).astype(np.float32)
+    return x, kernels, bias, g
+
+
+class TestFloat32Layers:
+    @pytest.mark.parametrize("n,c,k,h,w", FLOAT32_CONV_SHAPES)
+    def test_conv_is_float64_up_to_float32_rounding(self, n, c, k, h, w):
+        case = float32_conv_case(n, c, k, h, w)
+        got = conv_pass(*case)
+        want = conv_pass(*(a.astype(np.float64) for a in case))
+        magnitude = conv_pass(*(np.abs(a).astype(np.float64) for a in case))
+        lengths = (c * 9 + 1, k * 9, n * h * w, n * h * w)
+        for a, b, m, length in zip(got, want, magnitude, lengths):
+            assert_float32_rounding_of(a, b, m, length)
+
+    @pytest.mark.parametrize("n,c,k,h,w", FLOAT32_CONV_SHAPES)
+    def test_conv_float32_independent_of_chunk_size(self, n, c, k, h, w, monkeypatch):
+        case = float32_conv_case(n, c, k, h, w)
+        results = []
+        # one image per chunk, the default budget, the whole batch in one chunk
+        for budget in (1, nnet._CHUNK_BYTES, 1 << 40):
+            monkeypatch.setattr(nnet, "_CHUNK_BYTES", budget)
+            results.append([a.tobytes() for a in conv_pass(*case)])
+        assert results[0] == results[1] == results[2]
+
+    @pytest.mark.parametrize("n,units,width", [(32, 1024, 128), (32, 512, 1024), (7, 3, 25)])
+    def test_dense_is_float64_up_to_float32_rounding(self, n, units, width):
+        rng = np.random.Generator(np.random.PCG64(units + width))
+        weights = Dense(width, units, rng).weights.astype(np.float32)
+        bias = rng.normal(size=units).astype(np.float32)
+        x = rng.normal(size=(n, width)).astype(np.float32)
+        g = rng.normal(size=(n, units)).astype(np.float32)
+
+        def dense_pass(x, weights, bias, g):
+            dense = Dense(width, units)
+            dense.weights, dense.bias = weights, bias
+            return dense.forward(x), dense.backward(g), dense.d_weights, dense.d_bias
+
+        case = (x, weights, bias, g)
+        got = dense_pass(*case)
+        want = dense_pass(*(a.astype(np.float64) for a in case))
+        magnitude = dense_pass(*(np.abs(a).astype(np.float64) for a in case))
+        for a, b, m, length in zip(got, want, magnitude, (width + 1, units, n, n)):
+            assert_float32_rounding_of(a, b, m, length)
+
+    @pytest.mark.parametrize("shape", LAYER_SHAPES)
+    @pytest.mark.parametrize("integer_valued", [False, True])
+    def test_relu_and_pool_match_float64_exactly(self, shape, integer_valued):
+        rng = np.random.Generator(np.random.PCG64(sum(shape) * 5 + integer_valued))
+        x = special_input(rng, shape, integer_valued).astype(np.float32)
+        n, c, h, w = shape
+        pooled = min(h, w) >= 2
+        layers = [Relu(), MaxPool()] if pooled else [Relu()]
+        g = special_input(rng, (n, c, h // 2, w // 2) if pooled else shape).astype(np.float32)
+
+        def sweep(dtype):
+            """Every output of the forward and then the backward pass."""
+            a, values = x.astype(dtype), []
+            for layer in layers:
+                a = layer.forward(a)
+                values.append(a)
+            a = g.astype(dtype)
+            for layer in reversed(layers):
+                a = layer.backward(a)
+                values.append(a)
+            return values
+
+        got, want = sweep(np.float32), sweep(np.float64)
+        assert all(a.dtype == np.float32 for a in got)
+        assert [a.tobytes() for a in got] == [a.astype(np.float32).tobytes() for a in want]
+
+    def test_softmax_is_float64_and_the_backward_sweep_float32(self):
+        rng = np.random.Generator(np.random.PCG64(43))
+        net = Network([Conv(1, 2, rng), Relu(), MaxPool(), Flatten(), Dense(8, 3, rng), Softmax()])
+        for layer in (net.layers[0], net.layers[4]):
+            for name, arr in layer.parameters():
+                setattr(layer, name, arr.astype(np.float32))
+        x = rng.normal(size=(3, 1, 4, 4)).astype(np.float32)
+        assert net.forward(x).dtype == np.float64
+        net.loss_and_backward(x, np.array([0, 1, 2]))
+        assert [g.dtype for _, g in net.gradients()] == [np.float32] * 4
