@@ -209,7 +209,11 @@ def _logloss(scores, cls):
 
 
 def gbc_fit(X: np.ndarray, labels, cfg: GbcConfig = GbcConfig()) -> BoostedModel:
-    """Fit the multiclass boosted model on (feature matrix, labels in {1,0,-1})."""
+    """Fit the multiclass boosted model on (feature matrix, labels in {1,0,-1}).
+
+    A fit whose final train log-loss is above the initial one raises
+    TrainingError, as does one whose class scores stop being finite.
+    """
     X = np.asarray(X, dtype=np.float64)
     cls = np.array([LABEL_TO_CLASS[l] for l in labels], dtype=np.int64)
     n, n_feat = X.shape
@@ -248,6 +252,11 @@ def gbc_fit(X: np.ndarray, labels, cfg: GbcConfig = GbcConfig()) -> BoostedModel
             raise TrainingError(f"non-finite class scores at boosting round {round_index}")
         trees.append(round_trees)
         logloss.append(_logloss(scores, cls))
+    if logloss[-1] > logloss[0]:
+        raise TrainingError(
+            f"boosting diverged: final train log-loss {logloss[-1]:.4f}"
+            f" is above the initial {logloss[0]:.4f}"
+        )
     return BoostedModel(
         trees=trees,
         init_scores=init_scores,

@@ -11,8 +11,8 @@ Every command that needs scatter images rasterizes the corpus in memory.
 Each command writes a ``<command>.run.meta`` JSON (its own parameters,
 seeds, input checksums) sufficient to reproduce its outputs byte-for-byte.
 
-Exit codes: 0 success, 2 input error, 3 training failure, 4 undefined
-metric.
+Exit codes: 0 success, 2 input error (an output path that cannot be written
+included), 3 training failure, 4 undefined metric.
 """
 
 import argparse
@@ -538,7 +538,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except InputError as exc:
+    except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except TrainingError as exc:

@@ -26,7 +26,6 @@ from .errors import (
     ValidationError,
 )
 from .probs import LABEL_TO_CLASS, check_probs
-from .raster import ScatterImage
 from .seeding import derive_seed, make_rng
 
 DEFAULT_CHANNEL_PLAN = ((32, 32), (64, 64), (128, 128), (256, 256), (256, 256))
@@ -144,21 +143,24 @@ class EpochMetrics:
     val_accuracy: float
 
 
-def _to_input(image: ScatterImage, side: int) -> np.ndarray:
-    if image.m != side:
-        raise ShapeError(f"image side {image.m} does not match model side {side}")
-    return image.pixels.astype(DTYPE) / 255
+def _input_stack(images, side) -> np.ndarray:
+    """[N, 1, side, side] DTYPE network input: each image's darkness / 255."""
+    xs = np.empty((len(images), 1, side, side), dtype=DTYPE)
+    for i, img in enumerate(images):
+        if img.m != side:
+            raise ShapeError(f"image side {img.m} does not match model side {side}")
+        xs[i, 0] = img.pixels.astype(DTYPE) / 255
+    return xs
 
 
 def _stack_images(pairs, side):
-    xs = np.empty((len(pairs), 1, side, side), dtype=DTYPE)
+    """(network input, class indices) of (ScatterImage, label) pairs."""
     cls = np.empty(len(pairs), dtype=np.int64)
-    for i, (img, label) in enumerate(pairs):
-        xs[i, 0] = _to_input(img, side)
+    for i, (_, label) in enumerate(pairs):
         if label not in LABEL_TO_CLASS:
             raise ValidationError(f"label {label} not in {{1,0,-1}}")
         cls[i] = LABEL_TO_CLASS[label]
-    return xs, cls
+    return _input_stack([img for img, _ in pairs], side), cls
 
 
 def _accuracy_from_probs(probs, cls):
@@ -243,10 +245,7 @@ def _dataset_checksum(pairs) -> str:
 
 def predict_batch(model: CnnModel, images) -> np.ndarray:
     """[N, 3] class probabilities (columns p_1, p_0, p_-1); pure in (model, images)."""
-    side = model.arch.input_side
-    xs = np.empty((len(images), 1, side, side), dtype=DTYPE)
-    for i, img in enumerate(images):
-        xs[i, 0] = _to_input(img, side)
+    xs = _input_stack(images, model.arch.input_side)
     return check_probs(_predict_classes(model.network, xs))
 
 

@@ -26,7 +26,9 @@ backward rebuilds each chunk's patches from it, so memory stays at the
 activations plus a few chunk buffers.  The kernel gradient is accumulated
 image by image in batch order, which is the order a sum over the whole
 batch's per-image products adds in, so results do not depend on the chunk
-size.
+size.  The input gradient is itself a same convolution, run through the
+forward routine: that of the output gradient with the kernels flipped in
+space and with their input and output channels swapped.
 """
 
 import numpy as np
@@ -40,11 +42,6 @@ _CHUNK_BYTES = 1 << 20
 
 # ---------------------------------------------------------------------------
 # Batched primitives (internal carriers for the layer classes).
-
-
-def _chunk_size(c: int, h: int, w: int, itemsize: int) -> int:
-    """Images per chunk so that one [n, C*9, H*W] patch matrix fits the budget."""
-    return max(1, _CHUNK_BYTES // (c * 9 * h * w * itemsize))
 
 
 def _shift(k: int, size: int):
@@ -78,21 +75,18 @@ def _im2col(x: np.ndarray, out: np.ndarray) -> np.ndarray:
     return cols
 
 
-def _col2im(dcols: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Adjoint of _im2col: scatter-add patch gradients into zeroed [n,C,H,W] out.
+def _patch_chunks(x):
+    """Yield (batch slice, [m, C*9, H*W] patch matrix) over x's batch, chunk by chunk.
 
-    Taps are added in (di, dj) order, so every pixel sums its contributions
-    in the same order as a scatter into a padded buffer would.
+    A chunk holds as many images as fit _CHUNK_BYTES (at least one).  Every
+    chunk's patches go into one buffer, which the next chunk overwrites.
     """
-    n, c, h, w = out.shape
-    out[...] = 0.0
-    taps = dcols.reshape(n, c, 3, 3, h, w)
-    for di in range(3):
-        patch_rows, image_rows = _shift(di, h)
-        for dj in range(3):
-            patch_cols, image_cols = _shift(dj, w)
-            out[:, :, image_rows, image_cols] += taps[:, :, di, dj, patch_rows, patch_cols]
-    return out
+    n, c, h, w = x.shape
+    step = max(1, _CHUNK_BYTES // (c * 9 * h * w * x.itemsize))
+    cols = np.empty((min(n, step), c * 9, h * w), dtype=x.dtype)
+    for start in range(0, n, step):
+        sl = slice(start, start + step)
+        yield sl, _im2col(x[sl], cols)
 
 
 def _conv2d_batch(x, kernels, bias):
@@ -100,12 +94,9 @@ def _conv2d_batch(x, kernels, bias):
     n, c, h, w = x.shape
     k = kernels.shape[0]
     wmat = kernels.reshape(k, c * 9)
-    step = _chunk_size(c, h, w, x.itemsize)
-    cols = np.empty((min(n, step), c * 9, h * w), dtype=x.dtype)
     out = np.empty((n, k, h * w), dtype=x.dtype)
-    for start in range(0, n, step):
-        sl = slice(start, start + step)
-        np.matmul(wmat, _im2col(x[sl], cols), out=out[sl])
+    for sl, cols in _patch_chunks(x):
+        np.matmul(wmat, cols, out=out[sl])
     out += bias[:, None]
     return out.reshape(n, k, h, w)
 
@@ -171,7 +162,17 @@ def glorot_uniform(rng: np.random.Generator, shape, fan_in: int, fan_out: int):
     return rng.uniform(-limit, limit, size=shape)
 
 
-class Conv:
+class Layer:
+    """A layer without parameters; Conv and Dense override both methods."""
+
+    def parameters(self):
+        return []
+
+    def gradients(self):
+        return []
+
+
+class Conv(Layer):
     """3x3 same-padding stride-1 convolution with bias."""
 
     kind = "conv"
@@ -204,31 +205,24 @@ class Conv:
         """Fill d_kernels and d_bias; return dx, or None when not input_grad."""
         x = self._input
         n, c, h, w = x.shape
-        k = self.out_channels
-        gmat = g.reshape(n, k, h * w)
-        wmat = self.kernels.reshape(k, c * 9)
-        step = _chunk_size(c, h, w, x.itemsize)
-        cols = np.empty((min(n, step), c * 9, h * w), dtype=x.dtype)
-        dcols = np.empty_like(cols)
-        part = np.empty((len(cols), k, c * 9), dtype=x.dtype)
-        d_kernels = np.empty((k, c * 9), dtype=x.dtype)
-        dx = np.empty(x.shape, dtype=x.dtype) if input_grad else None
-        for start in range(0, n, step):
-            sl = slice(start, start + step)
-            m = min(step, n - start)
-            np.matmul(gmat[sl], _im2col(x[sl], cols).transpose(0, 2, 1), out=part[:m])
-            # image by image in batch order, as a sum over the batch axis adds
-            for j in range(m):
-                if start + j == 0:
-                    d_kernels[...] = part[0]
-                else:
-                    d_kernels += part[j]
-            if input_grad:
-                np.matmul(wmat.T, gmat[sl], out=dcols[:m])
-                _col2im(dcols[:m], dx[sl])
+        gmat = g.reshape(n, self.out_channels, h * w)
+        parts = (
+            part
+            for sl, cols in _patch_chunks(x)
+            for part in np.matmul(gmat[sl], cols.transpose(0, 2, 1))
+        )
+        # image by image in batch order, as a sum over the batch axis adds
+        d_kernels = next(parts).copy()
+        for part in parts:
+            d_kernels += part
         self.d_kernels = d_kernels.reshape(self.kernels.shape)
         self.d_bias = g.sum(axis=(0, 2, 3))
-        return dx
+        if not input_grad:
+            return None
+        # dx is g correlated with the kernels flipped in space and with their
+        # in and out channels swapped
+        flipped = np.ascontiguousarray(self.kernels[:, :, ::-1, ::-1].transpose(1, 0, 2, 3))
+        return _conv2d_batch(g, flipped, np.zeros(c, dtype=flipped.dtype))
 
     def parameters(self):
         return [("kernels", self.kernels), ("bias", self.bias)]
@@ -237,7 +231,7 @@ class Conv:
         return [("kernels", self.d_kernels), ("bias", self.d_bias)]
 
 
-class MaxPool:
+class MaxPool(Layer):
     """2x2 stride-2 max pooling, floor semantics.
 
     Keeps one uint8 winner per output for backward.
@@ -260,14 +254,8 @@ class MaxPool:
     def backward(self, g):
         return _maxpool_backward_batch(g, self._arg, self._in_shape)
 
-    def parameters(self):
-        return []
 
-    def gradients(self):
-        return []
-
-
-class Relu:
+class Relu(Layer):
     """max(x, 0), computed in place in x; keeps a 1-byte x > 0 mask for backward.
 
     NaN and -0.0 map to +0.0.  Network.forward never hands it the caller's
@@ -289,14 +277,8 @@ class Relu:
     def backward(self, g):
         return np.where(self._mask, g, 0.0)
 
-    def parameters(self):
-        return []
 
-    def gradients(self):
-        return []
-
-
-class Flatten:
+class Flatten(Layer):
     kind = "flatten"
 
     def __init__(self):
@@ -309,14 +291,8 @@ class Flatten:
     def backward(self, g):
         return g.reshape(self._in_shape)
 
-    def parameters(self):
-        return []
 
-    def gradients(self):
-        return []
-
-
-class Dense:
+class Dense(Layer):
     kind = "dense"
 
     def __init__(self, in_features: int, units: int, rng=None):
@@ -352,7 +328,7 @@ class Dense:
         return [("weights", self.d_weights), ("bias", self.d_bias)]
 
 
-class Softmax:
+class Softmax(Layer):
     kind = "softmax"
 
     def __init__(self):
@@ -365,12 +341,6 @@ class Softmax:
     def backward(self, g):
         p = self._probs
         return p * (g - (g * p).sum(axis=-1, keepdims=True))
-
-    def parameters(self):
-        return []
-
-    def gradients(self):
-        return []
 
 
 LAYER_TYPES = {cls.kind: cls for cls in (Conv, MaxPool, Relu, Flatten, Dense, Softmax)}
@@ -420,20 +390,20 @@ class Network:
             first.backward(g, input_grad=False)
         return loss
 
+    def _named(self, method):
+        """(layer{i}.{kind}.{name}, array) over every layer's method() pairs."""
+        return [
+            (f"layer{i}.{layer.kind}.{name}", arr)
+            for i, layer in enumerate(self.layers)
+            for name, arr in getattr(layer, method)()
+        ]
+
     def parameters(self):
         """(name, array) pairs in declaration order; arrays are live views."""
-        out = []
-        for i, layer in enumerate(self.layers):
-            for name, arr in layer.parameters():
-                out.append((f"layer{i}.{layer.kind}.{name}", arr))
-        return out
+        return self._named("parameters")
 
     def gradients(self):
-        out = []
-        for i, layer in enumerate(self.layers):
-            for name, arr in layer.gradients():
-                out.append((f"layer{i}.{layer.kind}.{name}", arr))
-        return out
+        return self._named("gradients")
 
     def flat_parameters(self) -> np.ndarray:
         """Copy of every parameter, raveled and concatenated in declaration order."""

@@ -18,7 +18,13 @@ from causalpairs.boosting import (
     presort,
     save_gbc,
 )
-from causalpairs.errors import ConfigurationError, InputError, ShapeError, ValidationError
+from causalpairs.errors import (
+    ConfigurationError,
+    InputError,
+    ShapeError,
+    TrainingError,
+    ValidationError,
+)
 
 
 def exhaustive_best_split(X, y):
@@ -280,6 +286,13 @@ class TestGbcFit:
         ll = np.array(model.train_logloss)
         assert (np.diff(ll) <= 1e-12).all()
         assert ll[60] <= ll[30]
+
+    def test_loss_ending_above_the_initial_is_training_error(self):
+        rng = np.random.default_rng(17)
+        X = rng.normal(size=(40, 3))
+        cfg = GbcConfig(n_estimators=5, max_depth=2, min_samples_split=2, learning_rate=1e10)
+        with pytest.raises(TrainingError, match=r"log-loss 7\.7712 is above the initial 1\.0397"):
+            gbc_fit(X, [1, 0, -1, 0] * 10, cfg)
 
     def test_single_class_rejected(self):
         with pytest.raises(ValidationError):

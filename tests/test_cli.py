@@ -381,6 +381,32 @@ def test_diverging_gbc_is_training_error(corpus, tmp_path, capsys):
     assert not (out / "models" / "gbc.model").exists()
 
 
+def test_gbc_ending_above_its_initial_loss_is_training_error(corpus, tmp_path, capsys):
+    # finite scores throughout, but the train log-loss climbs from 1.0629 to 6.2798
+    out = tmp_path / "run"
+    assert run("ingest", *corpus_flags(corpus), "--out", out, "--seed", 1) == 0
+    code = run("train", "gbc", *corpus_flags(corpus), "--out", out,
+               "--gbc-lr", "1e10", "--max-depth", 2, "--n-estimators", 20)
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "log-loss 6.2798 is above the initial 1.0629" in err
+    assert not (out / "models" / "gbc.model").exists()
+
+
+@pytest.mark.parametrize("command", ["generate", "rasterize"])
+def test_unwritable_out_is_input_error(corpus, tmp_path, capsys, command):
+    plain = tmp_path / "plain"
+    plain.write_text("")
+    if command == "generate":
+        argv = ["generate", "--out", plain / "sub", "--count", 4, "--n-obs", 30]
+    else:
+        argv = ["rasterize", *corpus_flags(corpus), "--out", plain, "--side", 32]
+    assert run(*argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Not a directory" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("argv", [
     ["train", "gbc", "--epochs", "3"],
     ["train", "cnn", "--n-estimators", "3"],
