@@ -163,10 +163,6 @@ def _stack_images(pairs, side):
     return _input_stack([img for img, _ in pairs], side), cls
 
 
-def _accuracy_from_probs(probs, cls):
-    return float((probs.argmax(axis=1) == cls).mean()) if len(cls) else 0.0
-
-
 def _predict_classes(network, xs, batch_size=64):
     outs = []
     for start in range(0, len(xs), batch_size):
@@ -203,19 +199,18 @@ def train_cnn(train, val, arch: CnnArchitecture, cfg: TrainConfig):
         for start in range(0, n, cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
             xb, cb = xs[idx], cls[idx]
-            loss = network.loss_and_backward(xb, cb)
+            loss, probs = network.loss_and_backward(xb, cb)
             if not np.isfinite(loss):
                 raise TrainingError(
                     f"non-finite loss at epoch {epoch}, batch {start // cfg.batch_size}"
                 )
-            probs = network.layers[-1]._probs
             epoch_correct += int((probs.argmax(axis=1) == cb).sum())
             epoch_loss += loss * len(idx)
             nnet.sgd_step(params, network.gradients(), velocities,
                           cfg.learning_rate, cfg.momentum)
         if val:
             val_probs = _predict_classes(network, val_xs)
-            val_acc = _accuracy_from_probs(val_probs, val_cls)
+            val_acc = float((val_probs.argmax(axis=1) == val_cls).mean())
         else:
             val_acc = float("nan")
         history.append(

@@ -128,14 +128,21 @@ def _parse_vector(text: str, path: str, lineno: int) -> np.ndarray:
     return vec
 
 
-def parse_pairs(pairs_text: str, info_text: str, target_text: str) -> list[PairInstance]:
+def _rows(source):
+    """A file's rows, from its text (as str.splitlines splits it) or as given."""
+    return source.splitlines() if isinstance(source, str) else source
+
+
+def parse_pairs(pairs, info, target) -> list[PairInstance]:
     """Parse the three corpus files into PairInstances (pairs-file order).
 
+    Each file is given as its text or as an iterable over its rows; the
+    pairs rows are consumed one at a time, after the info and target rows.
     Categorical attributes are re-encoded to first-appearance integer codes;
     binary attributes must already be {0,1}-valued.
     """
     kinds = {}
-    for lineno, row in enumerate(info_text.splitlines(), start=1):
+    for lineno, row in enumerate(_rows(info), start=1):
         if not row.strip():
             continue
         pid, ka, kb = _split_csv_row(row, 3, "info", lineno)
@@ -146,7 +153,7 @@ def parse_pairs(pairs_text: str, info_text: str, target_text: str) -> list[PairI
         kinds[pid] = (_KIND_TOKENS[ka], _KIND_TOKENS[kb])
 
     labels = {}
-    for lineno, row in enumerate(target_text.splitlines(), start=1):
+    for lineno, row in enumerate(_rows(target), start=1):
         if not row.strip():
             continue
         pid, lab = _split_csv_row(row, 2, "target", lineno)
@@ -158,7 +165,7 @@ def parse_pairs(pairs_text: str, info_text: str, target_text: str) -> list[PairI
 
     instances = []
     seen = set()
-    for lineno, row in enumerate(pairs_text.splitlines(), start=1):
+    for lineno, row in enumerate(_rows(pairs), start=1):
         if not row.strip():
             continue
         pid, xs, ys = _split_csv_row(row, 3, "pairs", lineno)
@@ -216,18 +223,37 @@ def format_pairs(instances) -> tuple[str, str, str]:
     )
 
 
-def _read_text(path) -> str:
-    try:
-        with open(path, "r", encoding="utf-8") as f:
-            return f.read()
-    except UnicodeDecodeError as exc:
-        raise ParseError(
-            f"not UTF-8 text: byte {exc.start} ({exc.reason})", path=str(path)
-        ) from exc
+def _file_rows(f):
+    """Rows of the UTF-8 file f, open in binary mode, as str.splitlines() splits its text.
+
+    Read line by line: b"\n" is always a row break and never part of another
+    character.  A bad byte raises ParseError naming the file and its row.
+    """
+    n_rows = 0
+    for raw in f:
+        try:
+            rows = raw.decode("utf-8").splitlines()
+        except UnicodeDecodeError as exc:
+            # rows of this line that end before the bad byte, plus its own
+            line = n_rows + len((raw[: exc.start].decode("utf-8") + ".").splitlines())
+            raise ParseError(
+                f"not UTF-8 text ({exc.reason})", line=line, path=str(f.name)
+            ) from exc
+        n_rows += len(rows)
+        yield from rows
 
 
 def read_pairs_files(pairs_path, info_path, target_path) -> list[PairInstance]:
-    return parse_pairs(_read_text(pairs_path), _read_text(info_path), _read_text(target_path))
+    """parse_pairs over the three files, each streamed row by row."""
+    # pairs rows run to tens of KB.  On glibc, freeing a 1 MiB buffer also
+    # raises malloc's mmap threshold to 1 MiB, so later temporaries below it,
+    # such as boosting's split-search arrays, reuse heap pages, not fresh maps.
+    with (
+        open(pairs_path, "rb", buffering=1 << 20) as pairs,
+        open(info_path, "rb") as info,
+        open(target_path, "rb") as target,
+    ):
+        return parse_pairs(_file_rows(pairs), _file_rows(info), _file_rows(target))
 
 
 def write_pairs_files(instances, pairs_path, info_path, target_path) -> None:

@@ -11,22 +11,25 @@ stride 1, zero same-padding; pooling is 2x2 stride 2 with floor semantics
 and first-index tie-break in backward: a window's gradient goes to the
 first of its elements, in row-major order, that equals the max.
 
-The elementwise layers keep one byte per element for backward.  ReLU works in
-place on the array it receives and keeps a bool x > 0 mask; max pooling takes
-the max of the four strided window views and keeps the uint8 position of each
-window's winner.  The backward sweep stops at the first layer's parameter
-gradients: the gradient with respect to the network input is never formed.
+Layers keep no state: forward(x) stores nothing, and backward(g, x) is given
+the layer's input x.  Network.loss_and_backward keeps the step's activations
+in a local list and drops each once its layer's backward has run;
+Network.forward holds one activation at a time.  ReLU works in place, so its
+input is its output, and its backward zeroes g in place where x > 0 fails.
+Max pooling takes the max of the four strided window views; its backward
+recomputes each window's winner from x.  The backward sweep stops at the
+first layer's parameter gradients: no gradient is formed for the network
+input.
 
 A convolution walks its batch in chunks whose [n, C*9, H*W] patch matrix
 fits _CHUNK_BYTES (1 MiB, counted at the input's itemsize; one image per
 chunk when a single image's patches are larger).  Each chunk's patches are
 unrolled into one reused buffer and multiplied in one GEMM per image.  No
-patch matrix is cached: the layer keeps a reference to its input and
-backward rebuilds each chunk's patches from it, so memory stays at the
-activations plus a few chunk buffers.  The kernel gradient is accumulated
-image by image in batch order, which is the order a sum over the whole
-batch's per-image products adds in, so results do not depend on the chunk
-size.  The input gradient is itself a same convolution, run through the
+patch matrix is cached: backward rebuilds each chunk's patches from the
+input it is given, so memory stays at the activations plus a few chunk
+buffers.  The kernel gradient is accumulated image by image in batch order,
+which is the order a sum over the whole batch's per-image products adds in,
+so results do not depend on the chunk size.  The input gradient is itself a same convolution, run through the
 forward routine: that of the output gradient with the kernels flipped in
 space and with their input and output channels swapped.
 """
@@ -111,33 +114,17 @@ def _pool_windows(x: np.ndarray):
 
 
 def _maxpool_batch(x):
-    """(max, winner) of each 2x2 window of [N,C,H,W] x.
+    """Max of each 2x2 window of [N,C,H,W] x.
 
-    winner is the uint8 position (0..3, row-major) of the first element equal
-    to the max, so ties go to the first scanned.  The layer's inputs are ReLU
-    output, never NaN or -0.0, so the max is the first maximal element bit
-    for bit, whatever order np.maximum compares in; on other inputs it is
-    equal in value.
+    The layer's inputs are ReLU output, never NaN or -0.0, so the max is the
+    first maximal element bit for bit, whatever order np.maximum compares
+    in; on other inputs it is equal in value.
     """
     a, b, c, d = _pool_windows(x)
     out = np.maximum(a, b)
     np.maximum(out, c, out=out)
     np.maximum(out, d, out=out)
-    # winner = (a != out) * (1 + (b != out) * (1 + (c != out)))
-    arg = np.not_equal(c, out).view(np.uint8)
-    arg += 1
-    arg *= b != out
-    arg += 1
-    arg *= a != out
-    return out, arg
-
-
-def _maxpool_backward_batch(g, arg, in_shape):
-    """Route each window's gradient to its winner; every other input gets 0."""
-    dx = np.zeros(in_shape, dtype=g.dtype)
-    for k, view in enumerate(_pool_windows(dx)):
-        np.copyto(view, g, where=arg == k)
-    return dx
+    return out
 
 
 def softmax_batch(logits: np.ndarray) -> np.ndarray:
@@ -191,19 +178,16 @@ class Conv(Layer):
         self.bias = np.zeros(out_channels)
         self.d_kernels = np.zeros_like(self.kernels)
         self.d_bias = np.zeros_like(self.bias)
-        self._input = None
 
     def forward(self, x):
         if x.shape[1] != self.in_channels:
             raise ShapeError(
                 f"conv expects {self.in_channels} channels, input is {x.shape}"
             )
-        self._input = x
         return _conv2d_batch(x, self.kernels, self.bias)
 
-    def backward(self, g, input_grad=True):
+    def backward(self, g, x, input_grad=True):
         """Fill d_kernels and d_bias; return dx, or None when not input_grad."""
-        x = self._input
         n, c, h, w = x.shape
         gmat = g.reshape(n, self.out_channels, h * w)
         parts = (
@@ -232,31 +216,34 @@ class Conv(Layer):
 
 
 class MaxPool(Layer):
-    """2x2 stride-2 max pooling, floor semantics.
-
-    Keeps one uint8 winner per output for backward.
-    """
+    """2x2 stride-2 max pooling, floor semantics."""
 
     kind = "pool"
-
-    def __init__(self):
-        self._arg = None
-        self._in_shape = None
 
     def forward(self, x):
         if x.shape[2] < 2 or x.shape[3] < 2:
             raise ShapeError(f"maxpool needs H,W >= 2, input is {x.shape}")
-        out, arg = _maxpool_batch(x)
-        self._arg = arg
-        self._in_shape = x.shape
-        return out
+        return _maxpool_batch(x)
 
-    def backward(self, g):
-        return _maxpool_backward_batch(g, self._arg, self._in_shape)
+    def backward(self, g, x):
+        """Route each window's gradient to its winner, recomputed from x: the first
+        element, in row-major order, equal to the max.  Other inputs get 0."""
+        a, b, c, _ = _pool_windows(x)
+        out = _maxpool_batch(x)
+        # winner = (a != out) * (1 + (b != out) * (1 + (c != out)))
+        arg = np.not_equal(c, out).view(np.uint8)
+        arg += 1
+        arg *= b != out
+        arg += 1
+        arg *= a != out
+        dx = np.zeros(x.shape, dtype=g.dtype)
+        for k, view in enumerate(_pool_windows(dx)):
+            np.copyto(view, g, where=arg == k)
+        return dx
 
 
 class Relu(Layer):
-    """max(x, 0), computed in place in x; keeps a 1-byte x > 0 mask for backward.
+    """max(x, 0), computed in place in x.
 
     NaN and -0.0 map to +0.0.  Network.forward never hands it the caller's
     input.
@@ -264,32 +251,27 @@ class Relu(Layer):
 
     kind = "relu"
 
-    def __init__(self):
-        self._mask = None
-
     def forward(self, x):
         # fmax maps NaN to 0 but may keep -0.0; adding +0.0 turns that into +0.0
         np.fmax(x, 0.0, out=x)
         x += 0.0
-        self._mask = x > 0
         return x
 
-    def backward(self, g):
-        return np.where(self._mask, g, 0.0)
+    def backward(self, g, x):
+        # x > 0 holds at the same places in the input and the output, and g
+        # is always a fresh array
+        np.copyto(g, 0.0, where=~(x > 0))
+        return g
 
 
 class Flatten(Layer):
     kind = "flatten"
 
-    def __init__(self):
-        self._in_shape = None
-
     def forward(self, x):
-        self._in_shape = x.shape
         return x.reshape(x.shape[0], -1)
 
-    def backward(self, g):
-        return g.reshape(self._in_shape)
+    def backward(self, g, x):
+        return g.reshape(x.shape)
 
 
 class Dense(Layer):
@@ -305,19 +287,17 @@ class Dense(Layer):
         self.bias = np.zeros(units)
         self.d_weights = np.zeros_like(self.weights)
         self.d_bias = np.zeros_like(self.bias)
-        self._input = None
 
     def forward(self, x):
         if x.shape[1] != self.in_features:
             raise ShapeError(
                 f"dense expects {self.in_features} features, input is {x.shape}"
             )
-        self._input = x
         return x @ self.weights.T + self.bias
 
-    def backward(self, g, input_grad=True):
+    def backward(self, g, x, input_grad=True):
         """Fill d_weights and d_bias; return dx, or None when not input_grad."""
-        self.d_weights = g.T @ self._input
+        self.d_weights = g.T @ x
         self.d_bias = g.sum(axis=0)
         return g @ self.weights if input_grad else None
 
@@ -329,18 +309,12 @@ class Dense(Layer):
 
 
 class Softmax(Layer):
+    """Row-wise softmax; Network.loss_and_backward differentiates it with the loss."""
+
     kind = "softmax"
 
-    def __init__(self):
-        self._probs = None
-
     def forward(self, x):
-        self._probs = softmax_batch(x)
-        return self._probs
-
-    def backward(self, g):
-        p = self._probs
-        return p * (g - (g * p).sum(axis=-1, keepdims=True))
+        return softmax_batch(x)
 
 
 LAYER_TYPES = {cls.kind: cls for cls in (Conv, MaxPool, Relu, Flatten, Dense, Softmax)}
@@ -352,18 +326,20 @@ class Network:
     def __init__(self, layers):
         self.layers = list(layers)
 
+    def _owned(self, x: np.ndarray) -> np.ndarray:
+        # ReLU works in place, so the caller's array goes only to a layer
+        # that returns a new one
+        return x if isinstance(self.layers[0], (Conv, MaxPool, Dense)) else x.copy()
+
     def forward(self, x: np.ndarray) -> np.ndarray:
         """Output of the stack for batch x; x itself is never modified."""
-        if not isinstance(self.layers[0], (Conv, MaxPool, Dense)):
-            # ReLU works in place, so the caller's array goes only to a layer
-            # that returns a new one
-            x = x.copy()
+        x = self._owned(x)
         for layer in self.layers:
             x = layer.forward(x)
         return x
 
-    def loss_and_backward(self, x: np.ndarray, classes: np.ndarray) -> float:
-        """Mean cross-entropy over the batch; fills every layer's gradients.
+    def loss_and_backward(self, x: np.ndarray, classes: np.ndarray):
+        """(mean cross-entropy, [N, K] probabilities) of the batch; fills every layer's gradients.
 
         The softmax/cross-entropy pair is differentiated jointly as
         (p - onehot)/N for stability; the final layer must be Softmax.  That
@@ -372,7 +348,10 @@ class Network:
         """
         if not isinstance(self.layers[-1], Softmax):
             raise ConfigurationError("network must end in a softmax layer")
-        probs = self.forward(x)
+        inputs = [self._owned(x)]
+        for layer in self.layers[:-1]:
+            inputs.append(layer.forward(inputs[-1]))
+        probs = self.layers[-1].forward(inputs.pop())
         n = x.shape[0]
         classes = np.asarray(classes)
         if ((classes < 0) | (classes >= probs.shape[1])).any():
@@ -383,12 +362,12 @@ class Network:
         g /= n
         g = g.astype(x.dtype, copy=False)
         for layer in reversed(self.layers[1:-1]):
-            g = layer.backward(g)
+            g = layer.backward(g, inputs.pop())
         # the gradient with respect to the input itself is not needed
         first = self.layers[0]
         if first.parameters():
-            first.backward(g, input_grad=False)
-        return loss
+            first.backward(g, inputs.pop(), input_grad=False)
+        return loss, probs
 
     def _named(self, method):
         """(layer{i}.{kind}.{name}, array) over every layer's method() pairs."""
@@ -437,11 +416,7 @@ def gradient_check(
     x = np.asarray(x, dtype=np.float64)[None]
     network.loss_and_backward(x, np.array([true_class]))
     grads = dict(network.gradients())
-    params = network.parameters()
-    flat = []
-    for name, arr in params:
-        for idx in range(arr.size):
-            flat.append((name, arr, idx))
+    flat = [(name, arr, idx) for name, arr in network.parameters() for idx in range(arr.size)]
     rng = np.random.Generator(np.random.PCG64(seed))
     n_check = min(len(flat), max(max_params, 200))
     chosen = rng.choice(len(flat), size=n_check, replace=False) if len(flat) > n_check else np.arange(len(flat))
@@ -481,5 +456,3 @@ def sgd_step(parameters, gradients, velocities, learning_rate: float, momentum: 
         vel *= momentum
         vel -= learning_rate * grad
         param += vel
-    return parameters, velocities
-

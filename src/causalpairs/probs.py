@@ -21,8 +21,10 @@ def check_probs(probs) -> np.ndarray:
     if p.ndim != 2 or p.shape[1] != 3:
         raise ValidationError(f"probabilities must be an [N, 3] array, got shape {p.shape}")
     out_of_range = (~np.isfinite(p) | (p < -1e-12) | (p > 1.0 + 1e-9)).any(axis=1)
-    # left to right from +0.0, the order of Python's sum() before 3.12
-    sums = 0.0 + p[:, 0] + p[:, 1] + p[:, 2]
+    # left to right from +0.0, the order of Python's sum() before 3.12; only
+    # rows in range have their sum read, and theirs is finite
+    with np.errstate(invalid="ignore", over="ignore"):
+        sums = 0.0 + p[:, 0] + p[:, 1] + p[:, 2]
     bad = np.flatnonzero(out_of_range | (np.abs(sums - 1.0) > 1e-9))
     if bad.size:
         i = bad[0]

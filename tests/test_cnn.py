@@ -1,5 +1,6 @@
 import hashlib
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -204,6 +205,30 @@ class TestModelFile:
         assert p1.read_bytes() == p2.read_bytes()
 
 
+class TestForwardMemory:
+    def test_forward_holds_one_activation_at_a_time(self):
+        # the benchmark's network (side 64, channels 8,8,16,16,16,16,32,32,32,32)
+        # on one predict_batch batch of 64
+        arch = build_paper_arch(64, ((8, 8), (16, 16), (16, 16), (32, 32), (32, 32)))
+        network = build_network(arch, seed=0)
+        xs = np.random.default_rng(11).random((64, 1, 64, 64), dtype=np.float32)
+        largest, a = 0, xs
+        for layer in network.layers:
+            a = layer.forward(a)
+            largest = max(largest, a.nbytes)
+        del a
+        tracemalloc.start()
+        try:
+            network.forward(xs)
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # at most a convolution's input and output plus one 1 MiB patch chunk;
+        # keeping every layer's input measured 3.25x
+        assert peak < 2.5 * largest
+        assert retained <= 4096
+
+
 class TestFloat32:
     """The network computes in float32; its softmax and probabilities are float64."""
 
@@ -212,7 +237,8 @@ class TestFloat32:
         """Wrap every layer's forward and backward to log (kind, pass, output dtype)."""
         log = []
         for layer in network.layers:
-            for name in ("forward", "backward"):
+            # softmax has no backward: the loss replaces it
+            for name in [n for n in ("forward", "backward") if hasattr(layer, n)]:
                 def wrapped(*args, _call=getattr(layer, name), _key=(layer.kind, name), **kw):
                     out = _call(*args, **kw)
                     log.append((*_key, None if out is None else out.dtype))

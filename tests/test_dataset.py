@@ -1,3 +1,5 @@
+import io
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,6 +9,7 @@ from causalpairs.dataset import (
     PairInstance,
     SplitSpec,
     _encode_categories,
+    _file_rows,
     augment_all,
     augment_swap,
     format_pairs,
@@ -67,6 +70,18 @@ class TestParse:
         with pytest.raises(ParseError) as err:
             read_pairs_files(*paths)
         assert err.value.path == str(paths[0])
+
+    def test_undecodable_byte_reports_its_row(self, tmp_path):
+        paths = [tmp_path / name for name in ("pairs.csv", "info.csv", "target.csv")]
+        for path, text in zip(paths, ("p1, 0 1, 2 3\n", "p1,num,num\n", "p1,1\n")):
+            path.write_text(text)
+        # rows 1-3 end in \n, \r and \x85, so rows 2-4 share one b"\n"-ended
+        # line of bytes; the bad byte is on row 4
+        bad = b"p0,num,num\n" + "p1,num,num\rp2,num,num\x85p3,".encode() + b"\xffnum,num\n"
+        paths[1].write_bytes(bad + b"p4,num,num\n" * 5000)
+        with pytest.raises(ParseError) as err:
+            read_pairs_files(*paths)
+        assert (err.value.path, err.value.line) == (str(paths[1]), 4)
 
     @pytest.mark.parametrize(
         "token", ["0.1", "-0", "+1.5e3", "1_000", "5e-324", "2.2250738585072014e-308"]
@@ -129,6 +144,43 @@ def test_categorical_code_out_of_range_rejected(code):
     # a code of 2**63 or more casts to a negative bin index in discretize
     with pytest.raises(ValidationError, match="integer codes"):
         make_instance(x=(0.0, code, 1.0), x_kind=AttributeKind.CATEGORICAL)
+
+
+# Every row separator str.splitlines() knows, which a streamed file must split at too.
+SEPARATORS = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
+              "\u2028", "\u2029"]
+
+
+class TestStreamedRows:
+    def test_file_rows_are_splitlines(self):
+        rng = np.random.default_rng(5)
+        pieces = SEPARATORS + ["a", "1 2", ",", " ", "\u00e9", "\u20ac", "\U0001f600"]
+        for _ in range(3000):
+            text = "".join(rng.choice(pieces, size=rng.integers(0, 40)))
+            assert list(_file_rows(io.BytesIO(text.encode()))) == text.splitlines(), repr(text)
+
+    def test_files_parse_as_their_texts(self, tmp_path):
+        rng = np.random.default_rng(6)
+        instances = [
+            make_instance(f"d{i}", x=rng.normal(size=5), y=rng.integers(0, 3, 5),
+                          y_kind=AttributeKind.CATEGORICAL, label=int(rng.integers(-1, 2)))
+            for i in range(30)
+        ]
+        texts = []
+        for text in format_pairs(instances):
+            # blank rows in between, which the parser skips
+            rows = [r for row in text.splitlines() for r in [row] + [""] * rng.integers(0, 2)]
+            seps = rng.choice(SEPARATORS, size=len(rows))
+            texts.append("".join(row + sep for row, sep in zip(rows, seps)))
+        paths = [tmp_path / name for name in ("pairs.csv", "info.csv", "target.csv")]
+        for path, text in zip(paths, texts):
+            path.write_bytes(text.encode())
+        want = parse_pairs(*texts)
+        got = read_pairs_files(*paths)
+        assert [i.id for i in got] == [i.id for i in want] == [i.id for i in instances]
+        for a, b in zip(got, want):
+            assert (a.x.tobytes(), a.y.tobytes(), a.x_kind, a.y_kind, a.label) == (
+                b.x.tobytes(), b.y.tobytes(), b.x_kind, b.y_kind, b.label)
 
 
 class TestSplit:

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -136,6 +138,13 @@ class TestCheckProbs:
             with pytest.raises(ValidationError) as err:
                 check_probs(rows)
             assert str(err.value) == first
+
+    @pytest.mark.parametrize("row", [[np.inf, -np.inf, 0.5], [1e308, 1e308, 0.0]])
+    def test_rejects_without_a_warning(self, row):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match="out of range"):
+                check_probs(probs(triple(0.2, 0.5, 0.3), row))
 
     def test_nan_row_message(self):
         with pytest.raises(ValidationError, match=r"out of range: \(nan, nan, nan\)"):

@@ -39,7 +39,7 @@ def softmax_loss(logits, true_class):
     """Network.loss_and_backward on one row: cross-entropy of softmax(logits)."""
     return Network([Softmax()]).loss_and_backward(
         np.asarray(logits, dtype=np.float64)[None], np.array([true_class])
-    )
+    )[0]
 
 
 class TestConvForward:
@@ -93,7 +93,7 @@ class TestMaxPool:
         pool = MaxPool()
         x = np.full((1, 1, 2, 2), 7.0)
         pool.forward(x)
-        dx = pool.backward(np.ones((1, 1, 1, 1)))
+        dx = pool.backward(np.ones((1, 1, 1, 1)), x)
         assert dx[0, 0].tolist() == [[1.0, 0.0], [0.0, 0.0]]
 
 
@@ -144,7 +144,8 @@ class TestSoftmaxAndLoss:
 
     def test_cross_entropy_is_batch_mean(self):
         logits = np.array([[0.3, -1.2, 2.5], [4.0, 0.0, -4.0]])
-        both = Network([Softmax()]).loss_and_backward(logits, np.array([2, 1]))
+        both, probs = Network([Softmax()]).loss_and_backward(logits, np.array([2, 1]))
+        assert probs.tobytes() == softmax_batch(logits).tobytes()
         assert both == pytest.approx((softmax_loss(logits[0], 2) + softmax_loss(logits[1], 1)) / 2)
 
     def test_cross_entropy_bad_index(self):
@@ -262,9 +263,9 @@ class TestLossDescent:
         vel = [np.zeros_like(a) for _, a in params]
         losses = []
         for _ in range(50):
-            losses.append(net.loss_and_backward(xs, cls))
+            losses.append(net.loss_and_backward(xs, cls)[0])
             sgd_step(params, net.gradients(), vel, 1e-4, 0.0)
-        losses.append(net.loss_and_backward(xs, cls))
+        losses.append(net.loss_and_backward(xs, cls)[0])
         diffs = np.diff(losses)
         assert (diffs <= 1e-12).all()
 
@@ -366,7 +367,7 @@ class TestChunkedConv:
         conv = Conv(c, k, rng)
         conv.bias[...] = rng.normal(size=k)
         expected = ref_conv(x, conv.kernels, conv.bias, g)
-        got = (conv.forward(x), conv.backward(g), conv.d_kernels, conv.d_bias)
+        got = (conv.forward(x), conv.backward(g, x), conv.d_kernels, conv.d_bias)
         for name, a, b in zip(("out", "dx", "d_kernels", "d_bias"), got, expected):
             assert a.shape == b.shape, name
             if name != "dx":
@@ -385,7 +386,7 @@ class TestChunkedConv:
             tracemalloc.start()
             try:
                 conv.forward(x)
-                conv.backward(g)
+                conv.backward(g, x)
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
@@ -470,7 +471,8 @@ class TestLeanPoolAndRelu:
         relu = Relu()
         got = relu.forward(x.copy())
         assert got.tobytes() == want.tobytes()
-        assert relu.backward(g).tobytes() == np.where(mask, g, 0.0).tobytes()
+        # backward reads the kept output; it zeroes the gradient in place
+        assert relu.backward(g.copy(), got).tobytes() == np.where(mask, g, 0.0).tobytes()
 
     @pytest.mark.parametrize("shape", [s for s in LAYER_SHAPES if min(s[2:]) >= 2])
     @pytest.mark.parametrize("integer_valued", [False, True])
@@ -482,7 +484,7 @@ class TestLeanPoolAndRelu:
         pool = MaxPool()
         got = pool.forward(x)
         assert got.tobytes() == want.tobytes()
-        assert pool.backward(g).tobytes() == ref_maxpool_backward(g, arg, x.shape).tobytes()
+        assert pool.backward(g, x).tobytes() == ref_maxpool_backward(g, arg, x.shape).tobytes()
 
     def test_pool_tie_order_is_row_major(self):
         # every subset of tied maxima in one window: the first one wins
@@ -490,31 +492,34 @@ class TestLeanPoolAndRelu:
         for bits in range(1, 16):
             x = np.array([1.0 if bits >> k & 1 else 0.0 for k in range(4)]).reshape(1, 1, 2, 2)
             pool.forward(x)
-            dx = pool.backward(np.ones((1, 1, 1, 1)))
+            dx = pool.backward(np.ones((1, 1, 1, 1)), x)
             first = (bits & -bits).bit_length() - 1
             assert dx.reshape(-1).tolist() == [1.0 if k == first else 0.0 for k in range(4)]
 
-    def test_layers_retain_one_byte_per_element(self):
+    def test_layers_retain_nothing(self):
         rng = np.random.Generator(np.random.PCG64(40))
-        x = rng.normal(size=(16, 8, 33, 31))
+        x = rng.normal(size=(16, 8, 129, 127))
         slack = 4096  # array headers
         relu = Relu()
         tracemalloc.start()
         try:
             relu.forward(x)
-            relu_current, relu_peak = tracemalloc.get_traced_memory()
+            _, relu_peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # in place: nothing but the mask, not even transiently
-        assert relu_peak <= x.size + slack
+        # in place, and no mask, not even transiently
+        assert relu_peak <= slack
         pool = MaxPool()
         tracemalloc.start()
         try:
             out = pool.forward(x)
-            pool_current, _ = tracemalloc.get_traced_memory()
+            pool_current, pool_peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert pool_current - out.nbytes <= out.size + slack
+        assert pool_current - out.nbytes <= slack
+        # no uint8 winner per output, not even transiently; the rest of the
+        # peak is numpy's fixed-size buffers for the strided window views
+        assert pool_peak - out.nbytes < out.size
 
     @pytest.mark.parametrize("first", ["relu", "flatten", "conv"])
     def test_network_never_modifies_its_input(self, first):
@@ -544,15 +549,48 @@ class TestLeanPoolAndRelu:
         net.loss_and_backward(x, cls)
         got = [g.tobytes() for _, g in net.gradients()]
         # the full sweep, input gradient included
-        probs = net.forward(x)
+        inputs = [x]
+        for layer in net.layers:
+            inputs.append(layer.forward(inputs[-1]))
+        probs = inputs.pop()
+        inputs.pop()  # the softmax input
         g = probs.copy()
         g[np.arange(5), cls] -= 1.0
         g /= 5
         for layer in reversed(net.layers[:-1]):
-            g = layer.backward(g)
+            g = layer.backward(g, inputs.pop())
         assert g.shape == x.shape
         assert got == [g.tobytes() for _, g in net.gradients()]
-        assert net.layers[0].backward(np.ones((5, 3, 8, 8)), input_grad=False) is None
+        assert net.layers[0].backward(np.ones((5, 3, 8, 8)), x, input_grad=False) is None
+
+    def test_layers_hold_only_parameters_and_gradients(self):
+        rng = np.random.Generator(np.random.PCG64(44))
+        net = Network([
+            Conv(1, 3, rng), Relu(), Conv(3, 3, rng), Relu(), MaxPool(),
+            Flatten(), Dense(3 * 4 * 4, 8, rng), Relu(), Dense(8, 3, rng), Softmax(),
+        ])
+        assert {layer.kind for layer in net.layers} == set(nnet.LAYER_TYPES)
+        x = rng.normal(size=(5, 1, 8, 8))
+
+        def held_arrays():
+            return [
+                (i, name)
+                for i, layer in enumerate(net.layers)
+                for name, value in vars(layer).items()
+                if isinstance(value, np.ndarray)
+                and not any(value is a for _, a in layer.parameters() + layer.gradients())
+            ]
+
+        net.forward(x)
+        assert held_arrays() == []
+        net.loss_and_backward(x, np.array([0, 1, 2, 0, 1]))
+        assert held_arrays() == []
+        # nor any other state, such as an input shape
+        for layer in net.layers:
+            assert set(vars(layer)) <= {
+                "in_channels", "out_channels", "in_features", "units",
+                "kernels", "bias", "d_kernels", "d_bias", "weights", "d_weights",
+            }
 
 
 # ---------------------------------------------------------------------------
@@ -576,7 +614,7 @@ def conv_pass(x, kernels, bias, g):
     """(out, dx, d_kernels, d_bias) of a Conv holding kernels and bias."""
     conv = Conv(kernels.shape[1], kernels.shape[0])
     conv.kernels, conv.bias = kernels, bias
-    return conv.forward(x), conv.backward(g), conv.d_kernels, conv.d_bias
+    return conv.forward(x), conv.backward(g, x), conv.d_kernels, conv.d_bias
 
 
 # The distinct convolutions of the benchmark's network (side 64, channels
@@ -630,7 +668,7 @@ class TestFloat32Layers:
         def dense_pass(x, weights, bias, g):
             dense = Dense(width, units)
             dense.weights, dense.bias = weights, bias
-            return dense.forward(x), dense.backward(g), dense.d_weights, dense.d_bias
+            return dense.forward(x), dense.backward(g, x), dense.d_weights, dense.d_bias
 
         case = (x, weights, bias, g)
         got = dense_pass(*case)
@@ -651,14 +689,15 @@ class TestFloat32Layers:
 
         def sweep(dtype):
             """Every output of the forward and then the backward pass."""
-            a, values = x.astype(dtype), []
+            inputs, values = [x.astype(dtype)], []
             for layer in layers:
-                a = layer.forward(a)
-                values.append(a)
+                inputs.append(layer.forward(inputs[-1]))
+                values.append(inputs[-1])
             a = g.astype(dtype)
             for layer in reversed(layers):
-                a = layer.backward(a)
-                values.append(a)
+                a = layer.backward(a, inputs.pop(-2))
+                # ReLU backward zeroes its gradient in place
+                values.append(a.copy())
             return values
 
         got, want = sweep(np.float32), sweep(np.float64)
