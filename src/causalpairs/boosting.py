@@ -8,7 +8,7 @@ unique feature values.  Leaf values use the per-leaf Newton update
 learning_rate times the tree output.
 
 Split search is the exact greedy algorithm with presorted columns
-(Chen & Guestrin 2016): a tree sorts every column once, stably, and each
+(Chen & Guestrin 2016): a fit sorts every column once, stably, and each
 split divides every column's order between the two children with a
 boolean mask.  That keeps each child's order equal to a stable sort of
 its own rows, ties in ascending row order, so no node sorts again.  A
@@ -16,6 +16,7 @@ node scores every feature in one pass (2-D gather, cumulative sums along
 each feature, an argmax per feature).  Ties go to the lowest
 feature index, then the lowest threshold; node totals are summed over the
 rows in row order.  The trees are the same as those of a per-node sort.
+The search writes its per-node matrices into buffers made once per fit.
 
 Fitting draws no random numbers: the model is a pure function of the
 feature matrix, the labels and the config.
@@ -104,32 +105,69 @@ def presort(X: np.ndarray) -> np.ndarray:
     return np.argsort(X.T, axis=1, kind="stable")
 
 
-def best_split(X: np.ndarray, y: np.ndarray, order=None):
+# best_split's buffers: each holds n_features x n elements
+_WORK_DTYPES = {
+    "xs": np.float64, "ys": np.float64, "csum": np.float64, "c2": np.float64,
+    "left": np.float64, "right": np.float64, "at": np.intp, "invalid": np.bool_,
+}
+
+
+def split_workspace(n_features: int, n: int) -> dict:
+    """Buffers best_split writes through, for any node of up to n rows."""
+    return {name: np.empty(n_features * n, dtype) for name, dtype in _WORK_DTYPES.items()}
+
+
+def best_split(X: np.ndarray, y: np.ndarray, order=None, work=None):
     """Exact best (feature, midpoint threshold) by variance reduction.
 
     Reduction is SSE(parent) - SSE(left) - SSE(right); candidates are
     midpoints between consecutive distinct sorted values.  Ties resolve to
     the lowest feature index, then the lowest threshold.  ``order`` is
-    ``presort(X)``, computed when omitted.  Returns
-    (feature, threshold, reduction) or None when no split exists.
+    ``presort(X)`` and ``work`` a ``split_workspace`` of at least X's size,
+    each made when omitted.  Returns (feature, threshold, reduction) or
+    None when no split exists.
     """
     n = len(y)
     if n < 2:
         return None
+    n_feat = X.shape[1]
     if order is None:
         order = presort(X)
-    xs = X[order, np.arange(X.shape[1])[:, None]]
-    ys = y[order]
+    if work is None:
+        work = split_workspace(n_feat, n)
+    # each buffer's first n_feat * n (or n_feat * (n - 1)) elements, as a matrix
+    full = {name: buf[: n_feat * n].reshape(n_feat, n) for name, buf in work.items()}
+    part = {name: buf[: n_feat * (n - 1)].reshape(n_feat, n - 1) for name, buf in work.items()}
+    # xs[j, i] = X[order[j, i], j], gathered from X's flat layout
+    at = full["at"]
+    np.multiply(order, n_feat, out=at)
+    at += np.arange(n_feat)[:, None]
+    flat_x = np.ascontiguousarray(X, dtype=np.float64).reshape(-1)
+    xs = np.take(flat_x, at, out=full["xs"], mode="clip")
+    ys = np.take(np.asarray(y, dtype=np.float64), order, out=full["ys"], mode="clip")
     total = y.sum()
     total2 = float(y @ y)
     sse_parent = total2 - total * total / n
-    csum = np.cumsum(ys, axis=1)[:, :-1]
-    c2 = np.cumsum(ys * ys, axis=1)[:, :-1]
-    n_left = np.arange(1, n)
-    sse_left = c2 - csum * csum / n_left
-    sse_right = (total2 - c2) - (total - csum) ** 2 / (n - n_left)
-    valid = xs[:, 1:] > xs[:, :-1]
-    reduction = np.where(valid, sse_parent - sse_left - sse_right, -np.inf)
+    # prefix sums over the first i + 1 sorted rows, i < n - 1
+    csum = np.cumsum(ys[:, :-1], axis=1, out=part["csum"])
+    c2 = np.cumsum(np.multiply(ys, ys, out=full["left"])[:, :-1], axis=1, out=part["c2"])
+    n_left = np.arange(1.0, n)
+    # sse_left = c2 - csum * csum / n_left
+    sse_left = np.multiply(csum, csum, out=part["left"])
+    sse_left /= n_left
+    np.subtract(c2, sse_left, out=sse_left)
+    # sse_right = (total2 - c2) - (total - csum) ** 2 / (n - n_left)
+    sse_right = np.subtract(total2, c2, out=part["right"])
+    sq = np.subtract(total, csum, out=part["ys"])
+    np.square(sq, out=sq)
+    sq /= n - n_left
+    sse_right -= sq
+    # reduction = sse_parent - sse_left - sse_right, -inf where no split fits
+    reduction = np.subtract(sse_parent, sse_left, out=sse_left)
+    reduction -= sse_right
+    invalid = np.greater(xs[:, 1:], xs[:, :-1], out=part["invalid"])
+    np.logical_not(invalid, out=invalid)
+    np.copyto(reduction, -np.inf, where=invalid)
     k = reduction.argmax(axis=1)
     per_feature = reduction[np.arange(len(k)), k]
     f = int(per_feature.argmax())
@@ -138,13 +176,23 @@ def best_split(X: np.ndarray, y: np.ndarray, order=None):
     return f, (xs[f, k[f]] + xs[f, k[f] + 1]) / 2.0, float(per_feature[f])
 
 
-def fit_tree(X: np.ndarray, y: np.ndarray, depth_limit: int, min_split: int) -> RegressionTree:
-    """Greedy variance-reduction regression tree; leaves hold target means."""
+def fit_tree(
+    X: np.ndarray, y: np.ndarray, depth_limit: int, min_split: int, order=None, work=None
+) -> RegressionTree:
+    """Greedy variance-reduction regression tree; leaves hold target means.
+
+    ``order`` is ``presort(X)`` and ``work`` a ``split_workspace`` of X's
+    size, each made when omitted; a fit passes the same ones to every tree.
+    """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if len(X) < 1:
         raise ValidationError("fit_tree requires at least one sample")
     n_feat = X.shape[1]
+    if order is None:
+        order = presort(X)
+    if work is None:
+        work = split_workspace(n_feat, len(X))
     tree = RegressionTree()
 
     # idx: the node's rows in ascending order; order: presort(X[idx])
@@ -154,7 +202,7 @@ def fit_tree(X: np.ndarray, y: np.ndarray, depth_limit: int, min_split: int) -> 
         tree.value[node] = float(sub_y.mean())
         if depth >= depth_limit or len(idx) < min_split or np.ptp(sub_y) == 0.0:
             return node
-        found = best_split(X[idx], sub_y, order)
+        found = best_split(X[idx], sub_y, order, work)
         if found is None or found[2] <= 0.0:
             return node
         j, thr, _ = found
@@ -177,7 +225,7 @@ def fit_tree(X: np.ndarray, y: np.ndarray, depth_limit: int, min_split: int) -> 
         )
         return node
 
-    grow(np.arange(len(X)), presort(X), 0)
+    grow(np.arange(len(X)), order, 0)
     return tree.finalize()
 
 
@@ -227,6 +275,9 @@ def gbc_fit(X: np.ndarray, labels, cfg: GbcConfig = GbcConfig()) -> BoostedModel
     onehot = np.zeros((n, n_classes))
     onehot[np.arange(n), cls] = 1.0
 
+    # every tree of the fit splits the same X
+    order = presort(X)
+    work = split_workspace(n_feat, n)
     trees = []
     logloss = [_logloss(scores, cls)]
     for round_index in range(cfg.n_estimators):
@@ -234,7 +285,9 @@ def gbc_fit(X: np.ndarray, labels, cfg: GbcConfig = GbcConfig()) -> BoostedModel
         residual = onehot - probs
         round_trees = []
         for k in range(n_classes):
-            tree = fit_tree(X, residual[:, k], cfg.max_depth, cfg.min_samples_split)
+            tree = fit_tree(
+                X, residual[:, k], cfg.max_depth, cfg.min_samples_split, order, work
+            )
             leaves = tree.apply(X)
             hess = probs[:, k] * (1.0 - probs[:, k])
             num = np.bincount(leaves, weights=residual[:, k], minlength=tree.n_nodes)

@@ -2,10 +2,14 @@
 evaluate, sparse-sweep.
 
 Output directory layout (created under --out):
-    manifests/   train.ids / val.ids / test.ids
+    manifests/   train.ids / val.ids / test.ids, and corpus.cpmf: the
+                 parsed corpus with the checksums of its three files
     images/      <id>.pgm scatter plots, for viewing; no command reads them
     models/      cnn.model / gbc.model
     reports/     predictions.csv, report.txt, train logs, sparse_sweep.csv
+ingest, rasterize and sparse-sweep parse the corpus text.  train and
+evaluate load ingest's corpus.cpmf instead, and refuse it (exit 2) when
+it is missing, corrupt or stored for other corpus bytes.
 Every command that needs scatter images rasterizes the corpus in memory.
 ``train cnn`` and ``train gbc`` each take only their own model's flags.
 Each command writes a ``<command>.run.meta`` JSON (its own parameters,
@@ -36,6 +40,7 @@ from .ensemble import (
     tune_weight,
 )
 from .dataset import (
+    AttributeKind,
     PairInstance,
     SplitSpec,
     augment_all,
@@ -57,6 +62,8 @@ EXIT_TRAINING = 3
 EXIT_METRIC = 4
 
 DEFAULT_SWEEP_COUNTS = "100,200,500,1000"
+# the parsed corpus, written by ingest and read by train and evaluate
+CORPUS_STORE = "corpus.cpmf"
 
 
 def _sha256_file(path) -> str:
@@ -67,7 +74,7 @@ def _sha256_file(path) -> str:
     return h.hexdigest()
 
 
-def _write_run_meta(out_dir: Path, command: str, args, input_paths) -> None:
+def _write_run_meta(out_dir: Path, command: str, args, checksums) -> None:
     params = {
         k: v for k, v in sorted(vars(args).items()) if k not in ("func",)
     }
@@ -75,9 +82,7 @@ def _write_run_meta(out_dir: Path, command: str, args, input_paths) -> None:
         "command": command,
         "package_version": __version__,
         "params": params,
-        "input_checksums": {
-            name: _sha256_file(p) for name, p in input_paths.items() if p
-        },
+        "input_checksums": checksums,
     }
     path = out_dir / f"{command}.run.meta"
     with open(path, "w", encoding="utf-8", newline="\n") as f:
@@ -85,38 +90,89 @@ def _write_run_meta(out_dir: Path, command: str, args, input_paths) -> None:
         f.write("\n")
 
 
-def _corpus_paths(args):
-    return {"pairs": args.pairs, "info": args.info, "target": args.target}
-
-
-def _load_corpus(args):
-    for name, p in _corpus_paths(args).items():
+def _corpus_checksums(args) -> dict:
+    """SHA-256 of each of the three corpus files, by flag name."""
+    paths = {"pairs": args.pairs, "info": args.info, "target": args.target}
+    for name, p in paths.items():
         if not Path(p).is_file():
             raise InputError(f"missing {name} file: {p}")
-    return read_pairs_files(args.pairs, args.info, args.target)
+    return {name: _sha256_file(p) for name, p in paths.items()}
+
+
+def _write_store(path, instances, checksums) -> None:
+    """The parsed corpus, in pairs-file order, as a modelfile of kind "corpus"."""
+    meta = {
+        "input_checksums": checksums,
+        "ids": [inst.id for inst in instances],
+        "kinds": [[inst.x_kind.value, inst.y_kind.value] for inst in instances],
+        "labels": [inst.label for inst in instances],
+    }
+    arrays = {
+        "n_obs": np.array([inst.n_obs for inst in instances], dtype="<i4"),
+        "x": np.concatenate([inst.x for inst in instances]),
+        "y": np.concatenate([inst.y for inst in instances]),
+    }
+    modelfile.write(path, "corpus", meta, arrays)
 
 
 def _read_manifest(path) -> list[str]:
     p = Path(path)
     if not p.is_file():
         raise InputError(f"missing manifest {p}; run `causalpairs ingest` first")
-    return [line.strip() for line in p.read_text().splitlines() if line.strip()]
+    try:
+        text = p.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise InputError(f"manifest {p} is not UTF-8 text ({exc.reason})") from exc
+    return [line.strip() for line in text.splitlines() if line.strip()]
 
 
-def _select(instances, ids):
-    by_id = {inst.id: inst for inst in instances}
+def _select(by_id, ids):
+    """by_id[pid] for every id of a manifest; one the corpus lacks is an InputError."""
     missing = [pid for pid in ids if pid not in by_id]
     if missing:
         raise InputError(f"manifest ids missing from corpus: {missing[:5]}...")
     return [by_id[pid] for pid in ids]
 
 
-def _manifest_splits(args, instances):
+def _load_splits(args, checksums, parts) -> tuple:
+    """The instances each manifest in parts names, from ingest's corpus store.
+
+    All three manifests are checked against the store, which must have been
+    stored for corpus files with these checksums; only the pairs of parts
+    are built.  They copy their values, so the file's buffer is freed on
+    return: views that kept it alive read higher peak RSS in ``train cnn``.
+    """
     mdir = Path(args.out) / "manifests"
-    return tuple(
-        _select(instances, _read_manifest(mdir / f"{part}.ids"))
-        for part in ("train", "val", "test")
-    )
+    manifests = {part: _read_manifest(mdir / f"{part}.ids") for part in ("train", "val", "test")}
+    path = mdir / CORPUS_STORE
+    if not path.is_file():
+        raise InputError(f"missing corpus store {path}; run `causalpairs ingest` first")
+    try:
+        _, meta, arrays = modelfile.read(path, "corpus")
+        if meta.get("input_checksums") != checksums:
+            raise InputError(f"{path} was stored for other corpus files")
+        ids, kinds, labels = meta["ids"], meta["kinds"], meta["labels"]
+        n_obs, x, y = arrays["n_obs"], arrays["x"], arrays["y"]
+        if not (
+            len(ids) == len(kinds) == len(labels) == len(n_obs)
+            and n_obs.ndim == 1 and n_obs.sum() == len(x) == len(y)
+        ):
+            raise InputError(f"{path}: corpus store arrays do not match its ids")
+        row_of = {pid: k for k, pid in enumerate(ids)}
+        rows = {part: _select(row_of, listed) for part, listed in manifests.items()}
+        ends = np.cumsum(n_obs)
+
+        def pair(k):
+            span = slice(ends[k] - n_obs[k], ends[k])
+            kx, ky = kinds[k]
+            return PairInstance(
+                ids[k], x[span].copy(), y[span].copy(),
+                AttributeKind(kx), AttributeKind(ky), labels[k],
+            )
+
+        return tuple([pair(k) for k in rows[part]] for part in parts)
+    except (KeyError, TypeError, ValueError, AttributeError, InputError) as exc:
+        raise InputError(f"{exc}; run `causalpairs ingest` again") from exc
 
 
 def _rasterize_all(instances, side):
@@ -184,7 +240,8 @@ def cmd_generate(args):
 
 def cmd_ingest(args):
     out = Path(args.out)
-    instances = _load_corpus(args)
+    checksums = _corpus_checksums(args)
+    instances = read_pairs_files(args.pairs, args.info, args.target)
     spec = SplitSpec(train_frac=args.train_frac, val_frac=args.val_frac, seed=args.seed)
     parts = split(instances, spec)
     mdir = out / "manifests"
@@ -193,7 +250,8 @@ def cmd_ingest(args):
         with open(mdir / f"{name}.ids", "w", encoding="utf-8", newline="\n") as f:
             for inst in part:
                 f.write(inst.id + "\n")
-    _write_run_meta(out, "ingest", args, _corpus_paths(args))
+    _write_store(mdir / CORPUS_STORE, instances, checksums)
+    _write_run_meta(out, "ingest", args, checksums)
     print(
         f"ingested {len(instances)} instances: "
         f"{len(parts[0])}/{len(parts[1])}/{len(parts[2])} train/val/test"
@@ -203,15 +261,16 @@ def cmd_ingest(args):
 
 def cmd_rasterize(args):
     out = Path(args.out)
-    instances = _load_corpus(args)
+    checksums = _corpus_checksums(args)
+    instances = read_pairs_files(args.pairs, args.info, args.target)
     if args.manifest:
-        instances = _select(instances, _read_manifest(args.manifest))
+        instances = _select({inst.id: inst for inst in instances}, _read_manifest(args.manifest))
     imgdir = out / "images"
     imgdir.mkdir(parents=True, exist_ok=True)
     images = _rasterize_all(instances, args.side)
     for inst, img in zip(instances, images):
         raster.write_image(img, imgdir / f"{inst.id}.pgm")
-    _write_run_meta(out, "rasterize", args, _corpus_paths(args))
+    _write_run_meta(out, "rasterize", args, checksums)
     print(f"rasterized {len(instances)} images at side {args.side} -> {imgdir}")
     return EXIT_OK
 
@@ -249,8 +308,8 @@ def _fit_gbc(args, train_insts):
 
 def cmd_train(args):
     out = Path(args.out)
-    instances = _load_corpus(args)
-    train_insts, val_insts, _ = _manifest_splits(args, instances)
+    checksums = _corpus_checksums(args)
+    train_insts, val_insts = _load_splits(args, checksums, ("train", "val"))
     if args.augment:
         train_insts = augment_all(train_insts)
     if args.kind == "cnn":
@@ -282,7 +341,7 @@ def cmd_train(args):
         f"trained {args.kind} on {len(train_insts)} instances "
         f"({'augmented' if args.augment else 'plain'}); {summary}"
     )
-    _write_run_meta(out, f"train-{args.kind}", args, _corpus_paths(args))
+    _write_run_meta(out, f"train-{args.kind}", args, checksums)
     return EXIT_OK
 
 
@@ -311,18 +370,18 @@ def _model_probs(model, instances):
 
 def cmd_evaluate(args):
     out = Path(args.out)
-    instances = _load_corpus(args)
-    splits = dict(zip(("train", "val", "test"), _manifest_splits(args, instances)))
-    target = splits[args.split]
-    truths = [inst.label for inst in target]
+    checksums = _corpus_checksums(args)
     model = _load_model(args.model)
+    model2 = _load_model(args.model2) if args.model2 else None
+    # the corpus after the models: the other way round, bench/run.py read a
+    # peak RSS about 5 MB higher for evaluate
+    target, val = _load_splits(args, checksums, (args.split, "val"))
+    truths = [inst.label for inst in target]
     p1 = _model_probs(model, target)
     chosen_w = None
-    if args.model2:
-        model2 = _load_model(args.model2)
+    if model2 is not None:
         p2 = _model_probs(model2, target)
         if args.weight == "tune":
-            val = splits["val"]
             val_truths = [inst.label for inst in val]
             chosen_w = tune_weight(
                 _model_probs(model, val),
@@ -359,7 +418,7 @@ def cmd_evaluate(args):
         f.write(f"auc_bwd={_fmt(auc_bwd)}\n")
         if chosen_w is not None:
             f.write(f"w={_fmt(chosen_w)}\n")
-    _write_run_meta(out, "evaluate", args, _corpus_paths(args))
+    _write_run_meta(out, "evaluate", args, checksums)
     w_note = f", w={chosen_w}" if chosen_w is not None else ""
     print(f"{args.split}: accuracy={acc:.4f}, auc={auc:.4f}{w_note}")
     return EXIT_OK
@@ -378,7 +437,8 @@ def _subsample(inst: PairInstance, count: int, seed: int) -> tuple[PairInstance,
 
 def cmd_sparse_sweep(args):
     out = Path(args.out)
-    instances = _load_corpus(args)
+    checksums = _corpus_checksums(args)
+    instances = read_pairs_files(args.pairs, args.info, args.target)
     counts = _parse_ints(args.obs_counts, "--obs-counts")
     if any(c < 2 for c in counts):
         raise ConfigurationError(f"observation counts must be >= 2: {counts}")
@@ -418,7 +478,7 @@ def cmd_sparse_sweep(args):
         f.write("count,cnn_accuracy,cnn_auc,gbc_accuracy,gbc_auc\n")
         for count, *scores in rows:
             f.write(f"{count},{','.join(map(_fmt, scores))}\n")
-    _write_run_meta(out, "sparse-sweep", args, _corpus_paths(args))
+    _write_run_meta(out, "sparse-sweep", args, checksums)
     return EXIT_OK
 
 

@@ -245,9 +245,7 @@ def _file_rows(f):
 
 def read_pairs_files(pairs_path, info_path, target_path) -> list[PairInstance]:
     """parse_pairs over the three files, each streamed row by row."""
-    # pairs rows run to tens of KB.  On glibc, freeing a 1 MiB buffer also
-    # raises malloc's mmap threshold to 1 MiB, so later temporaries below it,
-    # such as boosting's split-search arrays, reuse heap pages, not fresh maps.
+    # pairs rows run to tens of KB: read them through a buffer that holds many
     with (
         open(pairs_path, "rb", buffering=1 << 20) as pairs,
         open(info_path, "rb") as info,

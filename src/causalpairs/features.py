@@ -243,7 +243,8 @@ def extract_features(instance: PairInstance) -> np.ndarray:
 
 def feature_matrix(instances) -> np.ndarray:
     """[n_instances, N_FEATURES] matrix in FEATURE_NAMES column order."""
-    return np.array([extract_features(inst) for inst in instances], dtype=np.float64)
+    rows = [extract_features(inst) for inst in instances]
+    return np.array(rows, dtype=np.float64).reshape(len(rows), N_FEATURES)
 
 
 def write_feature_csv(path, ids, matrix) -> None:

@@ -1,4 +1,4 @@
-"""The one container every model file uses.
+"""The one container every model file, and ingest's corpus store, uses.
 
 Layout: the magic ``CPMF``, a u32 version (2) and a u64 header length; a
 UTF-8 JSON header ``{"kind", "meta", "arrays": [[name, dtype, shape], ...]}``;

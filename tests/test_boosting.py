@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from causalpairs.boosting import (
     load_gbc,
     presort,
     save_gbc,
+    split_workspace,
 )
 from causalpairs.errors import (
     ConfigurationError,
@@ -162,8 +164,11 @@ def reference_best_split(X, y):
     return best
 
 
-def reference_fit_tree(X, y, depth_limit, min_split):
-    """Recursive tree growth calling reference_best_split on each node's rows."""
+def reference_fit_tree(X, y, depth_limit, min_split, order=None, work=None):
+    """Recursive tree growth calling reference_best_split on each node's rows.
+
+    Takes and ignores the presort and workspace that gbc_fit passes.
+    """
     tree = RegressionTree()
 
     def grow(idx, depth):
@@ -234,6 +239,28 @@ class TestPresortedSearch:
             plain = best_split(X, y)
             assert plain == best_split(X, y, presort(X))
             assert plain == reference_best_split(X, y)
+
+    def test_best_split_with_workspace_allocates_no_feature_by_row_array(self):
+        rng = np.random.default_rng(7)
+        n_feat, peaks = 43, {}
+        for n in (1000, 4000):
+            X, y = rng.normal(size=(n, n_feat)), rng.normal(size=n)
+            order, work = presort(X), split_workspace(n_feat, n)
+            want = best_split(X, y, order)
+            # a workspace sized for the root serves a smaller node too
+            assert best_split(X[:n // 2], y[:n // 2], presort(X[:n // 2]), work) == (
+                best_split(X[:n // 2], y[:n // 2])
+            )
+            tracemalloc.start()
+            try:
+                assert best_split(X, y, order, work) == want
+                peaks[n] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        # what remains is n-long vectors and numpy's fixed iterator buffers:
+        # less than one byte per added [n_features, n] element
+        assert peaks[4000] - peaks[1000] < n_feat * 3000
+        assert peaks[4000] < n_feat * 4000
 
     def test_presort_is_stable_column_argsort(self):
         X = tied_matrix(np.random.default_rng(6), n=40)

@@ -308,7 +308,11 @@ class TestEvaluate:
             "--weight", "tune",
         )
         assert code == 0
-        assert reads == [str(trained / "models" / name) for name in ("cnn.model", "gbc.model")]
+        # each model once, then the corpus store once
+        assert [str(p) for p in reads] == [
+            str(trained / name)
+            for name in ("models/cnn.model", "models/gbc.model", "manifests/corpus.cpmf")
+        ]
 
     @pytest.mark.parametrize("data", [
         b"CPBM" + struct.pack("<IQQ", 1, 2, 0) + b"{}",
@@ -564,6 +568,183 @@ def test_train_gbc_extracts_each_row_once(corpus, tmp_path, monkeypatch):
     assert code == 0
     n_train = len((tmp_path / "manifests" / "train.ids").read_text().split())
     assert len(calls) == 2 * n_train == len(set(calls))
+
+
+# ---------------------------------------------------------------------------
+# The corpus store: ingest parses the text once; train and evaluate load it.
+
+
+def copied_corpus(corpus, dest):
+    dest.mkdir()
+    for name in ("pairs.csv", "info.csv", "target.csv"):
+        (dest / name).write_bytes((corpus / name).read_bytes())
+    return dest
+
+
+def mixed_kind_corpus(dest):
+    """Corpus files holding num, cat and bin attributes, values at float64's edges."""
+    rows = [
+        ("n1", "num", "num", "-0.0 5e-324 1.7976931348623157e308 0.1 -2.5",
+         "1 2 3 4 5", "1"),
+        ("c1", "cat", "num", "7.5 -3 7.5 0.0 -0.0", "0.3 0.1 0.2 0.4 0.5", "-1"),
+        ("b1", "bin", "cat", "0 1 1 0 1", "40 40 2 9007199254740993 2", "0"),
+        ("c2", "cat", "bin", "3 3 3 1", "1 0 0 1", "1"),
+        ("n2", "num", "bin", "1e-300 2e-300 -1e300 4", "0 0 1 1", "-1"),
+    ]
+    (dest / "pairs.csv").write_text("".join(f"{r[0]},{r[3]},{r[4]}\n" for r in rows))
+    (dest / "info.csv").write_text("".join(f"{r[0]},{r[1]},{r[2]}\n" for r in rows))
+    (dest / "target.csv").write_text("".join(f"{r[0]},{r[5]}\n" for r in rows))
+    return dest
+
+
+class TestCorpusStore:
+    def test_round_trip_is_bit_exact(self, tmp_path):
+        from causalpairs import cli, modelfile
+        from causalpairs.dataset import read_pairs_files
+
+        corpus = mixed_kind_corpus(tmp_path)
+        assert run("ingest", *corpus_flags(corpus), "--out", tmp_path, "--seed", 1) == 0
+        _, meta, _ = modelfile.read(tmp_path / "manifests" / "corpus.cpmf", "corpus")
+        assert meta["ids"] == ["n1", "c1", "b1", "c2", "n2"]
+        args = argparse.Namespace(out=tmp_path, **{
+            name: corpus / f"{name}.csv" for name in ("pairs", "info", "target")
+        })
+        splits = cli._load_splits(args, cli._corpus_checksums(args), ("train", "val", "test"))
+        loaded = sorted((i for part in splits for i in part), key=lambda i: meta["ids"].index(i.id))
+        parsed = read_pairs_files(*(corpus / f"{n}.csv" for n in ("pairs", "info", "target")))
+        assert {i.x_kind.value for i in loaded} | {i.y_kind.value for i in loaded} == {
+            "num", "cat", "bin"
+        }
+        assert [i.id for i in loaded] == [i.id for i in parsed]
+        for got, want in zip(loaded, parsed):
+            assert (got.id, got.x_kind, got.y_kind, got.label) == (
+                want.id, want.x_kind, want.y_kind, want.label
+            )
+            for a, b in ((got.x, want.x), (got.y, want.y)):
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+                assert not a.flags.writeable
+
+    def test_train_and_evaluate_parse_no_text(self, corpus, tmp_path, monkeypatch):
+        from causalpairs import dataset
+
+        flags = corpus_flags(corpus)
+        assert run("ingest", *flags, "--out", tmp_path, "--seed", 1) == 0
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the corpus text was parsed")
+
+        monkeypatch.setattr(dataset, "parse_pairs", refuse)
+        assert run(
+            "train", "cnn", *flags, "--out", tmp_path, "--side", 32,
+            "--channels", TINY_CHANNELS, "--epochs", 1, "--batch-size", 8,
+        ) == 0
+        assert run("train", "gbc", *flags, "--out", tmp_path, "--n-estimators", 2) == 0
+        assert run(
+            "evaluate", *flags, "--out", tmp_path,
+            "--model", tmp_path / "models" / "cnn.model",
+            "--model2", tmp_path / "models" / "gbc.model",
+        ) == 0
+
+    def test_run_meta_checksums_match_the_store(self, trained, corpus):
+        from causalpairs import modelfile
+
+        _, meta, _ = modelfile.read(trained / "manifests" / "corpus.cpmf", "corpus")
+        for command in ("ingest", "train-cnn", "train-gbc"):
+            run_meta = json.loads((trained / f"{command}.run.meta").read_text())
+            assert run_meta["input_checksums"] == meta["input_checksums"]
+        assert sorted(meta["input_checksums"]) == ["info", "pairs", "target"]
+
+    @pytest.mark.parametrize("name", ["pairs.csv", "info.csv", "target.csv"])
+    def test_corpus_edited_after_ingest_is_input_error(self, corpus, tmp_path, capsys, name):
+        corpus = copied_corpus(corpus, tmp_path / "corpus")
+        out = tmp_path / "run"
+        assert run("ingest", *corpus_flags(corpus), "--out", out, "--seed", 1) == 0
+        # the same rows, other bytes
+        with open(corpus / name, "ab") as f:
+            f.write(b"\n")
+        capsys.readouterr()
+        assert run("train", "gbc", *corpus_flags(corpus), "--out", out) == 2
+        err = capsys.readouterr().err
+        assert "stored for other corpus files" in err and "run `causalpairs ingest`" in err
+        assert not (out / "models").exists()
+
+    @pytest.mark.parametrize("damage", ["missing", "flipped", "truncated"])
+    def test_unusable_store_is_input_error(self, corpus, trained, tmp_path, capsys, damage):
+        import shutil
+
+        out = tmp_path / "run"
+        shutil.copytree(trained, out)
+        store = out / "manifests" / "corpus.cpmf"
+        data = store.read_bytes()
+        if damage == "missing":
+            store.unlink()
+        elif damage == "flipped":
+            store.write_bytes(data[:200] + bytes([data[200] ^ 1]) + data[201:])
+        else:
+            store.write_bytes(data[: len(data) // 2])
+        capsys.readouterr()
+        for argv in (
+            ["train", "gbc", "--n-estimators", 2],
+            ["evaluate", "--model", out / "models" / "gbc.model"],
+        ):
+            assert run(*argv, *corpus_flags(corpus), "--out", out) == 2
+            err = capsys.readouterr().err
+            assert "run `causalpairs ingest`" in err and "Traceback" not in err
+
+    def test_every_manifest_is_checked_against_the_store(self, corpus, tmp_path, capsys):
+        # train builds only its train and val pairs, but an unknown test id still fails
+        assert run("ingest", *corpus_flags(corpus), "--out", tmp_path, "--seed", 1) == 0
+        with open(tmp_path / "manifests" / "test.ids", "a") as f:
+            f.write("no-such-pair\n")
+        capsys.readouterr()
+        assert run("train", "gbc", *corpus_flags(corpus), "--out", tmp_path) == 2
+        assert "manifest ids missing from corpus: ['no-such-pair']" in capsys.readouterr().err
+
+    def test_ingest_writes_identical_stores(self, corpus, tmp_path):
+        stores = []
+        for name in ("a", "b"):
+            out = tmp_path / name
+            assert run("ingest", *corpus_flags(corpus), "--out", out, "--seed", 1) == 0
+            stores.append((out / "manifests" / "corpus.cpmf").read_bytes())
+        assert stores[0] == stores[1]
+
+
+def test_empty_train_manifest_is_input_error(corpus, tmp_path, capsys):
+    assert run("ingest", *corpus_flags(corpus), "--out", tmp_path, "--seed", 1) == 0
+    (tmp_path / "manifests" / "train.ids").write_text("")
+    assert run("train", "gbc", *corpus_flags(corpus), "--out", tmp_path) == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_empty_val_manifest_is_input_error_when_tuning(corpus, trained, tmp_path, capsys):
+    import shutil
+
+    out = tmp_path / "run"
+    shutil.copytree(trained, out)
+    (out / "manifests" / "val.ids").write_text("")
+    code = run(
+        "evaluate", *corpus_flags(corpus), "--out", out,
+        "--model", out / "models" / "cnn.model",
+        "--model2", out / "models" / "gbc.model", "--weight", "tune",
+    )
+    assert code == 2
+    assert "cannot tune on an empty validation set" in capsys.readouterr().err
+
+
+def test_non_utf8_manifest_is_input_error(corpus, trained, tmp_path, capsys):
+    import shutil
+
+    out = tmp_path / "run"
+    shutil.copytree(trained, out)
+    manifest = out / "manifests" / "test.ids"
+    manifest.write_bytes(manifest.read_bytes() + b"pair\xff\n")
+    code = run(
+        "evaluate", *corpus_flags(corpus), "--out", out,
+        "--model", out / "models" / "gbc.model",
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert str(manifest) in err and "not UTF-8" in err
 
 
 class TestSparseSweep:

@@ -145,6 +145,10 @@ def test_permutation_invariance():
     assert a == pytest.approx(b, abs=1e-12)
 
 
+def test_feature_matrix_of_no_instances_has_every_column():
+    assert feature_matrix([]).shape == (0, N_FEATURES)
+
+
 def test_feature_csv(tmp_path):
     insts = [instance(np.arange(5.0), np.arange(5.0) * 2, pid=f"i{k}") for k in range(3)]
     mat = feature_matrix(insts)
