@@ -7,9 +7,10 @@ Output directory layout (created under --out):
     images/      <id>.pgm scatter plots, for viewing; no command reads them
     models/      cnn.model / gbc.model
     reports/     predictions.csv, report.txt, train logs, sparse_sweep.csv
-ingest, rasterize and sparse-sweep parse the corpus text.  train and
-evaluate load ingest's corpus.cpmf instead, and refuse it (exit 2) when
-it is missing, corrupt or stored for other corpus bytes.
+Only ingest parses the corpus text.  Every later command (rasterize,
+train, evaluate, sparse-sweep) loads ingest's corpus.cpmf and split
+manifests instead, and refuses the store (exit 2) when it is missing,
+corrupt or stored for other corpus bytes.
 Every command that needs scatter images rasterizes the corpus in memory.
 ``train cnn`` and ``train gbc`` each take only their own model's flags.
 Each command writes a ``<command>.run.meta`` JSON (its own parameters,
@@ -62,8 +63,9 @@ EXIT_TRAINING = 3
 EXIT_METRIC = 4
 
 DEFAULT_SWEEP_COUNTS = "100,200,500,1000"
-# the parsed corpus, written by ingest and read by train and evaluate
+# the parsed corpus, written by ingest and read by every later command
 CORPUS_STORE = "corpus.cpmf"
+SPLITS = ("train", "val", "test")
 
 
 def _sha256_file(path) -> str:
@@ -126,14 +128,6 @@ def _read_manifest(path) -> list[str]:
     return [line.strip() for line in text.splitlines() if line.strip()]
 
 
-def _select(by_id, ids):
-    """by_id[pid] for every id of a manifest; one the corpus lacks is an InputError."""
-    missing = [pid for pid in ids if pid not in by_id]
-    if missing:
-        raise InputError(f"manifest ids missing from corpus: {missing[:5]}...")
-    return [by_id[pid] for pid in ids]
-
-
 def _load_splits(args, checksums, parts) -> tuple:
     """The instances each manifest in parts names, from ingest's corpus store.
 
@@ -143,7 +137,7 @@ def _load_splits(args, checksums, parts) -> tuple:
     return: views that kept it alive read higher peak RSS in ``train cnn``.
     """
     mdir = Path(args.out) / "manifests"
-    manifests = {part: _read_manifest(mdir / f"{part}.ids") for part in ("train", "val", "test")}
+    manifests = {part: _read_manifest(mdir / f"{part}.ids") for part in SPLITS}
     path = mdir / CORPUS_STORE
     if not path.is_file():
         raise InputError(f"missing corpus store {path}; run `causalpairs ingest` first")
@@ -159,7 +153,9 @@ def _load_splits(args, checksums, parts) -> tuple:
         ):
             raise InputError(f"{path}: corpus store arrays do not match its ids")
         row_of = {pid: k for k, pid in enumerate(ids)}
-        rows = {part: _select(row_of, listed) for part, listed in manifests.items()}
+        missing = [pid for listed in manifests.values() for pid in listed if pid not in row_of]
+        if missing:
+            raise InputError(f"manifest ids missing from corpus: {missing[:5]}...")
         ends = np.cumsum(n_obs)
 
         def pair(k):
@@ -170,7 +166,7 @@ def _load_splits(args, checksums, parts) -> tuple:
                 AttributeKind(kx), AttributeKind(ky), labels[k],
             )
 
-        return tuple([pair(k) for k in rows[part]] for part in parts)
+        return tuple([pair(row_of[pid]) for pid in manifests[part]] for part in parts)
     except (KeyError, TypeError, ValueError, AttributeError, InputError) as exc:
         raise InputError(f"{exc}; run `causalpairs ingest` again") from exc
 
@@ -246,7 +242,7 @@ def cmd_ingest(args):
     parts = split(instances, spec)
     mdir = out / "manifests"
     mdir.mkdir(parents=True, exist_ok=True)
-    for name, part in zip(("train", "val", "test"), parts):
+    for name, part in zip(SPLITS, parts):
         with open(mdir / f"{name}.ids", "w", encoding="utf-8", newline="\n") as f:
             for inst in part:
                 f.write(inst.id + "\n")
@@ -262,9 +258,7 @@ def cmd_ingest(args):
 def cmd_rasterize(args):
     out = Path(args.out)
     checksums = _corpus_checksums(args)
-    instances = read_pairs_files(args.pairs, args.info, args.target)
-    if args.manifest:
-        instances = _select({inst.id: inst for inst in instances}, _read_manifest(args.manifest))
+    instances = [i for part in _load_splits(args, checksums, SPLITS) for i in part]
     imgdir = out / "images"
     imgdir.mkdir(parents=True, exist_ok=True)
     images = _rasterize_all(instances, args.side)
@@ -333,7 +327,8 @@ def cmd_train(args):
     (out / "models").mkdir(parents=True, exist_ok=True)
     save(model, out / "models" / f"{args.kind}.model")
     (out / "reports").mkdir(parents=True, exist_ok=True)
-    with open(out / "reports" / f"{args.kind}_train_log.csv", "w", newline="\n") as f:
+    log_path = out / "reports" / f"{args.kind}_train_log.csv"
+    with open(log_path, "w", encoding="utf-8", newline="\n") as f:
         f.write(f"{log[0]},n_train\n")
         for line in log[1:]:
             f.write(f"{line},{len(train_insts)}\n")
@@ -407,11 +402,11 @@ def cmd_evaluate(args):
     rdir = out / "reports"
     rdir.mkdir(parents=True, exist_ok=True)
     scores = signed_scores(probs)
-    with open(rdir / "predictions.csv", "w", newline="\n") as f:
+    with open(rdir / "predictions.csv", "w", encoding="utf-8", newline="\n") as f:
         f.write("id,p1,p0,p_neg1,score,predicted_label\n")
         for inst, p, s, pred in zip(target, probs, scores, preds):
             f.write(f"{inst.id},{','.join(map(_fmt, p))},{_fmt(s)},{pred}\n")
-    with open(rdir / "report.txt", "w", newline="\n") as f:
+    with open(rdir / "report.txt", "w", encoding="utf-8", newline="\n") as f:
         f.write(f"accuracy={_fmt(acc)}\n")
         f.write(f"auc={_fmt(auc)}\n")
         f.write(f"auc_fwd={_fmt(auc_fwd)}\n")
@@ -424,41 +419,34 @@ def cmd_evaluate(args):
     return EXIT_OK
 
 
-def _subsample(inst: PairInstance, count: int, seed: int) -> tuple[PairInstance, bool]:
+def _subsample(inst: PairInstance, count: int, seed: int) -> PairInstance:
     if count >= inst.n_obs:
-        return inst, count > inst.n_obs
+        return inst
     rng = make_rng(seed)
     idx = np.sort(rng.choice(inst.n_obs, size=count, replace=False))
-    return (
-        dataclasses.replace(inst, x=inst.x[idx], y=inst.y[idx]),
-        False,
-    )
+    return dataclasses.replace(inst, x=inst.x[idx], y=inst.y[idx])
 
 
 def cmd_sparse_sweep(args):
     out = Path(args.out)
     checksums = _corpus_checksums(args)
-    instances = read_pairs_files(args.pairs, args.info, args.target)
     counts = _parse_ints(args.obs_counts, "--obs-counts")
     if any(c < 2 for c in counts):
         raise ConfigurationError(f"observation counts must be >= 2: {counts}")
+    parts = _load_splits(args, checksums, SPLITS)
     rows = []
     for count in counts:
-        subsampled = []
-        clamped = 0
-        for inst in instances:
-            sub, was_clamped = _subsample(
-                inst, count, derive_seed(args.seed, "sparse", inst.id)
-            )
-            clamped += int(was_clamped)
-            subsampled.append(sub)
+        clamped = sum(inst.n_obs < count for part in parts for inst in part)
         if clamped:
             print(
                 f"warning: count {count} exceeds observations for {clamped} "
                 f"instances; clamped to available",
                 file=sys.stderr,
             )
-        train_insts, val_insts, test_insts = split(subsampled, SplitSpec(seed=args.seed))
+        train_insts, val_insts, test_insts = (
+            [_subsample(i, count, derive_seed(args.seed, "sparse", i.id)) for i in part]
+            for part in parts
+        )
         if args.augment:
             train_insts = augment_all(train_insts)
         cnn_model, _ = _fit_cnn(args, train_insts, val_insts)
@@ -474,7 +462,7 @@ def cmd_sparse_sweep(args):
         )
     rdir = out / "reports"
     rdir.mkdir(parents=True, exist_ok=True)
-    with open(rdir / "sparse_sweep.csv", "w", newline="\n") as f:
+    with open(rdir / "sparse_sweep.csv", "w", encoding="utf-8", newline="\n") as f:
         f.write("count,cnn_accuracy,cnn_auc,gbc_accuracy,gbc_auc\n")
         for count, *scores in rows:
             f.write(f"{count},{','.join(map(_fmt, scores))}\n")
@@ -549,7 +537,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_corpus_flags(p)
     p.add_argument("--out", required=True)
     p.add_argument("--side", type=int, default=raster.DEFAULT_SIDE)
-    p.add_argument("--manifest", default=None, help="restrict to ids in this manifest")
     p.set_defaults(func=cmd_rasterize)
 
     p = sub.add_parser("train", help="train a model on the ingested split")
@@ -574,13 +561,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--weight", default="tune",
                    help="ensemble weight for --model: a number, or 'tune'")
     p.add_argument("--tune-metric", choices=("auc", "accuracy"), default="auc")
-    p.add_argument("--split", choices=("train", "val", "test"), default="test")
+    p.add_argument("--split", choices=SPLITS, default="test")
     p.add_argument("--exclude-zero", action="store_true",
                    help="drop label-0 instances from both sub-AUCs")
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("sparse-sweep",
-                       help="retrain and compare models at reduced observation counts")
+                       help="retrain both models on ingest's split at reduced observation counts")
     _add_corpus_flags(p)
     p.add_argument("--out", required=True)
     p.add_argument("--obs-counts", default=DEFAULT_SWEEP_COUNTS)

@@ -6,6 +6,8 @@ File formats (one row per instance, no headers):
   vectors, space-separated within their comma-separated fields;
 * info file:   ``id,kindA,kindB`` with kind tokens ``num``/``cat``/``bin``;
 * target file: ``id,label`` with label in {1, 0, -1}.
+
+An id is non-empty and holds no ``/``, ``\\`` or NUL.
 """
 
 from dataclasses import dataclass
@@ -50,6 +52,11 @@ class PairInstance:
     label: int
 
     def __post_init__(self):
+        # ids name files (images/<id>.pgm) and manifest lines
+        if not self.id or any(c in self.id for c in "/\\\0"):
+            raise ValidationError(
+                f"instance id {self.id!r} must be non-empty and hold no '/', '\\' or NUL"
+            )
         x = np.ascontiguousarray(self.x, dtype=np.float64)
         y = np.ascontiguousarray(self.y, dtype=np.float64)
         if x.ndim != 1 or y.ndim != 1:

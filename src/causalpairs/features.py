@@ -246,10 +246,3 @@ def feature_matrix(instances) -> np.ndarray:
     rows = [extract_features(inst) for inst in instances]
     return np.array(rows, dtype=np.float64).reshape(len(rows), N_FEATURES)
 
-
-def write_feature_csv(path, ids, matrix) -> None:
-    """Comma-separated export: id column first, then named feature columns."""
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write("id," + ",".join(FEATURE_NAMES) + "\n")
-        for pid, row in zip(ids, matrix):
-            f.write(pid + "," + ",".join(repr(float(v)) for v in row) + "\n")

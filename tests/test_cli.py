@@ -13,6 +13,9 @@ from causalpairs.cli import build_parser, main
 from causalpairs.errors import ConfigurationError
 
 TINY_CHANNELS = "4,4,4,4,4,4,4,4,4,4"
+# a sweep that runs in a second, should it get past its input checks
+TINY_SWEEP = ["sparse-sweep", "--obs-counts", 20, "--side", 32, "--channels", TINY_CHANNELS,
+              "--epochs", 1, "--n-estimators", 2]
 
 
 def run(*argv):
@@ -119,6 +122,7 @@ class TestIngest:
 class TestRasterize:
     def test_default_and_custom_side(self, corpus, tmp_path):
         out = tmp_path / "run"
+        assert run("ingest", *corpus_flags(corpus), "--out", out, "--seed", 1) == 0
         assert run("rasterize", *corpus_flags(corpus), "--out", out, "--side", 64) == 0
         images = sorted((out / "images").glob("*.pgm"))
         assert len(images) == 48
@@ -127,6 +131,7 @@ class TestRasterize:
 
     def test_rerun_byte_identical(self, corpus, tmp_path):
         out = tmp_path / "run"
+        run("ingest", *corpus_flags(corpus), "--out", out, "--seed", 1)
         run("rasterize", *corpus_flags(corpus), "--out", out, "--side", 32)
         blobs = {p.name: p.read_bytes() for p in (out / "images").glob("*.pgm")}
         run("rasterize", *corpus_flags(corpus), "--out", out, "--side", 32)
@@ -403,11 +408,16 @@ def test_unwritable_out_is_input_error(corpus, tmp_path, capsys, command):
     plain.write_text("")
     if command == "generate":
         argv = ["generate", "--out", plain / "sub", "--count", 4, "--n-obs", 30]
+        message = "Not a directory"
     else:
-        argv = ["rasterize", *corpus_flags(corpus), "--out", plain, "--side", 32]
+        assert run("ingest", *corpus_flags(corpus), "--out", tmp_path, "--seed", 1) == 0
+        (tmp_path / "images").write_text("")
+        argv = ["rasterize", *corpus_flags(corpus), "--out", tmp_path, "--side", 32]
+        message = "File exists"
+    capsys.readouterr()
     assert run(*argv) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and "Not a directory" in err
+    assert err.startswith("error: ") and message in err
     assert "Traceback" not in err
 
 
@@ -432,6 +442,7 @@ def test_train_cnn_ignores_rasterized_images(corpus, tmp_path):
     for name, earlier in (("viewed", corpus), ("plain", None)):
         out = tmp_path / name
         if earlier:
+            assert run("ingest", *corpus_flags(earlier), "--out", out, "--seed", 1) == 0
             assert run("rasterize", *corpus_flags(earlier), "--out", out, "--side", 32) == 0
         assert run("ingest", *corpus_flags(fresh), "--out", out, "--seed", 1) == 0
         assert run(
@@ -574,10 +585,16 @@ def test_train_gbc_extracts_each_row_once(corpus, tmp_path, monkeypatch):
 # The corpus store: ingest parses the text once; train and evaluate load it.
 
 
-def copied_corpus(corpus, dest):
+def copied_corpus(corpus, dest, rename=None):
+    """The corpus files copied to dest; rename=(old, new) changes one pair's id."""
     dest.mkdir()
     for name in ("pairs.csv", "info.csv", "target.csv"):
-        (dest / name).write_bytes((corpus / name).read_bytes())
+        data = (corpus / name).read_bytes()
+        if rename:
+            old, new = (pid.encode() + b"," for pid in rename)
+            assert data.count(old) == 1
+            data = data.replace(old, new)
+        (dest / name).write_bytes(data)
     return dest
 
 
@@ -625,6 +642,7 @@ class TestCorpusStore:
                 assert not a.flags.writeable
 
     def test_train_and_evaluate_parse_no_text(self, corpus, tmp_path, monkeypatch):
+        # nor do rasterize and sparse-sweep: only ingest parses the text
         from causalpairs import dataset
 
         flags = corpus_flags(corpus)
@@ -634,6 +652,7 @@ class TestCorpusStore:
             raise AssertionError("the corpus text was parsed")
 
         monkeypatch.setattr(dataset, "parse_pairs", refuse)
+        assert run("rasterize", *flags, "--out", tmp_path, "--side", 32) == 0
         assert run(
             "train", "cnn", *flags, "--out", tmp_path, "--side", 32,
             "--channels", TINY_CHANNELS, "--epochs", 1, "--batch-size", 8,
@@ -644,6 +663,7 @@ class TestCorpusStore:
             "--model", tmp_path / "models" / "cnn.model",
             "--model2", tmp_path / "models" / "gbc.model",
         ) == 0
+        assert run(*TINY_SWEEP, *flags, "--out", tmp_path) == 0
 
     def test_run_meta_checksums_match_the_store(self, trained, corpus):
         from causalpairs import modelfile
@@ -663,10 +683,11 @@ class TestCorpusStore:
         with open(corpus / name, "ab") as f:
             f.write(b"\n")
         capsys.readouterr()
-        assert run("train", "gbc", *corpus_flags(corpus), "--out", out) == 2
-        err = capsys.readouterr().err
-        assert "stored for other corpus files" in err and "run `causalpairs ingest`" in err
-        assert not (out / "models").exists()
+        for argv in (["train", "gbc", "--n-estimators", 2], ["rasterize"], TINY_SWEEP):
+            assert run(*argv, *corpus_flags(corpus), "--out", out) == 2
+            err = capsys.readouterr().err
+            assert "stored for other corpus files" in err and "run `causalpairs ingest`" in err
+        assert sorted(p.name for p in out.iterdir()) == ["ingest.run.meta", "manifests"]
 
     @pytest.mark.parametrize("damage", ["missing", "flipped", "truncated"])
     def test_unusable_store_is_input_error(self, corpus, trained, tmp_path, capsys, damage):
@@ -684,8 +705,10 @@ class TestCorpusStore:
             store.write_bytes(data[: len(data) // 2])
         capsys.readouterr()
         for argv in (
+            ["rasterize"],
             ["train", "gbc", "--n-estimators", 2],
             ["evaluate", "--model", out / "models" / "gbc.model"],
+            TINY_SWEEP,
         ):
             assert run(*argv, *corpus_flags(corpus), "--out", out) == 2
             err = capsys.readouterr().err
@@ -750,6 +773,7 @@ def test_non_utf8_manifest_is_input_error(corpus, trained, tmp_path, capsys):
 class TestSparseSweep:
     def test_table_and_clamp_warning(self, corpus, tmp_path, capsys):
         out = tmp_path / "sweep"
+        assert run("ingest", *corpus_flags(corpus), "--out", out, "--seed", 1) == 0
         code = run(
             "sparse-sweep", *corpus_flags(corpus), "--out", out,
             "--obs-counts", "20,100", "--side", 32,
@@ -770,6 +794,7 @@ class TestSparseSweep:
         tables = []
         for name in ("a", "b"):
             out = tmp_path / name
+            assert run("ingest", *corpus_flags(corpus), "--out", out, "--seed", 2) == 0
             code = run(
                 "sparse-sweep", *corpus_flags(corpus), "--out", out,
                 "--obs-counts", "15,40", "--side", 32,
@@ -789,10 +814,51 @@ class TestSparseSweep:
         )
         assert code == 2
 
+    def test_fits_and_scores_on_the_ingested_split(self, corpus, tmp_path, monkeypatch):
+        # other fractions and another seed than the sweep's: the manifests rule
+        from causalpairs import cli
 
-def run_python(*args):
+        assert run(
+            "ingest", *corpus_flags(corpus), "--out", tmp_path, "--seed", 3,
+            "--train-frac", 0.5, "--val-frac", 0.25,
+        ) == 0
+        seen = {"train": [], "val": [], "test": []}
+        fit_cnn, fit_gbc, model_probs = cli._fit_cnn, cli._fit_gbc, cli._model_probs
+
+        def record_cnn(args, train_insts, val_insts):
+            seen["train"].append([i.id for i in train_insts])
+            seen["val"].append([i.id for i in val_insts])
+            return fit_cnn(args, train_insts, val_insts)
+
+        def record_gbc(args, train_insts):
+            seen["train"].append([i.id for i in train_insts])
+            return fit_gbc(args, train_insts)
+
+        def record_probs(model, instances):
+            seen["test"].append([i.id for i in instances])
+            return model_probs(model, instances)
+
+        monkeypatch.setattr(cli, "_fit_cnn", record_cnn)
+        monkeypatch.setattr(cli, "_fit_gbc", record_gbc)
+        monkeypatch.setattr(cli, "_model_probs", record_probs)
+        flags = [*corpus_flags(corpus), "--out", tmp_path, "--obs-counts", "20,30", "--seed", 1]
+        assert run(*TINY_SWEEP, *flags) == 0
+        for part, calls in seen.items():
+            listed = (tmp_path / "manifests" / f"{part}.ids").read_text().split()
+            # two counts; both models use train and test, only the CNN val
+            assert calls == [listed] * (2 if part == "val" else 4), part
+
+    @pytest.mark.parametrize("argv", [["rasterize"], TINY_SWEEP], ids=["rasterize", "sweep"])
+    def test_without_ingest_is_input_error(self, corpus, tmp_path, capsys, argv):
+        assert run(*argv, *corpus_flags(corpus), "--out", tmp_path) == 2
+        err = capsys.readouterr().err
+        assert "run `causalpairs ingest` first" in err and "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
+
+
+def run_python(*args, env=()):
     src = Path(__file__).resolve().parents[1] / "src"
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    env = {**os.environ, **dict(env), "PYTHONPATH": os.pathsep.join(
         p for p in (str(src), os.environ.get("PYTHONPATH")) if p
     )}
     return subprocess.run(
@@ -814,3 +880,54 @@ def test_cli_import_does_not_load_scipy():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_reports_are_utf8_under_any_locale(corpus, tmp_path):
+    # pair00003 falls in the seed-1 train split
+    renamed = copied_corpus(corpus, tmp_path / "corpus", rename=("pair00003", "pair\u00e903"))
+    flags = [str(a) for a in corpus_flags(renamed)]
+    outputs = []
+    locales = {"utf8": {"PYTHONUTF8": "1"}, "ascii": {"PYTHONUTF8": "0", "LC_ALL": "C"}}
+    for name, env in locales.items():
+        out = tmp_path / name
+        for argv in (
+            ["ingest", "--seed", "1"],
+            ["train", "gbc", "--n-estimators", "2"],
+            ["evaluate", "--model", str(out / "models" / "gbc.model"), "--split", "train"],
+        ):
+            proc = run_python("-m", "causalpairs.cli", *argv, *flags, "--out", str(out), env=env)
+            assert proc.returncode == 0, proc.stderr
+        # run.meta records the --out path, which differs
+        outputs.append({
+            p.relative_to(out): p.read_bytes()
+            for p in out.rglob("*") if p.is_file() and p.suffix != ".meta"
+        })
+    assert outputs[0] == outputs[1]
+    assert "\npair\u00e903,".encode() in outputs[0][Path("reports/predictions.csv")]
+
+
+@pytest.mark.parametrize("pid", ["", "../../escaped", "pair\0"], ids=["empty", "path", "nul"])
+def test_unsafe_pair_id_is_input_error(corpus, tmp_path, capsys, pid):
+    renamed = copied_corpus(corpus, tmp_path / "corpus", rename=("pair00003", pid))
+    out = tmp_path / "run"
+    assert run("ingest", *corpus_flags(renamed), "--out", out) == 2
+    err = capsys.readouterr().err
+    assert f"instance id {pid!r} must be non-empty" in err
+    assert not out.exists()
+
+
+def test_unsafe_pair_id_in_the_store_is_input_error(corpus, tmp_path, capsys):
+    from causalpairs import modelfile
+
+    out = tmp_path / "run" / "out"
+    assert run("ingest", *corpus_flags(corpus), "--out", out, "--seed", 1) == 0
+    store = out / "manifests" / "corpus.cpmf"
+    _, meta, arrays = modelfile.read(store, "corpus")
+    meta["ids"][meta["ids"].index("pair00003")] = "../../escaped"
+    modelfile.write(store, "corpus", meta, arrays)
+    train_ids = out / "manifests" / "train.ids"
+    train_ids.write_text(train_ids.read_text().replace("pair00003", "../../escaped"))
+    capsys.readouterr()
+    assert run("rasterize", *corpus_flags(corpus), "--out", out, "--side", 32) == 2
+    assert "instance id '../../escaped' must be non-empty" in capsys.readouterr().err
+    assert not list((tmp_path / "run").rglob("*.pgm"))

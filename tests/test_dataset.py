@@ -146,6 +146,15 @@ def test_categorical_code_out_of_range_rejected(code):
         make_instance(x=(0.0, code, 1.0), x_kind=AttributeKind.CATEGORICAL)
 
 
+@pytest.mark.parametrize("pid", ["", "../up", "a\\b", "a\0b"])
+def test_unsafe_id_rejected(pid):
+    # ids name image files and manifest lines
+    with pytest.raises(ValidationError, match="must be non-empty"):
+        make_instance(pid=pid)
+    with pytest.raises(ValidationError, match="must be non-empty"):
+        parse_pairs(PAIRS.replace("p1", pid), INFO.replace("p1", pid), TARGET.replace("p1", pid))
+
+
 # Every row separator str.splitlines() knows, which a streamed file must split at too.
 SEPARATORS = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
               "\u2028", "\u2029"]

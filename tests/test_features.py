@@ -14,7 +14,6 @@ from causalpairs.features import (
     SWAP_EXCHANGE,
     extract_features,
     feature_matrix,
-    write_feature_csv,
 )
 from causalpairs.ranks import rankdata
 from causalpairs.raster import discretize
@@ -147,20 +146,6 @@ def test_permutation_invariance():
 
 def test_feature_matrix_of_no_instances_has_every_column():
     assert feature_matrix([]).shape == (0, N_FEATURES)
-
-
-def test_feature_csv(tmp_path):
-    insts = [instance(np.arange(5.0), np.arange(5.0) * 2, pid=f"i{k}") for k in range(3)]
-    mat = feature_matrix(insts)
-    assert mat.shape == (3, N_FEATURES)
-    path = tmp_path / "features.csv"
-    write_feature_csv(path, [i.id for i in insts], mat)
-    lines = path.read_text().splitlines()
-    assert lines[0].split(",")[:2] == ["id", FEATURE_NAMES[0]]
-    assert len(lines) == 4
-    row = lines[1].split(",")
-    assert row[0] == "i0"
-    assert float(row[1 + FEATURE_NAMES.index("log_n")]) == pytest.approx(np.log(5))
 
 
 def test_raw_variance_overflow_is_validation_error():
