@@ -24,6 +24,7 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -263,7 +264,8 @@ def cmd_rasterize(args):
     imgdir.mkdir(parents=True, exist_ok=True)
     images = _rasterize_all(instances, args.side)
     for inst, img in zip(instances, images):
-        raster.write_image(img, imgdir / f"{inst.id}.pgm")
+        # the id's UTF-8 bytes under any locale, as in every text output
+        raster.write_image(img, os.path.join(bytes(imgdir), inst.id.encode("utf-8") + b".pgm"))
     _write_run_meta(out, "rasterize", args, checksums)
     print(f"rasterized {len(instances)} images at side {args.side} -> {imgdir}")
     return EXIT_OK
@@ -296,7 +298,7 @@ def _fit_gbc(args, train_insts):
         learning_rate=args.gbc_lr,
     )
     return boosting.gbc_fit(
-        features.feature_matrix(train_insts), [i.label for i in train_insts], cfg
+        features.extract_features(train_insts), [i.label for i in train_insts], cfg
     )
 
 
@@ -359,7 +361,7 @@ def _model_probs(model, instances):
     if isinstance(model, cnn.CnnModel):
         images = _rasterize_all(instances, model.arch.input_side)
         return cnn.predict_batch(model, images)
-    mat = features.feature_matrix(instances)
+    mat = features.extract_features(instances)
     return boosting.gbc_predict_batch(model, mat)
 
 

@@ -1,4 +1,4 @@
-"""Statistical feature vector for a pair instance (43 features).
+"""Statistical feature vectors for pair instances (43 features per pair).
 
 The set is this package's own documented, order-fixed collection of
 standard descriptive statistics plus directional measures built on the
@@ -14,29 +14,38 @@ an ``_xy``/``_yx`` suffix marks directional features.  Swapping the two
 attributes of an instance exchanges each such pair and leaves every other
 feature unchanged; SWAP_EXCHANGE lists the exchanged index pairs.
 
-Cost: the extractor runs once per pair, so it spends its time in numpy
-call overhead rather than arithmetic, and it keeps the number of calls
-small without changing a bit of the result.  Each attribute is sorted once
-(``ranks.rank_groups``): the average ranks serve both the rank
-normalization and Spearman, and the distinct count serves ``uniq_ratio``
-and the constant-attribute test.  Each vector is centred once, and every
-mean and variance is the reduction ``ndarray.mean``/``var`` perform inside:
-``np.add.reduce`` (numpy's pairwise sum) over the vector in data order,
-divided by n.  The conditional statistics take each bin's values as a
-contiguous slice of one stable sort by bin, so each bin's sums also run in
-data order.  Pairs are not batched together: ``np.add.reduceat`` over
-concatenated pairs sums each segment sequentially rather than pairwise,
-which changes the low bits.  Nor is ``z**3`` written ``z * z * z``: the
-two round differently.
+Batching: ``extract_features`` takes a list of pairs and works on chunks
+of them, each chunk's observations concatenated into one vector per
+attribute.  Only the sort, one argsort per attribute per pair, and
+``raster.discretize`` run per pair.  The sort gives the sorted order, and
+``ranks.sorted_ranks`` turns it into average ranks and distinct counts.
+Everything else is a segment reduction over the chunk: ``np.add.reduceat``
+for sums, which adds each pair's terms one after another, and
+``np.bincount`` on ``pair * bins + bin`` for the joint histogram and the
+per-bin sums.  A chunk holds at most _CHUNK_OBS observations (one pair at
+least), which bounds the memory of a batch.  A pair's features depend on
+its own observations only, never on its chunk or on the other pairs.
+
+Exactness:
+
+* Each attribute's own moments (of the normalized values, the ranks and
+  the raw values) are summed over the attribute in sorted order.  So the
+  per-attribute features do not change by a bit when the rows are
+  permuted, and a tie-free numerical attribute's mean, std, skewness and
+  kurtosis depend on n alone.
+* Swapping the attributes gives the exchanged vector bit for bit.  Cross
+  sums multiply elementwise, which commutes; the correlation denominators
+  are ``n * (sa * sb)``; the joint entropy is summed over the sorted joint
+  counts, which a transpose of the histogram does not change.
 """
 
 from typing import NamedTuple
 
 import numpy as np
 
-from .dataset import AttributeKind, PairInstance
+from .dataset import AttributeKind
 from .errors import ValidationError
-from .ranks import rank_groups
+from .ranks import sorted_ranks
 from .raster import discretize
 
 FEATURE_BINS = 10
@@ -70,179 +79,249 @@ SWAP_EXCHANGE = tuple(
     for base in _DIRECTIONAL
 )
 
+# observations per chunk: a chunk's temporaries peak near 20 float64
+# vectors of this length, about 10 MB, however many pairs a batch holds
+_CHUNK_OBS = 65_536
 
 _LOG_BINS = np.log(FEATURE_BINS)
 
 
-class _Centred(NamedTuple):
-    mean: np.float64
-    dev: np.ndarray    # v - mean
-    var: np.float64    # population variance
+class _Segments(NamedTuple):
+    """A chunk's pairs laid end to end in one vector per attribute."""
 
+    sizes: np.ndarray   # [P] observations per pair
+    n: np.ndarray       # [P] the same as float64
+    starts: np.ndarray  # [P] index of each pair's first observation
 
-def _centred(v: np.ndarray) -> _Centred:
-    """What v.mean() and v.var() compute, without their Python wrappers."""
-    n = len(v)
-    mean = np.add.reduce(v) / n
-    dev = v - mean
-    return _Centred(mean, dev, np.add.reduce(dev * dev) / n)
+    def sum(self, v: np.ndarray) -> np.ndarray:
+        """Each pair's sum of v, its terms added in the order they appear."""
+        return np.add.reduceat(v, self.starts)
 
+    def spread(self, per_pair: np.ndarray) -> np.ndarray:
+        """[N] array holding each pair's value at each of its observations."""
+        return np.repeat(per_pair, self.sizes)
 
-def _shape(c: _Centred):
-    """Standard deviation, skewness and excess kurtosis."""
-    std = np.sqrt(c.var)
-    if std < 1e-12:
-        return float(std), 0.0, 0.0
-    z = c.dev / std
-    n = len(z)
-    return float(std), float(np.add.reduce(z**3) / n), float(np.add.reduce(z**4) / n - 3.0)
+    def centred(self, v: np.ndarray):
+        """Each pair's mean, v minus its pair's mean, and population variance."""
+        mean = self.sum(v) / self.n
+        dev = v - self.spread(mean)
+        return mean, dev, self.sum(dev * dev) / self.n
+
+    def shape(self, dev: np.ndarray, std: np.ndarray):
+        """Skewness and excess kurtosis from deviations; 0 where std < 1e-12."""
+        ok = std >= 1e-12
+        z = dev / self.spread(np.where(ok, std, 1.0))
+        z2 = z * z
+        skew = np.where(ok, self.sum(z2 * z) / self.n, 0.0)
+        kurt = np.where(ok, self.sum(z2 * z2) / self.n - 3.0, 0.0)
+        return skew, kurt
 
 
 class _Attribute(NamedTuple):
-    """One attribute's sort and centred vectors, shared by all its features."""
+    """One attribute of every pair in a chunk; [N] arrays are in data order."""
 
-    norm: np.ndarray    # rank-normalized (numerical) or the integer codes
-    distinct: int
-    centred: _Centred   # of norm
-    ranks: _Centred     # of the average ranks, for Spearman
-    raw: _Centred       # of the raw values, for Pearson
-
-
-def _attribute(raw: np.ndarray, kind: AttributeKind) -> _Attribute:
-    ranks, distinct = rank_groups(raw)
-    if kind is AttributeKind.NUMERICAL:
-        norm = ranks / len(raw)
-        return _Attribute(norm, distinct, _centred(norm), _centred(ranks), _centred(raw))
-    centred = _centred(raw)
-    return _Attribute(raw, distinct, centred, _centred(ranks), centred)
-
-
-def _entropy(counts: np.ndarray, n: int) -> float:
-    p = counts[counts > 0] / n
-    return float(-np.add.reduce(p * np.log(p)))
+    kinds: list
+    norm: np.ndarray      # [N] rank-normalized (numerical) or the integer codes
+    bins: np.ndarray      # [N] FEATURE_BINS-bin discretization of norm
+    distinct: np.ndarray  # [P]
+    mean: np.ndarray      # [P] of norm
+    dev: np.ndarray       # [N] norm minus its mean
+    var: np.ndarray       # [P] of norm
+    std: np.ndarray       # [P] of norm, 0 for a constant attribute
+    skew: np.ndarray
+    kurt: np.ndarray
+    rank_dev: np.ndarray  # [N] for Spearman
+    rank_std: np.ndarray
+    raw_dev: np.ndarray   # [N] for Pearson
+    raw_std: np.ndarray   # [P] not finite where the raw spread overflows
 
 
-def _corr(a: _Centred, b: _Centred) -> float:
-    sa, sb = np.sqrt(a.var), np.sqrt(b.var)
-    if sa < 1e-12 or sb < 1e-12:
-        return 0.0
-    return float(np.dot(a.dev, b.dev) / (len(a.dev) * sa * sb))
+def _attribute(seg: _Segments, vectors, kinds) -> _Attribute:
+    raw = np.concatenate(vectors)
+    size = len(raw)
+    # the sort, per pair, as indices into the chunk.  Tied values may come
+    # in any order: they have one rank, and a sum does not depend on
+    # where its zeros of either sign fall.
+    order = np.concatenate([np.argsort(v) for v in vectors])
+    order += seg.spread(seg.starts)
+    ordered = raw[order]
+    ranks_sorted, distinct = sorted_ranks(ordered, seg.starts)
+    ranks = np.empty(size)
+    ranks[order] = ranks_sorted
+    numerical = seg.spread(np.array([k is AttributeKind.NUMERICAL for k in kinds]))
+    n_obs = seg.spread(seg.n)
+    norm_sorted = np.where(numerical, ranks_sorted / n_obs, ordered)
+    norm = np.where(numerical, ranks / n_obs, raw)
+
+    # the attribute's own moments, summed in sorted order
+    mean, dev_sorted, var = seg.centred(norm_sorted)
+    std = np.where(distinct == 1, 0.0, np.sqrt(var))
+    skew, kurt = seg.shape(dev_sorted, std)
+    rank_mean, _, rank_var = seg.centred(ranks_sorted)
+    with np.errstate(over="ignore", invalid="ignore"):
+        # a raw spread beyond float64 is reported by _chunk_features
+        raw_mean, _, raw_var = seg.centred(ordered)
+        raw_dev = raw - seg.spread(raw_mean)
+
+    bounds = np.append(seg.starts, size).tolist()
+    bins = np.concatenate([
+        discretize(norm[i:j], FEATURE_BINS, kind)
+        for i, j, kind in zip(bounds[:-1], bounds[1:], kinds)
+    ])
+    return _Attribute(
+        kinds=kinds, norm=norm, bins=bins, distinct=distinct,
+        mean=mean, dev=norm - seg.spread(mean), var=var, std=std, skew=skew, kurt=kurt,
+        rank_dev=ranks - seg.spread(rank_mean), rank_std=np.sqrt(rank_var),
+        raw_dev=raw_dev, raw_std=np.sqrt(raw_var),
+    )
 
 
-def _fit_stats(a: _Attribute, b: _Attribute):
-    """Least-squares b ~ a: slope, residual variance, residual skew/kurtosis."""
-    ca, cb = a.centred, b.centred
-    if ca.var < 1e-24:
-        slope = 0.0
-    else:
-        slope = float(np.dot(ca.dev, cb.dev) / (len(ca.dev) * ca.var))
-    resid = b.norm - (cb.mean + slope * ca.dev)
-    cr = _centred(resid)
-    # np.ptp(resid) == 0.0 without its Python wrapper
-    if np.maximum.reduce(resid) - np.minimum.reduce(resid) == 0.0:
-        rskew = rkurt = 0.0
-    else:
-        _, rskew, rkurt = _shape(cr)
-    return slope, float(max(cr.var, 0.0)), rskew, rkurt
+def _entropy(counts: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """Entropy (nats) of each row of counts over n observations; 0 log 0 = 0."""
+    p = counts / n[:, None]
+    return -np.add.reduce(p * np.log(np.where(counts > 0, p, 1.0)), axis=1)
 
 
-def _conditional_stats(bins_a: np.ndarray, counts_a: np.ndarray, b: np.ndarray):
-    """Mean and spread of std(b | bin of a) over occupied bins.
+def _corr(seg: _Segments, dev_a, std_a, dev_b, std_b) -> np.ndarray:
+    """Correlation of each pair; 0 where either side is (nearly) constant."""
+    ok = (std_a >= 1e-12) & (std_b >= 1e-12)
+    denom = np.where(ok, seg.n * (std_a * std_b), 1.0)
+    return np.where(ok, seg.sum(dev_a * dev_b) / denom, 0.0)
 
-    A stable sort by bin (a radix sort on uint8) lays each bin's values out
-    contiguously in data order, so each slice's sums are those of
-    ``b[bins_a == k]``.
+
+def _fit_stats(seg: _Segments, a: _Attribute, b: _Attribute, cov: np.ndarray):
+    """Least-squares b ~ a: slope, residual variance, residual skew/kurtosis.
+
+    cov is each pair's sum of a.dev * b.dev.
     """
-    grouped = b[np.argsort(bins_a.astype(np.uint8), kind="stable")]
-    sizes = counts_a[counts_a > 0]
-    ends = np.cumsum(sizes).tolist()
-    spans = list(zip([0] + ends[:-1], ends))
-    means = np.array([np.add.reduce(grouped[i:j]) for i, j in spans]) / sizes
-    dev = grouped - np.repeat(means, sizes)
-    dev *= dev
-    stds = np.sqrt(np.array([np.add.reduce(dev[i:j]) for i, j in spans]) / sizes)
-    c = _centred(stds)
-    return float(c.mean), float(np.sqrt(c.var))
+    flat = a.var < 1e-24
+    slope = np.where(flat, 0.0, cov / np.where(flat, 1.0, seg.n * a.var))
+    resid = b.norm - (seg.spread(b.mean) + seg.spread(slope) * a.dev)
+    _, dev, var = seg.centred(resid)
+    varies = np.maximum.reduceat(resid, seg.starts) != np.minimum.reduceat(resid, seg.starts)
+    rskew, rkurt = seg.shape(dev, np.where(varies, np.sqrt(var), 0.0))
+    return slope, var, rskew, rkurt
 
 
-def extract_features(instance: PairInstance) -> np.ndarray:
-    """The 43-feature vector in FEATURE_NAMES order; every value finite."""
-    n = instance.n_obs
-    if n < 2:
-        raise ValidationError(f"instance {instance.id}: need >= 2 observations")
+def _conditional_stats(seg: _Segments, key_a: np.ndarray, counts_a: np.ndarray, b):
+    """Mean and spread of std(b | bin of a) over each pair's occupied bins.
+
+    key_a is ``pair * FEATURE_BINS + bin`` of a, counts_a its [P, bins] counts.
+    """
+    size = counts_a.size
+    occupied = counts_a > 0
+    denom = np.where(occupied, counts_a, 1).ravel()
+    means = np.bincount(key_a, weights=b, minlength=size) / denom
+    dev = b - means[key_a]
+    stds = np.sqrt(np.bincount(key_a, weights=dev * dev, minlength=size) / denom)
+    stds = stds.reshape(counts_a.shape)
+    k = np.count_nonzero(occupied, axis=1)
+    mean = np.add.reduce(stds, axis=1) / k
+    spread = np.where(occupied, stds - mean[:, None], 0.0)
+    return mean, np.sqrt(np.add.reduce(spread * spread, axis=1) / k)
+
+
+def _chunk_features(instances) -> np.ndarray:
+    """The feature rows of one chunk of pairs, each with at least 2 observations."""
+    sizes = np.array([inst.n_obs for inst in instances])
+    n = len(sizes)
+    seg = _Segments(sizes, sizes.astype(np.float64), np.cumsum(sizes) - sizes)
+    x = _attribute(seg, [i.x for i in instances], [i.x_kind for i in instances])
+    y = _attribute(seg, [i.y for i in instances], [i.y_kind for i in instances])
+
+    bad = ~(np.isfinite(x.raw_std) & np.isfinite(y.raw_std))
+    if bad.any():
+        p = int(np.argmax(bad))
+        side = "y" if np.isfinite(x.raw_std[p]) else "x"
+        raise ValidationError(
+            f"instance {instances[p].id}: the variance of {side} overflows float64,"
+            " so its Pearson correlation is undefined"
+        )
 
     out = {}
-    x = _attribute(instance.x, instance.x_kind)
-    y = _attribute(instance.y, instance.y_kind)
-
-    for side, attr, kind in (("x", x, instance.x_kind), ("y", y, instance.y_kind)):
-        out[f"kind_num_{side}"] = float(kind is AttributeKind.NUMERICAL)
-        out[f"kind_cat_{side}"] = float(kind is AttributeKind.CATEGORICAL)
-        out[f"kind_bin_{side}"] = float(kind is AttributeKind.BINARY)
-        out[f"mean_{side}"] = float(attr.centred.mean)
-        if attr.distinct == 1:
-            std, skew, kurt = 0.0, 0.0, 0.0
-        else:
-            std, skew, kurt = _shape(attr.centred)
-        out[f"std_{side}"] = std
-        out[f"skew_{side}"] = skew
-        out[f"kurt_{side}"] = kurt
-        out[f"uniq_ratio_{side}"] = attr.distinct / n
-        if not np.isfinite(attr.raw.var):
-            raise ValidationError(
-                f"instance {instance.id}: the variance of {side} overflows float64,"
-                " so its Pearson correlation is undefined"
+    for side, a in (("x", x), ("y", y)):
+        for kind in AttributeKind:
+            out[f"kind_{kind.value}_{side}"] = np.array(
+                [float(k is kind) for k in a.kinds]
             )
+        out[f"mean_{side}"] = a.mean
+        out[f"std_{side}"] = a.std
+        out[f"skew_{side}"] = a.skew
+        out[f"kurt_{side}"] = a.kurt
+        out[f"uniq_ratio_{side}"] = a.distinct / seg.n
 
-    xb = discretize(x.norm, FEATURE_BINS, instance.x_kind)
-    yb = discretize(y.norm, FEATURE_BINS, instance.y_kind)
-    joint = np.bincount(xb * FEATURE_BINS + yb, minlength=FEATURE_BINS * FEATURE_BINS)
-    joint = joint.reshape(FEATURE_BINS, FEATURE_BINS)
-    cx = np.add.reduce(joint, axis=1)
-    cy = np.add.reduce(joint, axis=0)
-    hx = _entropy(cx, n)
-    hy = _entropy(cy, n)
-    hxy = _entropy(joint.ravel(), n)
-    mi = max(hx + hy - hxy, 0.0)
+    base = seg.spread(np.arange(0, n * FEATURE_BINS, FEATURE_BINS))
+    joint = np.bincount(
+        (base + x.bins) * FEATURE_BINS + y.bins, minlength=n * FEATURE_BINS * FEATURE_BINS
+    ).reshape(n, FEATURE_BINS, FEATURE_BINS)
+    cx = np.add.reduce(joint, axis=2)
+    cy = np.add.reduce(joint, axis=1)
+    hx = _entropy(cx, seg.n)
+    hy = _entropy(cy, seg.n)
+    hxy = _entropy(np.sort(joint.reshape(n, -1), axis=1), seg.n)
+    mi = np.maximum(hx + hy - hxy, 0.0)
 
     out["entropy_x"] = hx / _LOG_BINS
     out["entropy_y"] = hy / _LOG_BINS
-    out["mode_freq_x"] = float(cx.max()) / n
-    out["mode_freq_y"] = float(cy.max()) / n
-    out["condstd_mean_xy"], out["condstd_spread_xy"] = _conditional_stats(xb, cx, y.norm)
-    out["condstd_mean_yx"], out["condstd_spread_yx"] = _conditional_stats(yb, cy, x.norm)
+    out["mode_freq_x"] = cx.max(axis=1) / seg.n
+    out["mode_freq_y"] = cy.max(axis=1) / seg.n
+    out["condstd_mean_xy"], out["condstd_spread_xy"] = _conditional_stats(
+        seg, base + x.bins, cx, y.norm
+    )
+    out["condstd_mean_yx"], out["condstd_spread_yx"] = _conditional_stats(
+        seg, base + y.bins, cy, x.norm
+    )
     out["condent_xy"] = (hxy - hx) / _LOG_BINS
     out["condent_yx"] = (hxy - hy) / _LOG_BINS
 
+    cov = seg.sum(x.dev * y.dev)
     for d, a, b in (("xy", x, y), ("yx", y, x)):
-        slope, resvar, rskew, rkurt = _fit_stats(a, b)
-        out[f"slope_{d}"] = slope
-        out[f"resvar_{d}"] = resvar
-        out[f"res_skew_{d}"] = rskew
-        out[f"res_kurt_{d}"] = rkurt
+        (out[f"slope_{d}"], out[f"resvar_{d}"],
+         out[f"res_skew_{d}"], out[f"res_kurt_{d}"]) = _fit_stats(seg, a, b, cov)
 
-    out["log_n"] = float(np.log(n))
-    pearson = _corr(x.raw, y.raw)
-    spearman = _corr(x.ranks, y.ranks)
+    out["log_n"] = np.log(seg.n)
+    pearson = _corr(seg, x.raw_dev, x.raw_std, y.raw_dev, y.raw_std)
+    spearman = _corr(seg, x.rank_dev, x.rank_std, y.rank_dev, y.rank_std)
     out["pearson"] = pearson
-    out["abs_pearson"] = abs(pearson)
+    out["abs_pearson"] = np.abs(pearson)
     out["spearman"] = spearman
-    out["abs_spearman"] = abs(spearman)
+    out["abs_spearman"] = np.abs(spearman)
     out["mutual_info"] = mi
     denom = np.sqrt(hx * hy)
-    out["mutual_info_norm"] = mi / denom if denom > 1e-12 else 0.0
+    ok = denom > 1e-12
+    out["mutual_info_norm"] = np.where(ok, mi / np.where(ok, denom, 1.0), 0.0)
     out["joint_entropy_norm"] = hxy / (2.0 * _LOG_BINS)
-    out["occupied_ratio"] = np.count_nonzero(joint) / (FEATURE_BINS * FEATURE_BINS)
+    out["occupied_ratio"] = np.count_nonzero(
+        joint.reshape(n, -1), axis=1
+    ) / (FEATURE_BINS * FEATURE_BINS)
 
-    vec = np.array([out[name] for name in FEATURE_NAMES], dtype=np.float64)
-    if not np.isfinite(vec).all():
-        bad = [FEATURE_NAMES[i] for i in np.flatnonzero(~np.isfinite(vec))]
-        raise ValidationError(f"non-finite features {bad} for instance {instance.id}")
-    return vec
+    mat = np.column_stack([out[name] for name in FEATURE_NAMES])
+    finite = np.isfinite(mat)
+    if not finite.all():
+        p = int(np.argmin(finite.all(axis=1)))
+        bad = [FEATURE_NAMES[i] for i in np.flatnonzero(~finite[p])]
+        raise ValidationError(f"non-finite features {bad} for instance {instances[p].id}")
+    return mat
 
 
-def feature_matrix(instances) -> np.ndarray:
-    """[n_instances, N_FEATURES] matrix in FEATURE_NAMES column order."""
-    rows = [extract_features(inst) for inst in instances]
-    return np.array(rows, dtype=np.float64).reshape(len(rows), N_FEATURES)
+def extract_features(instances) -> np.ndarray:
+    """[len(instances), N_FEATURES] matrix in FEATURE_NAMES column order.
 
+    instances is a sequence of PairInstance; pass one pair as ``[inst]``.
+    Every value is finite: a pair with fewer than 2 observations, a raw
+    spread that overflows float64 or a non-finite feature raises
+    ValidationError naming the first pair at fault.
+    """
+    for inst in instances:
+        if inst.n_obs < 2:
+            raise ValidationError(f"instance {inst.id}: need >= 2 observations")
+    out = np.empty((len(instances), N_FEATURES))
+    start = 0
+    while start < len(instances):
+        stop, total = start + 1, instances[start].n_obs
+        while stop < len(instances) and total + instances[stop].n_obs <= _CHUNK_OBS:
+            total += instances[stop].n_obs
+            stop += 1
+        out[start:stop] = _chunk_features(instances[start:stop])
+        start = stop
+    return out

@@ -3,23 +3,26 @@
 import numpy as np
 
 
-def rank_groups(values) -> tuple[np.ndarray, int]:
-    """Average ranks of a finite 1-D array and its number of distinct values.
+def sorted_ranks(ordered: np.ndarray, starts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Average ranks of sorted segments, and each segment's distinct count.
 
-    One stable sort gives both: the ranks are 1-based and tied values share
-    their mean rank (exact half-integers), and the distinct count is the
-    number of runs of equal values in sorted order (``0.0 == -0.0``).
+    ordered holds non-empty segments laid end to end, each sorted
+    ascending, and starts[i] is where segment i begins.  Ranks are 1-based
+    within each segment and tied values share their mean rank (exact
+    half-integers).  A segment's distinct count is its number of runs of
+    equal values (``0.0 == -0.0``).
     """
-    values = np.asarray(values)
-    order = np.argsort(values, kind="stable")
-    ordered = values[order]
-    # bounds[i] is where the i-th group of equal values starts in sorted order
-    starts = np.ones(len(values) + 1, dtype=bool)
-    starts[1:-1] = ordered[1:] != ordered[:-1]
-    bounds = np.flatnonzero(starts)
-    ranks = np.empty(len(values))
-    ranks[order] = np.repeat(0.5 * (bounds[:-1] + bounds[1:] + 1), bounds[1:] - bounds[:-1])
-    return ranks, len(bounds) - 1
+    size = len(ordered)
+    # new[i]: ordered[i] begins a run of equal values
+    new = np.empty(size, dtype=bool)
+    new[1:] = ordered[1:] != ordered[:-1]
+    new[starts] = True
+    first = np.flatnonzero(new)
+    run = np.diff(first, append=size)
+    segment = np.searchsorted(starts, first, side="right") - 1
+    local = first - starts[segment]
+    ranks = np.repeat(0.5 * (2 * local + run + 1), run)
+    return ranks, np.bincount(segment, minlength=len(starts))
 
 
 def rankdata(values) -> np.ndarray:
@@ -27,4 +30,9 @@ def rankdata(values) -> np.ndarray:
 
     Equal to ``scipy.stats.rankdata(values)`` (method "average").
     """
-    return rank_groups(values)[0]
+    values = np.asarray(values)
+    order = np.argsort(values, kind="stable")
+    ranks = np.empty(len(values))
+    if len(values):
+        ranks[order] = sorted_ranks(values[order], np.zeros(1, dtype=np.intp))[0]
+    return ranks

@@ -53,8 +53,8 @@ class ScatterImage:
 def discretize(values: np.ndarray, m: int, kind: AttributeKind) -> np.ndarray:
     """Map values to bin indices in [0, m-1].
 
-    Numerical: equal-width bins over [vmin, vmax]; a constant vector maps
-    to bin 0.  Categorical/binary: category k goes to bin k, modulo m when
+    Numerical: equal-width bins over [vmin, vmax], for any finite values;
+    a constant vector maps to bin 0.  Categorical/binary: category k goes to bin k, modulo m when
     there are more than m categories.
     """
     values = np.asarray(values, dtype=np.float64)
@@ -63,11 +63,16 @@ def discretize(values: np.ndarray, m: int, kind: AttributeKind) -> np.ndarray:
     if m < 2:
         raise ConfigurationError(f"bin count m must be >= 2, got {m}")
     if kind is AttributeKind.NUMERICAL:
-        vmin = values.min()
-        vmax = values.max()
+        # Python floats: a span beyond float64 becomes inf without a warning
+        vmin = float(values.min())
+        vmax = float(values.max())
         if vmax == vmin:
             return np.zeros(values.shape, dtype=np.int64)
-        bins = np.floor((values - vmin) / (vmax - vmin) * m).astype(np.int64)
+        span = vmax - vmin
+        if span == np.inf:
+            # halve the operands; a finite span keeps its bits below
+            values, vmin, span = values / 2, vmin / 2, vmax / 2 - vmin / 2
+        bins = np.floor((values - vmin) / span * m).astype(np.int64)
         return np.minimum(bins, m - 1)
     cats = values.astype(np.int64)
     if cats.max() + 1 <= m:

@@ -34,7 +34,6 @@ from causalpairs.ensemble import (
     rank_auc,
     tune_weight,
 )
-from causalpairs.features import feature_matrix
 from causalpairs.nnet import (
     Conv,
     Dense,

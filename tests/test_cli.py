@@ -391,14 +391,14 @@ def test_diverging_gbc_is_training_error(corpus, tmp_path, capsys):
 
 
 def test_gbc_ending_above_its_initial_loss_is_training_error(corpus, tmp_path, capsys):
-    # finite scores throughout, but the train log-loss climbs from 1.0629 to 6.2798
+    # finite scores throughout, but the train log-loss climbs from 1.0629 to 5.2331
     out = tmp_path / "run"
     assert run("ingest", *corpus_flags(corpus), "--out", out, "--seed", 1) == 0
     code = run("train", "gbc", *corpus_flags(corpus), "--out", out,
                "--gbc-lr", "1e10", "--max-depth", 2, "--n-estimators", 20)
     assert code == 3
     err = capsys.readouterr().err
-    assert "log-loss 6.2798 is above the initial 1.0629" in err
+    assert "log-loss 5.2331 is above the initial 1.0629" in err
     assert not (out / "models" / "gbc.model").exists()
 
 
@@ -565,20 +565,48 @@ def test_pearson_overflow_is_input_error(tmp_path):
 
 
 def test_train_gbc_extracts_each_row_once(corpus, tmp_path, monkeypatch):
-    # the per-pair entry point stays the one a tracer can wrap and count
+    # the batch entry point stays the one a tracer can wrap and count
     from causalpairs import features
 
-    calls = []
+    ids = []
     original = features.extract_features
-    monkeypatch.setattr(
-        features, "extract_features", lambda inst: calls.append(inst.id) or original(inst)
-    )
+
+    def counted(instances):
+        ids.extend(inst.id for inst in instances)
+        return original(instances)
+
+    monkeypatch.setattr(features, "extract_features", counted)
     flags = corpus_flags(corpus)
     assert run("ingest", *flags, "--out", tmp_path, "--seed", 1) == 0
     code = run("train", "gbc", *flags, "--out", tmp_path, "--augment", "--n-estimators", 2)
     assert code == 0
     n_train = len((tmp_path / "manifests" / "train.ids").read_text().split())
-    assert len(calls) == 2 * n_train == len(set(calls))
+    assert len(ids) == 2 * n_train == len(set(ids))
+
+
+def test_span_beyond_float64_rasterizes(tmp_path):
+    import dataclasses
+
+    from causalpairs import dataset, raster, synth
+
+    # the span of x in one pair is 2e308, beyond float64; bins used to come
+    # out of inf / inf as the int64 minimum, an IndexError
+    instances = synth.generate_benchmark(40, n_obs_range=(40, 40), seed=2)
+    wide = instances[5].x.copy()
+    wide[3], wide[7] = 1e308, -1e308
+    instances[5] = dataclasses.replace(instances[5], x=wide)
+    flags = [tmp_path / name for name in ("pairs.csv", "info.csv", "target.csv")]
+    dataset.write_pairs_files(instances, *flags)
+    flags = [x for flag, path in zip(("--pairs", "--info", "--target"), flags)
+             for x in (flag, path)]
+    out = tmp_path / "run"
+    assert run("ingest", *flags, "--out", out, "--seed", 1) == 0
+    assert run("rasterize", *flags, "--out", out, "--side", 32) == 0
+    assert run("train", "cnn", *flags, "--out", out, "--side", 32, "--channels",
+               TINY_CHANNELS, "--epochs", 1, "--batch-size", 8) == 0
+    image = raster.read_image(out / "images" / f"{instances[5].id}.pgm")
+    # the two extremes land in the first and the last column
+    assert image.pixels[:, 0].any() and image.pixels[:, -1].any()
 
 
 # ---------------------------------------------------------------------------
@@ -882,6 +910,17 @@ def test_cli_import_does_not_load_scipy():
     assert proc.stdout.strip() == "[]"
 
 
+def test_bench_tracer_finds_every_entry_point():
+    # bench/child.py wraps the package's functions by name; a rename would
+    # otherwise fail only the minute-long bench tests
+    bench = Path(__file__).resolve().parents[1] / "bench"
+    proc = run_python(
+        "-c", f"import sys; sys.path.insert(0, {str(bench)!r}); "
+        "import child, spans; child.install(spans.Tracer(), [])",
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_reports_are_utf8_under_any_locale(corpus, tmp_path):
     # pair00003 falls in the seed-1 train split
     renamed = copied_corpus(corpus, tmp_path / "corpus", rename=("pair00003", "pair\u00e903"))
@@ -892,6 +931,7 @@ def test_reports_are_utf8_under_any_locale(corpus, tmp_path):
         out = tmp_path / name
         for argv in (
             ["ingest", "--seed", "1"],
+            ["rasterize", "--side", "16"],
             ["train", "gbc", "--n-estimators", "2"],
             ["evaluate", "--model", str(out / "models" / "gbc.model"), "--split", "train"],
         ):
@@ -904,6 +944,7 @@ def test_reports_are_utf8_under_any_locale(corpus, tmp_path):
         })
     assert outputs[0] == outputs[1]
     assert "\npair\u00e903,".encode() in outputs[0][Path("reports/predictions.csv")]
+    assert Path("images/pair\u00e903.pgm") in outputs[0]
 
 
 @pytest.mark.parametrize("pid", ["", "../../escaped", "pair\0"], ids=["empty", "path", "nul"])

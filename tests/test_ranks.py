@@ -2,7 +2,7 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 from scipy import stats
 
-from causalpairs.ranks import rank_groups, rankdata
+from causalpairs.ranks import rankdata, sorted_ranks
 
 
 def test_hand_values():
@@ -27,10 +27,19 @@ def test_bytes_equal_scipy(values):
 @given(
     values=st.lists(st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5]), max_size=60)
     | st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=60),
+    cuts=st.lists(st.integers(min_value=1, max_value=59), max_size=3),
 )
 @settings(max_examples=200, deadline=None)
-def test_distinct_count_equals_unique(values):
+def test_distinct_count_equals_unique(values, cuts):
+    # segments laid end to end, each sorted, as the feature batch holds them
     values = np.array(values, dtype=np.float64)
-    ranks, distinct = rank_groups(values)
-    assert ranks.tobytes() == rankdata(values).tobytes()
-    assert distinct == len(np.unique(values))
+    bounds = sorted({0, len(values), *(c for c in cuts if c < len(values))})
+    spans = list(zip(bounds[:-1], bounds[1:]))
+    if not spans:
+        return
+    ordered = np.concatenate([np.sort(values[i:j]) for i, j in spans])
+    ranks, distinct = sorted_ranks(ordered, np.array(bounds[:-1]))
+    assert len(distinct) == len(spans)
+    for (i, j), count in zip(spans, distinct):
+        assert ranks[i:j].tobytes() == rankdata(ordered[i:j]).tobytes()
+        assert count == len(np.unique(ordered[i:j]))

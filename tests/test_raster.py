@@ -44,6 +44,12 @@ class TestDiscretize:
     def test_max_value_lands_in_last_bin(self):
         assert discretize(np.array([0.0, 10.0]), 4, NUM).tolist() == [0, 3]
 
+    def test_span_beyond_float64(self):
+        # vmax - vmin overflows; the operands are halved instead
+        vals = np.array([1e308, -1e308, 0.0, 5e307, -1.7976931348623157e308])
+        bins = discretize(vals, 8, NUM)
+        assert bins.tolist() == [7, 2, 5, 6, 0]
+
     def test_invalid_m(self):
         with pytest.raises(ConfigurationError):
             discretize(np.array([1.0]), 1, NUM)
