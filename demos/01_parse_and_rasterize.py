@@ -8,8 +8,8 @@ from pathlib import Path
 
 import numpy as np
 
-from causalpairs import RasterConfig, parse_pairs, rasterize, write_image
-from causalpairs.dataset import augment_swap
+from causalpairs.dataset import augment_swap, parse_pairs
+from causalpairs.raster import rasterize, write_image
 
 out = Path(__file__).parent / "out"
 out.mkdir(exist_ok=True)
@@ -29,20 +29,20 @@ for inst in instances:
 
 # Continuous pairs use occupancy encoding: a cell is dark iff hit.
 numeric = instances[0]
-img = rasterize(numeric, RasterConfig(m=64))
+img = rasterize(numeric, 64)
 print(f"\n{numeric.id}: {np.count_nonzero(img.pixels)} occupied cells of {64 * 64}")
 write_image(img, out / "numeric_pair.pgm")
 
 # Categorical/binary pairs use frequency encoding: darkness follows the
 # occurrence count, min-max normalized over occupied cells.
 cat = instances[1]
-img_cat = rasterize(cat, RasterConfig(m=64))
+img_cat = rasterize(cat, 64)
 print(f"{cat.id}: intensity levels {sorted(set(img_cat.pixels.ravel().tolist()))}")
 write_image(img_cat, out / "categorical_pair.pgm")
 
 # Swapping the attributes transposes the image exactly -- the symmetry
 # behind the label-negating augmentation.
-swapped = rasterize(augment_swap(numeric), RasterConfig(m=64))
+swapped = rasterize(augment_swap(numeric), 64)
 assert np.array_equal(swapped.pixels, img.pixels.T)
 print("\nswap(instance) rasterizes to the exact transpose: verified")
 print(f"wrote {out / 'numeric_pair.pgm'} and {out / 'categorical_pair.pgm'}")

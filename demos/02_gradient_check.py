@@ -12,7 +12,6 @@ from causalpairs.nnet import (
     MaxPool,
     Network,
     Relu,
-    Softmax,
     gradient_check,
 )
 
@@ -21,7 +20,7 @@ net = Network([
     Conv(1, 4, rng), Relu(),
     Conv(4, 4, rng), Relu(),
     MaxPool(), Flatten(),
-    Dense(4 * 4 * 4, 3, rng), Softmax(),
+    Dense(4 * 4 * 4, 3, rng),
 ])
 x = rng.normal(size=(1, 8, 8))
 

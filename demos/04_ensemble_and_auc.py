@@ -5,8 +5,14 @@ Run:  python demos/04_ensemble_and_auc.py
 
 import numpy as np
 
-from causalpairs import accuracy, ensemble, predict_labels, tune_weight
-from causalpairs.ensemble import WEIGHT_GRID, auc_bidirectional_parts
+from causalpairs.ensemble import (
+    WEIGHT_GRID,
+    accuracy,
+    auc_bidirectional_parts,
+    ensemble,
+    predict_labels,
+    tune_weight,
+)
 
 rng = np.random.default_rng(3)
 

@@ -235,7 +235,6 @@ class BoostedModel:
     init_scores: np.ndarray
     n_features: int
     config: GbcConfig
-    label_to_class: dict
     train_logloss: list
 
     def decision_scores(self, X: np.ndarray) -> np.ndarray:
@@ -249,11 +248,6 @@ class BoostedModel:
             for k, tree in enumerate(round_trees):
                 scores[:, k] += self.config.learning_rate * tree.predict(X)
         return scores
-
-
-def _logloss(scores, cls):
-    probs = softmax_batch(scores)
-    return float(-np.log(probs[np.arange(len(cls)), cls] + 1e-15).mean())
 
 
 def gbc_fit(X: np.ndarray, labels, cfg: GbcConfig = GbcConfig()) -> BoostedModel:
@@ -279,9 +273,14 @@ def gbc_fit(X: np.ndarray, labels, cfg: GbcConfig = GbcConfig()) -> BoostedModel
     order = presort(X)
     work = split_workspace(n_feat, n)
     trees = []
-    logloss = [_logloss(scores, cls)]
-    for round_index in range(cfg.n_estimators):
+    logloss = []
+    # one softmax per round: its probabilities give the log-loss of the
+    # scores so far, then the next round's residuals
+    for round_index in range(cfg.n_estimators + 1):
         probs = softmax_batch(scores)
+        logloss.append(float(-np.log(probs[np.arange(n), cls] + 1e-15).mean()))
+        if round_index == cfg.n_estimators:
+            break
         residual = onehot - probs
         round_trees = []
         for k in range(n_classes):
@@ -304,7 +303,6 @@ def gbc_fit(X: np.ndarray, labels, cfg: GbcConfig = GbcConfig()) -> BoostedModel
         if not np.isfinite(scores).all():
             raise TrainingError(f"non-finite class scores at boosting round {round_index}")
         trees.append(round_trees)
-        logloss.append(_logloss(scores, cls))
     if logloss[-1] > logloss[0]:
         raise TrainingError(
             f"boosting diverged: final train log-loss {logloss[-1]:.4f}"
@@ -315,7 +313,6 @@ def gbc_fit(X: np.ndarray, labels, cfg: GbcConfig = GbcConfig()) -> BoostedModel
         init_scores=init_scores,
         n_features=n_feat,
         config=cfg,
-        label_to_class=dict(LABEL_TO_CLASS),
         train_logloss=logloss,
     )
 
@@ -338,7 +335,7 @@ def save_gbc(model: BoostedModel, path) -> None:
     meta = {
         "n_features": model.n_features,
         "config": asdict(model.config),
-        "label_to_class": {str(k): v for k, v in model.label_to_class.items()},
+        "label_to_class": {str(k): v for k, v in LABEL_TO_CLASS.items()},
         "train_logloss": model.train_logloss,
     }
     arrays = {
@@ -402,6 +399,5 @@ def gbc_from_file(path, meta: dict, arrays: dict) -> BoostedModel:
         init_scores=np.array(init_scores),
         n_features=n_features,
         config=config,
-        label_to_class=label_to_class,
         train_logloss=train_logloss,
     )

@@ -173,8 +173,7 @@ def _load_splits(args, checksums, parts) -> tuple:
 
 
 def _rasterize_all(instances, side):
-    cfg = raster.RasterConfig(m=side)
-    return [raster.rasterize(inst, cfg) for inst in instances]
+    return [raster.rasterize(inst, side) for inst in instances]
 
 
 def _fmt(v: float) -> str:
@@ -273,7 +272,7 @@ def cmd_rasterize(args):
 
 def _fit_cnn(args, train_insts, val_insts):
     """(CnnModel, history) from the CLI's CNN flags, on images rasterized in memory."""
-    arch = cnn.build_paper_arch(args.side, _parse_channels(args.channels))
+    arch = cnn.CnnArchitecture(stages=_parse_channels(args.channels), input_side=args.side)
     cfg = cnn.TrainConfig(
         epochs=args.epochs,
         batch_size=args.batch_size,
@@ -365,7 +364,23 @@ def _model_probs(model, instances):
     return boosting.gbc_predict_batch(model, mat)
 
 
+def _parse_weight(text):
+    """--weight: 'tune', or a number in [0, 1]."""
+    if text == "tune":
+        return text
+    try:
+        w = float(text)
+    except ValueError:
+        w = float("nan")
+    # written so that NaN fails too
+    if not 0 <= w <= 1:
+        raise ConfigurationError(f"--weight must be a number in [0,1] or 'tune', got {text!r}")
+    return w
+
+
 def cmd_evaluate(args):
+    # checked whether or not there is a --model2, before anything is read
+    weight = _parse_weight(args.weight)
     out = Path(args.out)
     checksums = _corpus_checksums(args)
     model = _load_model(args.model)
@@ -378,7 +393,7 @@ def cmd_evaluate(args):
     chosen_w = None
     if model2 is not None:
         p2 = _model_probs(model2, target)
-        if args.weight == "tune":
+        if weight == "tune":
             val_truths = [inst.label for inst in val]
             chosen_w = tune_weight(
                 _model_probs(model, val),
@@ -387,12 +402,7 @@ def cmd_evaluate(args):
                 metric=args.tune_metric,
             )
         else:
-            try:
-                chosen_w = float(args.weight)
-            except ValueError:
-                raise ConfigurationError(
-                    f"--weight must be a number in [0,1] or 'tune', got {args.weight!r}"
-                )
+            chosen_w = weight
         probs = combine_probs(p1, p2, chosen_w)
     else:
         probs = p1

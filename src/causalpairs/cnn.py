@@ -2,10 +2,11 @@
 
 Each stage is conv-relu-conv-relu-pool (3x3 same convolutions, 2x2 pool),
 five stages in a row, then dense 1024 -> relu -> dense 512 -> relu ->
-dense 25 -> dense 3 -> softmax.  Image intensities are fed as darkness/255.
+dense 25 -> dense 3, under nnet.Network's softmax.  Image intensities are
+fed as darkness/255.
 
-The network is float32 end to end: parameters, inputs, activations and
-gradients (DTYPE, fixed here and nowhere else).  Its softmax computes in
+The layers are float32 end to end: parameters, inputs, activations and
+gradients (DTYPE, fixed here and nowhere else).  The softmax computes in
 float64, so class probabilities are float64.  Model files store the
 parameters as float32.
 """
@@ -52,18 +53,9 @@ class CnnArchitecture:
         if not all(type(v) is int and v > 0 for v in sizes) or self.input_side < 32:
             raise ConfigurationError(f"sizes {sizes} must be positive ints, input side >= 32")
 
-    def spatial_sides(self):
-        """Side length after each pooling stage."""
-        sides = []
-        side = self.input_side
-        for _ in range(N_STAGES):
-            side //= 2
-            sides.append(side)
-        return sides
-
     def flatten_length(self) -> int:
-        final_side = self.spatial_sides()[-1]
-        return final_side * final_side * self.stages[-1][1]
+        # five floor-halving poolings leave a side of input_side // 32
+        return (self.input_side // 32) ** 2 * self.stages[-1][1]
 
 
 @dataclass(frozen=True)
@@ -75,20 +67,15 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        # written so that NaN fails too
+        # both checks written so that NaN fails too
         if not 0 < self.learning_rate < math.inf:
             raise ConfigurationError(
                 f"learning_rate must be finite and positive, got {self.learning_rate}"
             )
+        if not 0 <= self.momentum < 1:
+            raise ConfigurationError(f"momentum must be in [0, 1), got {self.momentum}")
         if self.batch_size < 1 or self.epochs < 1:
             raise ConfigurationError("batch_size and epochs must be >= 1")
-
-
-def build_paper_arch(input_side: int, channel_plan=DEFAULT_CHANNEL_PLAN) -> CnnArchitecture:
-    """Architecture for a given input side and (in, out) channel pair per stage."""
-    return CnnArchitecture(
-        stages=tuple((int(a), int(b)) for a, b in channel_plan), input_side=input_side
-    )
 
 
 def _layer_plan(arch: CnnArchitecture) -> list:
@@ -105,7 +92,7 @@ def _layer_plan(arch: CnnArchitecture) -> list:
         if i < 2:
             plan.append(("relu",))
         n_in = units
-    plan += [("dense", n_in, arch.output_units), ("softmax",)]
+    plan.append(("dense", n_in, arch.output_units))
     return plan
 
 
@@ -130,7 +117,6 @@ def build_network(arch: CnnArchitecture, seed: int) -> nnet.Network:
 class CnnModel:
     network: nnet.Network
     arch: CnnArchitecture
-    label_to_class: dict = field(default_factory=lambda: dict(LABEL_TO_CLASS))
     train_config: dict = field(default_factory=dict)
     data_checksum: str = ""
 
@@ -252,7 +238,7 @@ def predict_batch(model: CnnModel, images) -> np.ndarray:
 def save_model(model: CnnModel, path) -> None:
     meta = {
         "arch": asdict(model.arch),
-        "label_to_class": {str(k): v for k, v in model.label_to_class.items()},
+        "label_to_class": {str(k): v for k, v in LABEL_TO_CLASS.items()},
         "train_config": model.train_config,
         "data_checksum": model.data_checksum,
     }
@@ -294,4 +280,4 @@ def model_from_file(path, meta: dict, arrays: dict) -> CnnModel:
         raise InputError(f"{path}: CNN model label mapping {label_to_class} is not the fixed one")
     network = _network(arch)
     network.set_flat_parameters(params)
-    return CnnModel(network, arch, label_to_class, train_config, data_checksum)
+    return CnnModel(network, arch, train_config, data_checksum)

@@ -58,9 +58,10 @@ def read(path, *kinds: str) -> tuple:
     except OSError as exc:
         raise InputError(f"{path}: cannot read model file: {exc.strerror}") from exc
     if data[: len(_SIGNATURE)] != _SIGNATURE:
-        raise InputError(
-            f"{path}: not a version {VERSION} model file; retrain the model with this version"
-        )
+        # a stale corpus store is written again by ingest, which its reader
+        # asks for; a stale model is retrained
+        advice = "" if kinds == ("corpus",) else "; retrain the model with this version"
+        raise InputError(f"{path}: not a version {VERSION} model file{advice}")
     body = memoryview(data)[:-_DIGEST_SIZE]
     if len(data) < _PREFIX_SIZE + _DIGEST_SIZE or (
         hashlib.sha256(body).digest() != data[-_DIGEST_SIZE:]

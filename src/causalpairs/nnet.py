@@ -3,8 +3,9 @@
 Layers compute in the dtype of the array they are given: every buffer is
 allocated in the input's dtype, so a layer fed float32 runs in float32.
 Layers built here hold float64 parameters; a caller that wants another
-dtype converts them (cnn does).  Softmax computes in float64 whatever its
-input, so probabilities are float64.
+dtype converts them (cnn does).  A Network has no softmax layer:
+forward and loss_and_backward apply softmax_batch to the last layer's
+output, in float64 whatever its dtype, so probabilities are float64.
 
 Layers operate on batches (NCHW for spatial data).  Convolutions are 3x3,
 stride 1, zero same-padding; pooling is 2x2 stride 2 with floor semantics
@@ -308,20 +309,14 @@ class Dense(Layer):
         return [("weights", self.d_weights), ("bias", self.d_bias)]
 
 
-class Softmax(Layer):
-    """Row-wise softmax; Network.loss_and_backward differentiates it with the loss."""
-
-    kind = "softmax"
-
-    def forward(self, x):
-        return softmax_batch(x)
-
-
-LAYER_TYPES = {cls.kind: cls for cls in (Conv, MaxPool, Relu, Flatten, Dense, Softmax)}
+LAYER_TYPES = {cls.kind: cls for cls in (Conv, MaxPool, Relu, Flatten, Dense)}
 
 
 class Network:
-    """Ordered layer stack ending in Softmax, trained with cross-entropy."""
+    """Ordered layer stack under a row-wise softmax, trained with cross-entropy.
+
+    Network([]) is the bare softmax cross-entropy of its input.
+    """
 
     def __init__(self, layers):
         self.layers = list(layers)
@@ -329,29 +324,28 @@ class Network:
     def _owned(self, x: np.ndarray) -> np.ndarray:
         # ReLU works in place, so the caller's array goes only to a layer
         # that returns a new one
-        return x if isinstance(self.layers[0], (Conv, MaxPool, Dense)) else x.copy()
+        if self.layers and isinstance(self.layers[0], (Conv, MaxPool, Dense)):
+            return x
+        return x.copy()
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        """Output of the stack for batch x; x itself is never modified."""
+        """Class probabilities of batch x; x itself is never modified."""
         x = self._owned(x)
         for layer in self.layers:
             x = layer.forward(x)
-        return x
+        return softmax_batch(x)
 
     def loss_and_backward(self, x: np.ndarray, classes: np.ndarray):
         """(mean cross-entropy, [N, K] probabilities) of the batch; fills every layer's gradients.
 
         The softmax/cross-entropy pair is differentiated jointly as
-        (p - onehot)/N for stability; the final layer must be Softmax.  That
-        gradient is formed from the float64 probabilities, then cast to x's
-        dtype for the rest of the backward sweep.
+        (p - onehot)/N for stability.  That gradient is formed from the
+        float64 probabilities, then cast to x's dtype for the backward sweep.
         """
-        if not isinstance(self.layers[-1], Softmax):
-            raise ConfigurationError("network must end in a softmax layer")
         inputs = [self._owned(x)]
-        for layer in self.layers[:-1]:
+        for layer in self.layers:
             inputs.append(layer.forward(inputs[-1]))
-        probs = self.layers[-1].forward(inputs.pop())
+        probs = softmax_batch(inputs.pop())
         n = x.shape[0]
         classes = np.asarray(classes)
         if ((classes < 0) | (classes >= probs.shape[1])).any():
@@ -361,12 +355,11 @@ class Network:
         g[np.arange(n), classes] -= 1.0
         g /= n
         g = g.astype(x.dtype, copy=False)
-        for layer in reversed(self.layers[1:-1]):
+        for layer in reversed(self.layers[1:]):
             g = layer.backward(g, inputs.pop())
         # the gradient with respect to the input itself is not needed
-        first = self.layers[0]
-        if first.parameters():
-            first.backward(g, inputs.pop(), input_grad=False)
+        if self.layers and self.layers[0].parameters():
+            self.layers[0].backward(g, inputs.pop(), input_grad=False)
         return loss, probs
 
     def _named(self, method):

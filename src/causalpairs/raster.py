@@ -27,27 +27,24 @@ DEFAULT_SIDE = 200
 
 
 @dataclass(frozen=True)
-class RasterConfig:
-    m: int = DEFAULT_SIDE
-
-    def __post_init__(self):
-        if self.m < 2:
-            raise ConfigurationError(f"bin count m must be >= 2, got {self.m}")
-
-
-@dataclass(frozen=True)
 class ScatterImage:
-    """m x m grid of uint8 intensities, pixels[y_bin, x_bin], 255 = darkest."""
+    """m x m grid of uint8 intensities, pixels[y_bin, x_bin], 255 = darkest.
+
+    pixels is kept as a read-only contiguous uint8 array; m is its side.
+    """
 
     pixels: np.ndarray
-    m: int
 
     def __post_init__(self):
         px = np.ascontiguousarray(self.pixels, dtype=np.uint8)
-        if px.shape != (self.m, self.m):
-            raise ValidationError(f"pixel grid {px.shape} does not match m={self.m}")
+        if px.ndim != 2 or px.shape[0] != px.shape[1]:
+            raise ValidationError(f"pixel grid {px.shape} is not square")
         px.flags.writeable = False
         object.__setattr__(self, "pixels", px)
+
+    @property
+    def m(self) -> int:
+        return self.pixels.shape[0]
 
 
 def discretize(values: np.ndarray, m: int, kind: AttributeKind) -> np.ndarray:
@@ -95,9 +92,8 @@ def _frequency_grid(xb, yb, kx, ky) -> np.ndarray:
     return grid
 
 
-def rasterize(instance: PairInstance, config: RasterConfig) -> ScatterImage:
-    """Render a pair instance as a ScatterImage under the two regimes."""
-    m = config.m
+def rasterize(instance: PairInstance, m: int) -> ScatterImage:
+    """Render a pair instance as an m x m ScatterImage under the two regimes."""
     xb = discretize(instance.x, m, instance.x_kind)
     yb = discretize(instance.y, m, instance.y_kind)
     frequency_mode = (
@@ -115,7 +111,7 @@ def rasterize(instance: PairInstance, config: RasterConfig) -> ScatterImage:
     else:
         pixels = np.zeros((m, m), dtype=np.uint8)
         pixels[yb, xb] = 255
-    return ScatterImage(pixels=pixels, m=m)
+    return ScatterImage(pixels)
 
 
 def write_image(image: ScatterImage, path) -> None:
@@ -156,5 +152,4 @@ def read_image(path) -> ScatterImage:
             f"payload length {len(payload)} does not match {m}x{m}", path=str(path)
         )
     raw = np.frombuffer(payload, dtype=np.uint8).reshape(m, m)
-    pixels = (255 - raw)[::-1, :]
-    return ScatterImage(pixels=pixels, m=m)
+    return ScatterImage((255 - raw)[::-1, :])

@@ -298,6 +298,28 @@ class TestEvaluate:
         assert code == 4
 
 
+    @pytest.mark.parametrize("weight", ["banana", "1.5", "-0.1", "nan"])
+    @pytest.mark.parametrize("model2", [False, True], ids=["one-model", "two-models"])
+    def test_bad_weight_fails_before_any_file_is_read(
+        self, corpus, trained, tmp_path, monkeypatch, capsys, weight, model2
+    ):
+        from causalpairs import modelfile
+
+        def refuse(*args):
+            raise AssertionError("a file was read")
+
+        monkeypatch.setattr(modelfile, "read", refuse)
+        models = ["--model", trained / "models" / "gbc.model"]
+        if model2:
+            models += ["--model2", trained / "models" / "cnn.model"]
+        out = tmp_path / "run"
+        code = run("evaluate", *corpus_flags(corpus), "--out", out, *models, "--weight", weight)
+        assert code == 2
+        assert f"--weight must be a number in [0,1] or 'tune', got {weight!r}" in (
+            capsys.readouterr().err
+        )
+        assert not out.exists()
+
     def test_tuned_ensemble_loads_each_model_once(self, corpus, trained, monkeypatch):
         from causalpairs import modelfile
 
@@ -503,10 +525,13 @@ def test_every_parsed_flag_is_read(corpus, tmp_path):
     ("learning_rate", ["train", "gbc", "--gbc-lr", "inf"]),
     ("learning_rate", ["train", "cnn", "--lr", "nan"]),
     ("learning_rate", ["train", "cnn", "--lr", "inf"]),
+    ("momentum", ["train", "cnn", "--momentum", "1.0"]),
+    ("momentum", ["train", "cnn", "--momentum", "nan"]),
 ], ids=[
     "mechanism", "fraction", "nan-fraction", "negative-fraction",
     "n-obs", "n-obs-three", "obs-counts", "channels", "cat-bins-zero",
     "gbc-lr-nan", "gbc-lr-inf", "cnn-lr-nan", "cnn-lr-inf",
+    "momentum-one", "momentum-nan",
 ])
 def test_malformed_argument_text_is_configuration_error(corpus, tmp_path, match, argv):
     argv = [str(a) for a in argv] + ["--out", str(tmp_path)]
@@ -717,7 +742,7 @@ class TestCorpusStore:
             assert "stored for other corpus files" in err and "run `causalpairs ingest`" in err
         assert sorted(p.name for p in out.iterdir()) == ["ingest.run.meta", "manifests"]
 
-    @pytest.mark.parametrize("damage", ["missing", "flipped", "truncated"])
+    @pytest.mark.parametrize("damage", ["missing", "flipped", "truncated", "magic"])
     def test_unusable_store_is_input_error(self, corpus, trained, tmp_path, capsys, damage):
         import shutil
 
@@ -729,6 +754,8 @@ class TestCorpusStore:
             store.unlink()
         elif damage == "flipped":
             store.write_bytes(data[:200] + bytes([data[200] ^ 1]) + data[201:])
+        elif damage == "magic":
+            store.write_bytes(bytes([data[0] ^ 1]) + data[1:])
         else:
             store.write_bytes(data[: len(data) // 2])
         capsys.readouterr()
@@ -741,6 +768,8 @@ class TestCorpusStore:
             assert run(*argv, *corpus_flags(corpus), "--out", out) == 2
             err = capsys.readouterr().err
             assert "run `causalpairs ingest`" in err and "Traceback" not in err
+            # a store is written again by ingest, not retrained
+            assert "retrain" not in err
 
     def test_every_manifest_is_checked_against_the_store(self, corpus, tmp_path, capsys):
         # train builds only its train and val pairs, but an unknown test id still fails

@@ -7,12 +7,12 @@ import pytest
 
 from causalpairs import modelfile
 from causalpairs.cnn import (
+    DEFAULT_CHANNEL_PLAN,
     CnnArchitecture,
     CnnModel,
     TrainConfig,
     _stack_images,
     build_network,
-    build_paper_arch,
     load_model,
     predict_batch,
     save_model,
@@ -23,44 +23,47 @@ from causalpairs.probs import check_probs
 from causalpairs.raster import ScatterImage
 
 TINY_PLAN = ((4, 4),) * 5
+TINY_ARCH = CnnArchitecture(stages=TINY_PLAN, input_side=32)
 
 
 def random_image(rng, side):
-    return ScatterImage(
-        pixels=rng.integers(0, 256, size=(side, side)).astype(np.uint8), m=side
-    )
+    return ScatterImage(rng.integers(0, 256, size=(side, side)).astype(np.uint8))
 
 
 class TestArchitecture:
     def test_default_sides_from_200(self):
-        arch = build_paper_arch(200)
-        assert arch.spatial_sides() == [100, 50, 25, 12, 6]
+        # five poolings: 200 -> 100 -> 50 -> 25 -> 12 -> 6
+        arch = CnnArchitecture(stages=DEFAULT_CHANNEL_PLAN, input_side=200)
+        assert arch.flatten_length() == 6 * 6 * 256
 
     def test_sides_from_64(self):
-        arch = build_paper_arch(64, TINY_PLAN)
-        assert arch.spatial_sides() == [32, 16, 8, 4, 2]
+        arch = CnnArchitecture(stages=TINY_PLAN, input_side=64)
         assert arch.flatten_length() == 2 * 2 * 4
 
     def test_layer_counts(self):
-        net = build_network(build_paper_arch(32, TINY_PLAN), seed=0)
+        net = build_network(TINY_ARCH, seed=0)
         kinds = [layer.kind for layer in net.layers]
         assert kinds.count("conv") == 10
         assert kinds.count("pool") == 5
         assert kinds.count("dense") == 4
-        assert kinds[-1] == "softmax"
+        # the network applies the softmax itself
+        assert kinds[-1] == "dense"
         dense_units = [l.units for l in net.layers if l.kind == "dense"]
         assert dense_units == [1024, 512, 25, 3]
 
     def test_too_small_input(self):
         with pytest.raises(ConfigurationError):
-            build_paper_arch(16)
+            CnnArchitecture(stages=DEFAULT_CHANNEL_PLAN, input_side=16)
 
     def test_flatten_matches_network(self):
-        for side in (32, 64, 96):
-            arch = build_paper_arch(side, TINY_PLAN)
+        # odd sides too: each pooling drops a trailing row and column
+        for side in (32, 64, 96, 100):
+            arch = CnnArchitecture(stages=TINY_PLAN, input_side=side)
             net = build_network(arch, seed=1)
-            first_dense = next(l for l in net.layers if l.kind == "dense")
-            assert first_dense.in_features == arch.flatten_length()
+            flat = np.zeros((1, 1, side, side), dtype=np.float32)
+            for layer in net.layers[: [l.kind for l in net.layers].index("dense")]:
+                flat = layer.forward(flat)
+            assert flat.shape == (1, arch.flatten_length())
 
     def test_stage_count_enforced(self):
         with pytest.raises(ConfigurationError):
@@ -69,7 +72,7 @@ class TestArchitecture:
 
 class TestPredict:
     def test_zero_weights_give_uniform(self):
-        arch = build_paper_arch(32, TINY_PLAN)
+        arch = TINY_ARCH
         net = build_network(arch, seed=0)
         for _, param in net.parameters():
             param[...] = 0.0
@@ -81,7 +84,7 @@ class TestPredict:
         assert probs == pytest.approx(np.full((2, 3), 1 / 3), abs=1e-12)
 
     def test_purity(self):
-        arch = build_paper_arch(32, TINY_PLAN)
+        arch = TINY_ARCH
         from causalpairs.cnn import CnnModel
 
         model = CnnModel(network=build_network(arch, seed=5), arch=arch)
@@ -92,7 +95,7 @@ class TestPredict:
         assert a.tobytes() == b.tobytes()
 
     def test_distribution(self):
-        arch = build_paper_arch(32, TINY_PLAN)
+        arch = TINY_ARCH
         from causalpairs.cnn import CnnModel
 
         model = CnnModel(network=build_network(arch, seed=5), arch=arch)
@@ -105,7 +108,7 @@ class TestPredict:
     def test_non_finite_output_is_validation_error(self):
         from causalpairs.errors import ValidationError
 
-        arch = build_paper_arch(32, TINY_PLAN)
+        arch = TINY_ARCH
         model = CnnModel(network=build_network(arch, seed=5), arch=arch)
         for _, param in model.network.parameters():
             param[...] = 1e300
@@ -114,7 +117,7 @@ class TestPredict:
             predict_batch(model, [random_image(rng, 32)])
 
     def test_size_mismatch(self):
-        arch = build_paper_arch(32, TINY_PLAN)
+        arch = TINY_ARCH
         from causalpairs.cnn import CnnModel
 
         model = CnnModel(network=build_network(arch, seed=5), arch=arch)
@@ -131,11 +134,17 @@ def small_training_set(rng, n=8, side=32):
     return data
 
 
+@pytest.mark.parametrize("momentum", [1.0, -0.1, float("nan")])
+def test_momentum_outside_unit_interval_is_configuration_error(momentum):
+    with pytest.raises(ConfigurationError, match="momentum must be in"):
+        TrainConfig(momentum=momentum)
+
+
 class TestTraining:
     def test_deterministic_rerun_same_model_bytes(self):
         rng = np.random.default_rng(4)
         data = small_training_set(rng)
-        arch = build_paper_arch(32, TINY_PLAN)
+        arch = TINY_ARCH
         cfg = TrainConfig(epochs=2, batch_size=4, learning_rate=0.005, seed=7)
         m1, h1 = train_cnn(data, data[:3], arch, cfg)
         m2, h2 = train_cnn(data, data[:3], arch, cfg)
@@ -145,7 +154,7 @@ class TestTraining:
     def test_history_and_selection(self):
         rng = np.random.default_rng(5)
         data = small_training_set(rng)
-        arch = build_paper_arch(32, TINY_PLAN)
+        arch = TINY_ARCH
         cfg = TrainConfig(epochs=3, batch_size=4, learning_rate=0.005, seed=1)
         model, history = train_cnn(data, data[:3], arch, cfg)
         assert len(history) == 3
@@ -153,19 +162,20 @@ class TestTraining:
         assert model.train_config["epochs"] == 3
         assert model.data_checksum
 
-    def test_label_mapping_round_trip(self):
-        # labels {1,0,-1} map to class indices {0,1,2}: an image trained
-        # toward one label should predict it back through the same mapping
+    def test_label_mapping_round_trip(self, tmp_path):
+        # labels {1,0,-1} map to class indices {0,1,2}, and the model file
+        # records that mapping
         rng = np.random.default_rng(6)
         data = small_training_set(rng, n=6)
-        arch = build_paper_arch(32, TINY_PLAN)
         model, _ = train_cnn(
-            data, [], arch, TrainConfig(epochs=1, batch_size=6, learning_rate=1e-4, seed=2)
+            data, [], TINY_ARCH, TrainConfig(epochs=1, batch_size=6, learning_rate=1e-4, seed=2)
         )
-        assert model.label_to_class == {1: 0, 0: 1, -1: 2}
+        save_model(model, tmp_path / "m.model")
+        _, meta, _ = modelfile.read(tmp_path / "m.model", "cnn")
+        assert meta["label_to_class"] == {"1": 0, "0": 1, "-1": 2}
 
     def test_empty_training_set(self):
-        arch = build_paper_arch(32, TINY_PLAN)
+        arch = TINY_ARCH
         from causalpairs.errors import ValidationError
 
         with pytest.raises(ValidationError):
@@ -176,7 +186,7 @@ class TestModelFile:
     def test_save_load_round_trip(self, tmp_path):
         rng = np.random.default_rng(7)
         data = small_training_set(rng, n=6)
-        arch = build_paper_arch(32, TINY_PLAN)
+        arch = TINY_ARCH
         model, _ = train_cnn(
             data, data[:2], arch,
             TrainConfig(epochs=1, batch_size=3, learning_rate=0.001, seed=3),
@@ -185,7 +195,6 @@ class TestModelFile:
         save_model(model, path)
         loaded = load_model(path)
         assert loaded.arch == model.arch
-        assert loaded.label_to_class == model.label_to_class
         assert loaded.train_config == model.train_config
         assert loaded.data_checksum == model.data_checksum
         assert (
@@ -195,7 +204,7 @@ class TestModelFile:
     def test_save_twice_identical_bytes(self, tmp_path):
         rng = np.random.default_rng(8)
         data = small_training_set(rng, n=6)
-        arch = build_paper_arch(32, TINY_PLAN)
+        arch = TINY_ARCH
         model, _ = train_cnn(
             data, [], arch, TrainConfig(epochs=1, batch_size=3, learning_rate=0.001, seed=4)
         )
@@ -209,7 +218,9 @@ class TestForwardMemory:
     def test_forward_holds_one_activation_at_a_time(self):
         # the benchmark's network (side 64, channels 8,8,16,16,16,16,32,32,32,32)
         # on one predict_batch batch of 64
-        arch = build_paper_arch(64, ((8, 8), (16, 16), (16, 16), (32, 32), (32, 32)))
+        arch = CnnArchitecture(
+            stages=((8, 8), (16, 16), (16, 16), (32, 32), (32, 32)), input_side=64
+        )
         network = build_network(arch, seed=0)
         xs = np.random.default_rng(11).random((64, 1, 64, 64), dtype=np.float32)
         largest, a = 0, xs
@@ -237,8 +248,7 @@ class TestFloat32:
         """Wrap every layer's forward and backward to log (kind, pass, output dtype)."""
         log = []
         for layer in network.layers:
-            # softmax has no backward: the loss replaces it
-            for name in [n for n in ("forward", "backward") if hasattr(layer, n)]:
+            for name in ("forward", "backward"):
                 def wrapped(*args, _call=getattr(layer, name), _key=(layer.kind, name), **kw):
                     out = _call(*args, **kw)
                     log.append((*_key, None if out is None else out.dtype))
@@ -248,7 +258,7 @@ class TestFloat32:
         return log
 
     def test_built_and_loaded_networks_are_float32(self, tmp_path):
-        arch = build_paper_arch(32, TINY_PLAN)
+        arch = TINY_ARCH
         save_model(CnnModel(network=build_network(arch, seed=3), arch=arch), tmp_path / "m.model")
         rng = np.random.default_rng(9)
         xs, cls = _stack_images(small_training_set(rng, n=5), 32)
@@ -258,17 +268,16 @@ class TestFloat32:
         for network in (built, loaded):
             assert {p.dtype for _, p in network.parameters()} == {np.dtype(np.float32)}
             log = self.record_outputs(network)
-            network.loss_and_backward(xs, cls)
-            # every layer runs both passes but softmax backward, which the loss
-            # replaces; the first conv forms no input gradient
-            assert len(log) == 2 * len(network.layers) - 1
+            _, probs = network.loss_and_backward(xs, cls)
+            # every layer runs both passes; the first conv forms no input gradient
+            assert len(log) == 2 * len(network.layers)
             assert log[-1] == ("conv", "backward", None)
-            assert [dtype for kind, _, dtype in log if kind == "softmax"] == [np.float64]
-            assert all(dtype == np.float32 for kind, _, dtype in log[:-1] if kind != "softmax")
+            assert all(dtype == np.float32 for _, _, dtype in log[:-1])
+            assert probs.dtype == np.float64
             assert {g.dtype for _, g in network.gradients()} == {np.dtype(np.float32)}
 
     def test_probabilities_are_float64(self):
-        arch = build_paper_arch(32, TINY_PLAN)
+        arch = TINY_ARCH
         model = CnnModel(network=build_network(arch, seed=4), arch=arch)
         rng = np.random.default_rng(10)
         probs = predict_batch(model, [random_image(rng, 32) for _ in range(5)])
@@ -276,7 +285,7 @@ class TestFloat32:
         check_probs(probs)  # raises on a row that is not a distribution
 
     def test_model_file_stores_float32(self, tmp_path):
-        arch = build_paper_arch(32, TINY_PLAN)
+        arch = TINY_ARCH
         network = build_network(arch, seed=5)
         save_model(CnnModel(network=network, arch=arch), tmp_path / "m.model")
         _, _, arrays = modelfile.read(tmp_path / "m.model", "cnn")

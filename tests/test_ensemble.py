@@ -45,6 +45,16 @@ def pair_counting_auc(scores, positives):
     return total / (len(pos) * len(neg))
 
 
+def test_package_attribute_is_the_module():
+    # the package root re-exports nothing, so no function shadows the module
+    import inspect
+
+    import causalpairs.ensemble
+
+    assert inspect.ismodule(causalpairs.ensemble)
+    assert causalpairs.ensemble.ensemble is ensemble
+
+
 class TestEnsemble:
     def test_endpoints(self):
         pc = probs(triple(0.6, 0.3, 0.1))

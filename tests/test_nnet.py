@@ -13,7 +13,6 @@ from causalpairs.nnet import (
     MaxPool,
     Network,
     Relu,
-    Softmax,
     gradient_check,
     sgd_step,
     softmax_batch,
@@ -37,7 +36,7 @@ def dense_forward(x, weights, bias):
 
 def softmax_loss(logits, true_class):
     """Network.loss_and_backward on one row: cross-entropy of softmax(logits)."""
-    return Network([Softmax()]).loss_and_backward(
+    return Network([]).loss_and_backward(
         np.asarray(logits, dtype=np.float64)[None], np.array([true_class])
     )[0]
 
@@ -144,9 +143,15 @@ class TestSoftmaxAndLoss:
 
     def test_cross_entropy_is_batch_mean(self):
         logits = np.array([[0.3, -1.2, 2.5], [4.0, 0.0, -4.0]])
-        both, probs = Network([Softmax()]).loss_and_backward(logits, np.array([2, 1]))
+        both, probs = Network([]).loss_and_backward(logits, np.array([2, 1]))
         assert probs.tobytes() == softmax_batch(logits).tobytes()
         assert both == pytest.approx((softmax_loss(logits[0], 2) + softmax_loss(logits[1], 1)) / 2)
+
+    def test_network_output_is_the_softmax_of_its_last_layer(self):
+        net = tiny_dense_net(seed=5)
+        x = np.random.default_rng(5).normal(size=(4, 4))
+        assert net.forward(x).tobytes() == softmax_batch(net.layers[0].forward(x)).tobytes()
+        assert Network([]).forward(x).tobytes() == softmax_batch(x).tobytes()
 
     def test_cross_entropy_bad_index(self):
         for bad in (2, -1):
@@ -156,7 +161,7 @@ class TestSoftmaxAndLoss:
 
 def tiny_dense_net(n_in=4, n_out=3, seed=0):
     rng = np.random.Generator(np.random.PCG64(seed))
-    return Network([Dense(n_in, n_out, rng), Softmax()])
+    return Network([Dense(n_in, n_out, rng)])
 
 
 class TestBackward:
@@ -175,7 +180,7 @@ class TestBackward:
     def test_zero_input_conv_gradients(self):
         rng = np.random.Generator(np.random.PCG64(1))
         net = Network([Conv(1, 2, rng), Flatten(),
-                       Dense(2 * 4 * 4, 3, rng), Softmax()])
+                       Dense(2 * 4 * 4, 3, rng)])
         net.loss_and_backward(np.zeros((1, 1, 4, 4)), np.array([0]))
         grads = dict(net.gradients())
         assert grads["layer0.conv.kernels"] == pytest.approx(np.zeros((2, 1, 3, 3)))
@@ -193,7 +198,7 @@ class TestBackward:
             Conv(1, 3, rng), Relu(),
             Conv(3, 3, rng), Relu(),
             MaxPool(), Flatten(),
-            Dense(3 * 4 * 4, 3, rng), Softmax(),
+            Dense(3 * 4 * 4, 3, rng),
         ])
         x = rng.normal(size=(1, 8, 8))
         err = gradient_check(net, x, true_class=2, epsilon=1e-5, max_params=300, seed=4)
@@ -255,7 +260,7 @@ class TestLossDescent:
         rng = np.random.Generator(np.random.PCG64(21))
         net = Network([
             Conv(1, 2, rng), Relu(), MaxPool(), Flatten(),
-            Dense(2 * 3 * 3, 3, rng), Softmax(),
+            Dense(2 * 3 * 3, 3, rng),
         ])
         xs = rng.normal(size=(6, 1, 6, 6))
         cls = np.array([0, 1, 2, 0, 1, 2])
@@ -276,7 +281,7 @@ class TestSerialization:
     def test_round_trip_bytes_and_behavior(self):
         def stack(rng):
             return Network([
-                Conv(1, 2, rng), Relu(), MaxPool(), Flatten(), Dense(2 * 2 * 2, 3, rng), Softmax(),
+                Conv(1, 2, rng), Relu(), MaxPool(), Flatten(), Dense(2 * 2 * 2, 3, rng),
             ])
 
         rng = np.random.Generator(np.random.PCG64(8))
@@ -288,7 +293,7 @@ class TestSerialization:
         assert again.forward(x) == pytest.approx(net.forward(x), abs=0)
 
     def test_format_bytes(self):
-        net = Network([Dense(2, 3, None), Softmax()])
+        net = Network([Dense(2, 3, None)])
         net.layers[0].weights[...] = np.arange(6.0).reshape(3, 2)
         net.layers[0].bias[...] = [-1.0, 0.5, 2.0]
         expected = struct.pack("<6d", *range(6)) + struct.pack("<3d", -1.0, 0.5, 2.0)
@@ -530,7 +535,7 @@ class TestLeanPoolAndRelu:
             "conv": [Conv(1, 2, rng), Relu(), MaxPool(), Flatten()],
         }[first]
         width = 2 * 2 * 2 if first == "conv" else 4 * 4
-        net = Network([*head, Dense(width, 3, rng), Softmax()])
+        net = Network([*head, Dense(width, 3, rng)])
         x = rng.normal(size=(3, 1, 4, 4))
         x.flat[::3] = -0.0
         before = x.tobytes()
@@ -542,7 +547,7 @@ class TestLeanPoolAndRelu:
         rng = np.random.Generator(np.random.PCG64(42))
         net = Network([
             Conv(1, 3, rng), Relu(), Conv(3, 3, rng), Relu(), MaxPool(),
-            Flatten(), Dense(3 * 4 * 4, 3, rng), Softmax(),
+            Flatten(), Dense(3 * 4 * 4, 3, rng),
         ])
         x = rng.normal(size=(5, 1, 8, 8))
         cls = np.array([0, 1, 2, 0, 1])
@@ -552,12 +557,10 @@ class TestLeanPoolAndRelu:
         inputs = [x]
         for layer in net.layers:
             inputs.append(layer.forward(inputs[-1]))
-        probs = inputs.pop()
-        inputs.pop()  # the softmax input
-        g = probs.copy()
+        g = softmax_batch(inputs.pop())
         g[np.arange(5), cls] -= 1.0
         g /= 5
-        for layer in reversed(net.layers[:-1]):
+        for layer in reversed(net.layers):
             g = layer.backward(g, inputs.pop())
         assert g.shape == x.shape
         assert got == [g.tobytes() for _, g in net.gradients()]
@@ -567,7 +570,7 @@ class TestLeanPoolAndRelu:
         rng = np.random.Generator(np.random.PCG64(44))
         net = Network([
             Conv(1, 3, rng), Relu(), Conv(3, 3, rng), Relu(), MaxPool(),
-            Flatten(), Dense(3 * 4 * 4, 8, rng), Relu(), Dense(8, 3, rng), Softmax(),
+            Flatten(), Dense(3 * 4 * 4, 8, rng), Relu(), Dense(8, 3, rng),
         ])
         assert {layer.kind for layer in net.layers} == set(nnet.LAYER_TYPES)
         x = rng.normal(size=(5, 1, 8, 8))
@@ -706,7 +709,7 @@ class TestFloat32Layers:
 
     def test_softmax_is_float64_and_the_backward_sweep_float32(self):
         rng = np.random.Generator(np.random.PCG64(43))
-        net = Network([Conv(1, 2, rng), Relu(), MaxPool(), Flatten(), Dense(8, 3, rng), Softmax()])
+        net = Network([Conv(1, 2, rng), Relu(), MaxPool(), Flatten(), Dense(8, 3, rng)])
         for layer in (net.layers[0], net.layers[4]):
             for name, arr in layer.parameters():
                 setattr(layer, name, arr.astype(np.float32))

@@ -5,7 +5,6 @@ from hypothesis import given, settings, strategies as st
 from causalpairs.dataset import AttributeKind, PairInstance, augment_swap
 from causalpairs.errors import ConfigurationError, ParseError, ValidationError
 from causalpairs.raster import (
-    RasterConfig,
     ScatterImage,
     discretize,
     rasterize,
@@ -65,7 +64,7 @@ class TestRasterize:
         # fmin over occupied = 10, fmax = 40, so count 40 -> 255, count 10 -> 0
         x = np.array([0] * 40 + [0] * 10 + [1] * 10 + [1] * 40, float)
         y = np.array([0] * 40 + [1] * 10 + [0] * 10 + [1] * 40, float)
-        img = rasterize(instance(x, y, BIN, BIN), RasterConfig(m=2))
+        img = rasterize(instance(x, y, BIN, BIN), 2)
         assert img.pixels[0, 0] == 255  # (x=0, y=0)
         assert img.pixels[1, 1] == 255
         assert img.pixels[1, 0] == 0
@@ -74,25 +73,25 @@ class TestRasterize:
     def test_equal_counts_all_max(self):
         x = np.array([0, 1, 0, 1], float)
         y = np.array([0, 0, 1, 1], float)
-        img = rasterize(instance(x, y, BIN, BIN), RasterConfig(m=2))
+        img = rasterize(instance(x, y, BIN, BIN), 2)
         assert (img.pixels == 255).all()
 
     def test_occupancy_diagonal(self):
         vals = np.array([0.0, 1.0, 2.0, 3.0])
-        img = rasterize(instance(vals, vals), RasterConfig(m=4))
+        img = rasterize(instance(vals, vals), 4)
         assert np.array_equal(img.pixels, np.diag([255] * 4).astype(np.uint8))
 
     def test_occupancy_values_binary(self):
         rng = np.random.default_rng(0)
         img = rasterize(
-            instance(rng.normal(size=300), rng.normal(size=300)), RasterConfig(m=16)
+            instance(rng.normal(size=300), rng.normal(size=300)), 16
         )
         assert set(np.unique(img.pixels)) <= {0, 255}
 
     def test_categorical_enlargement_fills_canvas(self):
         x = np.array([0, 0, 1, 1], float)
         y = np.array([0, 1, 0, 1], float)
-        img = rasterize(instance(x, y, BIN, BIN), RasterConfig(m=8))
+        img = rasterize(instance(x, y, BIN, BIN), 8)
         # 2x2 grid of equal counts blown up to 8x8 blocks of 255
         assert img.pixels.shape == (8, 8)
         assert (img.pixels == 255).all()
@@ -100,15 +99,19 @@ class TestRasterize:
     def test_mixed_pair_uses_occupancy(self):
         x = np.array([0, 0, 0, 1, 1, 1], float)
         y = np.array([0.0, 0.1, 0.2, 0.8, 0.9, 1.0])
-        img = rasterize(instance(x, y, BIN, NUM), RasterConfig(m=4))
+        img = rasterize(instance(x, y, BIN, NUM), 4)
         assert set(np.unique(img.pixels)) <= {0, 255}
+
+    def test_side_below_two_is_configuration_error(self):
+        with pytest.raises(ConfigurationError, match="m must be >= 2"):
+            rasterize(instance([0.0, 1.0], [1.0, 0.0]), 1)
 
     def test_joint_permutation_invariance(self):
         rng = np.random.default_rng(3)
         x, y = rng.normal(size=50), rng.normal(size=50)
         perm = rng.permutation(50)
-        a = rasterize(instance(x, y), RasterConfig(m=10))
-        b = rasterize(instance(x[perm], y[perm]), RasterConfig(m=10))
+        a = rasterize(instance(x, y), 10)
+        b = rasterize(instance(x[perm], y[perm]), 10)
         assert np.array_equal(a.pixels, b.pixels)
 
 
@@ -137,14 +140,28 @@ ALL_KINDS = [(a, b) for a in (NUM, CAT, BIN) for b in (NUM, CAT, BIN)]
 def test_transpose_symmetry_property(seed, kinds, n, m):
     rng = np.random.default_rng(seed)
     inst = _random_instance(rng, kinds, n)
-    img = rasterize(inst, RasterConfig(m=m))
-    img_swapped = rasterize(augment_swap(inst), RasterConfig(m=m))
+    img = rasterize(inst, m)
+    img_swapped = rasterize(augment_swap(inst), m)
     assert np.array_equal(img_swapped.pixels, img.pixels.T)
+
+
+class TestScatterImage:
+    def test_side_is_the_grid_side_and_pixels_are_read_only_uint8(self):
+        img = ScatterImage(np.arange(9.0).reshape(3, 3))
+        assert img.m == 3
+        assert img.pixels.dtype == np.uint8 and img.pixels.flags.c_contiguous
+        with pytest.raises(ValueError):
+            img.pixels[0, 0] = 1
+
+    @pytest.mark.parametrize("shape", [(2, 3), (4,), (2, 2, 2)])
+    def test_grid_that_is_not_square_is_validation_error(self, shape):
+        with pytest.raises(ValidationError, match="not square"):
+            ScatterImage(np.zeros(shape, dtype=np.uint8))
 
 
 class TestImageIO:
     def test_exact_bytes(self, tmp_path):
-        img = ScatterImage(pixels=np.array([[0, 255], [255, 0]], dtype=np.uint8), m=2)
+        img = ScatterImage(np.array([[0, 255], [255, 0]], dtype=np.uint8))
         path = tmp_path / "a.pgm"
         write_image(img, path)
         data = path.read_bytes()
@@ -157,9 +174,7 @@ class TestImageIO:
         rng = np.random.default_rng(1)
         for i in range(5):
             m = int(rng.integers(2, 40))
-            img = ScatterImage(
-                pixels=rng.integers(0, 256, size=(m, m)).astype(np.uint8), m=m
-            )
+            img = ScatterImage(rng.integers(0, 256, size=(m, m)).astype(np.uint8))
             path = tmp_path / f"r{i}.pgm"
             write_image(img, path)
             back = read_image(path)
@@ -167,13 +182,13 @@ class TestImageIO:
             assert np.array_equal(back.pixels, img.pixels)
 
     def test_zero_image_payload(self, tmp_path):
-        img = ScatterImage(pixels=np.zeros((3, 3), dtype=np.uint8), m=3)
+        img = ScatterImage(np.zeros((3, 3), dtype=np.uint8))
         path = tmp_path / "z.pgm"
         write_image(img, path)
         assert path.read_bytes()[-9:] == b"\xff" * 9  # darkness 0 = white bytes
 
     def test_write_failure_names_path(self, tmp_path):
-        img = ScatterImage(pixels=np.zeros((2, 2), dtype=np.uint8), m=2)
+        img = ScatterImage(np.zeros((2, 2), dtype=np.uint8))
         with pytest.raises(OSError) as err:
             write_image(img, tmp_path / "no" / "such" / "dir.pgm")
         assert "dir.pgm" in str(err.value)
