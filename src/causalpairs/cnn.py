@@ -7,8 +7,9 @@ fed as darkness/255.
 
 The layers are float32 end to end: parameters, inputs, activations and
 gradients (DTYPE, fixed here and nowhere else).  The softmax computes in
-float64, so class probabilities are float64.  Model files store the
-parameters as float32.
+float64, so class probabilities are float64.  Training updates the
+network's flat params vector with one velocity vector, and keeps the best
+epoch as one copy of it; model files store that vector as it is.
 """
 
 import hashlib
@@ -102,8 +103,8 @@ def _network(arch: CnnArchitecture, rng=None) -> nnet.Network:
     for kind, *dims in _layer_plan(arch):
         layer_type = nnet.LAYER_TYPES[kind]
         layer = layer_type(*dims, rng) if dims else layer_type()
-        for name, arr in layer.parameters():
-            setattr(layer, name, arr.astype(DTYPE))
+        for name in getattr(layer, "param_names", ()):
+            setattr(layer, name, getattr(layer, name).astype(DTYPE))
         layers.append(layer)
     return nnet.Network(layers)
 
@@ -170,8 +171,7 @@ def train_cnn(train, val, arch: CnnArchitecture, cfg: TrainConfig):
     if val:
         val_xs, val_cls = _stack_images(val, side)
     network = build_network(arch, cfg.seed)
-    params = network.parameters()
-    velocities = [np.zeros_like(arr) for _, arr in params]
+    velocity = np.zeros_like(network.params)
     n = len(xs)
     history = []
     best_val = -1.0
@@ -192,8 +192,7 @@ def train_cnn(train, val, arch: CnnArchitecture, cfg: TrainConfig):
                 )
             epoch_correct += int((probs.argmax(axis=1) == cb).sum())
             epoch_loss += loss * len(idx)
-            nnet.sgd_step(params, network.gradients(), velocities,
-                          cfg.learning_rate, cfg.momentum)
+            nnet.sgd_step(network, velocity, cfg.learning_rate, cfg.momentum)
         if val:
             val_probs = _predict_classes(network, val_xs)
             val_acc = float((val_probs.argmax(axis=1) == val_cls).mean())
@@ -204,9 +203,9 @@ def train_cnn(train, val, arch: CnnArchitecture, cfg: TrainConfig):
         )
         if val and val_acc > best_val:
             best_val = val_acc
-            best_params = network.flat_parameters()
+            best_params = network.params.copy()
     if best_params is not None:
-        network.set_flat_parameters(best_params)
+        network.params[...] = best_params
     model = CnnModel(
         network=network,
         arch=arch,
@@ -231,8 +230,8 @@ def predict_batch(model: CnnModel, images) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Model file: a modelfile container of kind "cnn" holding every parameter as
-# one flat float32 "params" array.
+# Model file: a modelfile container of kind "cnn" holding the network's flat
+# float32 params vector as its one "params" array.
 
 
 def save_model(model: CnnModel, path) -> None:
@@ -242,7 +241,7 @@ def save_model(model: CnnModel, path) -> None:
         "train_config": model.train_config,
         "data_checksum": model.data_checksum,
     }
-    modelfile.write(path, "cnn", meta, {"params": model.network.flat_parameters()})
+    modelfile.write(path, "cnn", meta, {"params": model.network.params})
 
 
 def load_model(path) -> CnnModel:
@@ -279,5 +278,5 @@ def model_from_file(path, meta: dict, arrays: dict) -> CnnModel:
     if label_to_class != LABEL_TO_CLASS:
         raise InputError(f"{path}: CNN model label mapping {label_to_class} is not the fixed one")
     network = _network(arch)
-    network.set_flat_parameters(params)
+    network.params[...] = params
     return CnnModel(network, arch, train_config, data_checksum)

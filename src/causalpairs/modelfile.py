@@ -50,23 +50,27 @@ def read(path, *kinds: str) -> tuple:
     """(kind, meta, arrays) of a model file whose kind is one of ``kinds``.
 
     The arrays are read-only views of the file's bytes, keyed by name in
-    file order.
+    file order.  Errors call the file a "corpus store" when the kind asked
+    for is ``corpus``, and a "model file" otherwise.
     """
+    # a stale corpus store is written again by ingest, which its reader asks
+    # for; a stale model is retrained
+    noun, advice = (
+        ("corpus store", "") if kinds == ("corpus",)
+        else ("model file", "; retrain the model with this version")
+    )
     try:
         with open(path, "rb") as f:
             data = f.read()
     except OSError as exc:
-        raise InputError(f"{path}: cannot read model file: {exc.strerror}") from exc
+        raise InputError(f"{path}: cannot read {noun}: {exc.strerror}") from exc
     if data[: len(_SIGNATURE)] != _SIGNATURE:
-        # a stale corpus store is written again by ingest, which its reader
-        # asks for; a stale model is retrained
-        advice = "" if kinds == ("corpus",) else "; retrain the model with this version"
-        raise InputError(f"{path}: not a version {VERSION} model file{advice}")
+        raise InputError(f"{path}: not a version {VERSION} {noun}{advice}")
     body = memoryview(data)[:-_DIGEST_SIZE]
     if len(data) < _PREFIX_SIZE + _DIGEST_SIZE or (
         hashlib.sha256(body).digest() != data[-_DIGEST_SIZE:]
     ):
-        raise InputError(f"{path}: model file checksum mismatch; the file is corrupt or truncated")
+        raise InputError(f"{path}: {noun} checksum mismatch; the file is corrupt or truncated")
     payload_start = _PREFIX_SIZE + struct.unpack_from("<Q", data, len(_SIGNATURE))[0]
     try:
         header = json.loads(bytes(body[_PREFIX_SIZE:payload_start]))
@@ -77,22 +81,22 @@ def read(path, *kinds: str) -> tuple:
             ):
                 raise ValueError(f"bad array record {[name, dtype, shape]}")
     except (ValueError, KeyError, TypeError) as exc:
-        raise InputError(f"{path}: bad model header: {exc}") from exc
+        raise InputError(f"{path}: bad {noun} header: {exc}") from exc
     if kind not in kinds:
-        raise InputError(f"{path}: holds a {kind!r} model, expected {' or '.join(kinds)}")
+        raise InputError(f"{path}: {noun} of kind {kind!r}, expected {' or '.join(kinds)}")
     sizes = [math.prod(shape) * np.dtype(dtype).itemsize for _, dtype, shape in specs]
     # sizes are checked against the payload before any array is made; a
     # header length past the end of the file fails here too
     if sum(sizes) != len(body) - payload_start:
-        raise InputError(f"{path}: model arrays do not match the payload size")
+        raise InputError(f"{path}: {noun} arrays do not match the payload size")
     arrays = {}
     offset = payload_start
     for (name, dtype, shape), size in zip(specs, sizes):
         arr = np.frombuffer(body[offset : offset + size], dtype=dtype).reshape(shape)
         if arr.dtype.kind == "f" and not np.isfinite(arr).all():
-            raise InputError(f"{path}: non-finite value in model array {name!r}")
+            raise InputError(f"{path}: non-finite value in {noun} array {name!r}")
         arrays[name] = arr
         offset += size
     if len(arrays) != len(specs):
-        raise InputError(f"{path}: duplicate model array names")
+        raise InputError(f"{path}: duplicate {noun} array names")
     return kind, meta, arrays

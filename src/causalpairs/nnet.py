@@ -3,7 +3,13 @@
 Layers compute in the dtype of the array they are given: every buffer is
 allocated in the input's dtype, so a layer fed float32 runs in float32.
 Layers built here hold float64 parameters; a caller that wants another
-dtype converts them (cnn does).  A Network has no softmax layer:
+dtype converts them before it builds the Network (cnn does).
+
+A Network packs its layers' parameters, in declaration order and raveled,
+into one flat vector, params, in their dtype, plus a grads vector of the
+same layout.  Every Conv and Dense parameter and gradient attribute becomes
+a view of them: backward writes the gradients in place, and sgd_step
+updates params with one velocity vector.  A Network has no softmax layer:
 forward and loss_and_backward apply softmax_batch to the last layer's
 output, in float64 whatever its dtype, so probabilities are float64.
 
@@ -150,20 +156,12 @@ def glorot_uniform(rng: np.random.Generator, shape, fan_in: int, fan_out: int):
     return rng.uniform(-limit, limit, size=shape)
 
 
-class Layer:
-    """A layer without parameters; Conv and Dense override both methods."""
-
-    def parameters(self):
-        return []
-
-    def gradients(self):
-        return []
-
-
-class Conv(Layer):
+class Conv:
     """3x3 same-padding stride-1 convolution with bias."""
 
     kind = "conv"
+    # a Network gives each the gradient attribute d_<name>
+    param_names = ("kernels", "bias")
 
     def __init__(self, in_channels: int, out_channels: int, rng=None):
         self.in_channels = in_channels
@@ -177,8 +175,6 @@ class Conv(Layer):
                 rng, (out_channels, in_channels, 3, 3), fan_in, fan_out
             )
         self.bias = np.zeros(out_channels)
-        self.d_kernels = np.zeros_like(self.kernels)
-        self.d_bias = np.zeros_like(self.bias)
 
     def forward(self, x):
         if x.shape[1] != self.in_channels:
@@ -188,20 +184,19 @@ class Conv(Layer):
         return _conv2d_batch(x, self.kernels, self.bias)
 
     def backward(self, g, x, input_grad=True):
-        """Fill d_kernels and d_bias; return dx, or None when not input_grad."""
+        """Write d_kernels and d_bias in place; return dx, or None when not input_grad."""
         n, c, h, w = x.shape
         gmat = g.reshape(n, self.out_channels, h * w)
         parts = (
-            part
+            part.reshape(self.kernels.shape)
             for sl, cols in _patch_chunks(x)
             for part in np.matmul(gmat[sl], cols.transpose(0, 2, 1))
         )
         # image by image in batch order, as a sum over the batch axis adds
-        d_kernels = next(parts).copy()
+        np.copyto(self.d_kernels, next(parts))
         for part in parts:
-            d_kernels += part
-        self.d_kernels = d_kernels.reshape(self.kernels.shape)
-        self.d_bias = g.sum(axis=(0, 2, 3))
+            self.d_kernels += part
+        np.sum(g, axis=(0, 2, 3), out=self.d_bias)
         if not input_grad:
             return None
         # dx is g correlated with the kernels flipped in space and with their
@@ -209,14 +204,8 @@ class Conv(Layer):
         flipped = np.ascontiguousarray(self.kernels[:, :, ::-1, ::-1].transpose(1, 0, 2, 3))
         return _conv2d_batch(g, flipped, np.zeros(c, dtype=flipped.dtype))
 
-    def parameters(self):
-        return [("kernels", self.kernels), ("bias", self.bias)]
 
-    def gradients(self):
-        return [("kernels", self.d_kernels), ("bias", self.d_bias)]
-
-
-class MaxPool(Layer):
+class MaxPool:
     """2x2 stride-2 max pooling, floor semantics."""
 
     kind = "pool"
@@ -243,7 +232,7 @@ class MaxPool(Layer):
         return dx
 
 
-class Relu(Layer):
+class Relu:
     """max(x, 0), computed in place in x.
 
     NaN and -0.0 map to +0.0.  Network.forward never hands it the caller's
@@ -265,7 +254,7 @@ class Relu(Layer):
         return g
 
 
-class Flatten(Layer):
+class Flatten:
     kind = "flatten"
 
     def forward(self, x):
@@ -275,8 +264,9 @@ class Flatten(Layer):
         return g.reshape(x.shape)
 
 
-class Dense(Layer):
+class Dense:
     kind = "dense"
+    param_names = ("weights", "bias")
 
     def __init__(self, in_features: int, units: int, rng=None):
         self.in_features = in_features
@@ -286,8 +276,6 @@ class Dense(Layer):
         else:
             self.weights = glorot_uniform(rng, (units, in_features), in_features, units)
         self.bias = np.zeros(units)
-        self.d_weights = np.zeros_like(self.weights)
-        self.d_bias = np.zeros_like(self.bias)
 
     def forward(self, x):
         if x.shape[1] != self.in_features:
@@ -297,16 +285,10 @@ class Dense(Layer):
         return x @ self.weights.T + self.bias
 
     def backward(self, g, x, input_grad=True):
-        """Fill d_weights and d_bias; return dx, or None when not input_grad."""
-        self.d_weights = g.T @ x
-        self.d_bias = g.sum(axis=0)
+        """Write d_weights and d_bias in place; return dx, or None when not input_grad."""
+        np.matmul(g.T, x, out=self.d_weights)
+        np.sum(g, axis=0, out=self.d_bias)
         return g @ self.weights if input_grad else None
-
-    def parameters(self):
-        return [("weights", self.weights), ("bias", self.bias)]
-
-    def gradients(self):
-        return [("weights", self.d_weights), ("bias", self.d_bias)]
 
 
 LAYER_TYPES = {cls.kind: cls for cls in (Conv, MaxPool, Relu, Flatten, Dense)}
@@ -315,11 +297,34 @@ LAYER_TYPES = {cls.kind: cls for cls in (Conv, MaxPool, Relu, Flatten, Dense)}
 class Network:
     """Ordered layer stack under a row-wise softmax, trained with cross-entropy.
 
-    Network([]) is the bare softmax cross-entropy of its input.
+    Owns the flat params and grads vectors (see the module docstring); its
+    layers' parameters must share one dtype.  Network([]) is the bare
+    softmax cross-entropy of its input.
     """
 
     def __init__(self, layers):
         self.layers = list(layers)
+        owned = [
+            (f"layer{i}.{layer.kind}.{name}", layer, name, getattr(layer, name))
+            for i, layer in enumerate(self.layers)
+            for name in getattr(layer, "param_names", ())
+        ]
+        dtypes = {arr.dtype for *_, arr in owned}
+        if len(dtypes) > 1:
+            raise ConfigurationError(f"layer parameters mix dtypes {sorted(map(str, dtypes))}")
+        size = sum(arr.size for *_, arr in owned)
+        self.params = np.empty(size, dtype=dtypes.pop() if dtypes else np.float64)
+        self.grads = np.zeros_like(self.params)
+        # (name, end offset) of every parameter, in params order
+        self.layout = []
+        start = 0
+        for full_name, layer, name, arr in owned:
+            stop = start + arr.size
+            self.params[start:stop] = arr.ravel()
+            setattr(layer, name, self.params[start:stop].reshape(arr.shape))
+            setattr(layer, f"d_{name}", self.grads[start:stop].reshape(arr.shape))
+            self.layout.append((full_name, stop))
+            start = stop
 
     def _owned(self, x: np.ndarray) -> np.ndarray:
         # ReLU works in place, so the caller's array goes only to a layer
@@ -358,35 +363,9 @@ class Network:
         for layer in reversed(self.layers[1:]):
             g = layer.backward(g, inputs.pop())
         # the gradient with respect to the input itself is not needed
-        if self.layers and self.layers[0].parameters():
+        if self.layers and isinstance(self.layers[0], (Conv, Dense)):
             self.layers[0].backward(g, inputs.pop(), input_grad=False)
         return loss, probs
-
-    def _named(self, method):
-        """(layer{i}.{kind}.{name}, array) over every layer's method() pairs."""
-        return [
-            (f"layer{i}.{layer.kind}.{name}", arr)
-            for i, layer in enumerate(self.layers)
-            for name, arr in getattr(layer, method)()
-        ]
-
-    def parameters(self):
-        """(name, array) pairs in declaration order; arrays are live views."""
-        return self._named("parameters")
-
-    def gradients(self):
-        return self._named("gradients")
-
-    def flat_parameters(self) -> np.ndarray:
-        """Copy of every parameter, raveled and concatenated in declaration order."""
-        return np.concatenate([arr.ravel() for _, arr in self.parameters()])
-
-    def set_flat_parameters(self, flat: np.ndarray) -> None:
-        """Copy a flat_parameters() vector back into the live parameter arrays."""
-        start = 0
-        for _, arr in self.parameters():
-            arr[...] = flat[start : start + arr.size].reshape(arr.shape)
-            start += arr.size
 
 
 def gradient_check(
@@ -408,44 +387,44 @@ def gradient_check(
         raise ConfigurationError(f"epsilon {epsilon} outside [1e-7, 1e-4]")
     x = np.asarray(x, dtype=np.float64)[None]
     network.loss_and_backward(x, np.array([true_class]))
-    grads = dict(network.gradients())
-    flat = [(name, arr, idx) for name, arr in network.parameters() for idx in range(arr.size)]
+    params, grads = network.params, network.grads
     rng = np.random.Generator(np.random.PCG64(seed))
-    n_check = min(len(flat), max(max_params, 200))
-    chosen = rng.choice(len(flat), size=n_check, replace=False) if len(flat) > n_check else np.arange(len(flat))
+    n_check = min(params.size, max(max_params, 200))
+    chosen = rng.choice(params.size, size=n_check, replace=False) if params.size > n_check else np.arange(params.size)
 
     def loss():
         # forward alone leaves the analytic gradients in grads untouched
         return float(-np.log(network.forward(x)[0, true_class] + EPS_LOG))
 
     worst = 0.0
-    for fi in chosen:
-        name, arr, idx = flat[fi]
-        orig = arr.flat[idx]
-        arr.flat[idx] = orig + epsilon
+    for i in chosen:
+        orig = params[i]
+        params[i] = orig + epsilon
         up = loss()
-        arr.flat[idx] = orig - epsilon
+        params[i] = orig - epsilon
         down = loss()
-        arr.flat[idx] = orig
+        params[i] = orig
         numeric = (up - down) / (2.0 * epsilon)
-        analytic = grads[name].flat[idx]
+        analytic = grads[i]
         err = abs(analytic - numeric) / max(abs(analytic), abs(numeric), 1e-8)
         worst = max(worst, err)
     return worst
 
 
-def sgd_step(parameters, gradients, velocities, learning_rate: float, momentum: float):
-    """In-place momentum SGD update over aligned (name, array) lists.
+def sgd_step(network: Network, velocity: np.ndarray, learning_rate: float, momentum: float):
+    """In-place momentum SGD update of network.params; velocity has its layout.
 
-    velocity <- momentum * velocity - lr * gradient;  parameter += velocity.
+    velocity <- momentum * velocity - lr * network.grads;  params += velocity.
     """
     if learning_rate <= 0:
         raise ConfigurationError(f"learning rate must be positive, got {learning_rate}")
     if not 0 <= momentum < 1:
         raise ConfigurationError(f"momentum must be in [0, 1), got {momentum}")
-    for (name, param), (_, grad), vel in zip(parameters, gradients, velocities):
-        if not np.isfinite(grad).all():
-            raise TrainingError(f"non-finite gradient in {name}")
-        vel *= momentum
-        vel -= learning_rate * grad
-        param += vel
+    finite = np.isfinite(network.grads)
+    if not finite.all():
+        first = finite.argmin()
+        name = next(name for name, stop in network.layout if first < stop)
+        raise TrainingError(f"non-finite gradient in {name}")
+    velocity *= momentum
+    velocity -= learning_rate * network.grads
+    network.params += velocity

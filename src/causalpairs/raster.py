@@ -30,13 +30,13 @@ DEFAULT_SIDE = 200
 class ScatterImage:
     """m x m grid of uint8 intensities, pixels[y_bin, x_bin], 255 = darkest.
 
-    pixels is kept as a read-only contiguous uint8 array; m is its side.
+    pixels is kept as a read-only contiguous uint8 copy; m is its side.
     """
 
     pixels: np.ndarray
 
     def __post_init__(self):
-        px = np.ascontiguousarray(self.pixels, dtype=np.uint8)
+        px = np.array(self.pixels, dtype=np.uint8, order="C")
         if px.ndim != 2 or px.shape[0] != px.shape[1]:
             raise ValidationError(f"pixel grid {px.shape} is not square")
         px.flags.writeable = False

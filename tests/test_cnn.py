@@ -74,8 +74,7 @@ class TestPredict:
     def test_zero_weights_give_uniform(self):
         arch = TINY_ARCH
         net = build_network(arch, seed=0)
-        for _, param in net.parameters():
-            param[...] = 0.0
+        net.params[...] = 0.0
         from causalpairs.cnn import CnnModel
 
         model = CnnModel(network=net, arch=arch)
@@ -110,8 +109,7 @@ class TestPredict:
 
         arch = TINY_ARCH
         model = CnnModel(network=build_network(arch, seed=5), arch=arch)
-        for _, param in model.network.parameters():
-            param[...] = 1e300
+        model.network.params[...] = 1e300
         rng = np.random.default_rng(3)
         with pytest.raises(ValidationError, match="out of range"):
             predict_batch(model, [random_image(rng, 32)])
@@ -149,7 +147,7 @@ class TestTraining:
         m1, h1 = train_cnn(data, data[:3], arch, cfg)
         m2, h2 = train_cnn(data, data[:3], arch, cfg)
         assert h1[0].train_loss == h2[0].train_loss
-        assert m1.network.flat_parameters().tobytes() == m2.network.flat_parameters().tobytes()
+        assert m1.network.params.tobytes() == m2.network.params.tobytes()
 
     def test_history_and_selection(self):
         rng = np.random.default_rng(5)
@@ -197,9 +195,7 @@ class TestModelFile:
         assert loaded.arch == model.arch
         assert loaded.train_config == model.train_config
         assert loaded.data_checksum == model.data_checksum
-        assert (
-            loaded.network.flat_parameters().tobytes() == model.network.flat_parameters().tobytes()
-        )
+        assert loaded.network.params.tobytes() == model.network.params.tobytes()
 
     def test_save_twice_identical_bytes(self, tmp_path):
         rng = np.random.default_rng(8)
@@ -266,7 +262,7 @@ class TestFloat32:
         built = build_network(arch, seed=3)
         loaded = load_model(tmp_path / "m.model").network
         for network in (built, loaded):
-            assert {p.dtype for _, p in network.parameters()} == {np.dtype(np.float32)}
+            assert network.params.dtype == np.float32
             log = self.record_outputs(network)
             _, probs = network.loss_and_backward(xs, cls)
             # every layer runs both passes; the first conv forms no input gradient
@@ -274,7 +270,7 @@ class TestFloat32:
             assert log[-1] == ("conv", "backward", None)
             assert all(dtype == np.float32 for _, _, dtype in log[:-1])
             assert probs.dtype == np.float64
-            assert {g.dtype for _, g in network.gradients()} == {np.dtype(np.float32)}
+            assert network.grads.dtype == np.float32
 
     def test_probabilities_are_float64(self):
         arch = TINY_ARCH
@@ -290,7 +286,7 @@ class TestFloat32:
         save_model(CnnModel(network=network, arch=arch), tmp_path / "m.model")
         _, _, arrays = modelfile.read(tmp_path / "m.model", "cnn")
         assert arrays["params"].dtype.str == "<f4"
-        assert arrays["params"].tobytes() == network.flat_parameters().tobytes()
+        assert arrays["params"].tobytes() == network.params.tobytes()
 
 
 def small_arch(channels=2):
@@ -364,7 +360,7 @@ class TestCorruptModel:
             self.load(tmp_path, data)
 
     def test_wrong_kind(self, small_model_file, tmp_path):
-        with pytest.raises(InputError, match="holds a 'gbc' model, expected cnn"):
+        with pytest.raises(InputError, match="model file of kind 'gbc', expected cnn"):
             self.rewrite(tmp_path, small_model_file, lambda meta, arrays: None, kind="gbc")
 
     def test_non_finite_parameter(self, small_model_file, tmp_path):

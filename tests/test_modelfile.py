@@ -92,7 +92,7 @@ def test_magic_rejected(tmp_path):
 
 
 def test_wrong_kind(toy):
-    with pytest.raises(InputError, match="holds a 'toy' model, expected cnn or gbc"):
+    with pytest.raises(InputError, match="model file of kind 'toy', expected cnn or gbc"):
         modelfile.read(toy, "cnn", "gbc")
 
 
@@ -100,7 +100,7 @@ def test_wrong_kind(toy):
 def test_non_finite_float_array(tmp_path, value):
     path = tmp_path / "nan.model"
     modelfile.write(path, "toy", {}, {"ok": np.ones(2), "bad": np.array([1.0, value])})
-    with pytest.raises(InputError, match="non-finite value in model array 'bad'"):
+    with pytest.raises(InputError, match="non-finite value in model file array 'bad'"):
         modelfile.read(path, "toy")
 
 
@@ -112,16 +112,16 @@ def set_record(i, field, value):
 
 @pytest.mark.parametrize("match,edit,kwargs", [
     ("not a version 2 model file", None, {"version": 3}),
-    ("bad model header", None, {"header_len": 10**6}),
-    ("bad model header", lambda h: h.pop("meta"), {}),
-    ("bad model header", lambda h: h.pop("arrays"), {}),
-    ("bad model header", set_record(0, 1, "<i8"), {}),
-    ("bad model header", set_record(1, 2, [-3]), {}),
-    ("bad model header", set_record(1, 2, [3.0]), {}),
-    ("bad model header", set_record(1, 0, 7), {}),
+    ("bad model file header", None, {"header_len": 10**6}),
+    ("bad model file header", lambda h: h.pop("meta"), {}),
+    ("bad model file header", lambda h: h.pop("arrays"), {}),
+    ("bad model file header", set_record(0, 1, "<i8"), {}),
+    ("bad model file header", set_record(1, 2, [-3]), {}),
+    ("bad model file header", set_record(1, 2, [3.0]), {}),
+    ("bad model file header", set_record(1, 0, 7), {}),
     ("payload size", set_record(0, 2, [2, 2]), {}),
     ("payload size", set_record(2, 2, [1]), {}),
-    ("duplicate model array names", set_record(2, 0, "weights"), {}),
+    ("duplicate model file array names", set_record(2, 0, "weights"), {}),
 ], ids=[
     "version", "header-length", "no-meta", "no-arrays", "dtype", "negative-dim",
     "float-dim", "name-type", "fewer-bytes", "more-bytes", "duplicate-name",
@@ -135,5 +135,5 @@ def test_header_that_is_not_json(toy, tmp_path):
     data = toy.read_bytes()
     (n,) = struct.unpack_from("<Q", data, 8)
     body = data[:16] + b"\xff" * n + data[16 + n : -32]
-    with pytest.raises(InputError, match="bad model header"):
+    with pytest.raises(InputError, match="bad model file header"):
         load(tmp_path, body + hashlib.sha256(body).digest())

@@ -170,21 +170,21 @@ class TestBackward:
         net = tiny_dense_net(seed=3)
         x = np.array([0.5, -1.0, 2.0, 0.25])
         net.loss_and_backward(x[None], np.array([1]))
-        grads = dict(net.gradients())
+        dense = net.layers[0]
         p = net.forward(x[None])[0]
         delta = p.copy()
         delta[1] -= 1.0
-        assert grads["layer0.dense.weights"] == pytest.approx(np.outer(delta, x))
-        assert grads["layer0.dense.bias"] == pytest.approx(delta)
+        assert dense.d_weights == pytest.approx(np.outer(delta, x))
+        assert dense.d_bias == pytest.approx(delta)
 
     def test_zero_input_conv_gradients(self):
         rng = np.random.Generator(np.random.PCG64(1))
         net = Network([Conv(1, 2, rng), Flatten(),
                        Dense(2 * 4 * 4, 3, rng)])
         net.loss_and_backward(np.zeros((1, 1, 4, 4)), np.array([0]))
-        grads = dict(net.gradients())
-        assert grads["layer0.conv.kernels"] == pytest.approx(np.zeros((2, 1, 3, 3)))
-        assert np.abs(grads["layer0.conv.bias"]).max() > 0
+        conv = net.layers[0]
+        assert conv.d_kernels == pytest.approx(np.zeros((2, 1, 3, 3)))
+        assert np.abs(conv.d_bias).max() > 0
 
     def test_linear_dense_gradient_at_roundoff(self):
         net = tiny_dense_net(seed=3)
@@ -212,47 +212,167 @@ class TestBackward:
             gradient_check(net, np.zeros(4), 0, epsilon=1e-3)
 
 
+def one_dense(params, grads):
+    """Network([Dense(1, 1)]) with params (weight, bias) and grads set."""
+    net = Network([Dense(1, 1)])
+    net.params[...] = params
+    net.grads[...] = grads
+    return net
+
+
 class TestSgd:
     def test_plain_step(self):
-        p = [("w", np.array([1.0]))]
-        g = [("w", np.array([1.0]))]
-        v = [np.zeros(1)]
-        sgd_step(p, g, v, learning_rate=0.1, momentum=0.0)
-        assert p[0][1] == pytest.approx([0.9])
+        net = one_dense([1.0, 2.0], [1.0, 0.0])
+        sgd_step(net, np.zeros(2), learning_rate=0.1, momentum=0.0)
+        assert net.params == pytest.approx([0.9, 2.0])
+        assert net.layers[0].weights[0, 0] == pytest.approx(0.9)
 
     def test_zero_gradient_no_change(self):
-        p = [("w", np.array([2.0, 3.0]))]
-        g = [("w", np.zeros(2))]
-        v = [np.zeros(2)]
-        sgd_step(p, g, v, 0.5, 0.0)
-        assert p[0][1] == pytest.approx([2.0, 3.0])
+        net = one_dense([2.0, 3.0], [0.0, 0.0])
+        sgd_step(net, np.zeros(2), 0.5, 0.0)
+        assert net.params == pytest.approx([2.0, 3.0])
 
     def test_momentum_recursion(self):
         # v1 = -lr*g1 = -0.2; p1 = 1 - 0.2 = 0.8
         # v2 = 0.9*(-0.2) - 0.1*1 = -0.28; p2 = 0.8 - 0.28 = 0.52
-        p = [("w", np.array([1.0]))]
-        v = [np.zeros(1)]
-        g = [("w", np.array([2.0]))]
-        sgd_step(p, g, v, 0.1, 0.9)
-        assert p[0][1] == pytest.approx([0.8])
-        g = [("w", np.array([1.0]))]
-        sgd_step(p, g, v, 0.1, 0.9)
-        assert p[0][1] == pytest.approx([0.52])
+        net = one_dense([1.0, 0.0], [2.0, 0.0])
+        vel = np.zeros(2)
+        sgd_step(net, vel, 0.1, 0.9)
+        assert net.params[0] == pytest.approx(0.8)
+        net.grads[0] = 1.0
+        sgd_step(net, vel, 0.1, 0.9)
+        assert net.params[0] == pytest.approx(0.52)
 
     def test_nonfinite_gradient_names_parameter(self):
-        p = [("layer3.dense.weights", np.array([1.0]))]
-        g = [("layer3.dense.weights", np.array([np.nan]))]
-        v = [np.zeros(1)]
-        with pytest.raises(TrainingError) as err:
-            sgd_step(p, g, v, 0.1, 0.0)
-        assert "layer3.dense.weights" in str(err.value)
+        rng = np.random.Generator(np.random.PCG64(3))
+        net = Network([Conv(1, 2, rng), MaxPool(), Flatten(), Dense(2 * 2 * 2, 3, rng)])
+        before = net.params.copy()
+        start = net.layers[0].kernels.size + net.layers[0].bias.size
+        # the first and the last element of layer3.dense.weights
+        for at in (start, start + net.layers[3].weights.size - 1):
+            net.grads[...] = 0.0
+            net.grads[at] = np.nan
+            with pytest.raises(TrainingError) as err:
+                sgd_step(net, np.zeros_like(net.params), 0.1, 0.0)
+            assert "non-finite gradient in layer3.dense.weights" in str(err.value)
+            # nothing is updated
+            assert net.params.tobytes() == before.tobytes()
 
     def test_parameter_validation(self):
-        p, g, v = [("w", np.ones(1))], [("w", np.ones(1))], [np.zeros(1)]
+        net = one_dense([1.0, 1.0], [1.0, 1.0])
         with pytest.raises(ConfigurationError):
-            sgd_step(p, g, v, 0.0, 0.0)
+            sgd_step(net, np.zeros(2), 0.0, 0.0)
         with pytest.raises(ConfigurationError):
-            sgd_step(p, g, v, 0.1, 1.0)
+            sgd_step(net, np.zeros(2), 0.1, 1.0)
+
+
+def param_grads(layer, g, x):
+    """Fresh (weight, bias) gradients of a Conv or Dense layer, formed as the
+    layers formed them before they wrote into the network's grads vector."""
+    if layer.kind == "dense":
+        return g.T @ x, g.sum(axis=0)
+    n, _, h, w = x.shape
+    gmat = g.reshape(n, layer.out_channels, h * w)
+    parts = [
+        part for sl, cols in nnet._patch_chunks(x)
+        for part in np.matmul(gmat[sl], cols.transpose(0, 2, 1))
+    ]
+    d_kernels = parts[0].copy()
+    for part in parts[1:]:
+        d_kernels += part
+    return d_kernels.reshape(layer.kernels.shape), g.sum(axis=(0, 2, 3))
+
+
+def float32_stack(seed):
+    """A small float32 conv+dense stack, its parameters converted layer by layer."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    layers = [
+        Conv(1, 3, rng), Relu(), MaxPool(), Flatten(),
+        Dense(3 * 3 * 3, 4, rng), Relu(), Dense(4, 3, rng),
+    ]
+    for layer in layers:
+        for name in getattr(layer, "param_names", ()):
+            setattr(layer, name, getattr(layer, name).astype(np.float32))
+    return layers
+
+
+class TestFlatParameters:
+    """One params and one grads vector per network, every layer array a view of them."""
+
+    def test_three_steps_match_the_per_array_update(self):
+        rng = np.random.Generator(np.random.PCG64(17))
+        xs = rng.normal(size=(5, 1, 6, 6)).astype(np.float32)
+        cls = np.array([0, 1, 2, 0, 1])
+        lr, momentum = 0.1, 0.9
+        net = Network(float32_stack(9))
+        layers = float32_stack(9)
+        # the reference: per-layer gradient arrays and one velocity per array
+        owned = [(layer, name) for layer in layers for name in getattr(layer, "param_names", ())]
+        vels = [np.zeros_like(getattr(layer, name)) for layer, name in owned]
+        for layer, name in owned:
+            # written by backward outside a Network; the reference reads param_grads
+            setattr(layer, f"d_{name}", np.zeros_like(getattr(layer, name)))
+        velocity = np.zeros_like(net.params)
+        for step in range(3):
+            net.loss_and_backward(xs, cls)
+            sgd_step(net, velocity, lr, momentum)
+            inputs = [xs]
+            for layer in layers:
+                inputs.append(layer.forward(inputs[-1]))
+            g = softmax_batch(inputs.pop())
+            g[np.arange(5), cls] -= 1.0
+            g = (g / 5).astype(np.float32)
+            grads = {}
+            for i in reversed(range(len(layers))):
+                x = inputs.pop()
+                if getattr(layers[i], "param_names", ()):
+                    grads[layers[i]] = param_grads(layers[i], g, x)
+                if i:
+                    g = layers[i].backward(g, x)
+            grads = [grads[layer][k] for layer in layers if layer in grads for k in (0, 1)]
+            for (layer, name), grad, vel in zip(owned, grads, vels):
+                vel *= momentum
+                vel -= lr * grad
+                getattr(layer, name)[...] += vel
+            flat = [np.concatenate([a.ravel() for a in arrays]).tobytes()
+                    for arrays in ([getattr(lay, n) for lay, n in owned], grads, vels)]
+            assert [net.params.tobytes(), net.grads.tobytes(), velocity.tobytes()] == flat, step
+            if step == 1:
+                self.assert_views_in_declaration_order(net)
+
+    @staticmethod
+    def assert_views_in_declaration_order(net):
+        start = 0
+        for layer in net.layers:
+            for name in getattr(layer, "param_names", ()):
+                for arr, vec in ((getattr(layer, name), net.params),
+                                 (getattr(layer, f"d_{name}"), net.grads)):
+                    part = vec[start : start + arr.size]
+                    assert np.shares_memory(arr, part), name
+                    assert arr.ctypes.data == part.ctypes.data and arr.flags.c_contiguous
+                start += getattr(layer, name).size
+        assert start == net.params.size == net.grads.size
+
+    def test_layout_names_every_parameter(self):
+        net = Network(float32_stack(2))
+        assert [name for name, _ in net.layout] == [
+            "layer0.conv.kernels", "layer0.conv.bias", "layer4.dense.weights",
+            "layer4.dense.bias", "layer6.dense.weights", "layer6.dense.bias",
+        ]
+        assert net.layout[-1][1] == net.params.size == 3 * 9 + 3 + 27 * 4 + 4 + 4 * 3 + 3
+        assert net.params.dtype == net.grads.dtype == np.float32
+
+    def test_mixed_dtypes_are_configuration_error(self):
+        layers = float32_stack(4)
+        layers[-1].bias = layers[-1].bias.astype(np.float64)
+        with pytest.raises(ConfigurationError, match="float32.*float64"):
+            Network(layers)
+
+    def test_stack_without_parameters_has_empty_vectors(self):
+        for net in (Network([]), Network([Flatten(), Relu()])):
+            assert net.params.shape == net.grads.shape == (0,) and net.layout == []
+            net.loss_and_backward(np.array([[0.5, -1.0, 2.0]]), np.array([1]))
+            sgd_step(net, np.zeros(0), 0.1, 0.9)
 
 
 class TestLossDescent:
@@ -264,12 +384,11 @@ class TestLossDescent:
         ])
         xs = rng.normal(size=(6, 1, 6, 6))
         cls = np.array([0, 1, 2, 0, 1, 2])
-        params = net.parameters()
-        vel = [np.zeros_like(a) for _, a in params]
+        velocity = np.zeros_like(net.params)
         losses = []
         for _ in range(50):
             losses.append(net.loss_and_backward(xs, cls)[0])
-            sgd_step(params, net.gradients(), vel, 1e-4, 0.0)
+            sgd_step(net, velocity, 1e-4, 0.0)
         losses.append(net.loss_and_backward(xs, cls)[0])
         diffs = np.diff(losses)
         assert (diffs <= 1e-12).all()
@@ -286,9 +405,8 @@ class TestSerialization:
 
         rng = np.random.Generator(np.random.PCG64(8))
         net, again = stack(rng), stack(None)
-        flat = net.flat_parameters()
-        again.set_flat_parameters(flat)
-        assert again.flat_parameters().tobytes() == flat.tobytes()
+        again.params[...] = net.params
+        assert again.params.tobytes() == net.params.tobytes()
         x = rng.normal(size=(2, 1, 4, 4))
         assert again.forward(x) == pytest.approx(net.forward(x), abs=0)
 
@@ -297,10 +415,10 @@ class TestSerialization:
         net.layers[0].weights[...] = np.arange(6.0).reshape(3, 2)
         net.layers[0].bias[...] = [-1.0, 0.5, 2.0]
         expected = struct.pack("<6d", *range(6)) + struct.pack("<3d", -1.0, 0.5, 2.0)
-        assert net.flat_parameters().tobytes() == expected
-        # a copy: changing it leaves the network alone
-        net.flat_parameters()[0] = 9.0
-        assert net.layers[0].weights[0, 0] == 0.0
+        assert net.params.tobytes() == expected
+        # the live vector: changing it changes the layer
+        net.params[0] = 9.0
+        assert net.layers[0].weights[0, 0] == 9.0
 
 
 # ---------------------------------------------------------------------------
@@ -371,6 +489,7 @@ class TestChunkedConv:
         g = rng.normal(size=(n, k, h, w))
         conv = Conv(c, k, rng)
         conv.bias[...] = rng.normal(size=k)
+        Network([conv])
         expected = ref_conv(x, conv.kernels, conv.bias, g)
         got = (conv.forward(x), conv.backward(g, x), conv.d_kernels, conv.d_bias)
         for name, a, b in zip(("out", "dx", "d_kernels", "d_bias"), got, expected):
@@ -388,6 +507,7 @@ class TestChunkedConv:
             g = rng.normal(size=x.shape).astype(dtype)
             conv = Conv(8, 8, rng)
             conv.kernels, conv.bias = conv.kernels.astype(dtype), conv.bias.astype(dtype)
+            Network([conv])
             tracemalloc.start()
             try:
                 conv.forward(x)
@@ -552,7 +672,7 @@ class TestLeanPoolAndRelu:
         x = rng.normal(size=(5, 1, 8, 8))
         cls = np.array([0, 1, 2, 0, 1])
         net.loss_and_backward(x, cls)
-        got = [g.tobytes() for _, g in net.gradients()]
+        got = net.grads.tobytes()
         # the full sweep, input gradient included
         inputs = [x]
         for layer in net.layers:
@@ -563,7 +683,7 @@ class TestLeanPoolAndRelu:
         for layer in reversed(net.layers):
             g = layer.backward(g, inputs.pop())
         assert g.shape == x.shape
-        assert got == [g.tobytes() for _, g in net.gradients()]
+        assert got == net.grads.tobytes()
         assert net.layers[0].backward(np.ones((5, 3, 8, 8)), x, input_grad=False) is None
 
     def test_layers_hold_only_parameters_and_gradients(self):
@@ -576,12 +696,13 @@ class TestLeanPoolAndRelu:
         x = rng.normal(size=(5, 1, 8, 8))
 
         def held_arrays():
+            # every array a layer holds is a view of the parameter or gradient vector
             return [
                 (i, name)
                 for i, layer in enumerate(net.layers)
                 for name, value in vars(layer).items()
                 if isinstance(value, np.ndarray)
-                and not any(value is a for _, a in layer.parameters() + layer.gradients())
+                and not any(np.shares_memory(value, v) for v in (net.params, net.grads))
             ]
 
         net.forward(x)
@@ -614,9 +735,12 @@ def assert_float32_rounding_of(got, want, magnitude, length):
 
 
 def conv_pass(x, kernels, bias, g):
-    """(out, dx, d_kernels, d_bias) of a Conv holding kernels and bias."""
+    """(out, dx, d_kernels, d_bias) of a Conv holding kernels and bias.
+
+    Packing it in a Network gives it gradient arrays in the kernels' dtype."""
     conv = Conv(kernels.shape[1], kernels.shape[0])
     conv.kernels, conv.bias = kernels, bias
+    Network([conv])
     return conv.forward(x), conv.backward(g, x), conv.d_kernels, conv.d_bias
 
 
@@ -671,6 +795,7 @@ class TestFloat32Layers:
         def dense_pass(x, weights, bias, g):
             dense = Dense(width, units)
             dense.weights, dense.bias = weights, bias
+            Network([dense])
             return dense.forward(x), dense.backward(g, x), dense.d_weights, dense.d_bias
 
         case = (x, weights, bias, g)
@@ -709,11 +834,13 @@ class TestFloat32Layers:
 
     def test_softmax_is_float64_and_the_backward_sweep_float32(self):
         rng = np.random.Generator(np.random.PCG64(43))
-        net = Network([Conv(1, 2, rng), Relu(), MaxPool(), Flatten(), Dense(8, 3, rng)])
-        for layer in (net.layers[0], net.layers[4]):
-            for name, arr in layer.parameters():
-                setattr(layer, name, arr.astype(np.float32))
+        layers = [Conv(1, 2, rng), Relu(), MaxPool(), Flatten(), Dense(8, 3, rng)]
+        for layer in (layers[0], layers[4]):
+            for name in layer.param_names:
+                setattr(layer, name, getattr(layer, name).astype(np.float32))
+        net = Network(layers)
         x = rng.normal(size=(3, 1, 4, 4)).astype(np.float32)
         assert net.forward(x).dtype == np.float64
         net.loss_and_backward(x, np.array([0, 1, 2]))
-        assert [g.dtype for _, g in net.gradients()] == [np.float32] * 4
+        assert net.grads.dtype == np.float32
+        assert [layer.d_bias.dtype for layer in (layers[0], layers[4])] == [np.float32] * 2

@@ -153,7 +153,15 @@ class TestScatterImage:
         with pytest.raises(ValueError):
             img.pixels[0, 0] = 1
 
-    @pytest.mark.parametrize("shape", [(2, 3), (4,), (2, 2, 2)])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_callers_array_stays_writeable_and_apart(self, order):
+        a = np.asarray(np.arange(4, dtype=np.uint8).reshape(2, 2), order=order)
+        img = ScatterImage(a)
+        assert a.flags.writeable and img.pixels.flags.c_contiguous
+        a[0, 0] = 200
+        assert img.pixels.tolist() == [[0, 1], [2, 3]]
+
+    @pytest.mark.parametrize("shape",[(2, 3), (4,), (2, 2, 2)])
     def test_grid_that_is_not_square_is_validation_error(self, shape):
         with pytest.raises(ValidationError, match="not square"):
             ScatterImage(np.zeros(shape, dtype=np.uint8))
