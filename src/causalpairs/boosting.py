@@ -18,25 +18,28 @@ feature index, then the lowest threshold; node totals are summed over the
 rows in row order.  The trees are the same as those of a per-node sort.
 The search writes its per-node matrices into buffers made once per fit.
 
+A model holds all its trees in one node table, the arrays its file
+stores.  Scoring walks every tree at once over a chunk of rows, then adds
+the trees' values round by round, in the fit's order.
+
 Fitting draws no random numbers: the model is a pure function of the
 feature matrix, the labels and the config.
 """
 
-import math
 from dataclasses import dataclass, asdict
 
 import numpy as np
 
 from . import modelfile
-from .errors import (
-    ConfigurationError, InputError, ShapeError, TrainingError, ValidationError,
-)
+from .errors import ConfigurationError, InputError, ShapeError, TrainingError, ValidationError
 from .probs import LABELS, LABEL_TO_CLASS, check_probs
 from .nnet import softmax_batch
 
 _LEAF = -1
-# a RegressionTree's node arrays, as finalize() leaves them
+# a RegressionTree's node arrays, as its model file stores them
 _NODE_DTYPES = {"feature": "<i4", "threshold": "<f8", "left": "<i4", "right": "<i4", "value": "<f8"}
+# at most this many (row, tree) leaves per apply call when scoring
+_WALK_SIZE = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -49,55 +52,43 @@ class GbcConfig:
     def __post_init__(self):
         if self.n_estimators < 1 or self.max_depth < 1 or self.min_samples_split < 2:
             raise ConfigurationError(f"invalid boosting config {self}")
-        # written so that NaN fails too
-        if not 0 <= self.learning_rate < math.inf:
-            raise ConfigurationError(
-                f"learning_rate must be finite and >= 0, got {self.learning_rate}"
-            )
+        if not 0 <= self.learning_rate < np.inf:  # written so that NaN fails too
+            raise ConfigurationError(f"learning_rate must be finite and >= 0, got {self.learning_rate}")
 
 
 class RegressionTree:
-    """Flat-array binary tree: feature < 0 marks a leaf holding `value`."""
+    """A node table of one or more regression trees laid end to end.
 
-    def __init__(self):
-        self.feature = []
-        self.threshold = []
-        self.left = []
-        self.right = []
-        self.value = []
+    Tree t has ``sizes[t]`` nodes, after those of the trees before it.  A
+    node with ``feature`` < 0 is a leaf holding ``value``; a split sends
+    rows with ``X[:, feature] <= threshold`` to ``left``, the others to
+    ``right``, each child index counted within its own tree.
+    """
 
-    def _add_node(self):
-        self.feature.append(_LEAF)
-        self.threshold.append(0.0)
-        self.left.append(_LEAF)
-        self.right.append(_LEAF)
-        self.value.append(0.0)
-        return len(self.feature) - 1
-
-    def finalize(self):
-        for name, dtype in _NODE_DTYPES.items():
-            setattr(self, name, np.asarray(getattr(self, name), dtype=dtype))
-        return self
+    def __init__(self, sizes, *columns):
+        """``columns``: feature, threshold, left, right and value, in that order."""
+        self.sizes = np.asarray(sizes, dtype="<i4")
+        for (name, dtype), column in zip(_NODE_DTYPES.items(), columns, strict=True):
+            setattr(self, name, np.asarray(column, dtype=dtype))
+        self.starts = np.cumsum(self.sizes, dtype=np.int64) - self.sizes  # each tree's root
 
     @property
-    def n_nodes(self):
+    def n_nodes(self) -> int:
         return len(self.feature)
 
     def apply(self, X: np.ndarray) -> np.ndarray:
-        """Leaf index for every row of X."""
+        """[rows, trees] table index of the leaf each row of X reaches in each tree."""
         X = np.asarray(X, dtype=np.float64)
-        node = np.zeros(len(X), dtype=np.int64)
-        active = self.feature[node] >= 0
-        while active.any():
-            idx = np.flatnonzero(active)
-            cur = node[idx]
-            goes_left = X[idx, self.feature[cur]] <= self.threshold[cur]
-            node[idx] = np.where(goes_left, self.left[cur], self.right[cur])
-            active = self.feature[node] >= 0
-        return node
-
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        return self.value[self.apply(X)]
+        leaves = np.tile(self.starts, (len(X), 1))
+        node = leaves.reshape(-1)
+        walking = np.flatnonzero(self.feature[node] >= 0)
+        while len(walking):
+            row, tree = np.divmod(walking, len(self.starts))
+            cur = node[walking]
+            goes_left = X[row, self.feature[cur]] <= self.threshold[cur]
+            node[walking] = self.starts[tree] + np.where(goes_left, self.left[cur], self.right[cur])
+            walking = walking[self.feature[node[walking]] >= 0]
+        return leaves
 
 
 def presort(X: np.ndarray) -> np.ndarray:
@@ -193,13 +184,12 @@ def fit_tree(
         order = presort(X)
     if work is None:
         work = split_workspace(n_feat, len(X))
-    tree = RegressionTree()
-
+    nodes = []  # [feature, threshold, left, right, value] of each node, parents first
     # idx: the node's rows in ascending order; order: presort(X[idx])
     def grow(idx, order, depth):
-        node = tree._add_node()
         sub_y = y[idx]
-        tree.value[node] = float(sub_y.mean())
+        node = len(nodes)
+        nodes.append([_LEAF, 0.0, _LEAF, _LEAF, float(sub_y.mean())])
         if depth >= depth_limit or len(idx) < min_split or np.ptp(sub_y) == 0.0:
             return node
         found = best_split(X[idx], sub_y, order, work)
@@ -215,23 +205,22 @@ def fit_tree(
         before = np.cumsum(goes_left)
         child_pos = np.where(goes_left, before - 1, np.arange(len(idx)) - before)
         in_left = goes_left[order]
-        tree.feature[node] = j
-        tree.threshold[node] = thr
-        tree.left[node] = grow(
+        nodes[node][:2] = j, thr
+        nodes[node][2] = grow(
             idx[goes_left], child_pos[order[in_left]].reshape(n_feat, -1), depth + 1
         )
-        tree.right[node] = grow(
+        nodes[node][3] = grow(
             idx[~goes_left], child_pos[order[~in_left]].reshape(n_feat, -1), depth + 1
         )
         return node
 
     grow(np.arange(len(X)), order, 0)
-    return tree.finalize()
+    return RegressionTree([len(nodes)], *zip(*nodes))
 
 
 @dataclass
 class BoostedModel:
-    trees: list  # trees[round][class_index]
+    trees: RegressionTree  # every tree, round by round, a tree per class in each
     init_scores: np.ndarray
     n_features: int
     config: GbcConfig
@@ -244,9 +233,14 @@ class BoostedModel:
                 f"feature matrix {X.shape} does not match trained width {self.n_features}"
             )
         scores = np.tile(self.init_scores, (len(X), 1))
-        for round_trees in self.trees:
-            for k, tree in enumerate(round_trees):
-                scores[:, k] += self.config.learning_rate * tree.predict(X)
+        chunk = max(1, _WALK_SIZE // len(self.trees.sizes))
+        for start in range(0, len(X), chunk):
+            rows = scores[start : start + chunk]
+            leaves = self.trees.apply(X[start : start + chunk])
+            steps = self.config.learning_rate * self.trees.value[leaves]
+            # round by round, as the fit added them
+            for step in steps.reshape(len(rows), -1, len(LABELS)).transpose(1, 0, 2):
+                rows += step
         return scores
 
 
@@ -282,34 +276,34 @@ def gbc_fit(X: np.ndarray, labels, cfg: GbcConfig = GbcConfig()) -> BoostedModel
         if round_index == cfg.n_estimators:
             break
         residual = onehot - probs
-        round_trees = []
         for k in range(n_classes):
             tree = fit_tree(
                 X, residual[:, k], cfg.max_depth, cfg.min_samples_split, order, work
             )
-            leaves = tree.apply(X)
+            leaves = tree.apply(X)[:, 0]
             hess = probs[:, k] * (1.0 - probs[:, k])
             num = np.bincount(leaves, weights=residual[:, k], minlength=tree.n_nodes)
             den = np.bincount(leaves, weights=hess, minlength=tree.n_nodes)
             upd = np.zeros(tree.n_nodes)
             nonzero = den > 1e-12
             upd[nonzero] = (n_classes - 1) / n_classes * num[nonzero] / den[nonzero]
-            is_leaf = tree.feature < 0
-            tree.value = np.where(is_leaf, upd, tree.value)
+            tree.value = np.where(tree.feature < 0, upd, tree.value)
             # an overflow here is reported as a TrainingError after the round
             with np.errstate(over="ignore"):
                 scores[:, k] += cfg.learning_rate * tree.value[leaves]
-            round_trees.append(tree)
+            trees.append(tree)
         if not np.isfinite(scores).all():
             raise TrainingError(f"non-finite class scores at boosting round {round_index}")
-        trees.append(round_trees)
     if logloss[-1] > logloss[0]:
         raise TrainingError(
             f"boosting diverged: final train log-loss {logloss[-1]:.4f}"
             f" is above the initial {logloss[0]:.4f}"
         )
     return BoostedModel(
-        trees=trees,
+        trees=RegressionTree(
+            [tree.n_nodes for tree in trees],
+            *(np.concatenate([getattr(tree, name) for tree in trees]) for name in _NODE_DTYPES),
+        ),
         init_scores=init_scores,
         n_features=n_feat,
         config=cfg,
@@ -324,14 +318,13 @@ def gbc_predict_batch(model: BoostedModel, X: np.ndarray) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # Model file: a modelfile container of kind "gbc".  Its arrays are the initial
-# scores, every tree's node count (round-major, then class) and the five node
-# arrays of all trees, each concatenated in that order.
+# scores, then the model's node table: every tree's node count (round-major,
+# then class) as "n_nodes", and the five node arrays.
 
 _ARRAYS = {"init_scores": "<f8", "n_nodes": "<i4", **_NODE_DTYPES}
 
 
 def save_gbc(model: BoostedModel, path) -> None:
-    trees = [tree for round_trees in model.trees for tree in round_trees]
     meta = {
         "n_features": model.n_features,
         "config": asdict(model.config),
@@ -340,8 +333,8 @@ def save_gbc(model: BoostedModel, path) -> None:
     }
     arrays = {
         "init_scores": model.init_scores,
-        "n_nodes": np.array([tree.n_nodes for tree in trees], dtype=np.int32),
-        **{name: np.concatenate([getattr(tree, name) for tree in trees]) for name in _NODE_DTYPES},
+        "n_nodes": model.trees.sizes,
+        **{name: getattr(model.trees, name) for name in _NODE_DTYPES},
     }
     modelfile.write(path, "gbc", meta, arrays)
 
@@ -383,19 +376,12 @@ def gbc_from_file(path, meta: dict, arrays: dict) -> BoostedModel:
             and all(len(a) == n_nodes.sum() for a in nodes)
             and _trees_are_valid(nodes[0], nodes[2], nodes[3], n_nodes, n_features)
         )
-    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+    except (ValueError, KeyError, TypeError, AttributeError, ConfigurationError) as exc:
         raise InputError(f"{path}: bad boosted model metadata: {exc}") from exc
     if not consistent:
         raise InputError(f"{path}: malformed trees, or metadata that does not match them")
-    bounds = np.cumsum(n_nodes)[:-1]
-    trees = []
-    for parts in zip(*(np.split(np.array(a), bounds) for a in nodes)):
-        tree = RegressionTree()
-        tree.feature, tree.threshold, tree.left, tree.right, tree.value = parts
-        trees.append(tree)
-    n_classes = len(LABELS)
     return BoostedModel(
-        trees=[trees[i : i + n_classes] for i in range(0, len(trees), n_classes)],
+        trees=RegressionTree(n_nodes, *nodes),
         init_scores=np.array(init_scores),
         n_features=n_features,
         config=config,

@@ -194,7 +194,7 @@ def train_cnn(train, val, arch: CnnArchitecture, cfg: TrainConfig):
             epoch_loss += loss * len(idx)
             nnet.sgd_step(network, velocity, cfg.learning_rate, cfg.momentum)
         if val:
-            val_probs = _predict_classes(network, val_xs)
+            val_probs = _predict_classes(network, val_xs, cfg.batch_size)
             val_acc = float((val_probs.argmax(axis=1) == val_cls).mean())
         else:
             val_acc = float("nan")

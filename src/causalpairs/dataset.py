@@ -105,6 +105,8 @@ class SplitSpec:
             raise ConfigurationError("split fractions must be positive")
         if self.train_frac + self.val_frac >= 1.0:
             raise ConfigurationError("train_frac + val_frac must be < 1")
+        if self.seed < 0:
+            raise ConfigurationError(f"seed must be >= 0, got {self.seed}")
 
 
 def _encode_categories(values: np.ndarray) -> np.ndarray:

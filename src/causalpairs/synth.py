@@ -45,8 +45,8 @@ class GenSpec:
     def __post_init__(self):
         if self.n_obs < 2:
             raise ConfigurationError(f"n_obs must be >= 2, got {self.n_obs}")
-        if self.noise_scale <= 0:
-            raise ConfigurationError(f"noise_scale must be positive, got {self.noise_scale}")
+        if not 0 < self.noise_scale < np.inf:  # written so that NaN fails too
+            raise ConfigurationError(f"noise_scale must be finite and > 0, got {self.noise_scale}")
 
 
 def _draw_source(rng, n):

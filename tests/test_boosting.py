@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from causalpairs import modelfile
+from causalpairs import boosting, modelfile
 from causalpairs.boosting import (
     BoostedModel,
     GbcConfig,
@@ -27,6 +27,10 @@ from causalpairs.errors import (
     TrainingError,
     ValidationError,
 )
+
+NODE_ARRAYS = ("feature", "threshold", "left", "right", "value")
+# a RegressionTree's arrays: its per-tree node counts, then its node arrays
+TABLE_ARRAYS = ("sizes", *NODE_ARRAYS)
 
 
 def exhaustive_best_split(X, y):
@@ -55,7 +59,7 @@ class TestFitTree:
         X = np.arange(10.0).reshape(-1, 1)
         tree = fit_tree(X, np.full(10, 2.5), depth_limit=5, min_split=2)
         assert tree.n_nodes == 1
-        assert tree.predict(X) == pytest.approx(np.full(10, 2.5))
+        assert tree.value[tree.apply(X)[:, 0]] == pytest.approx(np.full(10, 2.5))
 
     def test_two_cluster_split(self):
         # {0->0, 1->0, 10->9, 11->9}: only the middle gap removes all variance
@@ -86,7 +90,7 @@ class TestFitTree:
         y = rng.normal(size=40)
         tree = fit_tree(X, y, depth_limit=12, min_split=10)
         counts = np.zeros(tree.n_nodes, dtype=int)
-        leaf_of = tree.apply(X)
+        leaf_of = tree.apply(X)[:, 0]
         for leaf in leaf_of:
             counts[leaf] += 1
         # every split node had >= 10 samples, so no leaf pair sums below 10
@@ -101,7 +105,7 @@ class TestFitTree:
 
 
 def _samples_under(tree, node, X):
-    idx = tree.apply(X)
+    idx = tree.apply(X)[:, 0]
     reach = set()
 
     def collect(k):
@@ -169,29 +173,29 @@ def reference_fit_tree(X, y, depth_limit, min_split, order=None, work=None):
 
     Takes and ignores the presort and workspace that gbc_fit passes.
     """
-    tree = RegressionTree()
+    nodes = []  # one dict per node, in the order they are made
 
     def grow(idx, depth):
-        node = tree._add_node()
+        index = len(nodes)
         sub_y = y[idx]
-        tree.value[node] = float(sub_y.mean())
+        node = {"feature": -1, "threshold": 0.0, "left": -1, "right": -1,
+                "value": float(sub_y.mean())}
+        nodes.append(node)
         if depth >= depth_limit or len(idx) < min_split or np.ptp(sub_y) == 0.0:
-            return node
+            return index
         found = reference_best_split(X[idx], sub_y)
         if found is None or found[2] <= 0.0:
-            return node
+            return index
         j, thr, _ = found
         goes_left = X[idx, j] <= thr
         if goes_left.all() or not goes_left.any():
-            return node
-        tree.feature[node] = j
-        tree.threshold[node] = thr
-        tree.left[node] = grow(idx[goes_left], depth + 1)
-        tree.right[node] = grow(idx[~goes_left], depth + 1)
-        return node
+            return index
+        node.update(feature=j, threshold=thr,
+                    left=grow(idx[goes_left], depth + 1), right=grow(idx[~goes_left], depth + 1))
+        return index
 
     grow(np.arange(len(X)), 0)
-    return tree.finalize()
+    return RegressionTree([len(nodes)], *([node[name] for node in nodes] for name in NODE_ARRAYS))
 
 
 def tied_matrix(rng, n=150, n_feat=8):
@@ -214,7 +218,7 @@ class TestPresortedSearch:
             got = fit_tree(X, y, 9, 2)
             want = reference_fit_tree(X, y, 9, 2)
             assert got.n_nodes > 1
-            for name in ("feature", "threshold", "left", "right", "value"):
+            for name in TABLE_ARRAYS:
                 assert np.array_equal(getattr(got, name), getattr(want, name)), name
 
     def test_boosted_model_identical_to_reference(self, monkeypatch):
@@ -226,10 +230,9 @@ class TestPresortedSearch:
         monkeypatch.setattr("causalpairs.boosting.fit_tree", reference_fit_tree)
         want = gbc_fit(X, labels, cfg)
         assert got.train_logloss == want.train_logloss
-        for got_round, want_round in zip(got.trees, want.trees):
-            for a, b in zip(got_round, want_round):
-                assert np.array_equal(a.threshold, b.threshold)
-                assert np.array_equal(a.value, b.value)
+        assert len(got.trees.sizes) == 4 * 3
+        for name in TABLE_ARRAYS:
+            assert np.array_equal(getattr(got.trees, name), getattr(want.trees, name)), name
 
     def test_best_split_same_with_and_without_order(self):
         rng = np.random.default_rng(5)
@@ -388,6 +391,83 @@ class TestGbcPredict:
             gbc_predict_batch(model, np.zeros((1, 5)))
 
 
+def joined(trees):
+    """One table holding the given tables' trees, in order."""
+    return RegressionTree(
+        np.concatenate([t.sizes for t in trees]),
+        *(np.concatenate([getattr(t, name) for t in trees]) for name in NODE_ARRAYS),
+    )
+
+
+def split_up(table):
+    """The one-tree tables a table holds, in order."""
+    return [
+        RegressionTree([size], *(getattr(table, name)[start : start + size] for name in NODE_ARRAYS))
+        for start, size in zip(table.starts, table.sizes)
+    ]
+
+
+def reference_scores(model, X):
+    """Class scores added one tree at a time: round by round, class by class."""
+    scores = np.tile(model.init_scores, (len(X), 1))
+    for i, tree in enumerate(split_up(model.trees)):
+        scores[:, i % 3] += model.config.learning_rate * tree.value[tree.apply(X)[:, 0]]
+    return scores
+
+
+class TestNodeTable:
+    def test_apply_matches_a_walk_of_each_tree(self):
+        rng = np.random.default_rng(22)
+        X = tied_matrix(rng, n=60, n_feat=6)
+        trees = [
+            fit_tree(X, rng.normal(size=len(X)), 4, 2),
+            fit_tree(X, np.full(len(X), 0.5), 4, 2),  # a single leaf
+            fit_tree(X, rng.integers(0, 3, size=len(X)) - 1.0, 9, 2),
+        ]
+        assert trees[1].n_nodes == 1
+        table = joined(trees)
+        rows = np.vstack([X, rng.normal(size=(20, 6))])
+        leaves = table.apply(rows)
+        assert leaves.shape == (len(rows), 3)
+        for t, (tree, start) in enumerate(zip(trees, table.starts)):
+            for r, x in enumerate(rows):
+                node = 0
+                while tree.feature[node] >= 0:
+                    f = tree.feature[node]
+                    node = tree.left[node] if x[f] <= tree.threshold[node] else tree.right[node]
+                assert leaves[r, t] == start + node
+
+    def test_decision_scores_bytes_match_a_per_tree_reference(self):
+        rng = np.random.default_rng(23)
+        X, labels = separable_toy(rng, n=60)
+        model = gbc_fit(X, labels, GbcConfig(n_estimators=40, max_depth=3,
+                                             min_samples_split=2))
+        # several chunks of rows, the last one partial
+        rows = rng.normal(scale=2.0, size=(3 * boosting._WALK_SIZE // 120 + 7, 2))
+        assert model.decision_scores(rows).tobytes() == reference_scores(model, rows).tobytes()
+
+    def test_walk_memory_is_bounded_by_one_chunk(self):
+        rng = np.random.default_rng(24)
+        X, labels = separable_toy(rng, n=60)
+        model = gbc_fit(X, labels, GbcConfig(n_estimators=10, max_depth=3,
+                                             min_samples_split=2))
+        # the same rounds eight times over: eight times the trees
+        longer = dataclasses.replace(model, trees=joined(split_up(model.trees) * 8))
+        chunk = boosting._WALK_SIZE // len(model.trees.sizes)
+        rows = rng.normal(size=(8 * chunk, 2))
+
+        def peak(m, batch):
+            tracemalloc.start()
+            try:
+                m.decision_scores(batch)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        one_chunk = peak(model, rows[:chunk])
+        assert peak(model, rows) < 1.5 * one_chunk
+        assert peak(longer, rows) < 1.5 * one_chunk
+
+
 class TestSerialization:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(19)
@@ -403,6 +483,18 @@ class TestSerialization:
         a = loaded.decision_scores(X)
         b = model.decision_scores(X)
         assert a == pytest.approx(b, abs=0)
+
+    def test_load_returns_the_saved_table(self, tmp_path):
+        rng = np.random.default_rng(25)
+        X, labels = separable_toy(rng, n=40)
+        model = gbc_fit(X, labels, GbcConfig(n_estimators=6, max_depth=3,
+                                             min_samples_split=2))
+        save_gbc(model, tmp_path / "g.model")
+        loaded = load_gbc(tmp_path / "g.model")
+        assert loaded.init_scores.tobytes() == model.init_scores.tobytes()
+        for name in TABLE_ARRAYS:
+            a, b = getattr(loaded.trees, name), getattr(model.trees, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
 
     def test_save_twice_identical(self, tmp_path):
         rng = np.random.default_rng(20)
@@ -474,11 +566,12 @@ class TestCorruptModel:
         edits = [
             lambda meta, arrays: meta.pop("train_logloss"),
             lambda meta, arrays: meta["config"].update(depth=3),
+            lambda meta, arrays: meta["config"].update(max_depth=0),
             lambda meta, arrays: meta.update(label_to_class={"one": 0}),
             lambda meta, arrays: arrays.pop("value"),
         ]
         for edit in edits:
-            with pytest.raises(InputError, match="bad boosted model metadata"):
+            with pytest.raises(InputError, match=r"edited\.model: bad boosted model metadata"):
                 self.rewrite(small_model, tmp_path, edit)
 
     def test_metadata_disagreeing_with_arrays(self, small_model, tmp_path):
@@ -518,7 +611,7 @@ class TestCorruptModel:
         def empty_last_tree(meta, arrays):
             n = arrays["n_nodes"][-1]
             arrays["n_nodes"][-1] = 0
-            for name in ("feature", "threshold", "left", "right", "value"):
+            for name in NODE_ARRAYS:
                 arrays[name] = arrays[name][:-n]
 
         edits = [

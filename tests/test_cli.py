@@ -521,6 +521,9 @@ def test_every_parsed_flag_is_read(corpus, tmp_path):
     ("--obs-counts", ["sparse-sweep", "--obs-counts", "10,x"]),
     ("--channels", ["train", "cnn", "--channels", "4,4,4,4,4,x,4,4,4,4"]),
     ("bins", ["generate", "--count", 4, "--cat-bins", 0]),
+    ("noise_scale", ["generate", "--count", 4, "--noise-scale", "nan"]),
+    ("noise_scale", ["generate", "--count", 4, "--noise-scale", "inf"]),
+    ("seed", ["ingest", "--seed", -1]),
     ("learning_rate", ["train", "gbc", "--gbc-lr", "nan"]),
     ("learning_rate", ["train", "gbc", "--gbc-lr", "inf"]),
     ("learning_rate", ["train", "cnn", "--lr", "nan"]),
@@ -530,7 +533,7 @@ def test_every_parsed_flag_is_read(corpus, tmp_path):
 ], ids=[
     "mechanism", "fraction", "nan-fraction", "negative-fraction",
     "n-obs", "n-obs-three", "obs-counts", "channels", "cat-bins-zero",
-    "gbc-lr-nan", "gbc-lr-inf", "cnn-lr-nan", "cnn-lr-inf",
+    "noise-scale-nan", "noise-scale-inf", "ingest-negative-seed", "gbc-lr-nan", "gbc-lr-inf", "cnn-lr-nan", "cnn-lr-inf",
     "momentum-one", "momentum-nan",
 ])
 def test_malformed_argument_text_is_configuration_error(corpus, tmp_path, match, argv):
