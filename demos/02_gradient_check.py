@@ -17,11 +17,11 @@ from causalpairs.nnet import (
 
 rng = np.random.Generator(np.random.PCG64(7))
 net = Network([
-    Conv(1, 4, rng), Relu(),
-    Conv(4, 4, rng), Relu(),
+    Conv(1, 4), Relu(),
+    Conv(4, 4), Relu(),
     MaxPool(), Flatten(),
-    Dense(4 * 4 * 4, 3, rng),
-])
+    Dense(4 * 4 * 4, 3),
+], rng=rng)
 x = rng.normal(size=(1, 8, 8))
 
 print("network: conv-relu-conv-relu-pool-dense-softmax on an 8x8 input")

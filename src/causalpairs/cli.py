@@ -26,6 +26,7 @@ import hashlib
 import json
 import os
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -46,6 +47,7 @@ from .dataset import (
     PairInstance,
     SplitSpec,
     augment_all,
+    format_float,
     read_pairs_files,
     split,
     write_pairs_files,
@@ -133,8 +135,8 @@ def _load_splits(args, checksums, parts) -> tuple:
     """The instances each manifest in parts names, from ingest's corpus store.
 
     All three manifests are checked against the store, which must have been
-    stored for corpus files with these checksums; only the pairs of parts
-    are built.  They copy their values, so the file's buffer is freed on
+    stored for corpus files with these checksums, and no id may be listed
+    twice in them; only the pairs of parts are built.  They copy their values, so the file's buffer is freed on
     return: views that kept it alive read higher peak RSS in ``train cnn``.
     """
     mdir = Path(args.out) / "manifests"
@@ -154,9 +156,14 @@ def _load_splits(args, checksums, parts) -> tuple:
         ):
             raise InputError(f"{path}: corpus store arrays do not match its ids")
         row_of = {pid: k for k, pid in enumerate(ids)}
-        missing = [pid for listed in manifests.values() for pid in listed if pid not in row_of]
+        listed = [pid for part in SPLITS for pid in manifests[part]]
+        missing = [pid for pid in listed if pid not in row_of]
         if missing:
             raise InputError(f"manifest ids missing from corpus: {missing[:5]}...")
+        # an id in two manifests would leak pairs between splits
+        repeated = [pid for pid, count in Counter(listed).items() if count > 1]
+        if repeated:
+            raise InputError(f"manifest ids listed more than once: {repeated[:5]}...")
         ends = np.cumsum(n_obs)
 
         def pair(k):
@@ -174,10 +181,6 @@ def _load_splits(args, checksums, parts) -> tuple:
 
 def _rasterize_all(instances, side):
     return [raster.rasterize(inst, side) for inst in instances]
-
-
-def _fmt(v: float) -> str:
-    return repr(float(v))
 
 
 def _parse_ints(text, flag, sep=",", maxsplit=-1) -> list:
@@ -200,6 +203,18 @@ def _parse_channels(spec_text) -> tuple:
 # Commands.
 
 
+def _seeded(command):
+    """command, refusing a negative --seed before it reads or writes anything."""
+
+    def checked(args):
+        if args.seed < 0:
+            raise ConfigurationError(f"--seed must be >= 0, got {args.seed}")
+        return command(args)
+
+    return checked
+
+
+@_seeded
 def cmd_generate(args):
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -234,6 +249,7 @@ def cmd_generate(args):
     return EXIT_OK
 
 
+@_seeded
 def cmd_ingest(args):
     out = Path(args.out)
     checksums = _corpus_checksums(args)
@@ -301,6 +317,7 @@ def _fit_gbc(args, train_insts):
     )
 
 
+@_seeded
 def cmd_train(args):
     out = Path(args.out)
     checksums = _corpus_checksums(args)
@@ -311,7 +328,8 @@ def cmd_train(args):
         model, history = _fit_cnn(args, train_insts, val_insts)
         save = cnn.save_model
         log = ["epoch,train_loss,train_accuracy,val_accuracy"] + [
-            f"{m.epoch},{_fmt(m.train_loss)},{_fmt(m.train_accuracy)},{_fmt(m.val_accuracy)}"
+            f"{m.epoch},{format_float(m.train_loss)},{format_float(m.train_accuracy)},"
+            f"{format_float(m.val_accuracy)}"
             for m in history
         ]
         summary = (
@@ -322,7 +340,7 @@ def cmd_train(args):
         model = _fit_gbc(args, train_insts)
         save = boosting.save_gbc
         log = ["round,train_logloss"] + [
-            f"{r},{_fmt(ll)}" for r, ll in enumerate(model.train_logloss)
+            f"{r},{format_float(ll)}" for r, ll in enumerate(model.train_logloss)
         ]
         summary = f"final train logloss {model.train_logloss[-1]:.4f}"
     (out / "models").mkdir(parents=True, exist_ok=True)
@@ -417,14 +435,14 @@ def cmd_evaluate(args):
     with open(rdir / "predictions.csv", "w", encoding="utf-8", newline="\n") as f:
         f.write("id,p1,p0,p_neg1,score,predicted_label\n")
         for inst, p, s, pred in zip(target, probs, scores, preds):
-            f.write(f"{inst.id},{','.join(map(_fmt, p))},{_fmt(s)},{pred}\n")
+            f.write(f"{inst.id},{','.join(map(format_float, p))},{format_float(s)},{pred}\n")
     with open(rdir / "report.txt", "w", encoding="utf-8", newline="\n") as f:
-        f.write(f"accuracy={_fmt(acc)}\n")
-        f.write(f"auc={_fmt(auc)}\n")
-        f.write(f"auc_fwd={_fmt(auc_fwd)}\n")
-        f.write(f"auc_bwd={_fmt(auc_bwd)}\n")
+        f.write(f"accuracy={format_float(acc)}\n")
+        f.write(f"auc={format_float(auc)}\n")
+        f.write(f"auc_fwd={format_float(auc_fwd)}\n")
+        f.write(f"auc_bwd={format_float(auc_bwd)}\n")
         if chosen_w is not None:
-            f.write(f"w={_fmt(chosen_w)}\n")
+            f.write(f"w={format_float(chosen_w)}\n")
     _write_run_meta(out, "evaluate", args, checksums)
     w_note = f", w={chosen_w}" if chosen_w is not None else ""
     print(f"{args.split}: accuracy={acc:.4f}, auc={auc:.4f}{w_note}")
@@ -439,6 +457,7 @@ def _subsample(inst: PairInstance, count: int, seed: int) -> PairInstance:
     return dataclasses.replace(inst, x=inst.x[idx], y=inst.y[idx])
 
 
+@_seeded
 def cmd_sparse_sweep(args):
     out = Path(args.out)
     checksums = _corpus_checksums(args)
@@ -477,7 +496,7 @@ def cmd_sparse_sweep(args):
     with open(rdir / "sparse_sweep.csv", "w", encoding="utf-8", newline="\n") as f:
         f.write("count,cnn_accuracy,cnn_auc,gbc_accuracy,gbc_auc\n")
         for count, *scores in rows:
-            f.write(f"{count},{','.join(map(_fmt, scores))}\n")
+            f.write(f"{count},{','.join(map(format_float, scores))}\n")
     _write_run_meta(out, "sparse-sweep", args, checksums)
     return EXIT_OK
 

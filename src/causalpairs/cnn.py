@@ -6,10 +6,14 @@ dense 25 -> dense 3, under nnet.Network's softmax.  Image intensities are
 fed as darkness/255.
 
 The layers are float32 end to end: parameters, inputs, activations and
-gradients (DTYPE, fixed here and nowhere else).  The softmax computes in
-float64, so class probabilities are float64.  Training updates the
-network's flat params vector with one velocity vector, and keeps the best
-epoch as one copy of it; model files store that vector as it is.
+gradients (DTYPE, fixed here and nowhere else).  _layers declares the
+stack once; build_network and the model-file loader each give it to
+nnet.Network with DTYPE, the first with its seeded generator, which draws
+the weights straight into the float32 params vector.  The softmax
+computes in float64, so class probabilities are float64.  Training
+updates the network's flat params vector with one velocity vector, and
+keeps the best epoch as one copy of it; model files store that vector as
+it is.
 """
 
 import hashlib
@@ -79,39 +83,27 @@ class TrainConfig:
             raise ConfigurationError("batch_size and epochs must be >= 1")
 
 
-def _layer_plan(arch: CnnArchitecture) -> list:
-    """(kind, *sizes) record of every layer, in stack order."""
-    plan = []
+def _layers(arch: CnnArchitecture) -> list:
+    """The layers of arch, in stack order; a Network allocates their parameters."""
+    layers = []
     in_ch = 1
     for a, b in arch.stages:
-        plan += [("conv", in_ch, a), ("relu",), ("conv", a, b), ("relu",), ("pool",)]
+        layers += [nnet.Conv(in_ch, a), nnet.Relu(), nnet.Conv(a, b), nnet.Relu(), nnet.MaxPool()]
         in_ch = b
-    plan.append(("flatten",))
+    layers.append(nnet.Flatten())
     n_in = arch.flatten_length()
     for i, units in enumerate(arch.dense_units):
-        plan.append(("dense", n_in, units))
+        layers.append(nnet.Dense(n_in, units))
         if i < 2:
-            plan.append(("relu",))
+            layers.append(nnet.Relu())
         n_in = units
-    plan.append(("dense", n_in, arch.output_units))
-    return plan
-
-
-def _network(arch: CnnArchitecture, rng=None) -> nnet.Network:
-    """The layer stack of arch in DTYPE: Glorot-uniform draws from rng, zeros without one."""
-    layers = []
-    for kind, *dims in _layer_plan(arch):
-        layer_type = nnet.LAYER_TYPES[kind]
-        layer = layer_type(*dims, rng) if dims else layer_type()
-        for name in getattr(layer, "param_names", ()):
-            setattr(layer, name, getattr(layer, name).astype(DTYPE))
-        layers.append(layer)
-    return nnet.Network(layers)
+    layers.append(nnet.Dense(n_in, arch.output_units))
+    return layers
 
 
 def build_network(arch: CnnArchitecture, seed: int) -> nnet.Network:
-    """Instantiate the layer stack with seeded Glorot-uniform weights."""
-    return _network(arch, make_rng(derive_seed(seed, "init")))
+    """The layer stack of arch in DTYPE, with seeded Glorot-uniform weights."""
+    return nnet.Network(_layers(arch), DTYPE, make_rng(derive_seed(seed, "init")))
 
 
 @dataclass
@@ -262,12 +254,9 @@ def model_from_file(path, meta: dict, arrays: dict) -> CnnModel:
         params = arrays["params"]
     except (ValueError, KeyError, TypeError, AttributeError, ConfigurationError) as exc:
         raise InputError(f"{path}: bad CNN model metadata: {exc}") from exc
-    plan = _layer_plan(arch)
-    # counted from the conv and dense records, before any layer is allocated
-    n_params = sum(
-        n_out * (n_in * (9 if kind == "conv" else 1) + 1)
-        for kind, n_in, n_out in (r for r in plan if len(r) == 3)
-    )
+    layers = _layers(arch)
+    # counted from the declared shapes, before any parameter is allocated
+    n_params = nnet.n_params(layers)
     if params.shape != (n_params,):
         raise InputError(f"{path}: {params.shape} CNN parameters, the arch needs {n_params}")
     if params.dtype != DTYPE:
@@ -277,6 +266,6 @@ def model_from_file(path, meta: dict, arrays: dict) -> CnnModel:
         )
     if label_to_class != LABEL_TO_CLASS:
         raise InputError(f"{path}: CNN model label mapping {label_to_class} is not the fixed one")
-    network = _network(arch)
+    network = nnet.Network(layers, DTYPE)
     network.params[...] = params
     return CnnModel(network, arch, train_config, data_checksum)

@@ -208,7 +208,8 @@ def parse_pairs(pairs, info, target) -> list[PairInstance]:
     return instances
 
 
-def _format_value(v: float) -> str:
+def format_float(v: float) -> str:
+    """Shortest round-trip text of v as a float, as every text output writes it."""
     return repr(float(v))
 
 
@@ -220,8 +221,8 @@ def format_pairs(instances) -> tuple[str, str, str]:
     """
     pairs_rows, info_rows, target_rows = [], [], []
     for inst in instances:
-        xs = " ".join(_format_value(v) for v in inst.x)
-        ys = " ".join(_format_value(v) for v in inst.y)
+        xs = " ".join(format_float(v) for v in inst.x)
+        ys = " ".join(format_float(v) for v in inst.y)
         pairs_rows.append(f"{inst.id},{xs},{ys}")
         info_rows.append(f"{inst.id},{inst.x_kind.value},{inst.y_kind.value}")
         target_rows.append(f"{inst.id},{inst.label}")

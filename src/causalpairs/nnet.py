@@ -2,16 +2,20 @@
 
 Layers compute in the dtype of the array they are given: every buffer is
 allocated in the input's dtype, so a layer fed float32 runs in float32.
-Layers built here hold float64 parameters; a caller that wants another
-dtype converts them before it builds the Network (cnn does).
 
-A Network packs its layers' parameters, in declaration order and raveled,
-into one flat vector, params, in their dtype, plus a grads vector of the
-same layout.  Every Conv and Dense parameter and gradient attribute becomes
-a view of them: backward writes the gradients in place, and sgd_step
-updates params with one velocity vector.  A Network has no softmax layer:
-forward and loss_and_backward apply softmax_batch to the last layer's
-output, in float64 whatever its dtype, so probabilities are float64.
+Conv and Dense own no parameters: each declares its parameters' names and
+shapes (param_shapes), and the Network it is built into allocates them.  A
+Network holds every parameter, in declaration order and raveled, in one
+flat vector, params, in the dtype it is given, plus a grads vector of the
+same layout.  Every Conv and Dense parameter and gradient attribute is a
+view of them: backward writes the gradients in place, and sgd_step
+updates params with one velocity vector.  Given a generator, the Network
+draws each weight Glorot-uniform in declaration order: a float64 draw
+within sqrt(6 / (fan_in + fan_out)), with fan_in = prod(shape[1:]) and
+fan_out = shape[0] * prod(shape[2:]), cast into params.  Biases start at
+zero.  A Network has no softmax layer: forward and loss_and_backward apply
+softmax_batch to the last layer's output, in float64 whatever its dtype,
+so probabilities are float64.
 
 Layers operate on batches (NCHW for spatial data).  Convolutions are 3x3,
 stride 1, zero same-padding; pooling is 2x2 stride 2 with floor semantics
@@ -41,9 +45,12 @@ forward routine: that of the output gradient with the kernels flipped in
 space and with their input and output channels swapped.
 """
 
+import math
+
 import numpy as np
 
 from .errors import ConfigurationError, ShapeError, TrainingError
+from .seeding import make_rng
 
 EPS_LOG = 1e-12
 
@@ -148,33 +155,16 @@ def softmax_batch(logits: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Layers.
 
-_GLOROT_SCALE = 6.0
-
-
-def glorot_uniform(rng: np.random.Generator, shape, fan_in: int, fan_out: int):
-    limit = np.sqrt(_GLOROT_SCALE / (fan_in + fan_out))
-    return rng.uniform(-limit, limit, size=shape)
-
-
 class Conv:
     """3x3 same-padding stride-1 convolution with bias."""
 
     kind = "conv"
-    # a Network gives each the gradient attribute d_<name>
-    param_names = ("kernels", "bias")
 
-    def __init__(self, in_channels: int, out_channels: int, rng=None):
+    def __init__(self, in_channels: int, out_channels: int):
         self.in_channels = in_channels
         self.out_channels = out_channels
-        fan_in = in_channels * 9
-        fan_out = out_channels * 9
-        if rng is None:
-            self.kernels = np.zeros((out_channels, in_channels, 3, 3))
-        else:
-            self.kernels = glorot_uniform(
-                rng, (out_channels, in_channels, 3, 3), fan_in, fan_out
-            )
-        self.bias = np.zeros(out_channels)
+        # a Network binds each name, and d_<name>, to a view of its vectors
+        self.param_shapes = {"kernels": (out_channels, in_channels, 3, 3), "bias": (out_channels,)}
 
     def forward(self, x):
         if x.shape[1] != self.in_channels:
@@ -266,16 +256,11 @@ class Flatten:
 
 class Dense:
     kind = "dense"
-    param_names = ("weights", "bias")
 
-    def __init__(self, in_features: int, units: int, rng=None):
+    def __init__(self, in_features: int, units: int):
         self.in_features = in_features
         self.units = units
-        if rng is None:
-            self.weights = np.zeros((units, in_features))
-        else:
-            self.weights = glorot_uniform(rng, (units, in_features), in_features, units)
-        self.bias = np.zeros(units)
+        self.param_shapes = {"weights": (units, in_features), "bias": (units,)}
 
     def forward(self, x):
         if x.shape[1] != self.in_features:
@@ -291,40 +276,44 @@ class Dense:
         return g @ self.weights if input_grad else None
 
 
-LAYER_TYPES = {cls.kind: cls for cls in (Conv, MaxPool, Relu, Flatten, Dense)}
+def n_params(layers) -> int:
+    """Number of parameters layers declare; allocates none of them."""
+    return sum(
+        math.prod(s) for layer in layers for s in getattr(layer, "param_shapes", {}).values()
+    )
 
 
 class Network:
     """Ordered layer stack under a row-wise softmax, trained with cross-entropy.
 
-    Owns the flat params and grads vectors (see the module docstring); its
-    layers' parameters must share one dtype.  Network([]) is the bare
-    softmax cross-entropy of its input.
+    Allocates its layers' parameters in the flat params and grads vectors,
+    in dtype, and with rng draws the weights (see the module docstring).
+    Network([]) is the bare softmax cross-entropy of its input.
     """
 
-    def __init__(self, layers):
+    def __init__(self, layers, dtype=np.float64, rng=None):
         self.layers = list(layers)
-        owned = [
-            (f"layer{i}.{layer.kind}.{name}", layer, name, getattr(layer, name))
-            for i, layer in enumerate(self.layers)
-            for name in getattr(layer, "param_names", ())
-        ]
-        dtypes = {arr.dtype for *_, arr in owned}
-        if len(dtypes) > 1:
-            raise ConfigurationError(f"layer parameters mix dtypes {sorted(map(str, dtypes))}")
-        size = sum(arr.size for *_, arr in owned)
-        self.params = np.empty(size, dtype=dtypes.pop() if dtypes else np.float64)
-        self.grads = np.zeros_like(self.params)
+        self.params = np.zeros(n_params(self.layers), dtype=dtype)
         # (name, end offset) of every parameter, in params order
         self.layout = []
-        start = 0
-        for full_name, layer, name, arr in owned:
-            stop = start + arr.size
-            self.params[start:stop] = arr.ravel()
-            setattr(layer, name, self.params[start:stop].reshape(arr.shape))
-            setattr(layer, f"d_{name}", self.grads[start:stop].reshape(arr.shape))
-            self.layout.append((full_name, stop))
-            start = stop
+        spans = []
+        stop = 0
+        for i, layer in enumerate(self.layers):
+            for name, shape in getattr(layer, "param_shapes", {}).items():
+                start, stop = stop, stop + math.prod(shape)
+                self.layout.append((f"layer{i}.{layer.kind}.{name}", stop))
+                spans.append((layer, name, slice(start, stop), shape))
+                param = self.params[start:stop].reshape(shape)
+                if rng is not None and len(shape) > 1:
+                    fan_in, fan_out = math.prod(shape[1:]), shape[0] * math.prod(shape[2:])
+                    limit = np.sqrt(6.0 / (fan_in + fan_out))
+                    param[...] = rng.uniform(-limit, limit, size=shape)
+                setattr(layer, name, param)
+        # np.zeros after the draws: building peaks at params plus one draw,
+        # and no page of grads is written before backward writes it
+        self.grads = np.zeros(self.params.size, dtype=self.params.dtype)
+        for layer, name, span, shape in spans:
+            setattr(layer, f"d_{name}", self.grads[span].reshape(shape))
 
     def _owned(self, x: np.ndarray) -> np.ndarray:
         # ReLU works in place, so the caller's array goes only to a layer
@@ -388,7 +377,7 @@ def gradient_check(
     x = np.asarray(x, dtype=np.float64)[None]
     network.loss_and_backward(x, np.array([true_class]))
     params, grads = network.params, network.grads
-    rng = np.random.Generator(np.random.PCG64(seed))
+    rng = make_rng(seed)
     n_check = min(params.size, max(max_params, 200))
     chosen = rng.choice(params.size, size=n_check, replace=False) if params.size > n_check else np.arange(params.size)
 

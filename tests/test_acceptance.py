@@ -55,11 +55,11 @@ def report(number, name, ok, detail=""):
 def test_criterion_1_gradient_correctness():
     rng = np.random.Generator(np.random.PCG64(12))
     net = Network([
-        Conv(1, 3, rng), Relu(),
-        Conv(3, 3, rng), Relu(),
+        Conv(1, 3), Relu(),
+        Conv(3, 3), Relu(),
         MaxPool(), Flatten(),
-        Dense(3 * 4 * 4, 3, rng),
-    ])
+        Dense(3 * 4 * 4, 3),
+    ], rng=rng)
     x = rng.normal(size=(1, 8, 8))
     t0 = time.time()
     err = gradient_check(net, x, true_class=2, epsilon=1e-5, max_params=300, seed=4)

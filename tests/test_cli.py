@@ -477,9 +477,10 @@ def test_train_cnn_ignores_rasterized_images(corpus, tmp_path):
 
 
 def test_every_parsed_flag_is_read(corpus, tmp_path):
-    # boosting draws no random numbers, so `train gbc --seed` feeds nothing;
-    # it is accepted because bench/workloads.py passes it to both train commands
-    allowed = {("train gbc", "seed")}
+    # boosting draws no random numbers, so `train gbc --seed` feeds only the
+    # check that refuses a negative seed; it is accepted because
+    # bench/workloads.py passes it to both train commands
+    allowed = set()
     flags = [str(a) for a in corpus_flags(corpus)] + ["--out", str(tmp_path)]
     models = ["--model", tmp_path / "models" / "cnn.model",
               "--model2", tmp_path / "models" / "gbc.model"]
@@ -523,7 +524,11 @@ def test_every_parsed_flag_is_read(corpus, tmp_path):
     ("bins", ["generate", "--count", 4, "--cat-bins", 0]),
     ("noise_scale", ["generate", "--count", 4, "--noise-scale", "nan"]),
     ("noise_scale", ["generate", "--count", 4, "--noise-scale", "inf"]),
-    ("seed", ["ingest", "--seed", -1]),
+    ("--seed must be >= 0, got -1", ["generate", "--count", 4, "--seed", -1]),
+    ("--seed must be >= 0, got -1", ["ingest", "--seed", -1]),
+    ("--seed must be >= 0, got -2", ["train", "cnn", "--seed", -2]),
+    ("--seed must be >= 0, got -1", ["train", "gbc", "--seed", -1]),
+    ("--seed must be >= 0, got -1", ["sparse-sweep", "--seed", -1]),
     ("learning_rate", ["train", "gbc", "--gbc-lr", "nan"]),
     ("learning_rate", ["train", "gbc", "--gbc-lr", "inf"]),
     ("learning_rate", ["train", "cnn", "--lr", "nan"]),
@@ -533,7 +538,9 @@ def test_every_parsed_flag_is_read(corpus, tmp_path):
 ], ids=[
     "mechanism", "fraction", "nan-fraction", "negative-fraction",
     "n-obs", "n-obs-three", "obs-counts", "channels", "cat-bins-zero",
-    "noise-scale-nan", "noise-scale-inf", "ingest-negative-seed", "gbc-lr-nan", "gbc-lr-inf", "cnn-lr-nan", "cnn-lr-inf",
+    "noise-scale-nan", "noise-scale-inf", "generate-negative-seed",
+    "ingest-negative-seed", "train-cnn-negative-seed", "train-gbc-negative-seed",
+    "sparse-sweep-negative-seed", "gbc-lr-nan", "gbc-lr-inf", "cnn-lr-nan", "cnn-lr-inf",
     "momentum-one", "momentum-nan",
 ])
 def test_malformed_argument_text_is_configuration_error(corpus, tmp_path, match, argv):
@@ -542,8 +549,11 @@ def test_malformed_argument_text_is_configuration_error(corpus, tmp_path, match,
         assert run("ingest", *corpus_flags(corpus), "--out", tmp_path) == 0
         argv += [str(a) for a in corpus_flags(corpus)]
     args = build_parser().parse_args(argv)
+    before = sorted((p, p.stat().st_mtime_ns) for p in tmp_path.rglob("*"))
     with pytest.raises(ConfigurationError, match=match):
         args.func(args)
+    # refused before any output is written
+    assert sorted((p, p.stat().st_mtime_ns) for p in tmp_path.rglob("*")) == before
     assert main(argv) == 2
 
 
@@ -783,6 +793,19 @@ class TestCorpusStore:
         capsys.readouterr()
         assert run("train", "gbc", *corpus_flags(corpus), "--out", tmp_path) == 2
         assert "manifest ids missing from corpus: ['no-such-pair']" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("manifest,source", [("train", "test"), ("train", "train")],
+                             ids=["across-manifests", "within-one"])
+    def test_an_id_listed_twice_is_input_error(self, corpus, tmp_path, capsys, manifest, source):
+        # a test pair listed in train.ids too would be trained on
+        assert run("ingest", *corpus_flags(corpus), "--out", tmp_path, "--seed", 1) == 0
+        mdir = tmp_path / "manifests"
+        pid = (mdir / f"{source}.ids").read_text().split()[0]
+        with open(mdir / f"{manifest}.ids", "a") as f:
+            f.write(pid + "\n")
+        capsys.readouterr()
+        assert run("train", "gbc", *corpus_flags(corpus), "--out", tmp_path) == 2
+        assert f"manifest ids listed more than once: [{pid!r}]" in capsys.readouterr().err
 
     def test_ingest_writes_identical_stores(self, corpus, tmp_path):
         stores = []

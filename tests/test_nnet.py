@@ -21,14 +21,14 @@ from causalpairs.nnet import (
 
 def conv_forward(x, kernels, bias):
     """Forward pass of a Conv layer holding kernels and bias on the batch x."""
-    conv = Conv(kernels.shape[1], kernels.shape[0])
+    conv = Network([Conv(kernels.shape[1], kernels.shape[0])]).layers[0]
     conv.kernels[...] = kernels
     conv.bias[...] = bias
     return conv.forward(x)
 
 
 def dense_forward(x, weights, bias):
-    dense = Dense(weights.shape[1], weights.shape[0])
+    dense = Network([Dense(weights.shape[1], weights.shape[0])]).layers[0]
     dense.weights[...] = weights
     dense.bias[...] = bias
     return dense.forward(x)
@@ -161,7 +161,7 @@ class TestSoftmaxAndLoss:
 
 def tiny_dense_net(n_in=4, n_out=3, seed=0):
     rng = np.random.Generator(np.random.PCG64(seed))
-    return Network([Dense(n_in, n_out, rng)])
+    return Network([Dense(n_in, n_out)], rng=rng)
 
 
 class TestBackward:
@@ -179,8 +179,7 @@ class TestBackward:
 
     def test_zero_input_conv_gradients(self):
         rng = np.random.Generator(np.random.PCG64(1))
-        net = Network([Conv(1, 2, rng), Flatten(),
-                       Dense(2 * 4 * 4, 3, rng)])
+        net = Network([Conv(1, 2), Flatten(), Dense(2 * 4 * 4, 3)], rng=rng)
         net.loss_and_backward(np.zeros((1, 1, 4, 4)), np.array([0]))
         conv = net.layers[0]
         assert conv.d_kernels == pytest.approx(np.zeros((2, 1, 3, 3)))
@@ -195,11 +194,11 @@ class TestBackward:
     def test_full_conv_net_gradient_check(self):
         rng = np.random.Generator(np.random.PCG64(12))
         net = Network([
-            Conv(1, 3, rng), Relu(),
-            Conv(3, 3, rng), Relu(),
+            Conv(1, 3), Relu(),
+            Conv(3, 3), Relu(),
             MaxPool(), Flatten(),
-            Dense(3 * 4 * 4, 3, rng),
-        ])
+            Dense(3 * 4 * 4, 3),
+        ], rng=rng)
         x = rng.normal(size=(1, 8, 8))
         err = gradient_check(net, x, true_class=2, epsilon=1e-5, max_params=300, seed=4)
         assert err <= 1e-4
@@ -245,7 +244,7 @@ class TestSgd:
 
     def test_nonfinite_gradient_names_parameter(self):
         rng = np.random.Generator(np.random.PCG64(3))
-        net = Network([Conv(1, 2, rng), MaxPool(), Flatten(), Dense(2 * 2 * 2, 3, rng)])
+        net = Network([Conv(1, 2), MaxPool(), Flatten(), Dense(2 * 2 * 2, 3)], rng=rng)
         before = net.params.copy()
         start = net.layers[0].kernels.size + net.layers[0].bias.size
         # the first and the last element of layer3.dense.weights
@@ -283,17 +282,14 @@ def param_grads(layer, g, x):
     return d_kernels.reshape(layer.kernels.shape), g.sum(axis=(0, 2, 3))
 
 
-def float32_stack(seed):
-    """A small float32 conv+dense stack, its parameters converted layer by layer."""
+def float32_net(seed):
+    """A small float32 conv+dense network with seeded weights."""
     rng = np.random.Generator(np.random.PCG64(seed))
     layers = [
-        Conv(1, 3, rng), Relu(), MaxPool(), Flatten(),
-        Dense(3 * 3 * 3, 4, rng), Relu(), Dense(4, 3, rng),
+        Conv(1, 3), Relu(), MaxPool(), Flatten(),
+        Dense(3 * 3 * 3, 4), Relu(), Dense(4, 3),
     ]
-    for layer in layers:
-        for name in getattr(layer, "param_names", ()):
-            setattr(layer, name, getattr(layer, name).astype(np.float32))
-    return layers
+    return Network(layers, np.float32, rng)
 
 
 class TestFlatParameters:
@@ -304,14 +300,13 @@ class TestFlatParameters:
         xs = rng.normal(size=(5, 1, 6, 6)).astype(np.float32)
         cls = np.array([0, 1, 2, 0, 1])
         lr, momentum = 0.1, 0.9
-        net = Network(float32_stack(9))
-        layers = float32_stack(9)
-        # the reference: per-layer gradient arrays and one velocity per array
-        owned = [(layer, name) for layer in layers for name in getattr(layer, "param_names", ())]
+        net = float32_net(9)
+        # the reference: fresh per-layer gradient arrays (param_grads; what
+        # its layers' backward writes into their own network goes unread)
+        # and one velocity per array
+        layers = float32_net(9).layers
+        owned = [(layer, name) for layer in layers for name in getattr(layer, "param_shapes", {})]
         vels = [np.zeros_like(getattr(layer, name)) for layer, name in owned]
-        for layer, name in owned:
-            # written by backward outside a Network; the reference reads param_grads
-            setattr(layer, f"d_{name}", np.zeros_like(getattr(layer, name)))
         velocity = np.zeros_like(net.params)
         for step in range(3):
             net.loss_and_backward(xs, cls)
@@ -325,7 +320,7 @@ class TestFlatParameters:
             grads = {}
             for i in reversed(range(len(layers))):
                 x = inputs.pop()
-                if getattr(layers[i], "param_names", ()):
+                if getattr(layers[i], "param_shapes", {}):
                     grads[layers[i]] = param_grads(layers[i], g, x)
                 if i:
                     g = layers[i].backward(g, x)
@@ -344,7 +339,7 @@ class TestFlatParameters:
     def assert_views_in_declaration_order(net):
         start = 0
         for layer in net.layers:
-            for name in getattr(layer, "param_names", ()):
+            for name in getattr(layer, "param_shapes", {}):
                 for arr, vec in ((getattr(layer, name), net.params),
                                  (getattr(layer, f"d_{name}"), net.grads)):
                     part = vec[start : start + arr.size]
@@ -354,19 +349,52 @@ class TestFlatParameters:
         assert start == net.params.size == net.grads.size
 
     def test_layout_names_every_parameter(self):
-        net = Network(float32_stack(2))
+        net = float32_net(2)
         assert [name for name, _ in net.layout] == [
             "layer0.conv.kernels", "layer0.conv.bias", "layer4.dense.weights",
             "layer4.dense.bias", "layer6.dense.weights", "layer6.dense.bias",
         ]
         assert net.layout[-1][1] == net.params.size == 3 * 9 + 3 + 27 * 4 + 4 + 4 * 3 + 3
+        assert nnet.n_params(net.layers) == net.params.size
         assert net.params.dtype == net.grads.dtype == np.float32
 
-    def test_mixed_dtypes_are_configuration_error(self):
-        layers = float32_stack(4)
-        layers[-1].bias = layers[-1].bias.astype(np.float64)
-        with pytest.raises(ConfigurationError, match="float32.*float64"):
-            Network(layers)
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_weights_are_glorot_draws_cast_to_the_dtype(self, dtype):
+        layers = [Conv(1, 3), Relu(), Conv(3, 4), MaxPool(), Flatten(), Dense(16, 5), Dense(5, 3)]
+        net = Network(layers, dtype, np.random.Generator(np.random.PCG64(6)))
+        # the reference draws as the layers drew their own weights before a
+        # Network did: layer by layer, float64 within sqrt(6 / (fan_in +
+        # fan_out)), then cast; biases zero
+        rng = np.random.Generator(np.random.PCG64(6))
+        want = []
+        for layer in layers:
+            if layer.kind == "conv":
+                n_in, n_out = layer.in_channels, layer.out_channels
+                shape, fans = (n_out, n_in, 3, 3), n_in * 9 + n_out * 9
+            elif layer.kind == "dense":
+                n_in, n_out = layer.in_features, layer.units
+                shape, fans = (n_out, n_in), n_in + n_out
+            else:
+                continue
+            limit = np.sqrt(6.0 / fans)
+            want += [rng.uniform(-limit, limit, size=shape).astype(dtype).ravel(),
+                     np.zeros(n_out, dtype=dtype)]
+        assert net.params.dtype == dtype
+        assert net.params.tobytes() == np.concatenate(want).tobytes()
+
+    def test_building_peaks_at_params_grads_and_one_draw(self):
+        # four equal float32 layers: a float32 copy of every layer beside
+        # params and grads, as layers that drew and held their own weights
+        # needed, would peak at three times params, above this bound
+        layers = [Dense(1000, 1000) for _ in range(4)]
+        tracemalloc.start()
+        try:
+            net = Network(layers, np.float32, np.random.Generator(np.random.PCG64(0)))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        largest_draw = 1000 * 1000 * np.dtype(np.float64).itemsize
+        assert peak < net.params.nbytes + net.grads.nbytes + largest_draw
 
     def test_stack_without_parameters_has_empty_vectors(self):
         for net in (Network([]), Network([Flatten(), Relu()])):
@@ -379,9 +407,9 @@ class TestLossDescent:
     def test_loss_non_increasing_50_steps(self):
         rng = np.random.Generator(np.random.PCG64(21))
         net = Network([
-            Conv(1, 2, rng), Relu(), MaxPool(), Flatten(),
-            Dense(2 * 3 * 3, 3, rng),
-        ])
+            Conv(1, 2), Relu(), MaxPool(), Flatten(),
+            Dense(2 * 3 * 3, 3),
+        ], rng=rng)
         xs = rng.normal(size=(6, 1, 6, 6))
         cls = np.array([0, 1, 2, 0, 1, 2])
         velocity = np.zeros_like(net.params)
@@ -400,8 +428,8 @@ class TestSerialization:
     def test_round_trip_bytes_and_behavior(self):
         def stack(rng):
             return Network([
-                Conv(1, 2, rng), Relu(), MaxPool(), Flatten(), Dense(2 * 2 * 2, 3, rng),
-            ])
+                Conv(1, 2), Relu(), MaxPool(), Flatten(), Dense(2 * 2 * 2, 3),
+            ], rng=rng)
 
         rng = np.random.Generator(np.random.PCG64(8))
         net, again = stack(rng), stack(None)
@@ -411,7 +439,7 @@ class TestSerialization:
         assert again.forward(x) == pytest.approx(net.forward(x), abs=0)
 
     def test_format_bytes(self):
-        net = Network([Dense(2, 3, None)])
+        net = Network([Dense(2, 3)])
         net.layers[0].weights[...] = np.arange(6.0).reshape(3, 2)
         net.layers[0].bias[...] = [-1.0, 0.5, 2.0]
         expected = struct.pack("<6d", *range(6)) + struct.pack("<3d", -1.0, 0.5, 2.0)
@@ -487,9 +515,8 @@ class TestChunkedConv:
         x[x < 0.2] = 0.0
         x.flat[::7] = -0.0
         g = rng.normal(size=(n, k, h, w))
-        conv = Conv(c, k, rng)
+        conv = Network([Conv(c, k)], rng=rng).layers[0]
         conv.bias[...] = rng.normal(size=k)
-        Network([conv])
         expected = ref_conv(x, conv.kernels, conv.bias, g)
         got = (conv.forward(x), conv.backward(g, x), conv.d_kernels, conv.d_bias)
         for name, a, b in zip(("out", "dx", "d_kernels", "d_bias"), got, expected):
@@ -505,9 +532,7 @@ class TestChunkedConv:
             rng = np.random.Generator(np.random.PCG64(32))
             x = rng.normal(size=(32, 8, 64, 64)).astype(dtype)
             g = rng.normal(size=x.shape).astype(dtype)
-            conv = Conv(8, 8, rng)
-            conv.kernels, conv.bias = conv.kernels.astype(dtype), conv.bias.astype(dtype)
-            Network([conv])
+            conv = Network([Conv(8, 8)], dtype, rng).layers[0]
             tracemalloc.start()
             try:
                 conv.forward(x)
@@ -652,10 +677,10 @@ class TestLeanPoolAndRelu:
         head = {
             "relu": [Relu(), Flatten()],
             "flatten": [Flatten(), Relu()],
-            "conv": [Conv(1, 2, rng), Relu(), MaxPool(), Flatten()],
+            "conv": [Conv(1, 2), Relu(), MaxPool(), Flatten()],
         }[first]
         width = 2 * 2 * 2 if first == "conv" else 4 * 4
-        net = Network([*head, Dense(width, 3, rng)])
+        net = Network([*head, Dense(width, 3)], rng=rng)
         x = rng.normal(size=(3, 1, 4, 4))
         x.flat[::3] = -0.0
         before = x.tobytes()
@@ -666,9 +691,9 @@ class TestLeanPoolAndRelu:
     def test_skipped_input_gradient_leaves_parameter_gradients_unchanged(self):
         rng = np.random.Generator(np.random.PCG64(42))
         net = Network([
-            Conv(1, 3, rng), Relu(), Conv(3, 3, rng), Relu(), MaxPool(),
-            Flatten(), Dense(3 * 4 * 4, 3, rng),
-        ])
+            Conv(1, 3), Relu(), Conv(3, 3), Relu(), MaxPool(),
+            Flatten(), Dense(3 * 4 * 4, 3),
+        ], rng=rng)
         x = rng.normal(size=(5, 1, 8, 8))
         cls = np.array([0, 1, 2, 0, 1])
         net.loss_and_backward(x, cls)
@@ -689,10 +714,10 @@ class TestLeanPoolAndRelu:
     def test_layers_hold_only_parameters_and_gradients(self):
         rng = np.random.Generator(np.random.PCG64(44))
         net = Network([
-            Conv(1, 3, rng), Relu(), Conv(3, 3, rng), Relu(), MaxPool(),
-            Flatten(), Dense(3 * 4 * 4, 8, rng), Relu(), Dense(8, 3, rng),
-        ])
-        assert {layer.kind for layer in net.layers} == set(nnet.LAYER_TYPES)
+            Conv(1, 3), Relu(), Conv(3, 3), Relu(), MaxPool(),
+            Flatten(), Dense(3 * 4 * 4, 8), Relu(), Dense(8, 3),
+        ], rng=rng)
+        assert {layer.kind for layer in net.layers} == {"conv", "relu", "pool", "flatten", "dense"}
         x = rng.normal(size=(5, 1, 8, 8))
 
         def held_arrays():
@@ -712,7 +737,7 @@ class TestLeanPoolAndRelu:
         # nor any other state, such as an input shape
         for layer in net.layers:
             assert set(vars(layer)) <= {
-                "in_channels", "out_channels", "in_features", "units",
+                "in_channels", "out_channels", "in_features", "units", "param_shapes",
                 "kernels", "bias", "d_kernels", "d_bias", "weights", "d_weights",
             }
 
@@ -735,12 +760,9 @@ def assert_float32_rounding_of(got, want, magnitude, length):
 
 
 def conv_pass(x, kernels, bias, g):
-    """(out, dx, d_kernels, d_bias) of a Conv holding kernels and bias.
-
-    Packing it in a Network gives it gradient arrays in the kernels' dtype."""
-    conv = Conv(kernels.shape[1], kernels.shape[0])
-    conv.kernels, conv.bias = kernels, bias
-    Network([conv])
+    """(out, dx, d_kernels, d_bias) of a Conv holding kernels and bias, in their dtype."""
+    conv = Network([Conv(kernels.shape[1], kernels.shape[0])], kernels.dtype).layers[0]
+    conv.kernels[...], conv.bias[...] = kernels, bias
     return conv.forward(x), conv.backward(g, x), conv.d_kernels, conv.d_bias
 
 
@@ -756,7 +778,7 @@ FLOAT32_CONV_SHAPES = [
 def float32_conv_case(n, c, k, h, w):
     """Float32 x, kernels, bias and g of a conv of that shape."""
     rng = np.random.Generator(np.random.PCG64(n * 1000 + c * 100 + k * 10 + h))
-    kernels = Conv(c, k, rng).kernels.astype(np.float32)
+    kernels = Network([Conv(c, k)], np.float32, rng).layers[0].kernels
     bias = rng.normal(size=k).astype(np.float32)
     x = rng.normal(size=(n, c, h, w)).astype(np.float32)
     g = rng.normal(size=(n, k, h, w)).astype(np.float32)
@@ -787,15 +809,14 @@ class TestFloat32Layers:
     @pytest.mark.parametrize("n,units,width", [(32, 1024, 128), (32, 512, 1024), (7, 3, 25)])
     def test_dense_is_float64_up_to_float32_rounding(self, n, units, width):
         rng = np.random.Generator(np.random.PCG64(units + width))
-        weights = Dense(width, units, rng).weights.astype(np.float32)
+        weights = Network([Dense(width, units)], np.float32, rng).layers[0].weights
         bias = rng.normal(size=units).astype(np.float32)
         x = rng.normal(size=(n, width)).astype(np.float32)
         g = rng.normal(size=(n, units)).astype(np.float32)
 
         def dense_pass(x, weights, bias, g):
-            dense = Dense(width, units)
-            dense.weights, dense.bias = weights, bias
-            Network([dense])
+            dense = Network([Dense(width, units)], weights.dtype).layers[0]
+            dense.weights[...], dense.bias[...] = weights, bias
             return dense.forward(x), dense.backward(g, x), dense.d_weights, dense.d_bias
 
         case = (x, weights, bias, g)
@@ -834,11 +855,8 @@ class TestFloat32Layers:
 
     def test_softmax_is_float64_and_the_backward_sweep_float32(self):
         rng = np.random.Generator(np.random.PCG64(43))
-        layers = [Conv(1, 2, rng), Relu(), MaxPool(), Flatten(), Dense(8, 3, rng)]
-        for layer in (layers[0], layers[4]):
-            for name in layer.param_names:
-                setattr(layer, name, getattr(layer, name).astype(np.float32))
-        net = Network(layers)
+        layers = [Conv(1, 2), Relu(), MaxPool(), Flatten(), Dense(8, 3)]
+        net = Network(layers, np.float32, rng)
         x = rng.normal(size=(3, 1, 4, 4)).astype(np.float32)
         assert net.forward(x).dtype == np.float64
         net.loss_and_backward(x, np.array([0, 1, 2]))
