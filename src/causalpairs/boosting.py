@@ -168,12 +168,15 @@ def best_split(X: np.ndarray, y: np.ndarray, order=None, work=None):
 
 
 def fit_tree(
-    X: np.ndarray, y: np.ndarray, depth_limit: int, min_split: int, order=None, work=None
+    X: np.ndarray, y: np.ndarray, depth_limit: int, min_split: int, order=None, work=None,
+    leaves=None,
 ) -> RegressionTree:
     """Greedy variance-reduction regression tree; leaves hold target means.
 
     ``order`` is ``presort(X)`` and ``work`` a ``split_workspace`` of X's
     size, each made when omitted; a fit passes the same ones to every tree.
+    ``leaves``, when given, is an integer array of len(X) that receives the
+    leaf each row of X reaches, ``apply(X)[:, 0]`` without a second walk.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -184,12 +187,16 @@ def fit_tree(
         order = presort(X)
     if work is None:
         work = split_workspace(n_feat, len(X))
+    if leaves is None:
+        leaves = np.empty(len(X), dtype=np.intp)
     nodes = []  # [feature, threshold, left, right, value] of each node, parents first
     # idx: the node's rows in ascending order; order: presort(X[idx])
     def grow(idx, order, depth):
         sub_y = y[idx]
         node = len(nodes)
         nodes.append([_LEAF, 0.0, _LEAF, _LEAF, float(sub_y.mean())])
+        # a split's children write their rows again, so a leaf's rows keep it
+        leaves[idx] = node
         if depth >= depth_limit or len(idx) < min_split or np.ptp(sub_y) == 0.0:
             return node
         found = best_split(X[idx], sub_y, order, work)
@@ -266,6 +273,7 @@ def gbc_fit(X: np.ndarray, labels, cfg: GbcConfig = GbcConfig()) -> BoostedModel
     # every tree of the fit splits the same X
     order = presort(X)
     work = split_workspace(n_feat, n)
+    leaves = np.empty(n, dtype=np.intp)  # each row's leaf in the tree just fit
     trees = []
     logloss = []
     # one softmax per round: its probabilities give the log-loss of the
@@ -278,9 +286,8 @@ def gbc_fit(X: np.ndarray, labels, cfg: GbcConfig = GbcConfig()) -> BoostedModel
         residual = onehot - probs
         for k in range(n_classes):
             tree = fit_tree(
-                X, residual[:, k], cfg.max_depth, cfg.min_samples_split, order, work
+                X, residual[:, k], cfg.max_depth, cfg.min_samples_split, order, work, leaves
             )
-            leaves = tree.apply(X)[:, 0]
             hess = probs[:, k] * (1.0 - probs[:, k])
             num = np.bincount(leaves, weights=residual[:, k], minlength=tree.n_nodes)
             den = np.bincount(leaves, weights=hess, minlength=tree.n_nodes)

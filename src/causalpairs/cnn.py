@@ -5,6 +5,11 @@ five stages in a row, then dense 1024 -> relu -> dense 512 -> relu ->
 dense 25 -> dense 3, under nnet.Network's softmax.  Image intensities are
 fed as darkness/255.
 
+Training, validation and predict_batch keep the images as one uint8 [N,
+1, side, side] pixel stack and make network input of one batch at a time:
+a training mini-batch, a validation batch of the training batch size or a
+scoring batch of 64, whose rows the dense layers see together.
+
 The layers are float32 end to end: parameters, inputs, activations and
 gradients (DTYPE, fixed here and nowhere else).  _layers declares the
 stack once; build_network and the model-file loader each give it to
@@ -13,7 +18,7 @@ the weights straight into the float32 params vector.  The softmax
 computes in float64, so class probabilities are float64.  Training
 updates the network's flat params vector with one velocity vector, and
 keeps the best epoch as one copy of it; model files store that vector as
-it is.
+it is, and a loaded model's params are the array read from its file.
 """
 
 import hashlib
@@ -122,30 +127,38 @@ class EpochMetrics:
     val_accuracy: float
 
 
-def _input_stack(images, side) -> np.ndarray:
-    """[N, 1, side, side] DTYPE network input: each image's darkness / 255."""
-    xs = np.empty((len(images), 1, side, side), dtype=DTYPE)
+def _pixel_stack(images, side) -> np.ndarray:
+    """[N, 1, side, side] uint8 stack of the images' pixels."""
+    pixels = np.empty((len(images), 1, side, side), dtype=np.uint8)
     for i, img in enumerate(images):
         if img.m != side:
             raise ShapeError(f"image side {img.m} does not match model side {side}")
-        xs[i, 0] = img.pixels.astype(DTYPE) / 255
-    return xs
+        pixels[i, 0] = img.pixels
+    return pixels
+
+
+def _inputs(pixels) -> np.ndarray:
+    """DTYPE network input of a uint8 pixel batch: each image's darkness / 255."""
+    x = pixels.astype(DTYPE)
+    x /= 255
+    return x
 
 
 def _stack_images(pairs, side):
-    """(network input, class indices) of (ScatterImage, label) pairs."""
+    """(uint8 pixel stack, class indices) of (ScatterImage, label) pairs."""
     cls = np.empty(len(pairs), dtype=np.int64)
     for i, (_, label) in enumerate(pairs):
         if label not in LABEL_TO_CLASS:
             raise ValidationError(f"label {label} not in {{1,0,-1}}")
         cls[i] = LABEL_TO_CLASS[label]
-    return _input_stack([img for img, _ in pairs], side), cls
+    return _pixel_stack([img for img, _ in pairs], side), cls
 
 
-def _predict_classes(network, xs, batch_size=64):
+def _predict_classes(network, pixels, batch_size=64):
+    """[N, 3] probabilities of a pixel stack, batch_size images per forward pass."""
     outs = []
-    for start in range(0, len(xs), batch_size):
-        outs.append(network.forward(xs[start : start + batch_size]))
+    for start in range(0, len(pixels), batch_size):
+        outs.append(network.forward(_inputs(pixels[start : start + batch_size])))
     return np.concatenate(outs, axis=0) if outs else np.empty((0, 3))
 
 
@@ -159,12 +172,12 @@ def train_cnn(train, val, arch: CnnArchitecture, cfg: TrainConfig):
     if not train:
         raise ValidationError("training set is empty")
     side = arch.input_side
-    xs, cls = _stack_images(train, side)
+    pixels, cls = _stack_images(train, side)
     if val:
-        val_xs, val_cls = _stack_images(val, side)
+        val_pixels, val_cls = _stack_images(val, side)
     network = build_network(arch, cfg.seed)
     velocity = np.zeros_like(network.params)
-    n = len(xs)
+    n = len(pixels)
     history = []
     best_val = -1.0
     best_params = None
@@ -176,7 +189,7 @@ def train_cnn(train, val, arch: CnnArchitecture, cfg: TrainConfig):
         epoch_correct = 0
         for start in range(0, n, cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
-            xb, cb = xs[idx], cls[idx]
+            xb, cb = _inputs(pixels[idx]), cls[idx]
             loss, probs = network.loss_and_backward(xb, cb)
             if not np.isfinite(loss):
                 raise TrainingError(
@@ -186,7 +199,7 @@ def train_cnn(train, val, arch: CnnArchitecture, cfg: TrainConfig):
             epoch_loss += loss * len(idx)
             nnet.sgd_step(network, velocity, cfg.learning_rate, cfg.momentum)
         if val:
-            val_probs = _predict_classes(network, val_xs, cfg.batch_size)
+            val_probs = _predict_classes(network, val_pixels, cfg.batch_size)
             val_acc = float((val_probs.argmax(axis=1) == val_cls).mean())
         else:
             val_acc = float("nan")
@@ -217,8 +230,8 @@ def _dataset_checksum(pairs) -> str:
 
 def predict_batch(model: CnnModel, images) -> np.ndarray:
     """[N, 3] class probabilities (columns p_1, p_0, p_-1); pure in (model, images)."""
-    xs = _input_stack(images, model.arch.input_side)
-    return check_probs(_predict_classes(model.network, xs))
+    pixels = _pixel_stack(images, model.arch.input_side)
+    return check_probs(_predict_classes(model.network, pixels))
 
 
 # ---------------------------------------------------------------------------
@@ -266,6 +279,5 @@ def model_from_file(path, meta: dict, arrays: dict) -> CnnModel:
         )
     if label_to_class != LABEL_TO_CLASS:
         raise InputError(f"{path}: CNN model label mapping {label_to_class} is not the fixed one")
-    network = nnet.Network(layers, DTYPE)
-    network.params[...] = params
-    return CnnModel(network, arch, train_config, data_checksum)
+    # the file's own array becomes params: a loaded model holds one copy
+    return CnnModel(nnet.Network(layers, DTYPE, params=params), arch, train_config, data_checksum)

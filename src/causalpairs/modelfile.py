@@ -14,6 +14,7 @@ asked for each raise InputError.
 import hashlib
 import json
 import math
+import os
 import struct
 
 import numpy as np
@@ -49,9 +50,10 @@ def write(path, kind: str, meta: dict, arrays: dict) -> None:
 def read(path, *kinds: str) -> tuple:
     """(kind, meta, arrays) of a model file whose kind is one of ``kinds``.
 
-    The arrays are read-only views of the file's bytes, keyed by name in
-    file order.  Errors call the file a "corpus store" when the kind asked
-    for is ``corpus``, and a "model file" otherwise.
+    The arrays are writable views of one buffer that holds the file's
+    bytes, keyed by name in file order, so a caller that keeps one holds no
+    second copy of it.  Errors call the file a "corpus store" when the kind
+    asked for is ``corpus``, and a "model file" otherwise.
     """
     # a stale corpus store is written again by ingest, which its reader asks
     # for; a stale model is retrained
@@ -61,14 +63,24 @@ def read(path, *kinds: str) -> tuple:
     )
     try:
         with open(path, "rb") as f:
-            data = f.read()
+            size = os.fstat(f.fileno()).st_size
+            prefix = f.read(_PREFIX_SIZE)
+            header_size = (
+                struct.unpack_from("<Q", prefix, len(_SIGNATURE))[0]
+                if len(prefix) == _PREFIX_SIZE else 0
+            )
+            # the payload, and with it the first array, starts 8-byte aligned
+            raw = np.empty(size + 8, dtype=np.uint8)
+            skip = -(raw.ctypes.data + _PREFIX_SIZE + header_size) % 8
+            f.seek(0)
+            data = memoryview(raw)[skip : skip + f.readinto(raw[skip : skip + size])]
     except OSError as exc:
         raise InputError(f"{path}: cannot read {noun}: {exc.strerror}") from exc
-    if data[: len(_SIGNATURE)] != _SIGNATURE:
+    if data[: len(_SIGNATURE)].tobytes() != _SIGNATURE:
         raise InputError(f"{path}: not a version {VERSION} {noun}{advice}")
-    body = memoryview(data)[:-_DIGEST_SIZE]
+    body = data[:-_DIGEST_SIZE]
     if len(data) < _PREFIX_SIZE + _DIGEST_SIZE or (
-        hashlib.sha256(body).digest() != data[-_DIGEST_SIZE:]
+        hashlib.sha256(body).digest() != data[-_DIGEST_SIZE:].tobytes()
     ):
         raise InputError(f"{path}: {noun} checksum mismatch; the file is corrupt or truncated")
     payload_start = _PREFIX_SIZE + struct.unpack_from("<Q", data, len(_SIGNATURE))[0]
@@ -93,7 +105,9 @@ def read(path, *kinds: str) -> tuple:
     offset = payload_start
     for (name, dtype, shape), size in zip(specs, sizes):
         arr = np.frombuffer(body[offset : offset + size], dtype=dtype).reshape(shape)
-        if arr.dtype.kind == "f" and not np.isfinite(arr).all():
+        # min or max is NaN or infinite exactly when an element is; neither
+        # allocates an array of the file array's size
+        if arr.dtype.kind == "f" and arr.size and not np.isfinite([arr.min(), arr.max()]).all():
             raise InputError(f"{path}: non-finite value in {noun} array {name!r}")
         arrays[name] = arr
         offset += size

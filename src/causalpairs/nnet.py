@@ -7,9 +7,10 @@ Conv and Dense own no parameters: each declares its parameters' names and
 shapes (param_shapes), and the Network it is built into allocates them.  A
 Network holds every parameter, in declaration order and raveled, in one
 flat vector, params, in the dtype it is given, plus a grads vector of the
-same layout.  Every Conv and Dense parameter and gradient attribute is a
-view of them: backward writes the gradients in place, and sgd_step
-updates params with one velocity vector.  Given a generator, the Network
+same layout; given a params vector instead, it takes that one uncopied.
+Every Conv and Dense parameter and gradient attribute is a view of them:
+backward writes the gradients in place, and sgd_step updates params with
+one velocity vector.  Given a generator, the Network
 draws each weight Glorot-uniform in declaration order: a float64 draw
 within sqrt(6 / (fan_in + fan_out)), with fan_in = prod(shape[1:]) and
 fan_out = shape[0] * prod(shape[2:]), cast into params.  Biases start at
@@ -24,10 +25,16 @@ first of its elements, in row-major order, that equals the max.
 
 Layers keep no state: forward(x) stores nothing, and backward(g, x) is given
 the layer's input x.  Network.loss_and_backward keeps the step's activations
-in a local list and drops each once its layer's backward has run;
-Network.forward holds one activation at a time.  ReLU works in place, so its
-input is its output, and its backward zeroes g in place where x > 0 fails.
-Max pooling takes the max of the four strided window views; its backward
+in a local list and drops each once its layer's backward has run.
+Network.forward runs the layers before the first Dense over chunks of the
+batch, each of as many images as keep its largest activation within
+_FORWARD_CHUNK_BYTES (1 MiB, at least one image), one layer's activation at
+a time, then the dense head over the whole batch.  Conv, ReLU and pooling
+compute image by image (a convolution makes one GEMM per image), so the
+chunks change no bit; a dense GEMM's bits depend on its row count, so the
+head keeps the caller's batch.  ReLU works in place, so its input is its
+output, and its backward zeroes g in place where x > 0 fails.  Max pooling
+takes the max of the four strided window views; its backward
 recomputes each window's winner from x.  The backward sweep stops at the
 first layer's parameter gradients: no gradient is formed for the network
 input.
@@ -56,6 +63,9 @@ EPS_LOG = 1e-12
 
 # Byte budget of one chunk's patch matrix; see the module docstring.
 _CHUNK_BYTES = 1 << 20
+# Byte budget of the largest activation of one chunk of images in
+# Network.forward; see the module docstring.
+_FORWARD_CHUNK_BYTES = 1 << 20
 
 # ---------------------------------------------------------------------------
 # Batched primitives (internal carriers for the layer classes).
@@ -288,12 +298,17 @@ class Network:
 
     Allocates its layers' parameters in the flat params and grads vectors,
     in dtype, and with rng draws the weights (see the module docstring).
+    Given params, a vector of n_params(layers) elements, it takes that
+    vector as its own params, uncopied, and grads in its dtype.
     Network([]) is the bare softmax cross-entropy of its input.
     """
 
-    def __init__(self, layers, dtype=np.float64, rng=None):
+    def __init__(self, layers, dtype=np.float64, rng=None, params=None):
         self.layers = list(layers)
-        self.params = np.zeros(n_params(self.layers), dtype=dtype)
+        n = n_params(self.layers)
+        self.params = np.zeros(n, dtype=dtype) if params is None else params
+        if self.params.shape != (n,):
+            raise ShapeError(f"params of shape {self.params.shape}, the layers need ({n},)")
         # (name, end offset) of every parameter, in params order
         self.layout = []
         spans = []
@@ -322,12 +337,37 @@ class Network:
             return x
         return x.copy()
 
+    def _front(self, x: np.ndarray):
+        """(layers before the first Dense, images per chunk of them for batch x).
+
+        A conv sets an activation's channels, a pooling halves its sides.
+        """
+        dense = [i for i, layer in enumerate(self.layers) if isinstance(layer, Dense)]
+        head = dense[0] if dense else len(self.layers)
+        shape = list(x.shape[1:])  # one image's activation
+        largest = math.prod(shape)
+        for layer in self.layers[:head]:
+            if isinstance(layer, Conv):
+                shape[0] = layer.out_channels
+            elif isinstance(layer, MaxPool):
+                shape[1:] = [s // 2 for s in shape[1:]]
+            largest = max(largest, math.prod(shape))
+        return self.layers[:head], max(1, _FORWARD_CHUNK_BYTES // max(1, largest * x.itemsize))
+
     def forward(self, x: np.ndarray) -> np.ndarray:
-        """Class probabilities of batch x; x itself is never modified."""
-        x = self._owned(x)
-        for layer in self.layers:
-            x = layer.forward(x)
-        return softmax_batch(x)
+        """Class probabilities of batch x, in chunks up to the first Dense; x is not modified."""
+        front, step = self._front(x)
+        outs = []
+        # at least one chunk, so that an empty batch goes through the layers too
+        for start in range(0, max(len(x), 1), step):
+            a = self._owned(x[start : start + step])
+            for layer in front:
+                a = layer.forward(a)
+            outs.append(a)
+        a = np.concatenate(outs)
+        for layer in self.layers[len(front) :]:
+            a = layer.forward(a)
+        return softmax_batch(a)
 
     def loss_and_backward(self, x: np.ndarray, classes: np.ndarray):
         """(mean cross-entropy, [N, K] probabilities) of the batch; fills every layer's gradients.

@@ -168,10 +168,11 @@ def reference_best_split(X, y):
     return best
 
 
-def reference_fit_tree(X, y, depth_limit, min_split, order=None, work=None):
+def reference_fit_tree(X, y, depth_limit, min_split, order=None, work=None, leaves=None):
     """Recursive tree growth calling reference_best_split on each node's rows.
 
-    Takes and ignores the presort and workspace that gbc_fit passes.
+    Takes and ignores the presort and workspace that gbc_fit passes; fills
+    the leaves it passes by walking the finished tree with apply.
     """
     nodes = []  # one dict per node, in the order they are made
 
@@ -195,7 +196,10 @@ def reference_fit_tree(X, y, depth_limit, min_split, order=None, work=None):
         return index
 
     grow(np.arange(len(X)), 0)
-    return RegressionTree([len(nodes)], *([node[name] for node in nodes] for name in NODE_ARRAYS))
+    tree = RegressionTree([len(nodes)], *([node[name] for node in nodes] for name in NODE_ARRAYS))
+    if leaves is not None:
+        leaves[:] = tree.apply(X)[:, 0]
+    return tree
 
 
 def tied_matrix(rng, n=150, n_feat=8):
@@ -220,6 +224,18 @@ class TestPresortedSearch:
             assert got.n_nodes > 1
             for name in TABLE_ARRAYS:
                 assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_handed_back_leaves_equal_apply(self, seed):
+        rng = np.random.default_rng(seed)
+        X = tied_matrix(rng)
+        # adjacent floats, whose midpoint can round onto the upper one
+        X[:, 2] = np.where(rng.random(len(X)) < 0.5, 1.0, np.nextafter(1.0, 2.0))
+        for depth, y in ((9, rng.normal(size=len(X))), (3, rng.integers(0, 3, size=len(X)) - 1.0)):
+            leaves = np.full(len(X), -1)
+            tree = fit_tree(X, y, depth, 4, leaves=leaves)
+            assert tree.n_nodes > 1
+            assert np.array_equal(leaves, tree.apply(X)[:, 0])
 
     def test_boosted_model_identical_to_reference(self, monkeypatch):
         rng = np.random.default_rng(4)

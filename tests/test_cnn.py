@@ -5,13 +5,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from causalpairs import modelfile
+from causalpairs import modelfile, nnet
 from causalpairs.cnn import (
     DEFAULT_CHANNEL_PLAN,
     CnnArchitecture,
     CnnModel,
     TrainConfig,
-    _stack_images,
     build_network,
     load_model,
     predict_batch,
@@ -209,31 +208,77 @@ class TestModelFile:
         save_model(model, p2)
         assert p1.read_bytes() == p2.read_bytes()
 
+    def test_loading_holds_one_copy_of_the_parameters(self, tmp_path):
+        path = tmp_path / "m.model"
+        save_model(CnnModel(network=build_network(TINY_ARCH, seed=3), arch=TINY_ARCH), path)
+        tracemalloc.start()
+        try:
+            model = load_model(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        params = model.network.params
+        # the file's bytes, read once, and the gradient vector; copying the
+        # file's array into fresh params added one more params.nbytes
+        assert peak < path.stat().st_size + params.nbytes + (64 << 10)
+        assert params.flags.writeable and params.flags.aligned
+
 
 class TestForwardMemory:
-    def test_forward_holds_one_activation_at_a_time(self):
-        # the benchmark's network (side 64, channels 8,8,16,16,16,16,32,32,32,32)
-        # on one predict_batch batch of 64
-        arch = CnnArchitecture(
-            stages=((8, 8), (16, 16), (16, 16), (32, 32), (32, 32)), input_side=64
-        )
-        network = build_network(arch, seed=0)
-        xs = np.random.default_rng(11).random((64, 1, 64, 64), dtype=np.float32)
-        largest, a = 0, xs
+    """Scoring holds one chunk of images' activations at a time."""
+
+    # the benchmark's network (side 64, channels 8,8,16,16,16,16,32,32,32,32)
+    ARCH = CnnArchitecture(stages=((8, 8), (16, 16), (16, 16), (32, 32), (32, 32)), input_side=64)
+    # numpy's own small buffers, the chunks' flattened outputs and the dense head
+    SLACK = 256 << 10
+
+    @staticmethod
+    def chunk_activations(network, side):
+        """Bytes of a conv's input and output for one chunk, plus one patch buffer.
+
+        A chunk's image count is set by the largest activation; the patch
+        buffer holds at most nnet._CHUNK_BYTES, or one image's patches when
+        those are larger.
+        """
+        a = np.zeros((1, 1, side, side), dtype=np.float32)
+        largest, patches = 0, nnet._CHUNK_BYTES
         for layer in network.layers:
+            if layer.kind == "conv":
+                patches = max(patches, 9 * a.nbytes)
             a = layer.forward(a)
             largest = max(largest, a.nbytes)
-        del a
+        return 2 * (nnet._FORWARD_CHUNK_BYTES // largest) * largest + patches
+
+    def test_forward_holds_one_activation_at_a_time(self):
+        # one predict_batch batch of 64 in chunks of 8: 3.34 MB, against a
+        # bound of 3.54 MB; the whole batch at once measured 18.0 MB
+        network = build_network(self.ARCH, seed=0)
+        xs = np.random.default_rng(11).random((64, 1, 64, 64), dtype=np.float32)
+        bound = self.chunk_activations(network, 64) + self.SLACK
         tracemalloc.start()
         try:
             network.forward(xs)
             retained, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # at most a convolution's input and output plus one 1 MiB patch chunk;
-        # keeping every layer's input measured 3.25x
-        assert peak < 2.5 * largest
+        assert peak < bound
         assert retained <= 4096
+
+    def test_predict_batch_holds_uint8_pixels_and_one_float_batch(self):
+        # 5.45 MB against a bound of 5.64 MB; a float32 copy of every image
+        # and whole-batch activations measured 22.2 MB
+        model = CnnModel(network=build_network(self.ARCH, seed=0), arch=self.ARCH)
+        rng = np.random.default_rng(12)
+        images = [random_image(rng, 64) for _ in range(256)]
+        pixels, batch = 256 * 64 * 64, 64 * 64 * 64 * 4
+        bound = pixels + batch + self.chunk_activations(model.network, 64) + self.SLACK
+        tracemalloc.start()
+        try:
+            predict_batch(model, images)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < bound
 
 
 class TestFloat32:
@@ -253,11 +298,19 @@ class TestFloat32:
                 setattr(layer, name, wrapped)
         return log
 
-    def test_built_and_loaded_networks_are_float32(self, tmp_path):
+    def test_built_and_loaded_networks_are_float32(self, tmp_path, monkeypatch):
         arch = TINY_ARCH
         save_model(CnnModel(network=build_network(arch, seed=3), arch=arch), tmp_path / "m.model")
         rng = np.random.default_rng(9)
-        xs, cls = _stack_images(small_training_set(rng, n=5), 32)
+        # the batch that training hands to loss_and_backward
+        batches = []
+        step = nnet.Network.loss_and_backward
+        monkeypatch.setattr(nnet.Network, "loss_and_backward",
+                            lambda net, x, cls: batches.append((x, cls)) or step(net, x, cls))
+        train_cnn(small_training_set(rng, n=5), [], arch,
+                  TrainConfig(epochs=1, batch_size=5, learning_rate=1e-4, seed=2))
+        monkeypatch.undo()
+        (xs, cls), = batches
         assert xs.dtype == np.float32
         built = build_network(arch, seed=3)
         loaded = load_model(tmp_path / "m.model").network

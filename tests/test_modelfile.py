@@ -50,6 +50,17 @@ def test_round_trip(toy):
         assert arrays[name].tobytes() == a.tobytes()
 
 
+@pytest.mark.parametrize("pad", range(8))
+def test_first_array_is_aligned_and_writable(tmp_path, pad):
+    # every header length modulo 8
+    path = tmp_path / "pad.model"
+    modelfile.write(path, "toy", {"pad": "x" * pad}, ARRAYS)
+    arrays = modelfile.read(path, "toy")[2]
+    assert arrays["weights"].flags.aligned
+    assert all(a.flags.writeable for a in arrays.values())
+    assert arrays["weights"].tobytes() == ARRAYS["weights"].tobytes()
+
+
 def test_layout(toy):
     data = toy.read_bytes()
     (n,) = struct.unpack_from("<Q", data, 8)
@@ -99,9 +110,11 @@ def test_wrong_kind(toy):
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
 def test_non_finite_float_array(tmp_path, value):
     path = tmp_path / "nan.model"
-    modelfile.write(path, "toy", {}, {"ok": np.ones(2), "bad": np.array([1.0, value])})
-    with pytest.raises(InputError, match="non-finite value in model file array 'bad'"):
-        modelfile.read(path, "toy")
+    for dtype in ("<f8", "<f4"):
+        bad = np.array([1.0, value, -2.0], dtype=dtype)
+        modelfile.write(path, "toy", {}, {"ok": np.ones(2), "bad": bad})
+        with pytest.raises(InputError, match="non-finite value in model file array 'bad'"):
+            modelfile.read(path, "toy")
 
 
 def set_record(i, field, value):

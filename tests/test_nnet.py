@@ -396,6 +396,14 @@ class TestFlatParameters:
         largest_draw = 1000 * 1000 * np.dtype(np.float64).itemsize
         assert peak < net.params.nbytes + net.grads.nbytes + largest_draw
 
+    def test_given_params_become_the_vector_uncopied(self):
+        params = np.arange(8, dtype=np.float32)
+        net = Network([Dense(3, 2)], params=params)
+        assert net.params is params and net.grads.dtype == np.float32
+        assert net.layers[0].weights.tolist() == [[0, 1, 2], [3, 4, 5]]
+        with pytest.raises(ShapeError, match="params of shape"):
+            Network([Dense(3, 2)], params=params[:7])
+
     def test_stack_without_parameters_has_empty_vectors(self):
         for net in (Network([]), Network([Flatten(), Relu()])):
             assert net.params.shape == net.grads.shape == (0,) and net.layout == []
@@ -740,6 +748,50 @@ class TestLeanPoolAndRelu:
                 "in_channels", "out_channels", "in_features", "units", "param_shapes",
                 "kernels", "bias", "d_kernels", "d_bias", "weights", "d_weights",
             }
+
+
+class TestChunkedForward:
+    """Network.forward runs the layers before the first Dense chunk by chunk."""
+
+    @staticmethod
+    def whole_batch(net, x):
+        """The softmax of every layer run, one after another, over the whole batch."""
+        a = x.copy()
+        for layer in net.layers:
+            a = layer.forward(a)
+        return softmax_batch(a)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bit_identical_to_the_whole_batch(self, dtype, monkeypatch):
+        rng = np.random.Generator(np.random.PCG64(45))
+        net = Network([
+            Conv(1, 4), Relu(), Conv(4, 4), Relu(), MaxPool(),
+            Flatten(), Dense(4 * 8 * 8, 16), Relu(), Dense(16, 3),
+        ], dtype, rng)
+        x = rng.random((11, 1, 16, 16)).astype(dtype)
+        want = self.whole_batch(net, x).tobytes()
+        rows = []  # batch rows of each call of the first conv and the first dense layer
+        for layer in (net.layers[0], net.layers[6]):
+            monkeypatch.setattr(
+                layer, "forward", lambda a, f=layer.forward: rows.append(len(a)) or f(a)
+            )
+        # a conv output, 4 x 16 x 16, is each image's largest activation
+        per_image = 4 * 16 * 16 * x.itemsize
+        for budget, chunks in [
+            (1, [1] * 11),
+            (per_image, [1] * 11),
+            (3 * per_image - 1, [2] * 5 + [1]),
+            (4 * per_image, [4, 4, 3]),
+            (nnet._FORWARD_CHUNK_BYTES, [11]),
+        ]:
+            monkeypatch.setattr(nnet, "_FORWARD_CHUNK_BYTES", budget)
+            rows.clear()
+            assert net.forward(x).tobytes() == want, budget
+            assert rows[:-1] == chunks and rows[-1] == 11, budget
+
+    def test_empty_batch_still_runs_the_layers(self):
+        net = Network([Relu(), Dense(4, 3)])
+        assert net.forward(np.zeros((0, 4))).shape == (0, 3)
 
 
 # ---------------------------------------------------------------------------
