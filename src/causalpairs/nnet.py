@@ -35,9 +35,14 @@ chunks change no bit; a dense GEMM's bits depend on its row count, so the
 head keeps the caller's batch.  ReLU works in place, so its input is its
 output, and its backward zeroes g in place where x > 0 fails.  Max pooling
 takes the max of the four strided window views; its backward
-recomputes each window's winner from x.  The backward sweep stops at the
-first layer's parameter gradients: no gradient is formed for the network
-input.
+recomputes each window's winner from x.  Both backwards select with bit
+masks rather than masked copies: g viewed as a signed integer of its
+width, ANDed with an integer mask that is all ones where g is kept and 0
+elsewhere, which gives +0.0, whatever g holds, where it is not kept.  The
+masks are built chunk by chunk, each chunk as many images as keep its
+slice of x within _CHUNK_BYTES, so no mask spans the batch.  The backward
+sweep stops at the first layer's parameter gradients: no gradient is
+formed for the network input.
 
 A convolution walks its batch in chunks whose [n, C*9, H*W] patch matrix
 fits _CHUNK_BYTES (1 MiB, counted at the input's itemsize; one image per
@@ -45,11 +50,17 @@ chunk when a single image's patches are larger).  Each chunk's patches are
 unrolled into one reused buffer and multiplied in one GEMM per image.  No
 patch matrix is cached: backward rebuilds each chunk's patches from the
 input it is given, so memory stays at the activations plus a few chunk
-buffers.  The kernel gradient is accumulated image by image in batch order,
-which is the order a sum over the whole batch's per-image products adds in,
-so results do not depend on the chunk size.  The input gradient is itself a same convolution, run through the
-forward routine: that of the output gradient with the kernels flipped in
-space and with their input and output channels swapped.
+buffers.  Each image's kernel gradient is formed as the [C*9, K] product
+patches . g^T, which OpenBLAS 0.3.31 runs faster than the [K, C*9] product
+g . patches^T and, adding in the same order, gives its transpose bit for
+bit.  That was checked at 1 and 2 threads, in float32 at the benchmark's,
+the --quick and the paper's layer shapes and in float64 at the first two;
+tests/test_nnet.py pins it in both dtypes.  The products are
+accumulated image by image in batch order, which is the order a sum over
+the whole batch's per-image products adds in, so results do not depend on
+the chunk size.  The input gradient is itself a same convolution, run
+through the forward routine: that of the output gradient with the kernels
+flipped in space and with their input and output channels swapped.
 """
 
 import math
@@ -102,6 +113,11 @@ def _im2col(x: np.ndarray, out: np.ndarray) -> np.ndarray:
     return cols
 
 
+def _images_per_chunk(budget: int, image_bytes: int) -> int:
+    """Images of image_bytes each that fit budget bytes, at least one."""
+    return max(1, budget // max(1, image_bytes))
+
+
 def _patch_chunks(x):
     """Yield (batch slice, [m, C*9, H*W] patch matrix) over x's batch, chunk by chunk.
 
@@ -109,7 +125,7 @@ def _patch_chunks(x):
     chunk's patches go into one buffer, which the next chunk overwrites.
     """
     n, c, h, w = x.shape
-    step = max(1, _CHUNK_BYTES // (c * 9 * h * w * x.itemsize))
+    step = _images_per_chunk(_CHUNK_BYTES, c * 9 * h * w * x.itemsize)
     cols = np.empty((min(n, step), c * 9, h * w), dtype=x.dtype)
     for start in range(0, n, step):
         sl = slice(start, start + step)
@@ -151,6 +167,31 @@ def _maxpool_batch(x):
     return out
 
 
+def _mask_chunks(x, g, n_bools):
+    """Yield (batch slice, g[sl] viewed as a signed integer of its width, an
+    integer mask and n_bools bool buffers of that shape), chunk by chunk.
+
+    A chunk holds as many images as keep its slice of x within _CHUNK_BYTES
+    (at least one); the next chunk reuses the buffers.
+    """
+    bits = g.view(f"i{g.itemsize}")
+    step = _images_per_chunk(_CHUNK_BYTES, math.prod(x.shape[1:]) * x.itemsize)
+    shape = (min(len(x), step), *g.shape[1:])
+    mask = np.empty(shape, dtype=bits.dtype)
+    bools = [np.empty(shape, dtype=bool) for _ in range(n_bools)]
+    for start in range(0, len(x), step):
+        sl = slice(start, start + step)
+        m = len(bits[sl])
+        yield sl, bits[sl], mask[:m], *(b[:m] for b in bools)
+
+
+def _keep(bits, held, mask, out):
+    """Write bits AND mask to out, mask set to all ones where bool held holds
+    and to 0 elsewhere: the bits where held holds, +0.0 elsewhere."""
+    np.negative(held.view(np.int8), out=mask)
+    np.bitwise_and(bits, mask, out=out)
+
+
 def softmax_batch(logits: np.ndarray) -> np.ndarray:
     """Row-wise stable softmax of [N, K] logits, computed in float64."""
     logits = np.asarray(logits, dtype=np.float64)
@@ -187,15 +228,18 @@ class Conv:
         """Write d_kernels and d_bias in place; return dx, or None when not input_grad."""
         n, c, h, w = x.shape
         gmat = g.reshape(n, self.out_channels, h * w)
+        # each image's [C*9, K] product patches . g^T is the transpose of
+        # g . patches^T, bit for bit (see the module docstring)
         parts = (
-            part.reshape(self.kernels.shape)
+            part
             for sl, cols in _patch_chunks(x)
-            for part in np.matmul(gmat[sl], cols.transpose(0, 2, 1))
+            for part in np.matmul(cols, gmat[sl].transpose(0, 2, 1))
         )
         # image by image in batch order, as a sum over the batch axis adds
-        np.copyto(self.d_kernels, next(parts))
+        total = next(parts).copy()
         for part in parts:
-            self.d_kernels += part
+            total += part
+        np.copyto(self.d_kernels.reshape(self.out_channels, c * 9), total.T)
         np.sum(g, axis=(0, 2, 3), out=self.d_bias)
         if not input_grad:
             return None
@@ -217,18 +261,22 @@ class MaxPool:
 
     def backward(self, g, x):
         """Route each window's gradient to its winner, recomputed from x: the first
-        element, in row-major order, equal to the max.  Other inputs get 0."""
-        a, b, c, _ = _pool_windows(x)
-        out = _maxpool_batch(x)
-        # winner = (a != out) * (1 + (b != out) * (1 + (c != out)))
-        arg = np.not_equal(c, out).view(np.uint8)
-        arg += 1
-        arg *= b != out
-        arg += 1
-        arg *= a != out
+        element, in row-major order, equal to the max, or the last element when
+        none is.  Other inputs get +0.0."""
         dx = np.zeros(x.shape, dtype=g.dtype)
-        for k, view in enumerate(_pool_windows(dx)):
-            np.copyto(view, g, where=arg == k)
+        dx_bits = dx.view(f"i{dx.itemsize}")
+        for sl, bits, mask, taken, won in _mask_chunks(x, g, 2):
+            out = _maxpool_batch(x[sl])
+            taken[...] = False
+            windows = zip(_pool_windows(x[sl]), _pool_windows(dx_bits[sl]))
+            for k, (window, view) in enumerate(windows):
+                if k < 3:
+                    np.equal(window, out, out=won)
+                    np.greater(won, taken, out=won)  # equal to the max, and no earlier one is
+                    np.logical_or(taken, won, out=taken)
+                else:
+                    np.logical_not(taken, out=won)
+                _keep(bits, won, mask, view)
         return dx
 
 
@@ -250,7 +298,9 @@ class Relu:
     def backward(self, g, x):
         # x > 0 holds at the same places in the input and the output, and g
         # is always a fresh array
-        np.copyto(g, 0.0, where=~(x > 0))
+        for sl, bits, mask, positive in _mask_chunks(x, g, 1):
+            np.greater(x[sl], 0, out=positive)
+            _keep(bits, positive, mask, bits)
         return g
 
 
@@ -352,7 +402,7 @@ class Network:
             elif isinstance(layer, MaxPool):
                 shape[1:] = [s // 2 for s in shape[1:]]
             largest = max(largest, math.prod(shape))
-        return self.layers[:head], max(1, _FORWARD_CHUNK_BYTES // max(1, largest * x.itemsize))
+        return self.layers[:head], _images_per_chunk(_FORWARD_CHUNK_BYTES, largest * x.itemsize)
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         """Class probabilities of batch x, in chunks up to the first Dense; x is not modified."""
@@ -449,11 +499,12 @@ def sgd_step(network: Network, velocity: np.ndarray, learning_rate: float, momen
         raise ConfigurationError(f"learning rate must be positive, got {learning_rate}")
     if not 0 <= momentum < 1:
         raise ConfigurationError(f"momentum must be in [0, 1), got {momentum}")
-    finite = np.isfinite(network.grads)
-    if not finite.all():
-        first = finite.argmin()
+    grads = network.grads
+    # min and max are non-finite when any element is, without a bool per parameter
+    if grads.size and not np.isfinite([grads.min(), grads.max()]).all():
+        first = np.isfinite(grads).argmin()
         name = next(name for name, stop in network.layout if first < stop)
         raise TrainingError(f"non-finite gradient in {name}")
     velocity *= momentum
-    velocity -= learning_rate * network.grads
+    velocity -= learning_rate * grads
     network.params += velocity

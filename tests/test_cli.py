@@ -940,13 +940,13 @@ class TestSparseSweep:
         assert list(tmp_path.iterdir()) == []
 
 
-def run_python(*args, env=()):
+def run_python(*args, env=(), cwd=None):
     src = Path(__file__).resolve().parents[1] / "src"
     env = {**os.environ, **dict(env), "PYTHONPATH": os.pathsep.join(
         p for p in (str(src), os.environ.get("PYTHONPATH")) if p
     )}
     return subprocess.run(
-        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=120,
+        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=120, cwd=cwd,
     )
 
 
@@ -1028,3 +1028,32 @@ def test_unsafe_pair_id_in_the_store_is_input_error(corpus, tmp_path, capsys):
     assert run("rasterize", *corpus_flags(corpus), "--out", out, "--side", 32) == 2
     assert "instance id '../../escaped' must be non-empty" in capsys.readouterr().err
     assert not list((tmp_path / "run").rglob("*.pgm"))
+
+
+def test_outputs_are_the_same_at_1_and_2_blas_threads(tmp_path):
+    # OpenBLAS may split a GEMM between threads; every output must keep its
+    # bytes.  The thread count is fixed when numpy loads, so each count runs
+    # the whole pipeline in its own process.
+    corpus = ["--pairs", "pairs.csv", "--info", "info.csv", "--target", "target.csv", "--out", "."]
+    pipeline = [
+        ["generate", "--out", ".", "--count", "60", "--n-obs", "80", "--seed", "5"],
+        ["ingest", *corpus, "--seed", "1"],
+        ["train", "cnn", *corpus, "--side", "32", "--channels", "8,8,16,16,16,16,32,32,32,32",
+         "--epochs", "1", "--seed", "1", "--augment"],
+        ["train", "gbc", *corpus, "--n-estimators", "3", "--augment"],
+        ["evaluate", *corpus, "--model", "models/cnn.model", "--model2", "models/gbc.model"],
+    ]
+    script = (
+        "import json, sys; from causalpairs.cli import main; "
+        "sys.exit(max(main(argv) for argv in json.loads(sys.argv[1])))"
+    )
+    outputs = []
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        out.mkdir()
+        env = {"OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads}
+        proc = run_python("-c", script, json.dumps(pipeline), env=env, cwd=out)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append({p.relative_to(out): p.read_bytes() for p in out.rglob("*") if p.is_file()})
+    assert Path("models/cnn.model") in outputs[0] and Path("reports/report.txt") in outputs[0]
+    assert outputs[0] == outputs[1]

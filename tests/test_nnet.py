@@ -1,3 +1,4 @@
+import itertools
 import struct
 import tracemalloc
 
@@ -248,14 +249,30 @@ class TestSgd:
         before = net.params.copy()
         start = net.layers[0].kernels.size + net.layers[0].bias.size
         # the first and the last element of layer3.dense.weights
-        for at in (start, start + net.layers[3].weights.size - 1):
+        for at, bad in itertools.product(
+            (start, start + net.layers[3].weights.size - 1), (np.nan, np.inf, -np.inf)
+        ):
             net.grads[...] = 0.0
-            net.grads[at] = np.nan
+            net.grads[at] = bad
             with pytest.raises(TrainingError) as err:
                 sgd_step(net, np.zeros_like(net.params), 0.1, 0.0)
             assert "non-finite gradient in layer3.dense.weights" in str(err.value)
             # nothing is updated
             assert net.params.tobytes() == before.tobytes()
+
+    def test_step_makes_no_boolean_per_parameter(self):
+        net = Network([Dense(1000, 1000)], np.float32)
+        net.grads[...] = 0.5
+        velocity = np.zeros_like(net.params)
+        tracemalloc.start()
+        try:
+            sgd_step(net, velocity, 0.1, 0.9)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the step's lr * grads; a finiteness bool per parameter beside it
+        # would add a quarter of that
+        assert peak < net.grads.nbytes + net.grads.size // 8
 
     def test_parameter_validation(self):
         net = one_dense([1.0, 1.0], [1.0, 1.0])
@@ -470,7 +487,7 @@ class TestSerialization:
 def ref_im2col(x):
     n, c, h, w = x.shape
     xp = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
-    cols = np.empty((n, c * 9, h * w), dtype=np.float64)
+    cols = np.empty((n, c * 9, h * w), dtype=x.dtype)
     for di in range(3):
         for dj in range(3):
             patch = xp[:, :, di : di + h, dj : dj + w].reshape(n, c, h * w)
@@ -480,7 +497,7 @@ def ref_im2col(x):
 
 def ref_col2im(dcols, shape):
     n, c, h, w = shape
-    dxp = np.zeros((n, c, h + 2, w + 2), dtype=np.float64)
+    dxp = np.zeros((n, c, h + 2, w + 2), dtype=dcols.dtype)
     for di in range(3):
         for dj in range(3):
             dxp[:, :, di : di + h, dj : dj + w] += dcols[:, di * 3 + dj :: 9, :].reshape(
@@ -503,9 +520,6 @@ def ref_conv(x, kernels, bias, g):
     return out, dx, d_kernels, d_bias
 
 
-F64_EPS = float(np.finfo(np.float64).eps)
-
-
 class TestChunkedConv:
     @pytest.mark.parametrize("n,c,k,h,w", [
         (3, 4, 3, 64, 64),    # one image per chunk: C*9*H*W*8 > 1 MiB
@@ -518,21 +532,27 @@ class TestChunkedConv:
         (32, 8, 8, 64, 64),   # the benchmark's widest layer
     ])
     def test_bit_identical_to_unchunked(self, n, c, k, h, w):
-        rng = np.random.Generator(np.random.PCG64(n * 1000 + c * 100 + h))
-        x = rng.normal(size=(n, c, h, w))
-        x[x < 0.2] = 0.0
-        x.flat[::7] = -0.0
-        g = rng.normal(size=(n, k, h, w))
-        conv = Network([Conv(c, k)], rng=rng).layers[0]
-        conv.bias[...] = rng.normal(size=k)
-        expected = ref_conv(x, conv.kernels, conv.bias, g)
-        got = (conv.forward(x), conv.backward(g, x), conv.d_kernels, conv.d_bias)
-        for name, a, b in zip(("out", "dx", "d_kernels", "d_bias"), got, expected):
-            assert a.shape == b.shape, name
-            if name != "dx":
-                assert a.tobytes() == b.tobytes(), name
-        magnitude = ref_conv(np.abs(x), np.abs(conv.kernels), np.abs(conv.bias), np.abs(g))[1]
-        assert (np.abs(got[1] - expected[1]) <= k * 9 * F64_EPS * magnitude).all()
+        # the layer forms each image's kernel gradient as (patches . g^T)^T,
+        # the reference as g . patches^T: this pins that BLAS adds both in
+        # the same order, in the CNN's float32 too
+        for dtype in (np.float64, np.float32):
+            rng = np.random.Generator(np.random.PCG64(n * 1000 + c * 100 + h))
+            x = rng.normal(size=(n, c, h, w)).astype(dtype)
+            x[x < 0.2] = 0.0
+            x.flat[::7] = -0.0
+            g = rng.normal(size=(n, k, h, w)).astype(dtype)
+            conv = Network([Conv(c, k)], dtype, rng).layers[0]
+            conv.bias[...] = rng.normal(size=k)
+            expected = ref_conv(x, conv.kernels, conv.bias, g)
+            got = (conv.forward(x), conv.backward(g, x), conv.d_kernels, conv.d_bias)
+            for name, a, b in zip(("out", "dx", "d_kernels", "d_bias"), got, expected):
+                assert a.shape == b.shape, (name, dtype)
+                if name != "dx":
+                    assert a.tobytes() == b.tobytes(), (name, dtype)
+            abs_args = (np.abs(x), np.abs(conv.kernels), np.abs(conv.bias), np.abs(g))
+            magnitude = ref_conv(*abs_args)[1]
+            eps = np.finfo(dtype).eps
+            assert (np.abs(got[1] - expected[1]) <= k * 9 * eps * magnitude).all(), dtype
 
     def test_memory_bounded_by_chunks(self):
         # the unchunked layer kept a 75 MB patch matrix per call here
@@ -678,6 +698,30 @@ class TestLeanPoolAndRelu:
         # no uint8 winner per output, not even transiently; the rest of the
         # peak is numpy's fixed-size buffers for the strided window views
         assert pool_peak - out.nbytes < out.size
+
+    def test_backward_masks_span_one_chunk(self):
+        # 32 images of 8 x 64 x 64 float32: 128 KiB each, 4 MiB together, so
+        # a chunk's slice of the input is 8 images and 1 MiB
+        rng = np.random.Generator(np.random.PCG64(45))
+        x = np.maximum(rng.normal(size=(32, 8, 64, 64)), 0.0).astype(np.float32)
+        chunk = nnet._CHUNK_BYTES
+        slack = 128 * 1024  # array headers and numpy's iteration buffers
+        peaks = []
+        for layer, g_shape in ((Relu(), x.shape), (MaxPool(), (32, 8, 32, 32))):
+            g = rng.normal(size=g_shape).astype(np.float32)
+            tracemalloc.start()
+            try:
+                dx = layer.backward(g, x)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            peaks.append(peak - (0 if dx is g else dx.nbytes))
+        # ReLU works in g: one chunk's integer mask and its bool, 1.25 MiB;
+        # over the whole batch they would take 5 MiB
+        assert peaks[0] < chunk + chunk // 4 + slack
+        # pooling: beside dx, one chunk's window max, integer mask and two
+        # bools, 0.625 MiB; over the whole batch they would take 2.5 MiB
+        assert peaks[1] < chunk + slack
 
     @pytest.mark.parametrize("first", ["relu", "flatten", "conv"])
     def test_network_never_modifies_its_input(self, first):
