@@ -47,20 +47,26 @@ formed for the network input.
 A convolution walks its batch in chunks whose [n, C*9, H*W] patch matrix
 fits _CHUNK_BYTES (1 MiB, counted at the input's itemsize; one image per
 chunk when a single image's patches are larger).  Each chunk's patches are
-unrolled into one reused buffer and multiplied in one GEMM per image.  No
-patch matrix is cached: backward rebuilds each chunk's patches from the
-input it is given, so memory stays at the activations plus a few chunk
-buffers.  Each image's kernel gradient is formed as the [C*9, K] product
-patches . g^T, which OpenBLAS 0.3.31 runs faster than the [K, C*9] product
-g . patches^T and, adding in the same order, gives its transpose bit for
-bit.  That was checked at 1 and 2 threads, in float32 at the benchmark's,
-the --quick and the paper's layer shapes and in float64 at the first two;
-tests/test_nnet.py pins it in both dtypes.  The products are
-accumulated image by image in batch order, which is the order a sum over
-the whole batch's per-image products adds in, so results do not depend on
-the chunk size.  The input gradient is itself a same convolution, run
-through the forward routine: that of the output gradient with the kernels
-flipped in space and with their input and output channels swapped.
+unrolled into one reused buffer and multiplied in one GEMM per image.  The
+chunk's images are copied into a second reused buffer, a ninth of the
+first, that frames each channel's H*W pixels with W+1 zeros on either
+side; one strided copy from it fills all nine taps, the frame giving the
+top and bottom padding, and zeroing the two columns a side tap wraps into
+gives the rest, so the patches keep the padded input's bytes, NaN, +-inf
+and -0.0 included.  No patch matrix is cached: backward rebuilds each
+chunk's patches from the input it is given, so memory stays at the
+activations plus a few chunk buffers.  Each image's kernel gradient is
+formed as the [C*9, K] product patches . g^T, which OpenBLAS 0.3.31 runs
+faster than the [K, C*9] product g . patches^T and, adding in the same
+order, gives its transpose bit for bit.  That was checked at 1 and 2
+threads, in float32 at the benchmark's, the --quick and the paper's layer
+shapes and in float64 at the first two; tests/test_nnet.py pins it in both
+dtypes.  The products are accumulated image by image in batch order,
+which is the order a sum over the whole batch's per-image products adds
+in, so results do not depend on the chunk size.  The input gradient is
+itself a same convolution, run through the forward routine: that of the
+output gradient with the kernels flipped in space and with their input
+and output channels swapped.
 """
 
 import math
@@ -82,35 +88,24 @@ _FORWARD_CHUNK_BYTES = 1 << 20
 # Batched primitives (internal carriers for the layer classes).
 
 
-def _shift(k: int, size: int):
-    """(patch, image) slices along one axis for tap offset k - 1, clipped to the image."""
-    return (
-        slice(max(0, 1 - k), min(size, size + 1 - k)),
-        slice(max(0, k - 1), min(size, size + k - 1)),
-    )
-
-
-def _im2col(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+def _im2col(x: np.ndarray, out: np.ndarray, framed: np.ndarray) -> np.ndarray:
     """Fill out[:n] with the [n, C*9, H*W] patch matrix of [n,C,H,W] x.
 
     Row order is (c, di, dj) with dj fastest, matching kernels reshaped as
-    [K, C*9].  Each tap is copied straight from x; only the border strip the
-    shifted copy leaves uncovered is zeroed (the same-padding).
+    [K, C*9].  framed is an [m >= n, C, H*W + 2*(W+1)] buffer, zero outside
+    the interior x is copied into; tap (di, dj) of pixel p is framed[p + di*W + dj].
     """
     n, c, h, w = x.shape
-    cols = out[:n]
-    taps = cols.reshape(n, c, 3, 3, h, w)
-    for di in range(3):
-        patch_rows, image_rows = _shift(di, h)
-        for dj in range(3):
-            patch_cols, image_cols = _shift(dj, w)
-            tap = taps[:, :, di, dj]
-            tap[:, :, patch_rows, patch_cols] = x[:, :, image_rows, image_cols]
-            if di != 1:
-                tap[:, :, 0 if di == 0 else h - 1, :] = 0.0
-            if dj != 1:
-                tap[:, :, :, 0 if dj == 0 else w - 1] = 0.0
-    return cols
+    framed[:n, :, w + 1 : w + 1 + h * w] = x.reshape(n, c, h * w)
+    # read-only, as the taps overlap (setting flags.writeable retains memory per call)
+    size = framed.itemsize
+    taps = np.ndarray((n, c, 3, 3, h * w), framed.dtype, memoryview(framed).toreadonly(),
+                      strides=(*framed.strides[:2], w * size, size, size))
+    np.copyto(out[:n].reshape(taps.shape), taps)
+    grid = out[:n].reshape(n, c, 3, 3, h, w)
+    grid[:, :, :, 0, :, 0] = 0.0  # dj = 0 at column 0 read the row above's last pixel
+    grid[:, :, :, 2, :, w - 1] = 0.0  # dj = 2 at column W-1 the row below's first
+    return out[:n]
 
 
 def _images_per_chunk(budget: int, image_bytes: int) -> int:
@@ -127,9 +122,10 @@ def _patch_chunks(x):
     n, c, h, w = x.shape
     step = _images_per_chunk(_CHUNK_BYTES, c * 9 * h * w * x.itemsize)
     cols = np.empty((min(n, step), c * 9, h * w), dtype=x.dtype)
+    framed = np.zeros((min(n, step), c, h * w + 2 * (w + 1)), dtype=x.dtype)
     for start in range(0, n, step):
         sl = slice(start, start + step)
-        yield sl, _im2col(x[sl], cols)
+        yield sl, _im2col(x[sl], cols, framed)
 
 
 def _conv2d_batch(x, kernels, bias):
@@ -494,6 +490,8 @@ def sgd_step(network: Network, velocity: np.ndarray, learning_rate: float, momen
     """In-place momentum SGD update of network.params; velocity has its layout.
 
     velocity <- momentum * velocity - lr * network.grads;  params += velocity.
+    lr * grads is formed in network.grads itself, which holds it afterwards;
+    the next backward overwrites every gradient.
     """
     if learning_rate <= 0:
         raise ConfigurationError(f"learning rate must be positive, got {learning_rate}")
@@ -506,5 +504,6 @@ def sgd_step(network: Network, velocity: np.ndarray, learning_rate: float, momen
         name = next(name for name, stop in network.layout if first < stop)
         raise TrainingError(f"non-finite gradient in {name}")
     velocity *= momentum
-    velocity -= learning_rate * grads
+    np.multiply(grads, learning_rate, out=grads)
+    velocity -= grads
     network.params += velocity

@@ -274,6 +274,20 @@ class TestSgd:
         # would add a quarter of that
         assert peak < net.grads.nbytes + net.grads.size // 8
 
+    def test_step_allocates_no_parameter_sized_temporary(self):
+        net = Network([Dense(1000, 1000)], np.float32)
+        net.grads[...] = 0.5
+        velocity = np.zeros_like(net.params)
+        tracemalloc.start()
+        try:
+            sgd_step(net, velocity, 0.1, 0.9)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # lr * grads formed in a fresh array would take grads.nbytes
+        assert peak < net.grads.size // 8
+        assert (net.grads == np.float32(0.1) * np.float32(0.5)).all()
+
     def test_parameter_validation(self):
         net = one_dense([1.0, 1.0], [1.0, 1.0])
         with pytest.raises(ConfigurationError):
@@ -327,6 +341,8 @@ class TestFlatParameters:
         velocity = np.zeros_like(net.params)
         for step in range(3):
             net.loss_and_backward(xs, cls)
+            # the step leaves lr * grads in grads
+            got_grads = net.grads.tobytes()
             sgd_step(net, velocity, lr, momentum)
             inputs = [xs]
             for layer in layers:
@@ -347,8 +363,10 @@ class TestFlatParameters:
                 vel -= lr * grad
                 getattr(layer, name)[...] += vel
             flat = [np.concatenate([a.ravel() for a in arrays]).tobytes()
-                    for arrays in ([getattr(lay, n) for lay, n in owned], grads, vels)]
-            assert [net.params.tobytes(), net.grads.tobytes(), velocity.tobytes()] == flat, step
+                    for arrays in ([getattr(lay, n) for lay, n in owned], grads, vels,
+                                   [lr * grad for grad in grads])]
+            got = [net.params.tobytes(), got_grads, velocity.tobytes(), net.grads.tobytes()]
+            assert got == flat, step
             if step == 1:
                 self.assert_views_in_declaration_order(net)
 
@@ -504,6 +522,47 @@ def ref_col2im(dcols, shape):
                 n, c, h, w
             )
     return dxp[:, :, 1 : h + 1, 1 : w + 1]
+
+
+def bordered(rng, shape, dtype):
+    """Normal draws with NaN, +-inf and -0.0 on every border row and column."""
+    x = rng.normal(size=shape).astype(dtype)
+    specials = np.array([np.nan, np.inf, -np.inf, -0.0], dtype=dtype)
+    for k, edge in enumerate((x[:, :, 0], x[:, :, -1], x[..., 0], x[..., -1])):
+        edge[...] = np.resize(np.roll(specials, k), edge.shape)
+    return x
+
+
+class TestIm2col:
+    """The framed strided copy against the padded reference, byte for byte."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("n,c,h,w", [
+        (2, 3, 5, 7), (1, 2, 7, 5), (3, 1, 1, 1), (2, 2, 1, 2), (2, 2, 2, 1),
+        (1, 3, 2, 2), (2, 1, 1, 6), (1, 2, 6, 1), (2, 2, 2, 9), (1, 1, 8, 2),
+        (2, 4, 6, 6),
+    ])
+    def test_matches_padded_reference(self, n, c, h, w, dtype):
+        rng = np.random.Generator(np.random.PCG64(n * 100 + h * 10 + w))
+        x = bordered(rng, (n, c, h, w), dtype)
+        # spare rows in both buffers, and a patch buffer with nothing zero in it
+        out = np.full((n + 1, c * 9, h * w), np.nan, dtype=dtype)
+        framed = np.zeros((n + 1, c, h * w + 2 * (w + 1)), dtype=dtype)
+        assert nnet._im2col(x, out, framed).tobytes() == ref_im2col(x).tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_chunks_leave_nothing_stale(self, dtype, monkeypatch):
+        # chunks of 3, 3 and 1 images, the first all NaN: a write into the
+        # frame, or a wrapped column zeroed only once, shows in a later chunk
+        n, c, h, w = 7, 2, 4, 5
+        x = bordered(np.random.Generator(np.random.PCG64(5)), (n, c, h, w), dtype)
+        x[:3] = np.nan
+        image_bytes = c * 9 * h * w * x.itemsize
+        monkeypatch.setattr(nnet, "_CHUNK_BYTES", 3 * image_bytes)
+        chunks = [(sl, cols.copy()) for sl, cols in nnet._patch_chunks(x)]
+        assert [len(cols) for _, cols in chunks] == [3, 3, 1]
+        for sl, cols in chunks:
+            assert cols.tobytes() == ref_im2col(x[sl]).tobytes(), sl
 
 
 def ref_conv(x, kernels, bias, g):
