@@ -7,14 +7,19 @@ Output directory layout (created under --out):
     images/      <id>.pgm scatter plots, for viewing; no command reads them
     models/      cnn.model / gbc.model
     reports/     predictions.csv, report.txt, train logs, sparse_sweep.csv
-Only ingest parses the corpus text.  Every later command (rasterize,
-train, evaluate, sparse-sweep) loads ingest's corpus.cpmf and split
-manifests instead, and refuses the store (exit 2) when it is missing,
-corrupt or stored for other corpus bytes.
-Every command that needs scatter images rasterizes the corpus in memory.
-``train cnn`` and ``train gbc`` each take only their own model's flags.
-Each command writes a ``<command>.run.meta`` JSON (its own parameters,
-seeds, input checksums) sufficient to reproduce its outputs byte-for-byte.
+Only ingest parses the corpus text and writes the store.  Every later
+command loads ingest's corpus.cpmf and split manifests instead, and
+refuses the store (exit 2) when it is missing, corrupt or stored for
+other corpus bytes.  Commands that need scatter images rasterize in memory.
+
+Every command runs in one frame, ``_run``: the --seed check (a negative
+one is refused before anything is read or written); the corpus hash
+(none for generate; evaluate checks --weight first); the store (ingest
+writes it, the others read it) and the work, with the command's other
+flag checks; its outputs, each directory made with its first file; then
+``<command>.run.meta`` (parameters, seeds and input checksums: enough to
+rerun byte for byte) and the summary line.  A failed command writes no
+run.meta, and a refused one no directory.
 
 Exit codes: 0 success, 2 input error (an output path that cannot be written
 included), 3 training failure, 4 undefined metric.
@@ -22,6 +27,7 @@ included), 3 training failure, 4 undefined metric.
 
 import argparse
 import dataclasses
+import functools
 import hashlib
 import json
 import os
@@ -79,45 +85,12 @@ def _sha256_file(path) -> str:
     return h.hexdigest()
 
 
-def _write_run_meta(out_dir: Path, command: str, args, checksums) -> None:
-    params = {
-        k: v for k, v in sorted(vars(args).items()) if k not in ("func",)
-    }
-    meta = {
-        "command": command,
-        "package_version": __version__,
-        "params": params,
-        "input_checksums": checksums,
-    }
-    path = out_dir / f"{command}.run.meta"
+def _write_lines(path: Path, lines) -> None:
+    """Write each of lines and a "\n" to path as UTF-8, making its directory first."""
+    path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="\n") as f:
-        json.dump(meta, f, sort_keys=True, indent=1)
-        f.write("\n")
-
-
-def _corpus_checksums(args) -> dict:
-    """SHA-256 of each of the three corpus files, by flag name."""
-    paths = {"pairs": args.pairs, "info": args.info, "target": args.target}
-    for name, p in paths.items():
-        if not Path(p).is_file():
-            raise InputError(f"missing {name} file: {p}")
-    return {name: _sha256_file(p) for name, p in paths.items()}
-
-
-def _write_store(path, instances, checksums) -> None:
-    """The parsed corpus, in pairs-file order, as a modelfile of kind "corpus"."""
-    meta = {
-        "input_checksums": checksums,
-        "ids": [inst.id for inst in instances],
-        "kinds": [[inst.x_kind.value, inst.y_kind.value] for inst in instances],
-        "labels": [inst.label for inst in instances],
-    }
-    arrays = {
-        "n_obs": np.array([inst.n_obs for inst in instances], dtype="<i4"),
-        "x": np.concatenate([inst.x for inst in instances]),
-        "y": np.concatenate([inst.y for inst in instances]),
-    }
-    modelfile.write(path, "corpus", meta, arrays)
+        for line in lines:
+            f.write(line + "\n")
 
 
 def _read_manifest(path) -> list[str]:
@@ -131,52 +104,85 @@ def _read_manifest(path) -> list[str]:
     return [line.strip() for line in text.splitlines() if line.strip()]
 
 
-def _load_splits(args, checksums, parts) -> tuple:
-    """The instances each manifest in parts names, from ingest's corpus store.
+class _Corpus:
+    """The three corpus files the flags name, and ingest's store of them under --out."""
 
-    All three manifests are checked against the store, which must have been
-    stored for corpus files with these checksums, and no id may be listed
-    twice in them; only the pairs of parts are built.  They copy their values, so the file's buffer is freed on
-    return: views that kept it alive read higher peak RSS in ``train cnn``.
-    """
-    mdir = Path(args.out) / "manifests"
-    manifests = {part: _read_manifest(mdir / f"{part}.ids") for part in SPLITS}
-    path = mdir / CORPUS_STORE
-    if not path.is_file():
-        raise InputError(f"missing corpus store {path}; run `causalpairs ingest` first")
-    try:
-        _, meta, arrays = modelfile.read(path, "corpus")
-        if meta.get("input_checksums") != checksums:
-            raise InputError(f"{path} was stored for other corpus files")
-        ids, kinds, labels = meta["ids"], meta["kinds"], meta["labels"]
-        n_obs, x, y = arrays["n_obs"], arrays["x"], arrays["y"]
-        if not (
-            len(ids) == len(kinds) == len(labels) == len(n_obs)
-            and n_obs.ndim == 1 and n_obs.sum() == len(x) == len(y)
-        ):
-            raise InputError(f"{path}: corpus store arrays do not match its ids")
-        row_of = {pid: k for k, pid in enumerate(ids)}
-        listed = [pid for part in SPLITS for pid in manifests[part]]
-        missing = [pid for pid in listed if pid not in row_of]
-        if missing:
-            raise InputError(f"manifest ids missing from corpus: {missing[:5]}...")
-        # an id in two manifests would leak pairs between splits
-        repeated = [pid for pid, count in Counter(listed).items() if count > 1]
-        if repeated:
-            raise InputError(f"manifest ids listed more than once: {repeated[:5]}...")
-        ends = np.cumsum(n_obs)
+    def __init__(self, args):
+        self.files = {"pairs": args.pairs, "info": args.info, "target": args.target}
+        self.mdir = Path(args.out) / "manifests"
 
-        def pair(k):
-            span = slice(ends[k] - n_obs[k], ends[k])
-            kx, ky = kinds[k]
-            return PairInstance(
-                ids[k], x[span].copy(), y[span].copy(),
-                AttributeKind(kx), AttributeKind(ky), labels[k],
-            )
+    @functools.cached_property
+    def checksums(self) -> dict:
+        """SHA-256 of each of the three files, by flag name, hashed when first asked for."""
+        for name, p in self.files.items():
+            if not Path(p).is_file():
+                raise InputError(f"missing {name} file: {p}")
+        return {name: _sha256_file(p) for name, p in self.files.items()}
 
-        return tuple([pair(row_of[pid]) for pid in manifests[part]] for part in parts)
-    except (KeyError, TypeError, ValueError, AttributeError, InputError) as exc:
-        raise InputError(f"{exc}; run `causalpairs ingest` again") from exc
+    def store(self, instances, parts) -> None:
+        """The split manifests, and the corpus in pairs-file order as a "corpus" modelfile."""
+        for name, part in zip(SPLITS, parts):
+            _write_lines(self.mdir / f"{name}.ids", (inst.id for inst in part))
+        meta = {
+            "input_checksums": self.checksums,
+            "ids": [inst.id for inst in instances],
+            "kinds": [[inst.x_kind.value, inst.y_kind.value] for inst in instances],
+            "labels": [inst.label for inst in instances],
+        }
+        arrays = {
+            "n_obs": np.array([inst.n_obs for inst in instances], dtype="<i4"),
+            "x": np.concatenate([inst.x for inst in instances]),
+            "y": np.concatenate([inst.y for inst in instances]),
+        }
+        modelfile.write(self.mdir / CORPUS_STORE, "corpus", meta, arrays)
+
+    def load(self, parts) -> tuple:
+        """The instances each manifest in parts names, from the store.
+
+        All three manifests are checked against the store, which must have been
+        stored for corpus files with these checksums, and no id may be listed
+        twice in them; only the pairs of parts are built.  They copy their
+        values, so the file's buffer is freed on return: views that kept it
+        alive read higher peak RSS in ``train cnn``.
+        """
+        checksums = self.checksums
+        manifests = {part: _read_manifest(self.mdir / f"{part}.ids") for part in SPLITS}
+        path = self.mdir / CORPUS_STORE
+        if not path.is_file():
+            raise InputError(f"missing corpus store {path}; run `causalpairs ingest` first")
+        try:
+            _, meta, arrays = modelfile.read(path, "corpus")
+            if meta.get("input_checksums") != checksums:
+                raise InputError(f"{path} was stored for other corpus files")
+            ids, kinds, labels = meta["ids"], meta["kinds"], meta["labels"]
+            n_obs, x, y = arrays["n_obs"], arrays["x"], arrays["y"]
+            if not (
+                len(ids) == len(kinds) == len(labels) == len(n_obs)
+                and n_obs.ndim == 1 and n_obs.sum() == len(x) == len(y)
+            ):
+                raise InputError(f"{path}: corpus store arrays do not match its ids")
+            row_of = {pid: k for k, pid in enumerate(ids)}
+            listed = [pid for part in SPLITS for pid in manifests[part]]
+            missing = [pid for pid in listed if pid not in row_of]
+            if missing:
+                raise InputError(f"manifest ids missing from corpus: {missing[:5]}...")
+            # an id in two manifests would leak pairs between splits
+            repeated = [pid for pid, count in Counter(listed).items() if count > 1]
+            if repeated:
+                raise InputError(f"manifest ids listed more than once: {repeated[:5]}...")
+            ends = np.cumsum(n_obs)
+
+            def pair(k):
+                span = slice(ends[k] - n_obs[k], ends[k])
+                kx, ky = kinds[k]
+                return PairInstance(
+                    ids[k], x[span].copy(), y[span].copy(),
+                    AttributeKind(kx), AttributeKind(ky), labels[k],
+                )
+
+            return tuple([pair(row_of[pid]) for pid in manifests[part]] for part in parts)
+        except (KeyError, TypeError, ValueError, AttributeError, InputError) as exc:
+            raise InputError(f"{exc}; run `causalpairs ingest` again") from exc
 
 
 def _rasterize_all(instances, side):
@@ -203,21 +209,27 @@ def _parse_channels(spec_text) -> tuple:
 # Commands.
 
 
-def _seeded(command):
-    """command, refusing a negative --seed before it reads or writes anything."""
-
-    def checked(args):
-        if args.seed < 0:
-            raise ConfigurationError(f"--seed must be >= 0, got {args.seed}")
-        return command(args)
-
-    return checked
-
-
-@_seeded
-def cmd_generate(args):
+def _run(work, args) -> int:
+    """The frame of every command around work(args, out, corpus); see the module docstring."""
+    if getattr(args, "seed", 0) < 0:
+        raise ConfigurationError(f"--seed must be >= 0, got {args.seed}")
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    corpus = _Corpus(args) if "pairs" in vars(args) else None
+    summary = work(args, out, corpus)
+    command = f"{args.command}-{args.kind}" if "kind" in vars(args) else args.command
+    meta = {
+        "command": command,
+        "package_version": __version__,
+        "params": {k: v for k, v in vars(args).items() if k != "func"},
+        "input_checksums": corpus.checksums if corpus else {},
+    }
+    _write_lines(out / f"{command}.run.meta", [json.dumps(meta, sort_keys=True, indent=1)])
+    if summary is not None:
+        print(summary)
+    return EXIT_OK
+
+
+def cmd_generate(args, out, corpus):
     mix = None
     if args.mix:
         mix = {}
@@ -241,49 +253,34 @@ def cmd_generate(args):
     )
     if args.cat_bins is not None:
         instances = [synth.to_categorical(inst, args.cat_bins) for inst in instances]
+    out.mkdir(parents=True, exist_ok=True)
     write_pairs_files(
         instances, out / "pairs.csv", out / "info.csv", out / "target.csv"
     )
-    _write_run_meta(out, "generate", args, {})
-    print(f"generated {len(instances)} instances -> {out}")
-    return EXIT_OK
+    return f"generated {len(instances)} instances -> {out}"
 
 
-@_seeded
-def cmd_ingest(args):
-    out = Path(args.out)
-    checksums = _corpus_checksums(args)
-    instances = read_pairs_files(args.pairs, args.info, args.target)
+def cmd_ingest(args, out, corpus):
+    corpus.checksums  # before the text is parsed
+    instances = read_pairs_files(*corpus.files.values())
     spec = SplitSpec(train_frac=args.train_frac, val_frac=args.val_frac, seed=args.seed)
     parts = split(instances, spec)
-    mdir = out / "manifests"
-    mdir.mkdir(parents=True, exist_ok=True)
-    for name, part in zip(SPLITS, parts):
-        with open(mdir / f"{name}.ids", "w", encoding="utf-8", newline="\n") as f:
-            for inst in part:
-                f.write(inst.id + "\n")
-    _write_store(mdir / CORPUS_STORE, instances, checksums)
-    _write_run_meta(out, "ingest", args, checksums)
-    print(
+    corpus.store(instances, parts)
+    return (
         f"ingested {len(instances)} instances: "
         f"{len(parts[0])}/{len(parts[1])}/{len(parts[2])} train/val/test"
     )
-    return EXIT_OK
 
 
-def cmd_rasterize(args):
-    out = Path(args.out)
-    checksums = _corpus_checksums(args)
-    instances = [i for part in _load_splits(args, checksums, SPLITS) for i in part]
+def cmd_rasterize(args, out, corpus):
+    instances = [i for part in corpus.load(SPLITS) for i in part]
+    images = _rasterize_all(instances, args.side)
     imgdir = out / "images"
     imgdir.mkdir(parents=True, exist_ok=True)
-    images = _rasterize_all(instances, args.side)
     for inst, img in zip(instances, images):
         # the id's UTF-8 bytes under any locale, as in every text output
         raster.write_image(img, os.path.join(bytes(imgdir), inst.id.encode("utf-8") + b".pgm"))
-    _write_run_meta(out, "rasterize", args, checksums)
-    print(f"rasterized {len(instances)} images at side {args.side} -> {imgdir}")
-    return EXIT_OK
+    return f"rasterized {len(instances)} images at side {args.side} -> {imgdir}"
 
 
 def _fit_cnn(args, train_insts, val_insts):
@@ -317,17 +314,15 @@ def _fit_gbc(args, train_insts):
     )
 
 
-@_seeded
-def cmd_train(args):
-    out = Path(args.out)
-    checksums = _corpus_checksums(args)
-    train_insts, val_insts = _load_splits(args, checksums, ("train", "val"))
+def cmd_train(args, out, corpus):
+    train_insts, val_insts = corpus.load(("train", "val"))
     if args.augment:
         train_insts = augment_all(train_insts)
     if args.kind == "cnn":
         model, history = _fit_cnn(args, train_insts, val_insts)
         save = cnn.save_model
-        log = ["epoch,train_loss,train_accuracy,val_accuracy"] + [
+        header = "epoch,train_loss,train_accuracy,val_accuracy"
+        rows = [
             f"{m.epoch},{format_float(m.train_loss)},{format_float(m.train_accuracy)},"
             f"{format_float(m.val_accuracy)}"
             for m in history
@@ -339,24 +334,19 @@ def cmd_train(args):
     else:
         model = _fit_gbc(args, train_insts)
         save = boosting.save_gbc
-        log = ["round,train_logloss"] + [
-            f"{r},{format_float(ll)}" for r, ll in enumerate(model.train_logloss)
-        ]
+        header = "round,train_logloss"
+        rows = [f"{r},{format_float(ll)}" for r, ll in enumerate(model.train_logloss)]
         summary = f"final train logloss {model.train_logloss[-1]:.4f}"
     (out / "models").mkdir(parents=True, exist_ok=True)
     save(model, out / "models" / f"{args.kind}.model")
-    (out / "reports").mkdir(parents=True, exist_ok=True)
-    log_path = out / "reports" / f"{args.kind}_train_log.csv"
-    with open(log_path, "w", encoding="utf-8", newline="\n") as f:
-        f.write(f"{log[0]},n_train\n")
-        for line in log[1:]:
-            f.write(f"{line},{len(train_insts)}\n")
-    print(
+    _write_lines(
+        out / "reports" / f"{args.kind}_train_log.csv",
+        [f"{header},n_train"] + [f"{row},{len(train_insts)}" for row in rows],
+    )
+    return (
         f"trained {args.kind} on {len(train_insts)} instances "
         f"({'augmented' if args.augment else 'plain'}); {summary}"
     )
-    _write_run_meta(out, f"train-{args.kind}", args, checksums)
-    return EXIT_OK
 
 
 def _load_model(path):
@@ -396,16 +386,15 @@ def _parse_weight(text):
     return w
 
 
-def cmd_evaluate(args):
+def cmd_evaluate(args, out, corpus):
     # checked whether or not there is a --model2, before anything is read
     weight = _parse_weight(args.weight)
-    out = Path(args.out)
-    checksums = _corpus_checksums(args)
+    corpus.checksums  # before the models are read
     model = _load_model(args.model)
     model2 = _load_model(args.model2) if args.model2 else None
     # the corpus after the models: the other way round, bench/run.py read a
     # peak RSS about 5 MB higher for evaluate
-    target, val = _load_splits(args, checksums, (args.split, "val"))
+    target, val = corpus.load((args.split, "val"))
     truths = [inst.label for inst in target]
     p1 = _model_probs(model, target)
     chosen_w = None
@@ -429,24 +418,18 @@ def cmd_evaluate(args):
     auc, auc_fwd, auc_bwd = auc_bidirectional_parts(
         probs, truths, exclude_zero=args.exclude_zero
     )
-    rdir = out / "reports"
-    rdir.mkdir(parents=True, exist_ok=True)
-    scores = signed_scores(probs)
-    with open(rdir / "predictions.csv", "w", encoding="utf-8", newline="\n") as f:
-        f.write("id,p1,p0,p_neg1,score,predicted_label\n")
-        for inst, p, s, pred in zip(target, probs, scores, preds):
-            f.write(f"{inst.id},{','.join(map(format_float, p))},{format_float(s)},{pred}\n")
-    with open(rdir / "report.txt", "w", encoding="utf-8", newline="\n") as f:
-        f.write(f"accuracy={format_float(acc)}\n")
-        f.write(f"auc={format_float(auc)}\n")
-        f.write(f"auc_fwd={format_float(auc_fwd)}\n")
-        f.write(f"auc_bwd={format_float(auc_bwd)}\n")
-        if chosen_w is not None:
-            f.write(f"w={format_float(chosen_w)}\n")
-    _write_run_meta(out, "evaluate", args, checksums)
+    _write_lines(out / "reports" / "predictions.csv", [
+        "id,p1,p0,p_neg1,score,predicted_label",
+        *(f"{inst.id},{','.join(map(format_float, p))},{format_float(s)},{pred}"
+          for inst, p, s, pred in zip(target, probs, signed_scores(probs), preds)),
+    ])
+    report = {"accuracy": acc, "auc": auc, "auc_fwd": auc_fwd, "auc_bwd": auc_bwd}
+    if chosen_w is not None:
+        report["w"] = chosen_w
+    _write_lines(out / "reports" / "report.txt",
+                 (f"{key}={format_float(value)}" for key, value in report.items()))
     w_note = f", w={chosen_w}" if chosen_w is not None else ""
-    print(f"{args.split}: accuracy={acc:.4f}, auc={auc:.4f}{w_note}")
-    return EXIT_OK
+    return f"{args.split}: accuracy={acc:.4f}, auc={auc:.4f}{w_note}"
 
 
 def _subsample(inst: PairInstance, count: int, seed: int) -> PairInstance:
@@ -457,14 +440,12 @@ def _subsample(inst: PairInstance, count: int, seed: int) -> PairInstance:
     return dataclasses.replace(inst, x=inst.x[idx], y=inst.y[idx])
 
 
-@_seeded
-def cmd_sparse_sweep(args):
-    out = Path(args.out)
-    checksums = _corpus_checksums(args)
+def cmd_sparse_sweep(args, out, corpus):
+    corpus.checksums  # before the flags are checked
     counts = _parse_ints(args.obs_counts, "--obs-counts")
     if any(c < 2 for c in counts):
         raise ConfigurationError(f"observation counts must be >= 2: {counts}")
-    parts = _load_splits(args, checksums, SPLITS)
+    parts = corpus.load(SPLITS)
     rows = []
     for count in counts:
         clamped = sum(inst.n_obs < count for part in parts for inst in part)
@@ -491,32 +472,29 @@ def cmd_sparse_sweep(args):
             f"count {count}: cnn auc={row[2]:.4f} acc={row[1]:.4f} | "
             f"gbc auc={row[4]:.4f} acc={row[3]:.4f}"
         )
-    rdir = out / "reports"
-    rdir.mkdir(parents=True, exist_ok=True)
-    with open(rdir / "sparse_sweep.csv", "w", encoding="utf-8", newline="\n") as f:
-        f.write("count,cnn_accuracy,cnn_auc,gbc_accuracy,gbc_auc\n")
-        for count, *scores in rows:
-            f.write(f"{count},{','.join(map(format_float, scores))}\n")
-    _write_run_meta(out, "sparse-sweep", args, checksums)
-    return EXIT_OK
+    _write_lines(out / "reports" / "sparse_sweep.csv", [
+        "count,cnn_accuracy,cnn_auc,gbc_accuracy,gbc_auc",
+        *(f"{count},{','.join(map(format_float, scores))}" for count, *scores in rows),
+    ])
 
 
 # ---------------------------------------------------------------------------
 # Parser.
 
 
-def _add_corpus_flags(p):
-    p.add_argument("--pairs", required=True, help="pairs file (id,x values,y values)")
-    p.add_argument("--info", required=True, help="info file (id,kindA,kindB)")
-    p.add_argument("--target", required=True, help="target file (id,label)")
-
-
-def _add_train_flags(p):
-    _add_corpus_flags(p)
+def _add_command(sub, name, work, help, corpus=True, seed=None):
+    """A subcommand that _run runs work for.  It takes --out, the corpus flags
+    if corpus, and --seed unless seed, its help text ("" for none), is None."""
+    p = sub.add_parser(name, help=help)
+    p.set_defaults(func=functools.partial(_run, work))
+    if corpus:
+        p.add_argument("--pairs", required=True, help="pairs file (id,x values,y values)")
+        p.add_argument("--info", required=True, help="info file (id,kindA,kindB)")
+        p.add_argument("--target", required=True, help="target file (id,label)")
     p.add_argument("--out", required=True)
-    p.add_argument("--augment", action="store_true",
-                   help="add the swapped twin of every training instance")
-    p.set_defaults(func=cmd_train)
+    if seed is not None:
+        p.add_argument("--seed", type=int, default=0, help=seed or None)
+    return p
 
 
 def _add_cnn_flags(p):
@@ -544,8 +522,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("generate", help="emit a synthetic labeled corpus")
-    p.add_argument("--out", required=True)
+    p = _add_command(sub, "generate", cmd_generate, "emit a synthetic labeled corpus",
+                     corpus=False, seed="")
     p.add_argument("--count", type=int, required=True)
     p.add_argument("--mix", default=None,
                    help="e.g. anm=0.4,linear=0.2,independent=0.2,common-cause=0.2")
@@ -553,40 +531,31 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--noise-scale", type=float, default=0.3)
     p.add_argument("--cat-bins", type=int, default=None,
                    help="post-discretize both attributes into this many categories")
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_generate)
 
-    p = sub.add_parser("ingest", help="parse a corpus and write split manifests")
-    _add_corpus_flags(p)
-    p.add_argument("--out", required=True)
+    p = _add_command(sub, "ingest", cmd_ingest, "parse a corpus and write split manifests",
+                     seed="")
     p.add_argument("--train-frac", type=float, default=0.70)
     p.add_argument("--val-frac", type=float, default=0.15)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_ingest)
 
-    p = sub.add_parser("rasterize", help="write one scatter PGM per instance, for viewing")
-    _add_corpus_flags(p)
-    p.add_argument("--out", required=True)
+    p = _add_command(sub, "rasterize", cmd_rasterize,
+                     "write one scatter PGM per instance, for viewing")
     p.add_argument("--side", type=int, default=raster.DEFAULT_SIDE)
-    p.set_defaults(func=cmd_rasterize)
 
     p = sub.add_parser("train", help="train a model on the ingested split")
     kinds = p.add_subparsers(dest="kind", required=True)
-    p = kinds.add_parser("cnn", help="train the scatter-image CNN")
-    _add_train_flags(p)
-    p.add_argument("--seed", type=int, default=0,
-                   help="seeds the weight init and the batch order")
-    _add_cnn_flags(p)
-    p = kinds.add_parser("gbc", help="train the boosted trees on the pair features")
-    _add_train_flags(p)
-    p.add_argument("--seed", type=int, default=0,
-                   help="unused: boosting draws no random numbers; accepted because "
-                   "the benchmark workloads pass it")
-    _add_gbc_flags(p)
+    for kind, help, seed, add_flags in (
+        ("cnn", "train the scatter-image CNN",
+         "seeds the weight init and the batch order", _add_cnn_flags),
+        ("gbc", "train the boosted trees on the pair features",
+         "unused: boosting draws no random numbers; accepted because "
+         "the benchmark workloads pass it", _add_gbc_flags),
+    ):
+        p = _add_command(kinds, kind, cmd_train, help, seed=seed)
+        p.add_argument("--augment", action="store_true",
+                       help="add the swapped twin of every training instance")
+        add_flags(p)
 
-    p = sub.add_parser("evaluate", help="evaluate one model or a weighted ensemble")
-    _add_corpus_flags(p)
-    p.add_argument("--out", required=True)
+    p = _add_command(sub, "evaluate", cmd_evaluate, "evaluate one model or a weighted ensemble")
     p.add_argument("--model", required=True, help="model file (cnn or gbc)")
     p.add_argument("--model2", default=None, help="second model for the ensemble")
     p.add_argument("--weight", default="tune",
@@ -595,18 +564,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--split", choices=SPLITS, default="test")
     p.add_argument("--exclude-zero", action="store_true",
                    help="drop label-0 instances from both sub-AUCs")
-    p.set_defaults(func=cmd_evaluate)
 
-    p = sub.add_parser("sparse-sweep",
-                       help="retrain both models on ingest's split at reduced observation counts")
-    _add_corpus_flags(p)
-    p.add_argument("--out", required=True)
+    p = _add_command(sub, "sparse-sweep", cmd_sparse_sweep,
+                     "retrain both models on ingest's split at reduced observation counts",
+                     seed="")
     p.add_argument("--obs-counts", default=DEFAULT_SWEEP_COUNTS)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--augment", action="store_true")
     _add_cnn_flags(p)
     _add_gbc_flags(p)
-    p.set_defaults(func=cmd_sparse_sweep)
 
     return parser
 

@@ -296,6 +296,7 @@ class TestEvaluate:
             "--model", trained / "models" / "gbc.model",
         )
         assert code == 4
+        assert not (out / "evaluate.run.meta").exists()
 
 
     @pytest.mark.parametrize("weight", ["banana", "1.5", "-0.1", "nan"])
@@ -410,6 +411,7 @@ def test_diverging_gbc_is_training_error(corpus, tmp_path, capsys):
     assert code == 3
     assert "non-finite class scores at boosting round" in capsys.readouterr().err
     assert not (out / "models" / "gbc.model").exists()
+    assert not (out / "train-gbc.run.meta").exists()
 
 
 def test_gbc_ending_above_its_initial_loss_is_training_error(corpus, tmp_path, capsys):
@@ -422,6 +424,7 @@ def test_gbc_ending_above_its_initial_loss_is_training_error(corpus, tmp_path, c
     err = capsys.readouterr().err
     assert "log-loss 5.2331 is above the initial 1.0629" in err
     assert not (out / "models" / "gbc.model").exists()
+    assert not (out / "train-gbc.run.meta").exists()
 
 
 @pytest.mark.parametrize("command", ["generate", "rasterize"])
@@ -441,6 +444,51 @@ def test_unwritable_out_is_input_error(corpus, tmp_path, capsys, command):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
     assert "Traceback" not in err
+
+
+def test_every_command_writes_its_run_meta(tmp_path):
+    import hashlib
+
+    from causalpairs import __version__
+
+    gen, out = tmp_path / "gen", tmp_path / "run"
+    flags = [*corpus_flags(gen), "--out", out]
+    commands = {
+        "generate": ["generate", "--out", gen, "--count", 48, "--n-obs", 60, "--seed", 5,
+                     "--mix", "anm=0.4,linear=0.2,independent=0.2,common-cause=0.2",
+                     "--cat-bins", 6],
+        "ingest": ["ingest", *flags, "--seed", 1],
+        "rasterize": ["rasterize", *flags, "--side", 16],
+        "train-cnn": ["train", "cnn", *flags, "--side", 32, "--channels", TINY_CHANNELS,
+                      "--epochs", 1, "--seed", 3],
+        "train-gbc": ["train", "gbc", *flags, "--n-estimators", 2, "--augment"],
+        "evaluate": ["evaluate", *flags, "--model", out / "models" / "cnn.model",
+                     "--model2", out / "models" / "gbc.model", "--exclude-zero"],
+        "sparse-sweep": [*TINY_SWEEP, *flags],
+    }
+    checksums = {}
+    for stem, argv in commands.items():
+        argv = [str(a) for a in argv]
+        assert main(argv) == 0, stem
+        if stem == "generate":
+            meta_dir, expected = gen, {}
+            checksums = {
+                name: hashlib.sha256((gen / f"{name}.csv").read_bytes()).hexdigest()
+                for name in ("pairs", "info", "target")
+            }
+        else:
+            meta_dir, expected = out, checksums
+        path = meta_dir / f"{stem}.run.meta"
+        data = path.read_bytes()
+        meta = json.loads(data)
+        assert data == (json.dumps(meta, sort_keys=True, indent=1) + "\n").encode(), stem
+        assert set(meta) == {"command", "package_version", "params", "input_checksums"}
+        assert meta["command"] == path.name.removesuffix(".run.meta")
+        assert meta["package_version"] == __version__
+        params = vars(build_parser().parse_args(argv))
+        del params["func"]
+        assert meta["params"] == params, stem
+        assert meta["input_checksums"] == expected, stem
 
 
 @pytest.mark.parametrize("argv", [
@@ -513,6 +561,7 @@ def test_every_parsed_flag_is_read(corpus, tmp_path):
 
 
 @pytest.mark.parametrize("match,argv", [
+    ("count", ["generate", "--count", 0]),
     ("--mix", ["generate", "--count", 4, "--mix", "bogus=1.0"]),
     ("--mix", ["generate", "--count", 4, "--mix", "anm=0.5,linear=half"]),
     ("fractions", ["generate", "--count", 4, "--mix", "anm=nan"]),
@@ -520,6 +569,7 @@ def test_every_parsed_flag_is_read(corpus, tmp_path):
     ("--n-obs", ["generate", "--count", 4, "--n-obs", "5:x"]),
     ("--n-obs", ["generate", "--count", 4, "--n-obs", "5:6:7"]),
     ("--obs-counts", ["sparse-sweep", "--obs-counts", "10,x"]),
+    ("bin count", ["rasterize", "--side", 1]),
     ("--channels", ["train", "cnn", "--channels", "4,4,4,4,4,x,4,4,4,4"]),
     ("bins", ["generate", "--count", 4, "--cat-bins", 0]),
     ("noise_scale", ["generate", "--count", 4, "--noise-scale", "nan"]),
@@ -536,23 +586,25 @@ def test_every_parsed_flag_is_read(corpus, tmp_path):
     ("momentum", ["train", "cnn", "--momentum", "1.0"]),
     ("momentum", ["train", "cnn", "--momentum", "nan"]),
 ], ids=[
-    "mechanism", "fraction", "nan-fraction", "negative-fraction",
-    "n-obs", "n-obs-three", "obs-counts", "channels", "cat-bins-zero",
+    "count", "mechanism", "fraction", "nan-fraction", "negative-fraction",
+    "n-obs", "n-obs-three", "obs-counts", "rasterize-side", "channels", "cat-bins-zero",
     "noise-scale-nan", "noise-scale-inf", "generate-negative-seed",
     "ingest-negative-seed", "train-cnn-negative-seed", "train-gbc-negative-seed",
     "sparse-sweep-negative-seed", "gbc-lr-nan", "gbc-lr-inf", "cnn-lr-nan", "cnn-lr-inf",
     "momentum-one", "momentum-nan",
 ])
 def test_malformed_argument_text_is_configuration_error(corpus, tmp_path, match, argv):
-    argv = [str(a) for a in argv] + ["--out", str(tmp_path)]
+    out = tmp_path / "run"
+    argv = [str(a) for a in argv] + ["--out", str(out)]
     if argv[0] != "generate":
-        assert run("ingest", *corpus_flags(corpus), "--out", tmp_path) == 0
+        assert run("ingest", *corpus_flags(corpus), "--out", out) == 0
         argv += [str(a) for a in corpus_flags(corpus)]
     args = build_parser().parse_args(argv)
     before = sorted((p, p.stat().st_mtime_ns) for p in tmp_path.rglob("*"))
     with pytest.raises(ConfigurationError, match=match):
         args.func(args)
-    # refused before any output is written
+    # refused before any output is written or any directory made: a fresh
+    # --out of generate stays absent
     assert sorted((p, p.stat().st_mtime_ns) for p in tmp_path.rglob("*")) == before
     assert main(argv) == 2
 
@@ -692,7 +744,7 @@ class TestCorpusStore:
         args = argparse.Namespace(out=tmp_path, **{
             name: corpus / f"{name}.csv" for name in ("pairs", "info", "target")
         })
-        splits = cli._load_splits(args, cli._corpus_checksums(args), ("train", "val", "test"))
+        splits = cli._Corpus(args).load(("train", "val", "test"))
         loaded = sorted((i for part in splits for i in part), key=lambda i: meta["ids"].index(i.id))
         parsed = read_pairs_files(*(corpus / f"{n}.csv" for n in ("pairs", "info", "target")))
         assert {i.x_kind.value for i in loaded} | {i.y_kind.value for i in loaded} == {

@@ -260,20 +260,6 @@ class TestSgd:
             # nothing is updated
             assert net.params.tobytes() == before.tobytes()
 
-    def test_step_makes_no_boolean_per_parameter(self):
-        net = Network([Dense(1000, 1000)], np.float32)
-        net.grads[...] = 0.5
-        velocity = np.zeros_like(net.params)
-        tracemalloc.start()
-        try:
-            sgd_step(net, velocity, 0.1, 0.9)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        # the step's lr * grads; a finiteness bool per parameter beside it
-        # would add a quarter of that
-        assert peak < net.grads.nbytes + net.grads.size // 8
-
     def test_step_allocates_no_parameter_sized_temporary(self):
         net = Network([Dense(1000, 1000)], np.float32)
         net.grads[...] = 0.5
@@ -284,7 +270,8 @@ class TestSgd:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # lr * grads formed in a fresh array would take grads.nbytes
+        # lr * grads formed in a fresh array would take grads.nbytes, and a
+        # finiteness bool per parameter a quarter of that
         assert peak < net.grads.size // 8
         assert (net.grads == np.float32(0.1) * np.float32(0.5)).all()
 
