@@ -157,9 +157,10 @@ def _stack_images(pairs, side):
 def _predict_classes(network, pixels, batch_size=64):
     """[N, 3] probabilities of a pixel stack, batch_size images per forward pass."""
     outs = []
-    for start in range(0, len(pixels), batch_size):
+    # at least one batch, so that an empty stack goes through the network too
+    for start in range(0, max(len(pixels), 1), batch_size):
         outs.append(network.forward(_inputs(pixels[start : start + batch_size])))
-    return np.concatenate(outs, axis=0) if outs else np.empty((0, 3))
+    return np.concatenate(outs, axis=0)
 
 
 def train_cnn(train, val, arch: CnnArchitecture, cfg: TrainConfig):

@@ -23,50 +23,51 @@ stride 1, zero same-padding; pooling is 2x2 stride 2 with floor semantics
 and first-index tie-break in backward: a window's gradient goes to the
 first of its elements, in row-major order, that equals the max.
 
+One chunk rule bounds the work on a batch: it is walked in chunks of as
+many whole images as keep the chunk's bytes within _CHUNK_BYTES (1 MiB, at
+the array's itemsize; one image per chunk when a single image is larger),
+and an empty batch is one empty chunk.  What the bytes count is what the
+chunk holds: a convolution's [C*9, H*W] patch matrix per image, a backward
+mask's slice of x, or in Network.forward the largest activation.
+
 Layers keep no state: forward(x) stores nothing, and backward(g, x) is given
 the layer's input x.  Network.loss_and_backward keeps the step's activations
 in a local list and drops each once its layer's backward has run.
-Network.forward runs the layers before the first Dense over chunks of the
-batch, each of as many images as keep its largest activation within
-_FORWARD_CHUNK_BYTES (1 MiB, at least one image), one layer's activation at
-a time, then the dense head over the whole batch.  Conv, ReLU and pooling
-compute image by image (a convolution makes one GEMM per image), so the
-chunks change no bit; a dense GEMM's bits depend on its row count, so the
-head keeps the caller's batch.  ReLU works in place, so its input is its
-output, and its backward zeroes g in place where x > 0 fails.  Max pooling
-takes the max of the four strided window views; its backward
-recomputes each window's winner from x.  Both backwards select with bit
-masks rather than masked copies: g viewed as a signed integer of its
-width, ANDed with an integer mask that is all ones where g is kept and 0
-elsewhere, which gives +0.0, whatever g holds, where it is not kept.  The
-masks are built chunk by chunk, each chunk as many images as keep its
-slice of x within _CHUNK_BYTES, so no mask spans the batch.  The backward
+Network.forward runs the layers before the first Dense chunk by chunk, one
+layer's activation at a time, then the dense head over the whole batch.
+Conv, ReLU and pooling compute image by image (a convolution makes one GEMM
+per image), so the chunks change no bit; a dense GEMM's bits depend on its
+row count, so the head keeps the caller's batch.  ReLU works in place, so
+its input is its output, and its backward zeroes g in place where x > 0
+fails.  Max pooling takes the max of the four strided window views; its
+backward recomputes each window's winner from x.  Both backwards select
+with bit masks rather than masked copies: g viewed as a signed integer of
+its width, ANDed with an integer mask that is all ones where g is kept and
+0 elsewhere, which gives +0.0, whatever g holds, where it is not kept.  The
+masks are built chunk by chunk, so no mask spans the batch.  The backward
 sweep stops at the first layer's parameter gradients: no gradient is
 formed for the network input.
 
-A convolution walks its batch in chunks whose [n, C*9, H*W] patch matrix
-fits _CHUNK_BYTES (1 MiB, counted at the input's itemsize; one image per
-chunk when a single image's patches are larger).  Each chunk's patches are
-unrolled into one reused buffer and multiplied in one GEMM per image.  The
-chunk's images are copied into a second reused buffer, a ninth of the
-first, that frames each channel's H*W pixels with W+1 zeros on either
-side; one strided copy from it fills all nine taps, the frame giving the
-top and bottom padding, and zeroing the two columns a side tap wraps into
-gives the rest, so the patches keep the padded input's bytes, NaN, +-inf
-and -0.0 included.  No patch matrix is cached: backward rebuilds each
-chunk's patches from the input it is given, so memory stays at the
-activations plus a few chunk buffers.  Each image's kernel gradient is
-formed as the [C*9, K] product patches . g^T, which OpenBLAS 0.3.31 runs
-faster than the [K, C*9] product g . patches^T and, adding in the same
-order, gives its transpose bit for bit.  That was checked at 1 and 2
-threads, in float32 at the benchmark's, the --quick and the paper's layer
-shapes and in float64 at the first two; tests/test_nnet.py pins it in both
-dtypes.  The products are accumulated image by image in batch order,
-which is the order a sum over the whole batch's per-image products adds
-in, so results do not depend on the chunk size.  The input gradient is
-itself a same convolution, run through the forward routine: that of the
-output gradient with the kernels flipped in space and with their input
-and output channels swapped.
+A convolution unrolls each chunk's patches into one reused buffer and
+multiplies them in one GEMM per image.  The chunk's images are copied into
+a second reused buffer, a ninth of the first, that frames each channel's
+H*W pixels with W+1 zeros on either side; one strided copy from it fills
+all nine taps, the frame giving the top and bottom padding, and zeroing the
+two columns a side tap wraps into gives the rest, so the patches keep the
+padded input's bytes, NaN, +-inf and -0.0 included.  No patch matrix is
+cached: backward rebuilds each chunk's patches from the input it is given,
+so memory stays at the activations plus a few chunk buffers.  Each image's
+kernel gradient is formed as the [C*9, K] product patches . g^T, which
+OpenBLAS 0.3.31 runs faster than the [K, C*9] product g . patches^T and,
+adding in the same order, gives its transpose bit for bit.  That was
+checked at 1 and 2 threads, in float32 at the benchmark's, the --quick and
+the paper's layer shapes and in float64 at the first two;
+tests/test_nnet.py pins it in both dtypes.  The products are accumulated
+image by image in batch order, which is the order a sum over the whole
+batch's per-image products adds in, so results do not depend on the chunk
+size.  The input gradient is itself a same convolution, run through the
+forward routine: that of the output gradient with the kernels flipped in
+space and with their input and output channels swapped.
 """
 
 import math
@@ -78,11 +79,8 @@ from .seeding import make_rng
 
 EPS_LOG = 1e-12
 
-# Byte budget of one chunk's patch matrix; see the module docstring.
+# Byte budget of one chunk of images; see the module docstring.
 _CHUNK_BYTES = 1 << 20
-# Byte budget of the largest activation of one chunk of images in
-# Network.forward; see the module docstring.
-_FORWARD_CHUNK_BYTES = 1 << 20
 
 # ---------------------------------------------------------------------------
 # Batched primitives (internal carriers for the layer classes).
@@ -108,23 +106,23 @@ def _im2col(x: np.ndarray, out: np.ndarray, framed: np.ndarray) -> np.ndarray:
     return out[:n]
 
 
-def _images_per_chunk(budget: int, image_bytes: int) -> int:
-    """Images of image_bytes each that fit budget bytes, at least one."""
-    return max(1, budget // max(1, image_bytes))
+def _chunks(n: int, image_bytes: int):
+    """(batch slices, images in the largest) of n images of image_bytes each,
+    by the chunk rule of the module docstring."""
+    step = max(1, _CHUNK_BYTES // max(1, image_bytes))
+    return [slice(start, start + step) for start in range(0, max(n, 1), step)], min(n, step)
 
 
 def _patch_chunks(x):
     """Yield (batch slice, [m, C*9, H*W] patch matrix) over x's batch, chunk by chunk.
 
-    A chunk holds as many images as fit _CHUNK_BYTES (at least one).  Every
-    chunk's patches go into one buffer, which the next chunk overwrites.
+    Every chunk's patches go into one buffer, which the next chunk overwrites.
     """
     n, c, h, w = x.shape
-    step = _images_per_chunk(_CHUNK_BYTES, c * 9 * h * w * x.itemsize)
-    cols = np.empty((min(n, step), c * 9, h * w), dtype=x.dtype)
-    framed = np.zeros((min(n, step), c, h * w + 2 * (w + 1)), dtype=x.dtype)
-    for start in range(0, n, step):
-        sl = slice(start, start + step)
+    slices, m = _chunks(n, c * 9 * h * w * x.itemsize)
+    cols = np.empty((m, c * 9, h * w), dtype=x.dtype)
+    framed = np.zeros((m, c, h * w + 2 * (w + 1)), dtype=x.dtype)
+    for sl in slices:
         yield sl, _im2col(x[sl], cols, framed)
 
 
@@ -167,16 +165,14 @@ def _mask_chunks(x, g, n_bools):
     """Yield (batch slice, g[sl] viewed as a signed integer of its width, an
     integer mask and n_bools bool buffers of that shape), chunk by chunk.
 
-    A chunk holds as many images as keep its slice of x within _CHUNK_BYTES
-    (at least one); the next chunk reuses the buffers.
+    A chunk's bytes are its slice of x; the next chunk reuses the buffers.
     """
     bits = g.view(f"i{g.itemsize}")
-    step = _images_per_chunk(_CHUNK_BYTES, math.prod(x.shape[1:]) * x.itemsize)
-    shape = (min(len(x), step), *g.shape[1:])
+    slices, most = _chunks(len(x), math.prod(x.shape[1:]) * x.itemsize)
+    shape = (most, *g.shape[1:])
     mask = np.empty(shape, dtype=bits.dtype)
     bools = [np.empty(shape, dtype=bool) for _ in range(n_bools)]
-    for start in range(0, len(x), step):
-        sl = slice(start, start + step)
+    for sl in slices:
         m = len(bits[sl])
         yield sl, bits[sl], mask[:m], *(b[:m] for b in bools)
 
@@ -304,7 +300,8 @@ class Flatten:
     kind = "flatten"
 
     def forward(self, x):
-        return x.reshape(x.shape[0], -1)
+        # not -1: an empty batch leaves the width undetermined
+        return x.reshape(len(x), math.prod(x.shape[1:]))
 
     def backward(self, g, x):
         return g.reshape(x.shape)
@@ -384,7 +381,7 @@ class Network:
         return x.copy()
 
     def _front(self, x: np.ndarray):
-        """(layers before the first Dense, images per chunk of them for batch x).
+        """(layers before the first Dense, bytes of one image's largest activation in them).
 
         A conv sets an activation's channels, a pooling halves its sides.
         """
@@ -398,15 +395,14 @@ class Network:
             elif isinstance(layer, MaxPool):
                 shape[1:] = [s // 2 for s in shape[1:]]
             largest = max(largest, math.prod(shape))
-        return self.layers[:head], _images_per_chunk(_FORWARD_CHUNK_BYTES, largest * x.itemsize)
+        return self.layers[:head], largest * x.itemsize
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         """Class probabilities of batch x, in chunks up to the first Dense; x is not modified."""
-        front, step = self._front(x)
+        front, image_bytes = self._front(x)
         outs = []
-        # at least one chunk, so that an empty batch goes through the layers too
-        for start in range(0, max(len(x), 1), step):
-            a = self._owned(x[start : start + step])
+        for sl in _chunks(len(x), image_bytes)[0]:
+            a = self._owned(x[sl])
             for layer in front:
                 a = layer.forward(a)
             outs.append(a)

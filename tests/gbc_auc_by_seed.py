@@ -62,10 +62,11 @@ def quality(name: str, seed: int, work: Path) -> tuple[float, float]:
 
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    p.add_argument("--seeds", default="1-20", help="inclusive range, e.g. 1-20")
+    p.add_argument("--seeds", default="1-20", help="a seed or an inclusive range, e.g. 3 or 1-20")
     p.add_argument("--workloads", default=",".join(workloads.NAMES))
     args = p.parse_args(argv)
-    first, last = (int(s) for s in args.seeds.split("-"))
+    first, _, last = args.seeds.partition("-")
+    first, last = int(first), int(last or first)
     for name in args.workloads.split(","):
         aucs = []
         for seed in range(first, last + 1):

@@ -102,6 +102,11 @@ class TestPredict:
         assert probs.shape == (4, 3) and probs.dtype == np.float64
         assert np.abs(probs.sum(axis=1) - 1.0).max() < 1e-9
 
+    def test_no_images(self):
+        model = CnnModel(network=build_network(TINY_ARCH, seed=5), arch=TINY_ARCH)
+        probs = predict_batch(model, [])
+        assert probs.shape == (0, 3) and probs.dtype == np.float64
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_output_is_validation_error(self):
         from causalpairs.errors import ValidationError
@@ -247,7 +252,7 @@ class TestForwardMemory:
                 patches = max(patches, 9 * a.nbytes)
             a = layer.forward(a)
             largest = max(largest, a.nbytes)
-        return 2 * (nnet._FORWARD_CHUNK_BYTES // largest) * largest + patches
+        return 2 * (nnet._CHUNK_BYTES // largest) * largest + patches
 
     def test_forward_holds_one_activation_at_a_time(self):
         # one predict_batch batch of 64 in chunks of 8: 3.34 MB, against a

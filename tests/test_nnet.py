@@ -872,9 +872,9 @@ class TestChunkedForward:
             (per_image, [1] * 11),
             (3 * per_image - 1, [2] * 5 + [1]),
             (4 * per_image, [4, 4, 3]),
-            (nnet._FORWARD_CHUNK_BYTES, [11]),
+            (nnet._CHUNK_BYTES, [11]),
         ]:
-            monkeypatch.setattr(nnet, "_FORWARD_CHUNK_BYTES", budget)
+            monkeypatch.setattr(nnet, "_CHUNK_BYTES", budget)
             rows.clear()
             assert net.forward(x).tobytes() == want, budget
             assert rows[:-1] == chunks and rows[-1] == 11, budget
@@ -882,6 +882,13 @@ class TestChunkedForward:
     def test_empty_batch_still_runs_the_layers(self):
         net = Network([Relu(), Dense(4, 3)])
         assert net.forward(np.zeros((0, 4))).shape == (0, 3)
+        # demo 02's stack: Flatten has no image to infer its width from
+        for dtype in (np.float32, np.float64):
+            net = Network([
+                Conv(1, 4), Relu(), Conv(4, 4), Relu(), MaxPool(), Flatten(), Dense(4 * 4 * 4, 3),
+            ], dtype)
+            probs = net.forward(np.zeros((0, 1, 8, 8), dtype=dtype))
+            assert probs.shape == (0, 3) and probs.dtype == np.float64
 
 
 # ---------------------------------------------------------------------------
