@@ -10,13 +10,20 @@ learning_rate times the tree output.
 Split search is the exact greedy algorithm with presorted columns
 (Chen & Guestrin 2016): a fit sorts every column once, stably, and each
 split divides every column's order between the two children with a
-boolean mask.  That keeps each child's order equal to a stable sort of
-its own rows, ties in ascending row order, so no node sorts again.  A
-node scores every feature in one pass (2-D gather, cumulative sums along
-each feature, an argmax per feature).  Ties go to the lowest
-feature index, then the lowest threshold; node totals are summed over the
-rows in row order.  The trees are the same as those of a per-node sort.
-The search writes its per-node matrices into buffers made once per fit.
+boolean row mask.  That keeps each child's order equal to a stable sort
+of its own rows, ties in ascending row order, so no node sorts again.
+A node's order holds global row ids, so its search gathers feature
+values straight from the fit's X.T and targets from the tree's full y,
+and no node copies its rows out of X.  A node scores every searched
+feature in one pass (one gather, cumulative sums along each feature, one
+argmax).  A column whose values are all equal can never split;
+the fit drops it once, as LightGBM drops trivial features (Ke et al.
+2017), and searches the others in ascending index order.  Ties go to
+the lowest feature index, then the lowest threshold; a node's total is
+summed over its rows in row order, once for its split search and its
+leaf value.  The trees are the same as those of a per-node sort over
+every column.  The search writes its per-node matrices into buffers
+made once per fit.
 
 A model holds all its trees in one node table, the arrays its file
 stores.  Scoring walks every tree at once over a chunk of rows, then adds
@@ -96,132 +103,148 @@ def presort(X: np.ndarray) -> np.ndarray:
     return np.argsort(X.T, axis=1, kind="stable")
 
 
-# best_split's buffers: each holds n_features x n elements
+# best_split's buffers: each holds up to n_searched x n elements
 _WORK_DTYPES = {
-    "xs": np.float64, "ys": np.float64, "csum": np.float64, "c2": np.float64,
-    "left": np.float64, "right": np.float64, "at": np.intp, "invalid": np.bool_,
+    "at": np.intp, "xs": np.float64, "ys": np.float64, "csum": np.float64, "c2": np.float64,
+    "invalid": np.bool_,
 }
 
 
-def split_workspace(n_features: int, n: int) -> dict:
-    """Buffers best_split writes through, for any node of up to n rows."""
-    return {name: np.empty(n_features * n, dtype) for name, dtype in _WORK_DTYPES.items()}
+def split_workspace(X: np.ndarray) -> dict:
+    """What best_split and fit_tree share for every tree fit on X.
 
-
-def best_split(X: np.ndarray, y: np.ndarray, order=None, work=None):
-    """Exact best (feature, midpoint threshold) by variance reduction.
-
-    Reduction is SSE(parent) - SSE(left) - SSE(right); candidates are
-    midpoints between consecutive distinct sorted values.  Ties resolve to
-    the lowest feature index, then the lowest threshold.  ``order`` is
-    ``presort(X)`` and ``work`` a ``split_workspace`` of at least X's size,
-    each made when omitted.  Returns (feature, threshold, reduction) or
-    None when no split exists.
+    ``xt`` is X.T, contiguous; ``columns`` the columns that can split, in
+    ascending order; ``order`` their presort, as the root's row ids, and
+    ``offsets`` each one's start in ``xt``.  A column whose sorted first
+    and last values compare equal holds one value and is left out; NaN
+    sorts last and compares unequal, so a column with NaN stays.
+    ``n_left`` and ``n_right`` are the child sizes of every cut of the
+    root, ``mask`` the side each row of the node being split goes to, and
+    the rest buffers for any node.
     """
-    n = len(y)
-    if n < 2:
+    X = np.asarray(X, dtype=np.float64)
+    n = len(X)
+    xt = np.ascontiguousarray(X.T)
+    order = presort(X)
+    first = np.take_along_axis(xt, order[:, :1], axis=1)[:, 0]
+    last = np.take_along_axis(xt, order[:, -1:], axis=1)[:, 0]
+    columns = np.flatnonzero(first != last)
+    return {
+        "xt": xt,
+        "columns": columns,
+        "order": order[columns],
+        "offsets": columns[:, None] * n,
+        "n_left": np.arange(1.0, n),
+        "n_right": np.arange(n - 1.0, 0.0, -1.0),
+        "mask": np.zeros(n, dtype=bool),
+        **{name: np.empty(len(columns) * n, dtype) for name, dtype in _WORK_DTYPES.items()},
+    }
+
+
+def _matrix(buf: np.ndarray, rows: int, cols: int) -> np.ndarray:
+    """The first rows x cols elements of a flat buffer, as a matrix."""
+    return buf[: rows * cols].reshape(rows, cols)
+
+
+def best_split(work: dict, y: np.ndarray, order: np.ndarray, total: float, total2: float):
+    """Exact best (feature, midpoint threshold) by variance reduction at one node.
+
+    ``work`` is the fit's ``split_workspace`` and ``y`` the tree's target
+    for all the fit's rows.  ``order`` holds the node's rows as row ids,
+    one row per searched column, each sorted by that column.  ``total``
+    and ``total2`` are the sums of the node's y and y * y, in ascending
+    row order.  Reduction is SSE(parent) - SSE(left) - SSE(right);
+    candidates are midpoints between consecutive distinct sorted values.
+    Ties resolve to the lowest feature index, then the lowest threshold.
+    Returns (feature, threshold, reduction) or None when no split exists.
+    """
+    n_feat, n = order.shape
+    if n < 2 or n_feat == 0:
         return None
-    n_feat = X.shape[1]
-    if order is None:
-        order = presort(X)
-    if work is None:
-        work = split_workspace(n_feat, n)
-    # each buffer's first n_feat * n (or n_feat * (n - 1)) elements, as a matrix
-    full = {name: buf[: n_feat * n].reshape(n_feat, n) for name, buf in work.items()}
-    part = {name: buf[: n_feat * (n - 1)].reshape(n_feat, n - 1) for name, buf in work.items()}
-    # xs[j, i] = X[order[j, i], j], gathered from X's flat layout
-    at = full["at"]
-    np.multiply(order, n_feat, out=at)
-    at += np.arange(n_feat)[:, None]
-    flat_x = np.ascontiguousarray(X, dtype=np.float64).reshape(-1)
-    xs = np.take(flat_x, at, out=full["xs"], mode="clip")
-    ys = np.take(np.asarray(y, dtype=np.float64), order, out=full["ys"], mode="clip")
-    total = y.sum()
-    total2 = float(y @ y)
+    # xs[j, i] = X[order[j, i], columns[j]], gathered from X.T's flat layout
+    at = np.add(order, work["offsets"], out=_matrix(work["at"], n_feat, n))
+    xs = work["xt"].take(at, out=_matrix(work["xs"], n_feat, n), mode="clip")
+    ys = y.take(order, out=_matrix(work["ys"], n_feat, n), mode="clip")
     sse_parent = total2 - total * total / n
     # prefix sums over the first i + 1 sorted rows, i < n - 1
-    csum = np.cumsum(ys[:, :-1], axis=1, out=part["csum"])
-    c2 = np.cumsum(np.multiply(ys, ys, out=full["left"])[:, :-1], axis=1, out=part["c2"])
-    n_left = np.arange(1.0, n)
-    # sse_left = c2 - csum * csum / n_left
-    sse_left = np.multiply(csum, csum, out=part["left"])
-    sse_left /= n_left
+    csum = ys[:, :-1].cumsum(axis=1, out=_matrix(work["csum"], n_feat, n - 1))
+    c2 = np.multiply(ys, ys, out=ys)[:, :-1].cumsum(axis=1, out=_matrix(work["c2"], n_feat, n - 1))
+    # sse_left = c2 - csum * csum / n_left, in ys's buffer
+    sse_left = np.multiply(csum, csum, out=_matrix(work["ys"], n_feat, n - 1))
+    sse_left /= work["n_left"][: n - 1]
     np.subtract(c2, sse_left, out=sse_left)
-    # sse_right = (total2 - c2) - (total - csum) ** 2 / (n - n_left)
-    sse_right = np.subtract(total2, c2, out=part["right"])
-    sq = np.subtract(total, csum, out=part["ys"])
+    # sse_right = (total2 - c2) - (total - csum) ** 2 / (n - n_left), in c2's and csum's
+    sse_right = np.subtract(total2, c2, out=c2)
+    sq = np.subtract(total, csum, out=csum)
     np.square(sq, out=sq)
-    sq /= n - n_left
+    sq /= work["n_right"][1 - n :]
     sse_right -= sq
     # reduction = sse_parent - sse_left - sse_right, -inf where no split fits
     reduction = np.subtract(sse_parent, sse_left, out=sse_left)
     reduction -= sse_right
-    invalid = np.greater(xs[:, 1:], xs[:, :-1], out=part["invalid"])
+    invalid = np.greater(xs[:, 1:], xs[:, :-1], out=_matrix(work["invalid"], n_feat, n - 1))
     np.logical_not(invalid, out=invalid)
     np.copyto(reduction, -np.inf, where=invalid)
-    k = reduction.argmax(axis=1)
-    per_feature = reduction[np.arange(len(k)), k]
-    f = int(per_feature.argmax())
-    if per_feature[f] == -np.inf:
+    # the first maximum in row-major order: lowest feature, then lowest threshold
+    f, k = divmod(int(reduction.argmax()), n - 1)
+    if reduction[f, k] == -np.inf:
         return None
-    return f, (xs[f, k[f]] + xs[f, k[f] + 1]) / 2.0, float(per_feature[f])
+    return int(work["columns"][f]), (xs[f, k] + xs[f, k + 1]) / 2.0, float(reduction[f, k])
 
 
 def fit_tree(
-    X: np.ndarray, y: np.ndarray, depth_limit: int, min_split: int, order=None, work=None,
-    leaves=None,
+    X: np.ndarray, y: np.ndarray, depth_limit: int, min_split: int, work=None, leaves=None
 ) -> RegressionTree:
     """Greedy variance-reduction regression tree; leaves hold target means.
 
-    ``order`` is ``presort(X)`` and ``work`` a ``split_workspace`` of X's
-    size, each made when omitted; a fit passes the same ones to every tree.
-    ``leaves``, when given, is an integer array of len(X) that receives the
-    leaf each row of X reaches, ``apply(X)[:, 0]`` without a second walk.
+    ``work`` is ``split_workspace(X)``, made when omitted; a fit passes the
+    same one to every tree.  ``leaves``, when given, is an integer array of
+    len(X) that receives the leaf each row of X reaches, ``apply(X)[:, 0]``
+    without a second walk.
     """
     X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
+    y = np.ascontiguousarray(y, dtype=np.float64)
     if len(X) < 1:
         raise ValidationError("fit_tree requires at least one sample")
-    n_feat = X.shape[1]
-    if order is None:
-        order = presort(X)
     if work is None:
-        work = split_workspace(n_feat, len(X))
+        work = split_workspace(X)
     if leaves is None:
         leaves = np.empty(len(X), dtype=np.intp)
+    xt, mask = work["xt"], work["mask"]
     nodes = []  # [feature, threshold, left, right, value] of each node, parents first
-    # idx: the node's rows in ascending order; order: presort(X[idx])
+    # idx: the node's rows in ascending order; order: each searched column's
+    # sort of them, as row ids
     def grow(idx, order, depth):
         sub_y = y[idx]
+        total = sub_y.sum()
         node = len(nodes)
-        nodes.append([_LEAF, 0.0, _LEAF, _LEAF, float(sub_y.mean())])
+        # the same bits as sub_y.mean()
+        nodes.append([_LEAF, 0.0, _LEAF, _LEAF, float(total / len(idx))])
         # a split's children write their rows again, so a leaf's rows keep it
         leaves[idx] = node
-        if depth >= depth_limit or len(idx) < min_split or np.ptp(sub_y) == 0.0:
+        if depth >= depth_limit or len(idx) < min_split or sub_y.max() == sub_y.min():
             return node
-        found = best_split(X[idx], sub_y, order, work)
+        found = best_split(work, y, order, total, float(sub_y @ sub_y))
         if found is None or found[2] <= 0.0:
             return node
         j, thr, _ = found
-        goes_left = X[idx, j] <= thr
+        goes_left = xt[j][idx] <= thr
+        n_left = np.count_nonzero(goes_left)
         # adjacent floats can round their midpoint onto the upper value
-        if goes_left.all() or not goes_left.any():
+        if n_left == 0 or n_left == len(idx):
             return node
-        # each row's position within its child; masking every row of
-        # `order` keeps it sorted, ties included, so no child sorts again
-        before = np.cumsum(goes_left)
-        child_pos = np.where(goes_left, before - 1, np.arange(len(idx)) - before)
-        in_left = goes_left[order]
+        # masking every row of `order` keeps each child's rows sorted, ties
+        # included, so no child sorts again
+        mask[idx] = goes_left
+        in_left = mask[order]
+        left = order[in_left].reshape(len(order), n_left)
+        right = order[np.logical_not(in_left, out=in_left)].reshape(len(order), -1)
         nodes[node][:2] = j, thr
-        nodes[node][2] = grow(
-            idx[goes_left], child_pos[order[in_left]].reshape(n_feat, -1), depth + 1
-        )
-        nodes[node][3] = grow(
-            idx[~goes_left], child_pos[order[~in_left]].reshape(n_feat, -1), depth + 1
-        )
+        nodes[node][2] = grow(idx[goes_left], left, depth + 1)
+        nodes[node][3] = grow(idx[~goes_left], right, depth + 1)
         return node
 
-    grow(np.arange(len(X)), order, 0)
+    grow(np.arange(len(X)), work["order"], 0)
     return RegressionTree([len(nodes)], *zip(*nodes))
 
 
@@ -254,10 +277,22 @@ class BoostedModel:
 def gbc_fit(X: np.ndarray, labels, cfg: GbcConfig = GbcConfig()) -> BoostedModel:
     """Fit the multiclass boosted model on (feature matrix, labels in {1,0,-1}).
 
-    A fit whose final train log-loss is above the initial one raises
+    A label count other than the row count raises ShapeError; a label
+    outside {1, 0, -1} or a non-finite feature raises ValidationError.  A
+    fit whose final train log-loss is above the initial one raises
     TrainingError, as does one whose class scores stop being finite.
     """
     X = np.asarray(X, dtype=np.float64)
+    labels = list(labels)
+    if X.ndim != 2 or len(X) != len(labels):
+        raise ShapeError(f"{len(labels)} labels for a feature matrix of shape {X.shape}")
+    unknown = next((i for i, l in enumerate(labels) if l not in LABEL_TO_CLASS), None)
+    if unknown is not None:
+        raise ValidationError(f"label {labels[unknown]!r} at row {unknown} is not one of 1, 0, -1")
+    bad = np.argwhere(~np.isfinite(X))
+    if len(bad):
+        i, j = bad[0]
+        raise ValidationError(f"non-finite feature {X[i, j]} at row {i}, column {j}")
     cls = np.array([LABEL_TO_CLASS[l] for l in labels], dtype=np.int64)
     n, n_feat = X.shape
     if len(np.unique(cls)) < 2:
@@ -270,9 +305,7 @@ def gbc_fit(X: np.ndarray, labels, cfg: GbcConfig = GbcConfig()) -> BoostedModel
     onehot = np.zeros((n, n_classes))
     onehot[np.arange(n), cls] = 1.0
 
-    # every tree of the fit splits the same X
-    order = presort(X)
-    work = split_workspace(n_feat, n)
+    work = split_workspace(X)  # every tree of the fit splits the same X
     leaves = np.empty(n, dtype=np.intp)  # each row's leaf in the tree just fit
     trees = []
     logloss = []
@@ -286,7 +319,7 @@ def gbc_fit(X: np.ndarray, labels, cfg: GbcConfig = GbcConfig()) -> BoostedModel
         residual = onehot - probs
         for k in range(n_classes):
             tree = fit_tree(
-                X, residual[:, k], cfg.max_depth, cfg.min_samples_split, order, work, leaves
+                X, residual[:, k], cfg.max_depth, cfg.min_samples_split, work, leaves
             )
             hess = probs[:, k] * (1.0 - probs[:, k])
             num = np.bincount(leaves, weights=residual[:, k], minlength=tree.n_nodes)

@@ -7,8 +7,9 @@ workload in ``bench/workloads.py`` and each seed it builds the workload's
 corpus as ``bench/child.py setup`` does, then runs the CLI in-process in a
 temporary directory: ``ingest`` with the workload's split, the workload's
 own ``train gbc`` command, and ``evaluate`` of that model alone on the test
-split.  It prints the test AUC and accuracy per workload and seed, then
-each workload's mean AUC.  Run it with ``PYTHONPATH`` pointing at another
+split.  It prints the test AUC and accuracy per workload and seed, with
+the wall time of that seed's ``train gbc`` command, then each workload's
+mean AUC.  Run it with ``PYTHONPATH`` pointing at another
 tree's ``src`` to compare two versions of the package on the same inputs.
 """
 
@@ -18,6 +19,7 @@ import io
 import statistics
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
@@ -27,8 +29,8 @@ import workloads  # noqa: E402
 from causalpairs import cli, dataset, synth  # noqa: E402
 
 
-def quality(name: str, seed: int, work: Path) -> tuple[float, float]:
-    """Test AUC and accuracy of the workload's GBC alone at seed."""
+def quality(name: str, seed: int, work: Path) -> tuple[float, float, float]:
+    """Test AUC and accuracy of the workload's GBC alone at seed, and its train gbc seconds."""
     w = workloads.build(name, seed)
     instances = synth.generate_benchmark(count=w.count, n_obs_range=w.n_obs, seed=seed)
     if w.categorical_every:
@@ -52,12 +54,15 @@ def quality(name: str, seed: int, work: Path) -> tuple[float, float]:
         ["evaluate", *flags, "--model", str(work / "models" / "gbc.model"), "--split", "test"],
     ]
     for argv in steps:
+        start = time.perf_counter()
         with contextlib.redirect_stdout(io.StringIO()):
             code = cli.main(argv)
         if code != 0:
             raise SystemExit(f"{name} seed {seed}: {argv[0]} failed")
+        if argv[0] == "train":
+            train_s = time.perf_counter() - start
     report = dict(line.split("=", 1) for line in (work / "reports" / "report.txt").read_text().split())
-    return float(report["auc"]), float(report["accuracy"])
+    return float(report["auc"]), float(report["accuracy"]), train_s
 
 
 def main(argv=None) -> int:
@@ -71,9 +76,13 @@ def main(argv=None) -> int:
         aucs = []
         for seed in range(first, last + 1):
             with tempfile.TemporaryDirectory() as tmp:
-                auc, acc = quality(name, seed, Path(tmp))
+                auc, acc, train_s = quality(name, seed, Path(tmp))
             aucs.append(auc)
-            print(f"{name} seed {seed}: test_auc={auc:.6f} test_accuracy={acc:.6f}", flush=True)
+            print(
+                f"{name} seed {seed}: test_auc={auc:.6f} test_accuracy={acc:.6f}"
+                f" train_gbc_s={train_s:.3f}",
+                flush=True,
+            )
         print(f"{name} mean test_auc={statistics.mean(aucs):.6f} over {len(aucs)} seeds", flush=True)
     return 0
 

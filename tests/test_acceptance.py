@@ -10,7 +10,13 @@ import time
 
 import numpy as np
 
-from causalpairs.boosting import GbcConfig, best_split, gbc_fit, gbc_predict_batch
+from causalpairs.boosting import (
+    GbcConfig,
+    best_split,
+    gbc_fit,
+    gbc_predict_batch,
+    split_workspace,
+)
 from causalpairs.cnn import CnnArchitecture, TrainConfig, predict_batch, train_cnn
 from causalpairs.dataset import AttributeKind, PairInstance, augment_all, augment_swap
 from causalpairs.ensemble import (
@@ -167,7 +173,8 @@ def test_criterion_4_split_finding_oracle():
         f = int(rng.integers(1, 6))
         X = rng.normal(size=(n, f))
         y = rng.normal(size=n)
-        got = best_split(X, y)
+        work = split_workspace(X)
+        got = best_split(work, y, work["order"], y.sum(), float(y @ y))
         want = _exhaustive_split(X, y)
         feature_mismatches += int(got[0] != want[0])
         worst = max(worst, abs(got[2] - want[2]))

@@ -54,6 +54,19 @@ def exhaustive_best_split(X, y):
     return best
 
 
+def root_split(X, y):
+    """best_split at the root of a fit on (X, y), as fit_tree calls it."""
+    work = split_workspace(X)
+    return best_split(work, y, work["order"], y.sum(), float(y @ y))
+
+
+def node_split(work, y, rows):
+    """best_split at a node holding ``rows`` (ascending) of the workspace's fit."""
+    order = work["order"]
+    node = order[np.isin(order, rows)].reshape(len(order), len(rows))
+    return best_split(work, y, node, y[rows].sum(), float(y[rows] @ y[rows]))
+
+
 class TestFitTree:
     def test_constant_targets_single_leaf(self):
         X = np.arange(10.0).reshape(-1, 1)
@@ -127,7 +140,7 @@ class TestSplitOracle:
             f = int(rng.integers(1, 6))
             X = rng.normal(size=(n, f))
             y = rng.normal(size=n)
-            got = best_split(X, y)
+            got = root_split(X, y)
             want = exhaustive_best_split(X, y)
             assert got is not None and want is not None
             assert got[0] == want[0], f"trial {trial}: feature mismatch"
@@ -137,7 +150,7 @@ class TestSplitOracle:
     def test_no_split_on_constant_feature(self):
         X = np.ones((6, 1))
         y = np.arange(6.0)
-        assert best_split(X, y) is None
+        assert root_split(X, y) is None
 
 
 def reference_best_split(X, y):
@@ -168,10 +181,10 @@ def reference_best_split(X, y):
     return best
 
 
-def reference_fit_tree(X, y, depth_limit, min_split, order=None, work=None, leaves=None):
+def reference_fit_tree(X, y, depth_limit, min_split, work=None, leaves=None):
     """Recursive tree growth calling reference_best_split on each node's rows.
 
-    Takes and ignores the presort and workspace that gbc_fit passes; fills
+    Takes and ignores the workspace that gbc_fit passes; fills
     the leaves it passes by walking the finished tree with apply.
     """
     nodes = []  # one dict per node, in the order they are made
@@ -213,6 +226,40 @@ def tied_matrix(rng, n=150, n_feat=8):
     return X
 
 
+def train_shaped_matrix(rng, n=200):
+    """43 columns like the benchmark's train features: 21 hold one value each.
+
+    Columns 0-19 and 34 are constant, and column 10 mixes -0.0 and +0.0,
+    which compare equal.  The others are normals rounded into ties.
+    """
+    X = rng.normal(size=(n, 43)).round(2)
+    X[:, :20] = np.repeat([1.0, 0.0, 0.5, 0.29, -0.0, -1.2, 1.0, 1.0, 0.1, 0.1], 2)
+    X[:, 10] = np.where(rng.random(n) < 0.5, -0.0, 0.0)
+    X[:, 34] = 6.2
+    return X
+
+
+def unsplittable_case(name, rng):
+    """A matrix whose named columns can never split, and its splittable columns."""
+    if name == "constant_first_and_last":
+        X = tied_matrix(rng)  # columns 3 and 7 are constant
+        X[:, 0] = -2.5
+        return X, [1, 2, 4, 5, 6]
+    if name == "all_constant":
+        return np.tile([1.5, -2.0, 0.0, 7.0], (90, 1)), []
+    if name == "signed_zeros":
+        X = tied_matrix(rng)
+        X[:, 2] = np.where(rng.random(len(X)) < 0.5, -0.0, 0.0)
+        X[:, 4] = rng.choice([-0.0, 0.0, 1.0], size=len(X))
+        return X, [0, 1, 4, 5, 6]
+    if name == "train_shaped":
+        return train_shaped_matrix(rng), [j for j in range(20, 43) if j != 34]
+    raise KeyError(name)
+
+
+UNSPLITTABLE = ["constant_first_and_last", "all_constant", "signed_zeros", "train_shaped"]
+
+
 class TestPresortedSearch:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_trees_identical_to_reference(self, seed):
@@ -251,28 +298,30 @@ class TestPresortedSearch:
             assert np.array_equal(getattr(got.trees, name), getattr(want.trees, name)), name
 
     def test_best_split_same_with_and_without_order(self):
+        """A node searched through the fit's order of row ids splits as its rows alone do."""
         rng = np.random.default_rng(5)
         for trial in range(30):
             X = tied_matrix(rng, n=int(rng.integers(2, 60)), n_feat=6)
             y = rng.normal(size=len(X))
-            plain = best_split(X, y)
-            assert plain == best_split(X, y, presort(X))
-            assert plain == reference_best_split(X, y)
+            rows = np.flatnonzero(rng.random(len(X)) < 0.6)
+            plain = root_split(X[rows], y[rows])
+            assert plain == node_split(split_workspace(X), y, rows)
+            assert plain == reference_best_split(X[rows], y[rows])
 
     def test_best_split_with_workspace_allocates_no_feature_by_row_array(self):
         rng = np.random.default_rng(7)
         n_feat, peaks = 43, {}
         for n in (1000, 4000):
             X, y = rng.normal(size=(n, n_feat)), rng.normal(size=n)
-            order, work = presort(X), split_workspace(n_feat, n)
-            want = best_split(X, y, order)
-            # a workspace sized for the root serves a smaller node too
-            assert best_split(X[:n // 2], y[:n // 2], presort(X[:n // 2]), work) == (
-                best_split(X[:n // 2], y[:n // 2])
-            )
+            work = split_workspace(X)
+            want = root_split(X, y)
+            # the fit's workspace serves a smaller node too
+            half = np.arange(n // 2)
+            assert node_split(work, y, half) == root_split(X[half], y[half])
+            sums = y.sum(), float(y @ y)
             tracemalloc.start()
             try:
-                assert best_split(X, y, order, work) == want
+                assert best_split(work, y, work["order"], *sums) == want
                 peaks[n] = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -281,12 +330,89 @@ class TestPresortedSearch:
         assert peaks[4000] - peaks[1000] < n_feat * 3000
         assert peaks[4000] < n_feat * 4000
 
+    @pytest.mark.parametrize("case", UNSPLITTABLE)
+    def test_columns_that_cannot_split_are_not_searched(self, case):
+        X, searched = unsplittable_case(case, np.random.default_rng(10))
+        assert split_workspace(X)["columns"].tolist() == searched
+        rng = np.random.default_rng(11)
+        for y in (rng.normal(size=len(X)), rng.integers(0, 3, size=len(X)) - 1.0):
+            got = fit_tree(X, y, 9, 2)
+            want = reference_fit_tree(X, y, 9, 2)
+            assert (got.n_nodes > 1) == bool(searched)
+            for name in TABLE_ARRAYS:
+                assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+    @pytest.mark.parametrize("case", UNSPLITTABLE)
+    def test_boosted_model_without_unsplittable_columns_identical_to_reference(
+        self, case, monkeypatch
+    ):
+        X, _ = unsplittable_case(case, np.random.default_rng(12))
+        labels = [int(v) for v in np.random.default_rng(13).integers(-1, 2, size=len(X))]
+        cfg = GbcConfig(n_estimators=4, max_depth=5, min_samples_split=4)
+        got = gbc_fit(X, labels, cfg)
+        monkeypatch.setattr("causalpairs.boosting.fit_tree", reference_fit_tree)
+        want = gbc_fit(X, labels, cfg)
+        assert got.train_logloss == want.train_logloss
+        for name in TABLE_ARRAYS:
+            assert np.array_equal(getattr(got.trees, name), getattr(want.trees, name)), name
+
+    def test_nan_tailed_column_is_searched(self):
+        rng = np.random.default_rng(14)
+        X = tied_matrix(rng)
+        X[:, 5] = np.where(rng.random(len(X)) < 0.1, np.nan, X[:, 5])
+        X[:, 6] = np.where(rng.random(len(X)) < 0.1, np.nan, 2.0)  # one value, then NaN
+        # NaN compares false, so its rows go right
+        y = np.where(X[:, 5] > 0.3, 5.0, 0.0) + rng.normal(scale=0.1, size=len(X))
+        assert split_workspace(X)["columns"].tolist() == [0, 1, 2, 4, 5, 6]
+        got = fit_tree(X, y, 9, 2)
+        want = reference_fit_tree(X, y, 9, 2)
+        assert got.feature[0] == 5
+        for name in TABLE_ARRAYS:
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+    def test_fit_tree_calls_best_split_through_the_module_once_per_searched_node(
+        self, monkeypatch
+    ):
+        rng = np.random.default_rng(15)
+        X = tied_matrix(rng)
+        y = rng.normal(size=len(X))
+        depth_limit, min_split = 6, 8
+        plain = fit_tree(X, y, depth_limit, min_split)
+        sizes = []  # the row count of each node searched
+
+        def counted(work, y, order, total, total2):
+            sizes.append(order.shape[1])
+            return best_split(work, y, order, total, total2)
+
+        monkeypatch.setattr(boosting, "best_split", counted)
+        tree = fit_tree(X, y, depth_limit, min_split)
+        for name in TABLE_ARRAYS:
+            assert np.array_equal(getattr(tree, name), getattr(plain, name)), name
+        # nodes below the depth limit with enough rows and a target that
+        # varies, in the order fit_tree makes them
+        want = []
+
+        def walk(node, rows, depth):
+            if depth < depth_limit and len(rows) >= min_split and np.ptp(y[rows]) > 0:
+                want.append(len(rows))
+            if tree.feature[node] >= 0:
+                left = X[rows, tree.feature[node]] <= tree.threshold[node]
+                walk(tree.left[node], rows[left], depth + 1)
+                walk(tree.right[node], rows[~left], depth + 1)
+
+        walk(0, np.arange(len(X)), 0)
+        assert sizes == want
+        assert len(want) >= np.count_nonzero(tree.feature >= 0) > 1
+
     def test_presort_is_stable_column_argsort(self):
         X = tied_matrix(np.random.default_rng(6), n=40)
         assert np.array_equal(presort(X), np.argsort(X, axis=0, kind="stable").T)
 
     def test_single_row_has_no_split(self):
-        assert best_split(np.ones((1, 3)), np.ones(1)) is None
+        assert root_split(np.ones((1, 3)), np.ones(1)) is None
+        # a one-row node of a fit whose column can split
+        work = split_workspace(np.array([[0.0], [1.0]]))
+        assert node_split(work, np.array([0.0, 1.0]), np.array([1])) is None
 
 
 def separable_toy(rng, n=60):
@@ -343,6 +469,23 @@ class TestGbcFit:
     def test_single_class_rejected(self):
         with pytest.raises(ValidationError):
             gbc_fit(np.zeros((5, 2)), [1] * 5)
+
+    def test_label_outside_the_three_is_validation_error(self):
+        with pytest.raises(ValidationError, match="label 2 at row 3 is not one of 1, 0, -1"):
+            gbc_fit(np.zeros((5, 2)), [1, 0, -1, 2, 1])
+
+    def test_label_count_other_than_row_count_is_shape_error(self):
+        with pytest.raises(ShapeError, match=r"4 labels for a feature matrix of shape \(5, 2\)"):
+            gbc_fit(np.zeros((5, 2)), [1, 0, -1, 1])
+        with pytest.raises(ShapeError, match=r"shape \(5,\)"):
+            gbc_fit(np.zeros(5), [1, 0, -1, 1, 0])
+
+    def test_non_finite_feature_is_validation_error(self):
+        X = np.random.default_rng(16).normal(size=(6, 3))
+        X[5, 0] = np.inf
+        X[4, 2] = np.nan
+        with pytest.raises(ValidationError, match="non-finite feature nan at row 4, column 2"):
+            gbc_fit(X, [1, 0, -1, 1, 0, -1])
 
     def test_deterministic(self):
         rng = np.random.default_rng(13)
