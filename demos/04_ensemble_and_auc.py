@@ -41,4 +41,4 @@ mixed = ensemble(pc, pg, w)
 auc, _, _ = auc_bidirectional_parts(mixed, truths)
 acc = accuracy(predict_labels(mixed), truths)
 print(f"tuned w={w}: ensemble auc={auc:.3f} accuracy={acc:.3f}")
-print("the tuned convex mix is never worse on the tuning set than either endpoint")
+print("the tuned mix has a tuning-set log-loss no higher than either model alone")

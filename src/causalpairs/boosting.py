@@ -39,7 +39,7 @@ import numpy as np
 
 from . import modelfile
 from .errors import ConfigurationError, InputError, ShapeError, TrainingError, ValidationError
-from .probs import LABELS, LABEL_TO_CLASS, check_probs
+from .probs import LABELS, LABEL_TO_CLASS, check_probs, label_classes, log_loss
 from .nnet import softmax_batch
 
 _LEAF = -1
@@ -280,20 +280,18 @@ def gbc_fit(X: np.ndarray, labels, cfg: GbcConfig = GbcConfig()) -> BoostedModel
     A label count other than the row count raises ShapeError; a label
     outside {1, 0, -1} or a non-finite feature raises ValidationError.  A
     fit whose final train log-loss is above the initial one raises
-    TrainingError, as does one whose class scores stop being finite.
+    TrainingError, as does one whose class scores stop being finite; a
+    rise of up to 16 ulps of the initial loss is rounding, not divergence.
     """
     X = np.asarray(X, dtype=np.float64)
     labels = list(labels)
     if X.ndim != 2 or len(X) != len(labels):
         raise ShapeError(f"{len(labels)} labels for a feature matrix of shape {X.shape}")
-    unknown = next((i for i, l in enumerate(labels) if l not in LABEL_TO_CLASS), None)
-    if unknown is not None:
-        raise ValidationError(f"label {labels[unknown]!r} at row {unknown} is not one of 1, 0, -1")
+    cls = label_classes(labels)
     bad = np.argwhere(~np.isfinite(X))
     if len(bad):
         i, j = bad[0]
         raise ValidationError(f"non-finite feature {X[i, j]} at row {i}, column {j}")
-    cls = np.array([LABEL_TO_CLASS[l] for l in labels], dtype=np.int64)
     n, n_feat = X.shape
     if len(np.unique(cls)) < 2:
         raise ValidationError("need at least two classes present to fit")
@@ -313,7 +311,7 @@ def gbc_fit(X: np.ndarray, labels, cfg: GbcConfig = GbcConfig()) -> BoostedModel
     # scores so far, then the next round's residuals
     for round_index in range(cfg.n_estimators + 1):
         probs = softmax_batch(scores)
-        logloss.append(float(-np.log(probs[np.arange(n), cls] + 1e-15).mean()))
+        logloss.append(log_loss(probs, cls))
         if round_index == cfg.n_estimators:
             break
         residual = onehot - probs
@@ -334,7 +332,7 @@ def gbc_fit(X: np.ndarray, labels, cfg: GbcConfig = GbcConfig()) -> BoostedModel
             trees.append(tree)
         if not np.isfinite(scores).all():
             raise TrainingError(f"non-finite class scores at boosting round {round_index}")
-    if logloss[-1] > logloss[0]:
+    if logloss[-1] > logloss[0] + 16 * np.spacing(logloss[0]):
         raise TrainingError(
             f"boosting diverged: final train log-loss {logloss[-1]:.4f}"
             f" is above the initial {logloss[0]:.4f}"

@@ -321,16 +321,13 @@ def cmd_train(args, out, corpus):
     if args.kind == "cnn":
         model, history = _fit_cnn(args, train_insts, val_insts)
         save = cnn.save_model
-        header = "epoch,train_loss,train_accuracy,val_accuracy"
+        header = "epoch,train_loss,train_accuracy,val_accuracy,val_log_loss"
         rows = [
             f"{m.epoch},{format_float(m.train_loss)},{format_float(m.train_accuracy)},"
-            f"{format_float(m.val_accuracy)}"
+            f"{format_float(m.val_accuracy)},{format_float(m.val_log_loss)}"
             for m in history
         ]
-        summary = (
-            f"best val accuracy "
-            f"{max((m.val_accuracy for m in history), default=float('nan'))}"
-        )
+        summary = f"lowest val log-loss {min(m.val_log_loss for m in history):.4f}"
     else:
         model = _fit_gbc(args, train_insts)
         save = boosting.save_gbc
@@ -401,12 +398,8 @@ def cmd_evaluate(args, out, corpus):
     if model2 is not None:
         p2 = _model_probs(model2, target)
         if weight == "tune":
-            val_truths = [inst.label for inst in val]
             chosen_w = tune_weight(
-                _model_probs(model, val),
-                _model_probs(model2, val),
-                val_truths,
-                metric=args.tune_metric,
+                _model_probs(model, val), _model_probs(model2, val), [i.label for i in val]
             )
         else:
             chosen_w = weight
@@ -560,7 +553,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model2", default=None, help="second model for the ensemble")
     p.add_argument("--weight", default="tune",
                    help="ensemble weight for --model: a number, or 'tune'")
-    p.add_argument("--tune-metric", choices=("auc", "accuracy"), default="auc")
     p.add_argument("--split", choices=SPLITS, default="test")
     p.add_argument("--exclude-zero", action="store_true",
                    help="drop label-0 instances from both sub-AUCs")

@@ -17,8 +17,9 @@ nnet.Network with DTYPE, the first with its seeded generator, which draws
 the weights straight into the float32 params vector.  The softmax
 computes in float64, so class probabilities are float64.  Training
 updates the network's flat params vector with one velocity vector, and
-keeps the best epoch as one copy of it; model files store that vector as
-it is, and a loaded model's params are the array read from its file.
+keeps the epoch of lowest validation log-loss as one copy of it; model
+files store that vector as it is, and a loaded model's params are the
+array read from its file.
 """
 
 import hashlib
@@ -36,7 +37,7 @@ from .errors import (
     TrainingError,
     ValidationError,
 )
-from .probs import LABEL_TO_CLASS, check_probs
+from .probs import LABEL_TO_CLASS, check_probs, label_classes, log_loss
 from .seeding import derive_seed, make_rng
 
 DEFAULT_CHANNEL_PLAN = ((32, 32), (64, 64), (128, 128), (256, 256), (256, 256))
@@ -125,6 +126,7 @@ class EpochMetrics:
     train_loss: float
     train_accuracy: float
     val_accuracy: float
+    val_log_loss: float
 
 
 def _pixel_stack(images, side) -> np.ndarray:
@@ -146,12 +148,8 @@ def _inputs(pixels) -> np.ndarray:
 
 def _stack_images(pairs, side):
     """(uint8 pixel stack, class indices) of (ScatterImage, label) pairs."""
-    cls = np.empty(len(pairs), dtype=np.int64)
-    for i, (_, label) in enumerate(pairs):
-        if label not in LABEL_TO_CLASS:
-            raise ValidationError(f"label {label} not in {{1,0,-1}}")
-        cls[i] = LABEL_TO_CLASS[label]
-    return _pixel_stack([img for img, _ in pairs], side), cls
+    classes = label_classes([label for _, label in pairs])
+    return _pixel_stack([img for img, _ in pairs], side), classes
 
 
 def _predict_classes(network, pixels, batch_size=64):
@@ -166,7 +164,7 @@ def _predict_classes(network, pixels, batch_size=64):
 def train_cnn(train, val, arch: CnnArchitecture, cfg: TrainConfig):
     """Mini-batch SGD with momentum on (ScatterImage, label) pairs.
 
-    Keeps the parameters from the epoch with the best validation accuracy
+    Keeps the parameters from the epoch with the lowest validation log-loss
     (earlier epoch wins ties); with no validation data the final epoch is
     kept.  Returns (CnnModel, [EpochMetrics]).
     """
@@ -180,7 +178,7 @@ def train_cnn(train, val, arch: CnnArchitecture, cfg: TrainConfig):
     velocity = np.zeros_like(network.params)
     n = len(pixels)
     history = []
-    best_val = -1.0
+    best_loss = np.inf
     best_params = None
     for epoch in range(cfg.epochs):
         order = np.arange(n)
@@ -202,13 +200,14 @@ def train_cnn(train, val, arch: CnnArchitecture, cfg: TrainConfig):
         if val:
             val_probs = _predict_classes(network, val_pixels, cfg.batch_size)
             val_acc = float((val_probs.argmax(axis=1) == val_cls).mean())
+            val_loss = log_loss(val_probs, val_cls)
         else:
-            val_acc = float("nan")
+            val_acc = val_loss = float("nan")
         history.append(
-            EpochMetrics(epoch, epoch_loss / n, epoch_correct / n, val_acc)
+            EpochMetrics(epoch, epoch_loss / n, epoch_correct / n, val_acc, val_loss)
         )
-        if val and val_acc > best_val:
-            best_val = val_acc
+        if val_loss < best_loss:
+            best_loss = val_loss
             best_params = network.params.copy()
     if best_params is not None:
         network.params[...] = best_params

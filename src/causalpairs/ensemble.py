@@ -1,4 +1,4 @@
-"""Weighted probability ensemble, weight tuning, accuracy and ranked AUC.
+"""Weighted probability ensemble, its weight tuned on log-loss, accuracy and ranked AUC.
 
 The challenge-style metric is a symmetrized two-direction AUC over the
 signed score s = p_1 - p_-1: the forward AUC ranks s against
@@ -15,7 +15,7 @@ function here checks the probabilities it is given with probs.check_probs.
 import numpy as np
 
 from .errors import ConfigurationError, UndefinedMetricError, ValidationError
-from .probs import LABELS, check_probs
+from .probs import LABELS, check_probs, label_classes, log_loss
 from .ranks import rankdata
 
 WEIGHT_GRID = tuple(i / 10.0 for i in range(11))
@@ -88,10 +88,9 @@ def auc_bidirectional(probs, truths, exclude_zero: bool = False) -> float:
     return auc_bidirectional_parts(probs, truths, exclude_zero)[0]
 
 
-def tune_weight(val_pc, val_pg, val_labels, metric: str = "auc") -> float:
-    """Best ensemble weight over the 11-point grid {0.0, 0.1, ..., 1.0}.
-
-    Maximizes the validation metric; exact ties keep the smallest weight.
+def tune_weight(val_pc, val_pg, val_labels) -> float:
+    """Ensemble weight on the 11-point grid {0.0, 0.1, ..., 1.0} whose mixture
+    has the lowest validation log-loss; exact ties keep the smallest weight.
     """
     if not (len(val_pc) == len(val_pg) == len(val_labels)):
         raise ValidationError(
@@ -99,15 +98,6 @@ def tune_weight(val_pc, val_pg, val_labels, metric: str = "auc") -> float:
         )
     if len(val_pc) == 0:
         raise ValidationError("cannot tune on an empty validation set")
-    if metric not in ("auc", "accuracy"):
-        raise ConfigurationError(f"unknown tuning metric {metric!r}")
-    best_w, best_score = None, -np.inf
-    for w in WEIGHT_GRID:
-        mixed = ensemble(val_pc, val_pg, w)
-        if metric == "auc":
-            score = auc_bidirectional(mixed, val_labels)
-        else:
-            score = accuracy(predict_labels(mixed), val_labels)
-        if score > best_score:
-            best_w, best_score = w, score
-    return best_w
+    classes = label_classes(val_labels)
+    losses = [log_loss(ensemble(val_pc, val_pg, w), classes) for w in WEIGHT_GRID]
+    return WEIGHT_GRID[int(np.argmin(losses))]

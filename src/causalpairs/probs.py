@@ -1,4 +1,7 @@
-"""Class probabilities over the three causal labels as [N, 3] arrays."""
+"""Class probabilities over the three causal labels as [N, 3] arrays, and
+their log-loss: the score that boosting reports per round and that both
+choices made on validation data, the CNN's epoch and the ensemble weight,
+minimise."""
 
 import numpy as np
 
@@ -8,6 +11,14 @@ from .errors import ValidationError
 # Serialized with every model so train/predict can never skew.
 LABELS = (1, 0, -1)
 LABEL_TO_CLASS = {1: 0, 0: 1, -1: 2}
+
+
+def label_classes(labels) -> np.ndarray:
+    """int64 class index of each label; a label outside {1, 0, -1} raises ValidationError."""
+    unknown = next((i for i, l in enumerate(labels) if l not in LABEL_TO_CLASS), None)
+    if unknown is not None:
+        raise ValidationError(f"label {labels[unknown]!r} at row {unknown} is not one of 1, 0, -1")
+    return np.array([LABEL_TO_CLASS[l] for l in labels], dtype=np.int64)
 
 
 def check_probs(probs) -> np.ndarray:
@@ -32,3 +43,10 @@ def check_probs(probs) -> np.ndarray:
             raise ValidationError(f"probabilities out of range: {tuple(map(float, p[i]))}")
         raise ValidationError(f"probabilities sum to {float(sums[i])!r}, not 1")
     return p
+
+
+def log_loss(probs, classes) -> float:
+    """Mean of -log(p + 1e-15) over each row's probability p of its class
+    index; an entry below 0, which check_probs allows, counts as 0."""
+    p = np.maximum(probs[np.arange(len(probs)), classes], 0.0)
+    return float(-np.log(p + 1e-15).mean())

@@ -1,4 +1,5 @@
-"""GBC-only test quality per seed, on the benchmark workloads' configurations.
+"""Test quality per seed of the GBC alone and of the tuned CNN+GBC ensemble,
+on the benchmark workloads' configurations.
 
     PYTHONPATH=src python3 tests/gbc_auc_by_seed.py --seeds 1-20
 
@@ -6,11 +7,14 @@ A script, not a test module: pytest does not collect it.  For each
 workload in ``bench/workloads.py`` and each seed it builds the workload's
 corpus as ``bench/child.py setup`` does, then runs the CLI in-process in a
 temporary directory: ``ingest`` with the workload's split, the workload's
-own ``train gbc`` command, and ``evaluate`` of that model alone on the test
-split.  It prints the test AUC and accuracy per workload and seed, with
-the wall time of that seed's ``train gbc`` command, then each workload's
-mean AUC.  Run it with ``PYTHONPATH`` pointing at another
-tree's ``src`` to compare two versions of the package on the same inputs.
+own ``train gbc`` and ``train cnn`` commands, ``evaluate`` of the GBC
+alone on the test split, and ``evaluate --weight tune`` of the two
+models.  It prints, per workload and seed, the GBC's test AUC and
+accuracy with the wall time of its ``train gbc`` command, then the tuned
+weight ``w`` of the CNN and the ensemble's test AUC and accuracy; then
+each workload's mean AUCs.  Run it with ``PYTHONPATH`` pointing at
+another tree's ``src`` to compare two versions of the package on the same
+inputs.
 """
 
 import argparse
@@ -29,8 +33,18 @@ import workloads  # noqa: E402
 from causalpairs import cli, dataset, synth  # noqa: E402
 
 
-def quality(name: str, seed: int, work: Path) -> tuple[float, float, float]:
-    """Test AUC and accuracy of the workload's GBC alone at seed, and its train gbc seconds."""
+def _own_flags(w, kind: str) -> list:
+    """The workload's own train flags for kind, without its corpus and --out."""
+    argv = next(argv for argv in w.timed + w.setup if argv[:2] == ("train", kind))
+    own = list(argv[2:])
+    for flag in ("--pairs", "--info", "--target", "--out"):
+        i = own.index(flag)
+        del own[i:i + 2]
+    return own
+
+
+def quality(name: str, seed: int, work: Path) -> dict:
+    """Test figures of the workload's GBC alone and of its tuned ensemble at seed."""
     w = workloads.build(name, seed)
     instances = synth.generate_benchmark(count=w.count, n_obs_range=w.n_obs, seed=seed)
     if w.categorical_every:
@@ -41,28 +55,28 @@ def quality(name: str, seed: int, work: Path) -> tuple[float, float, float]:
     corpus = [str(work / f) for f in ("pairs.csv", "info.csv", "target.csv")]
     dataset.write_pairs_files(instances, *corpus)
     flags = ["--pairs", corpus[0], "--info", corpus[1], "--target", corpus[2], "--out", str(work)]
-    train_gbc = next(argv for argv in w.timed + w.setup if argv[:2] == ("train", "gbc"))
-    # the workload's own flags, with its corpus and --out replaced by this run's
-    own = list(train_gbc[2:])
-    for flag in ("--pairs", "--info", "--target", "--out"):
-        i = own.index(flag)
-        del own[i:i + 2]
+    models = [str(work / "models" / f) for f in ("cnn.model", "gbc.model")]
+    figures = {}
     steps = [
-        ["ingest", *flags, "--seed", str(seed),
-         "--train-frac", str(w.train_frac), "--val-frac", str(w.val_frac)],
-        ["train", "gbc", *flags, *own],
-        ["evaluate", *flags, "--model", str(work / "models" / "gbc.model"), "--split", "test"],
+        ("ingest", ["ingest", *flags, "--seed", str(seed),
+                    "--train-frac", str(w.train_frac), "--val-frac", str(w.val_frac)]),
+        ("train_gbc", ["train", "gbc", *flags, *_own_flags(w, "gbc")]),
+        ("train_cnn", ["train", "cnn", *flags, *_own_flags(w, "cnn")]),
+        ("gbc", ["evaluate", *flags, "--model", models[1], "--split", "test"]),
+        ("tuned", ["evaluate", *flags, "--model", models[0], "--model2", models[1],
+                   "--weight", "tune", "--split", "test"]),
     ]
-    for argv in steps:
+    for step, argv in steps:
         start = time.perf_counter()
         with contextlib.redirect_stdout(io.StringIO()):
             code = cli.main(argv)
         if code != 0:
-            raise SystemExit(f"{name} seed {seed}: {argv[0]} failed")
-        if argv[0] == "train":
-            train_s = time.perf_counter() - start
-    report = dict(line.split("=", 1) for line in (work / "reports" / "report.txt").read_text().split())
-    return float(report["auc"]), float(report["accuracy"]), train_s
+            raise SystemExit(f"{name} seed {seed}: {' '.join(argv[:2])} failed")
+        figures[f"{step}_s"] = time.perf_counter() - start
+        if argv[0] == "evaluate":
+            report = (work / "reports" / "report.txt").read_text().split()
+            figures[step] = {k: float(v) for k, v in (line.split("=", 1) for line in report)}
+    return figures
 
 
 def main(argv=None) -> int:
@@ -73,17 +87,24 @@ def main(argv=None) -> int:
     first, _, last = args.seeds.partition("-")
     first, last = int(first), int(last or first)
     for name in args.workloads.split(","):
-        aucs = []
+        gbc_aucs, tuned_aucs = [], []
         for seed in range(first, last + 1):
             with tempfile.TemporaryDirectory() as tmp:
-                auc, acc, train_s = quality(name, seed, Path(tmp))
-            aucs.append(auc)
+                f = quality(name, seed, Path(tmp))
+            gbc, tuned = f["gbc"], f["tuned"]
+            gbc_aucs.append(gbc["auc"])
+            tuned_aucs.append(tuned["auc"])
             print(
-                f"{name} seed {seed}: test_auc={auc:.6f} test_accuracy={acc:.6f}"
-                f" train_gbc_s={train_s:.3f}",
+                f"{name} seed {seed}: test_auc={gbc['auc']:.6f} test_accuracy={gbc['accuracy']:.6f}"
+                f" train_gbc_s={f['train_gbc_s']:.3f} | tuned w={tuned['w']:.1f}"
+                f" test_auc={tuned['auc']:.6f} test_accuracy={tuned['accuracy']:.6f}",
                 flush=True,
             )
-        print(f"{name} mean test_auc={statistics.mean(aucs):.6f} over {len(aucs)} seeds", flush=True)
+        print(
+            f"{name} mean test_auc={statistics.mean(gbc_aucs):.6f}"
+            f" tuned {statistics.mean(tuned_aucs):.6f} over {len(gbc_aucs)} seeds",
+            flush=True,
+        )
     return 0
 
 

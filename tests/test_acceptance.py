@@ -22,7 +22,6 @@ from causalpairs.dataset import AttributeKind, PairInstance, augment_all, augmen
 from causalpairs.ensemble import (
     WEIGHT_GRID,
     accuracy,
-    auc_bidirectional,
     ensemble,
     predict_labels,
     rank_auc,
@@ -37,6 +36,7 @@ from causalpairs.nnet import (
     Relu,
     gradient_check,
 )
+from causalpairs.probs import label_classes, log_loss
 from causalpairs.raster import rasterize
 from causalpairs.synth import Mechanism, generate_benchmark
 
@@ -199,12 +199,12 @@ def test_criterion_5_ensemble_endpoint_guarantee():
             labels = [int(l) for l in rng.choice([1, 0, -1], size=n)]
         pc = np.array([rng.dirichlet([1, 1, 1]) for _ in range(n)])
         pg = np.array([rng.dirichlet([1, 1, 1]) for _ in range(n)])
-        w = tune_weight(pc, pg, labels, metric="auc")
+        w = tune_weight(pc, pg, labels)
 
-        def auc_at(weight):
-            return auc_bidirectional(ensemble(pc, pg, weight), labels)
+        def loss_at(weight):
+            return log_loss(ensemble(pc, pg, weight), label_classes(labels))
 
-        ok_runs += int(auc_at(w) >= max(auc_at(0.0), auc_at(1.0)))
+        ok_runs += int(loss_at(w) <= min(loss_at(0.0), loss_at(1.0)))
     report(
         5, "ensemble endpoint guarantee",
         ok_runs == runs and len(WEIGHT_GRID) == 11,

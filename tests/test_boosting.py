@@ -466,6 +466,16 @@ class TestGbcFit:
         with pytest.raises(TrainingError, match=r"log-loss 7\.7712 is above the initial 1\.0397"):
             gbc_fit(X, [1, 0, -1, 0] * 10, cfg)
 
+    @pytest.mark.parametrize("label_seed, rounds", [(2, 4), (4, 4), (17, 30)])
+    def test_fit_with_nothing_to_learn_is_not_divergence(self, label_seed, rounds):
+        # every row is the same, so every tree is one leaf; rounding alone
+        # ended these fits 1 to 3 ulps above their initial loss
+        X = np.tile([1.5, -2.0, 0.0, 7.0], (90, 1))
+        labels = np.random.default_rng(label_seed).integers(-1, 2, 90)
+        model = gbc_fit(X, labels, GbcConfig(n_estimators=rounds, max_depth=5))
+        assert model.train_logloss[-1] == pytest.approx(model.train_logloss[0], rel=1e-14)
+        assert (model.trees.feature < 0).all()
+
     def test_single_class_rejected(self):
         with pytest.raises(ValidationError):
             gbc_fit(np.zeros((5, 2)), [1] * 5)

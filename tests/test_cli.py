@@ -168,6 +168,12 @@ class TestTrain:
         # 33 train instances doubled by augmentation
         assert log[1].split(",")[-1] == "66"
 
+    def test_cnn_train_log_records_validation_log_loss(self, trained):
+        header, *rows = (trained / "reports" / "cnn_train_log.csv").read_text().splitlines()
+        assert header == "epoch,train_loss,train_accuracy,val_accuracy,val_log_loss,n_train"
+        assert len(rows) == 2
+        assert all(0 < float(row.split(",")[4]) < 10 for row in rows)
+
     def test_gbc_metadata_records_hyperparameters(self, trained):
         from causalpairs.boosting import load_gbc
 
@@ -208,6 +214,17 @@ class TestEvaluate:
             (trained / "reports" / "report.txt").read_text().splitlines()
         )
         assert float(report["w"]) in [i / 10 for i in range(11)]
+
+    def test_tune_metric_is_not_a_flag(self, corpus, trained, capsys):
+        # the weight is always tuned on validation log-loss
+        with pytest.raises(SystemExit) as exc:
+            run(
+                "evaluate", *corpus_flags(corpus), "--out", trained,
+                "--model", trained / "models" / "cnn.model",
+                "--model2", trained / "models" / "gbc.model", "--tune-metric", "auc",
+            )
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --tune-metric auc" in capsys.readouterr().err
 
     def test_fixed_weight_recorded(self, corpus, trained):
         run(

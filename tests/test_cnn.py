@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from causalpairs import modelfile, nnet
+from causalpairs import cnn, modelfile, nnet
 from causalpairs.cnn import (
     DEFAULT_CHANNEL_PLAN,
     CnnArchitecture,
@@ -18,7 +18,7 @@ from causalpairs.cnn import (
     train_cnn,
 )
 from causalpairs.errors import ConfigurationError, InputError, ShapeError
-from causalpairs.probs import check_probs
+from causalpairs.probs import check_probs, log_loss
 from causalpairs.raster import ScatterImage
 
 TINY_PLAN = ((4, 4),) * 5
@@ -163,6 +163,38 @@ class TestTraining:
         assert all(np.isfinite(m.train_loss) for m in history)
         assert model.train_config["epochs"] == 3
         assert model.data_checksum
+
+    # validation probabilities of the pairs labelled 1, 0, -1, per epoch
+    SURE_BUT_WRONG_ONCE = [[0.9, 0.05, 0.05], [0.05, 0.9, 0.05], [0.2, 0.45, 0.35]]
+    RIGHT_BUT_UNSURE = [[0.4, 0.3, 0.3], [0.3, 0.4, 0.3], [0.3, 0.3, 0.4]]
+    UNIFORM = [[1 / 3] * 3] * 3
+
+    @pytest.mark.parametrize("script, kept", [
+        # accuracy 1, 2/3, 1/3: the best-accuracy epoch is 0, the lowest log-loss 1
+        ([RIGHT_BUT_UNSURE, SURE_BUT_WRONG_ONCE, UNIFORM], 1),
+        # a tie in log-loss keeps the earlier epoch
+        ([SURE_BUT_WRONG_ONCE, UNIFORM, SURE_BUT_WRONG_ONCE], 0),
+    ], ids=["log-loss-not-accuracy", "tie-keeps-earlier"])
+    def test_keeps_the_epoch_of_lowest_validation_log_loss(self, monkeypatch, script, kept):
+        rng = np.random.default_rng(7)
+        data = small_training_set(rng, n=6)
+        val = [(random_image(rng, 32), label) for label in (1, 0, -1)]
+        cfg = TrainConfig(epochs=3, batch_size=3, learning_rate=0.01, seed=4)
+        seen = []
+
+        def scripted(network, pixels, batch_size):
+            seen.append(network.params.copy())
+            return np.array(script[len(seen) - 1])
+
+        monkeypatch.setattr(cnn, "_predict_classes", scripted)
+        model, history = train_cnn(data, val, TINY_ARCH, cfg)
+        assert len(seen) == 3 and not np.array_equal(seen[0], seen[1])
+        assert model.network.params.tobytes() == seen[kept].tobytes()
+        assert [m.val_log_loss for m in history] == [log_loss(np.array(p), [0, 1, 2]) for p in script]
+        # with no validation data the final epoch is kept
+        unvalidated, history = train_cnn(data, [], TINY_ARCH, cfg)
+        assert unvalidated.network.params.tobytes() == seen[-1].tobytes()
+        assert all(np.isnan(m.val_log_loss) for m in history)
 
     def test_label_mapping_round_trip(self, tmp_path):
         # labels {1,0,-1} map to class indices {0,1,2}, and the model file

@@ -16,7 +16,7 @@ from causalpairs.ensemble import (
     tune_weight,
 )
 from causalpairs.errors import ConfigurationError, UndefinedMetricError, ValidationError
-from causalpairs.probs import check_probs
+from causalpairs.probs import check_probs, label_classes, log_loss
 
 
 def triple(p1, p0, pn):
@@ -188,7 +188,7 @@ class TestCheckProbs:
             signed_scores,
             lambda p: auc_bidirectional_parts(p, [1, -1]),
             lambda p: tune_weight(p, good, [1, -1]),
-            lambda p: tune_weight(good, p, [1, -1], metric="accuracy"),
+            lambda p: tune_weight(good, p, [1, -1]),
         ):
             call(good)
             with pytest.raises(ValidationError, match="sum to"):
@@ -296,19 +296,41 @@ class TestTuneWeight:
     def test_beats_endpoints(self):
         rng = np.random.default_rng(11)
         pc, pg, labels = self._grid_probs(rng, 60)
-        for metric in ("auc", "accuracy"):
-            w = tune_weight(pc, pg, labels, metric=metric)
-            def score(weight):
-                mixed = ensemble(pc, pg, weight)
-                if metric == "auc":
-                    return auc_bidirectional(mixed, labels)
-                return accuracy(predict_labels(mixed), labels)
-            assert score(w) >= max(score(0.0), score(1.0))
+        w = tune_weight(pc, pg, labels)
+
+        def loss(weight):
+            return log_loss(ensemble(pc, pg, weight), label_classes(labels))
+
+        assert loss(w) <= min(loss(0.0), loss(1.0))
+
+    def test_minimises_log_loss_not_auc(self):
+        # each model puts 0.9 on one pair's label and 0.01 on the other's:
+        # every weight inside (0, 1) ranks both pairs perfectly, so the AUC
+        # grid keeps 0.1, while the log-loss is lowest at the even mix
+        pc = probs(triple(0.9, 0.05, 0.05), triple(0.01, 0.98, 0.01), triple(0.1, 0.8, 0.1))
+        pg = probs(triple(0.01, 0.98, 0.01), triple(0.05, 0.05, 0.9), triple(0.1, 0.8, 0.1))
+        labels = [1, -1, 0]
+        aucs = [auc_bidirectional(ensemble(pc, pg, w), labels) for w in WEIGHT_GRID]
+        assert WEIGHT_GRID[int(np.argmax(aucs))] == 0.1
+        assert tune_weight(pc, pg, labels) == 0.5
+
+    def test_negative_entry_that_check_probs_allows_counts_as_zero(self):
+        # a -1e-12 on the true class would make log(p + 1e-15) NaN, and a NaN
+        # loss would win the argmin
+        pc = probs(triple(-1e-12, 0.5, 0.5 + 1e-12), triple(0.1, 0.1, 0.8))
+        pg = probs(triple(0.8, 0.1, 0.1), triple(0.1, 0.1, 0.8))
+        assert tune_weight(pc, pg, [1, -1]) == 0.0
+        assert log_loss(pc, [0, 2]) == pytest.approx((-np.log(1e-15) - np.log(0.8)) / 2)
 
     def test_identical_models_tie_to_zero(self):
         rng = np.random.default_rng(2)
         pc, _, labels = self._grid_probs(rng, 30)
         assert tune_weight(pc, pc, labels) == 0.0
+
+    def test_label_outside_the_three_is_validation_error(self):
+        p = probs(triple(0.6, 0.3, 0.1), triple(0.1, 0.3, 0.6))
+        with pytest.raises(ValidationError, match="label 2 at row 1 is not one of 1, 0, -1"):
+            tune_weight(p, p, [1, 2])
 
     def test_misaligned(self):
         with pytest.raises(ValidationError):
