@@ -27,22 +27,24 @@ for inst in instances:
     print(f"{inst.id}: kinds=({inst.x_kind.value},{inst.y_kind.value}) "
           f"label={inst.label} n={inst.n_obs}")
 
+# An image is a read-only [m, m] uint8 array of darkness, row = y bin.
 # Continuous pairs use occupancy encoding: a cell is dark iff hit.
 numeric = instances[0]
 img = rasterize(numeric, 64)
-print(f"\n{numeric.id}: {np.count_nonzero(img.pixels)} occupied cells of {64 * 64}")
+print(f"\nimage: {img.dtype} {img.shape}, writeable={img.flags.writeable}")
+print(f"{numeric.id}: {np.count_nonzero(img)} occupied cells of {64 * 64}")
 write_image(img, out / "numeric_pair.pgm")
 
 # Categorical/binary pairs use frequency encoding: darkness follows the
 # occurrence count, min-max normalized over occupied cells.
 cat = instances[1]
 img_cat = rasterize(cat, 64)
-print(f"{cat.id}: intensity levels {sorted(set(img_cat.pixels.ravel().tolist()))}")
+print(f"{cat.id}: intensity levels {sorted(set(img_cat.ravel().tolist()))}")
 write_image(img_cat, out / "categorical_pair.pgm")
 
 # Swapping the attributes transposes the image exactly -- the symmetry
 # behind the label-negating augmentation.
 swapped = rasterize(augment_swap(numeric), 64)
-assert np.array_equal(swapped.pixels, img.pixels.T)
+assert np.array_equal(swapped, img.T)
 print("\nswap(instance) rasterizes to the exact transpose: verified")
 print(f"wrote {out / 'numeric_pair.pgm'} and {out / 'categorical_pair.pgm'}")

@@ -293,10 +293,10 @@ def gbc_fit(X: np.ndarray, labels, cfg: GbcConfig = GbcConfig()) -> BoostedModel
         i, j = bad[0]
         raise ValidationError(f"non-finite feature {X[i, j]} at row {i}, column {j}")
     n, n_feat = X.shape
-    if len(np.unique(cls)) < 2:
-        raise ValidationError("need at least two classes present to fit")
     n_classes = len(LABELS)
     counts = np.bincount(cls, minlength=n_classes).astype(np.float64)
+    if np.count_nonzero(counts) < 2:
+        raise ValidationError("need at least two classes present to fit")
     priors = (counts + 1e-9) / (n + n_classes * 1e-9)
     init_scores = np.log(priors)
     scores = np.tile(init_scores, (n, 1))

@@ -10,7 +10,8 @@ Output directory layout (created under --out):
 Only ingest parses the corpus text and writes the store.  Every later
 command loads ingest's corpus.cpmf and split manifests instead, and
 refuses the store (exit 2) when it is missing, corrupt or stored for
-other corpus bytes.  Commands that need scatter images rasterize in memory.
+other corpus bytes.  Commands that need scatter images rasterize them in
+memory, each split into one uint8 stack (raster.rasterize_all).
 
 Every command runs in one frame, ``_run``: the --seed check (a negative
 one is refused before anything is read or written); the corpus hash
@@ -22,7 +23,8 @@ rerun byte for byte) and the summary line.  A failed command writes no
 run.meta, and a refused one no directory.
 
 Exit codes: 0 success, 2 input error (an output path that cannot be written
-included), 3 training failure, 4 undefined metric.
+and a --side whose image stack cannot be allocated included), 3 training
+failure, 4 undefined metric.
 """
 
 import argparse
@@ -185,10 +187,6 @@ class _Corpus:
             raise InputError(f"{exc}; run `causalpairs ingest` again") from exc
 
 
-def _rasterize_all(instances, side):
-    return [raster.rasterize(inst, side) for inst in instances]
-
-
 def _parse_ints(text, flag, sep=",", maxsplit=-1) -> list:
     try:
         return [int(t) for t in text.split(sep, maxsplit)]
@@ -274,7 +272,7 @@ def cmd_ingest(args, out, corpus):
 
 def cmd_rasterize(args, out, corpus):
     instances = [i for part in corpus.load(SPLITS) for i in part]
-    images = _rasterize_all(instances, args.side)
+    images = raster.rasterize_all(instances, args.side)
     imgdir = out / "images"
     imgdir.mkdir(parents=True, exist_ok=True)
     for inst, img in zip(instances, images):
@@ -294,10 +292,8 @@ def _fit_cnn(args, train_insts, val_insts):
         seed=args.seed,
     )
     return cnn.train_cnn(
-        list(zip(_rasterize_all(train_insts, args.side), (i.label for i in train_insts))),
-        list(zip(_rasterize_all(val_insts, args.side), (i.label for i in val_insts))),
-        arch,
-        cfg,
+        raster.rasterize_all(train_insts, args.side), [i.label for i in train_insts], arch, cfg,
+        raster.rasterize_all(val_insts, args.side), [i.label for i in val_insts],
     )
 
 
@@ -363,8 +359,7 @@ def _load_model(path):
 def _model_probs(model, instances):
     """[N, 3] probabilities from a model returned by _load_model for instances."""
     if isinstance(model, cnn.CnnModel):
-        images = _rasterize_all(instances, model.arch.input_side)
-        return cnn.predict_batch(model, images)
+        return cnn.predict_batch(model, raster.rasterize_all(instances, model.arch.input_side))
     mat = features.extract_features(instances)
     return boosting.gbc_predict_batch(model, mat)
 

@@ -5,10 +5,11 @@ five stages in a row, then dense 1024 -> relu -> dense 512 -> relu ->
 dense 25 -> dense 3, under nnet.Network's softmax.  Image intensities are
 fed as darkness/255.
 
-Training, validation and predict_batch keep the images as one uint8 [N,
-1, side, side] pixel stack and make network input of one batch at a time:
-a training mini-batch, a validation batch of the training batch size or a
-scoring batch of 64, whose rows the dense layers see together.
+train_cnn and predict_batch take the images as the uint8 [N, side, side]
+stack that raster.rasterize_all returns, uncopied, and make network input
+of one batch at a time: a training mini-batch, a validation batch of the
+training batch size or a scoring batch of 64, whose rows the dense layers
+see together.
 
 The layers are float32 end to end: parameters, inputs, activations and
 gradients (DTYPE, fixed here and nowhere else).  _layers declares the
@@ -129,27 +130,18 @@ class EpochMetrics:
     val_log_loss: float
 
 
-def _pixel_stack(images, side) -> np.ndarray:
-    """[N, 1, side, side] uint8 stack of the images' pixels."""
-    pixels = np.empty((len(images), 1, side, side), dtype=np.uint8)
-    for i, img in enumerate(images):
-        if img.m != side:
-            raise ShapeError(f"image side {img.m} does not match model side {side}")
-        pixels[i, 0] = img.pixels
-    return pixels
+def _classes(pixels, labels, side) -> np.ndarray:
+    """Class indices of labels, one per image of an [N, side, side] stack."""
+    if pixels.shape != (len(labels), side, side):
+        raise ShapeError(f"{len(labels)} labels for images {pixels.shape} at model side {side}")
+    return label_classes(labels)
 
 
 def _inputs(pixels) -> np.ndarray:
-    """DTYPE network input of a uint8 pixel batch: each image's darkness / 255."""
-    x = pixels.astype(DTYPE)
+    """DTYPE [N, 1, side, side] input of a uint8 [N, side, side] batch: darkness / 255."""
+    x = pixels[:, None].astype(DTYPE)
     x /= 255
     return x
-
-
-def _stack_images(pairs, side):
-    """(uint8 pixel stack, class indices) of (ScatterImage, label) pairs."""
-    classes = label_classes([label for _, label in pairs])
-    return _pixel_stack([img for img, _ in pairs], side), classes
 
 
 def _predict_classes(network, pixels, batch_size=64):
@@ -161,19 +153,22 @@ def _predict_classes(network, pixels, batch_size=64):
     return np.concatenate(outs, axis=0)
 
 
-def train_cnn(train, val, arch: CnnArchitecture, cfg: TrainConfig):
-    """Mini-batch SGD with momentum on (ScatterImage, label) pairs.
+def train_cnn(pixels, labels, arch: CnnArchitecture, cfg: TrainConfig,
+              val_pixels=(), val_labels=()):
+    """Mini-batch SGD with momentum on a uint8 [N, side, side] image stack and its labels.
 
     Keeps the parameters from the epoch with the lowest validation log-loss
-    (earlier epoch wins ties); with no validation data the final epoch is
-    kept.  Returns (CnnModel, [EpochMetrics]).
+    (earlier epoch wins ties); with no validation images the final epoch is
+    kept.  A non-finite training or validation loss raises TrainingError.
+    Returns (CnnModel, [EpochMetrics]).
     """
-    if not train:
+    if not len(pixels):
         raise ValidationError("training set is empty")
     side = arch.input_side
-    pixels, cls = _stack_images(train, side)
-    if val:
-        val_pixels, val_cls = _stack_images(val, side)
+    cls = _classes(pixels, labels, side)
+    validate = len(val_pixels) > 0
+    if validate:
+        val_cls = _classes(val_pixels, val_labels, side)
     network = build_network(arch, cfg.seed)
     velocity = np.zeros_like(network.params)
     n = len(pixels)
@@ -197,10 +192,12 @@ def train_cnn(train, val, arch: CnnArchitecture, cfg: TrainConfig):
             epoch_correct += int((probs.argmax(axis=1) == cb).sum())
             epoch_loss += loss * len(idx)
             nnet.sgd_step(network, velocity, cfg.learning_rate, cfg.momentum)
-        if val:
+        if validate:
             val_probs = _predict_classes(network, val_pixels, cfg.batch_size)
             val_acc = float((val_probs.argmax(axis=1) == val_cls).mean())
             val_loss = log_loss(val_probs, val_cls)
+            if not np.isfinite(val_loss):
+                raise TrainingError(f"non-finite validation log-loss at epoch {epoch}")
         else:
             val_acc = val_loss = float("nan")
         history.append(
@@ -215,22 +212,25 @@ def train_cnn(train, val, arch: CnnArchitecture, cfg: TrainConfig):
         network=network,
         arch=arch,
         train_config=asdict(cfg),
-        data_checksum=_dataset_checksum(train),
+        data_checksum=_dataset_checksum(pixels, labels),
     )
     return model, history
 
 
-def _dataset_checksum(pairs) -> str:
+def _dataset_checksum(pixels, labels) -> str:
+    """SHA-256 over each image's label, side and pixel bytes, in order."""
     h = hashlib.sha256()
-    for img, label in pairs:
-        h.update(struct.pack("<iI", label, img.m))
-        h.update(img.pixels.tobytes())
+    for img, label in zip(pixels, labels):
+        h.update(struct.pack("<iI", label, len(img)))
+        h.update(img.tobytes())
     return h.hexdigest()
 
 
-def predict_batch(model: CnnModel, images) -> np.ndarray:
-    """[N, 3] class probabilities (columns p_1, p_0, p_-1); pure in (model, images)."""
-    pixels = _pixel_stack(images, model.arch.input_side)
+def predict_batch(model: CnnModel, pixels) -> np.ndarray:
+    """[N, 3] class probabilities (columns p_1, p_0, p_-1) of a uint8 [N, side, side] stack."""
+    side = model.arch.input_side
+    if pixels.shape[1:] != (side, side):
+        raise ShapeError(f"images {pixels.shape} do not match model side {side}")
     return check_probs(_predict_classes(model.network, pixels))
 
 

@@ -22,9 +22,9 @@ attribute.  Only the sort, one argsort per attribute per pair, and
 Everything else is a segment reduction over the chunk: ``np.add.reduceat``
 for sums, which adds each pair's terms one after another, and
 ``np.bincount`` on ``pair * bins + bin`` for the joint histogram and the
-per-bin sums.  A chunk holds at most _CHUNK_OBS observations (one pair at
-least), which bounds the memory of a batch.  A pair's features depend on
-its own observations only, never on its chunk or on the other pairs.
+per-bin sums.  A chunk holds at most _CHUNK_OBS = 16,384 observations (one
+pair at least), so a batch's temporaries stay near 2.5 MB.  A pair's features
+depend on its own observations only, never on its chunk or the other pairs.
 
 Exactness:
 
@@ -80,8 +80,8 @@ SWAP_EXCHANGE = tuple(
 )
 
 # observations per chunk: a chunk's temporaries peak near 20 float64
-# vectors of this length, about 10 MB, however many pairs a batch holds
-_CHUNK_OBS = 65_536
+# vectors of this length, about 2.5 MB, however many pairs a batch holds
+_CHUNK_OBS = 16_384
 
 _LOG_BINS = np.log(FEATURE_BINS)
 

@@ -10,13 +10,14 @@ Two encoding regimes:
   smaller than m, the k x k cell block is enlarged to the full canvas by
   nearest-neighbor replication.
 
+An image is a read-only [m, m] uint8 array; rasterize_all writes a batch
+into one read-only [N, m, m] stack, which the CNN takes as it is.
+
 In-memory orientation: ``pixels[row, col] == pixels[y_bin, x_bin]`` with
 bin 0 first, and intensity IS darkness (255 darkest).  The PGM writer flips
 rows (top row = highest y bin) and inverts bytes so plots render
 dark-on-white.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,25 +27,9 @@ from .errors import ConfigurationError, ParseError, ValidationError
 DEFAULT_SIDE = 200
 
 
-@dataclass(frozen=True)
-class ScatterImage:
-    """m x m grid of uint8 intensities, pixels[y_bin, x_bin], 255 = darkest.
-
-    pixels is kept as a read-only contiguous uint8 copy; m is its side.
-    """
-
-    pixels: np.ndarray
-
-    def __post_init__(self):
-        px = np.array(self.pixels, dtype=np.uint8, order="C")
-        if px.ndim != 2 or px.shape[0] != px.shape[1]:
-            raise ValidationError(f"pixel grid {px.shape} is not square")
-        px.flags.writeable = False
-        object.__setattr__(self, "pixels", px)
-
-    @property
-    def m(self) -> int:
-        return self.pixels.shape[0]
+def _check_bins(m: int) -> None:
+    if m < 2:
+        raise ConfigurationError(f"bin count m must be >= 2, got {m}")
 
 
 def discretize(values: np.ndarray, m: int, kind: AttributeKind) -> np.ndarray:
@@ -57,8 +42,7 @@ def discretize(values: np.ndarray, m: int, kind: AttributeKind) -> np.ndarray:
     values = np.asarray(values, dtype=np.float64)
     if values.size == 0:
         raise ValidationError("cannot discretize an empty vector")
-    if m < 2:
-        raise ConfigurationError(f"bin count m must be >= 2, got {m}")
+    _check_bins(m)
     if kind is AttributeKind.NUMERICAL:
         # Python floats: a span beyond float64 becomes inf without a warning
         vmin = float(values.min())
@@ -92,8 +76,8 @@ def _frequency_grid(xb, yb, kx, ky) -> np.ndarray:
     return grid
 
 
-def rasterize(instance: PairInstance, m: int) -> ScatterImage:
-    """Render a pair instance as an m x m ScatterImage under the two regimes."""
+def rasterize(instance: PairInstance, m: int) -> np.ndarray:
+    """Render a pair instance as a read-only [m, m] uint8 image under the two regimes."""
     xb = discretize(instance.x, m, instance.x_kind)
     yb = discretize(instance.y, m, instance.y_kind)
     frequency_mode = (
@@ -111,17 +95,35 @@ def rasterize(instance: PairInstance, m: int) -> ScatterImage:
     else:
         pixels = np.zeros((m, m), dtype=np.uint8)
         pixels[yb, xb] = 255
-    return ScatterImage(pixels)
+    pixels.flags.writeable = False
+    return pixels
 
 
-def write_image(image: ScatterImage, path) -> None:
-    """Write a binary PGM: ``P5\\n<m> <m>\\n255\\n`` + m*m payload bytes.
+def rasterize_all(instances, m: int) -> np.ndarray:
+    """Read-only [len(instances), m, m] uint8 stack of the instances' images;
+    a stack too large to allocate raises ConfigurationError."""
+    _check_bins(m)
+    try:
+        stack = np.empty((len(instances), m, m), dtype=np.uint8)
+    except MemoryError:
+        raise ConfigurationError(f"{len(instances)} images of side {m} do not fit in memory") from None
+    for i, inst in enumerate(instances):
+        stack[i] = rasterize(inst, m)
+    stack.flags.writeable = False
+    return stack
+
+
+def write_image(pixels: np.ndarray, path) -> None:
+    """Write an [m, m] uint8 image as a binary PGM: ``P5\\n<m> <m>\\n255\\n`` + m*m bytes.
 
     Payload is row-major, top row first (top = highest y bin) and inverted
     (byte = 255 - pixel) so images view dark-on-white.
     """
-    header = f"P5\n{image.m} {image.m}\n255\n".encode("ascii")
-    payload = (255 - image.pixels[::-1, :]).tobytes()
+    if pixels.dtype != np.uint8 or pixels.ndim != 2 or pixels.shape[0] != pixels.shape[1]:
+        raise ValidationError(f"{pixels.dtype} pixel grid {pixels.shape} is not square uint8")
+    m = len(pixels)
+    header = f"P5\n{m} {m}\n255\n".encode("ascii")
+    payload = (255 - pixels[::-1]).tobytes()
     try:
         with open(path, "wb") as f:
             f.write(header)
@@ -130,8 +132,8 @@ def write_image(image: ScatterImage, path) -> None:
         raise OSError(f"cannot write image {path}: {exc}") from exc
 
 
-def read_image(path) -> ScatterImage:
-    """Read a PGM written by write_image; exact inverse round-trip."""
+def read_image(path) -> np.ndarray:
+    """Read a PGM written by write_image as a read-only [m, m] uint8 image, bit-exact."""
     try:
         with open(path, "rb") as f:
             data = f.read()
@@ -152,4 +154,6 @@ def read_image(path) -> ScatterImage:
             f"payload length {len(payload)} does not match {m}x{m}", path=str(path)
         )
     raw = np.frombuffer(payload, dtype=np.uint8).reshape(m, m)
-    return ScatterImage((255 - raw)[::-1, :])
+    pixels = 255 - raw[::-1]
+    pixels.flags.writeable = False
+    return pixels

@@ -1,5 +1,6 @@
-"""Test quality per seed of the GBC alone and of the tuned CNN+GBC ensemble,
-on the benchmark workloads' configurations.
+"""Test quality per seed of the GBC alone, the CNN alone and the CNN+GBC
+ensemble at w = 0.5 and at the tuned weight, on the benchmark workloads'
+configurations.
 
     PYTHONPATH=src python3 tests/gbc_auc_by_seed.py --seeds 1-20
 
@@ -7,14 +8,15 @@ A script, not a test module: pytest does not collect it.  For each
 workload in ``bench/workloads.py`` and each seed it builds the workload's
 corpus as ``bench/child.py setup`` does, then runs the CLI in-process in a
 temporary directory: ``ingest`` with the workload's split, the workload's
-own ``train gbc`` and ``train cnn`` commands, ``evaluate`` of the GBC
-alone on the test split, and ``evaluate --weight tune`` of the two
-models.  It prints, per workload and seed, the GBC's test AUC and
-accuracy with the wall time of its ``train gbc`` command, then the tuned
-weight ``w`` of the CNN and the ensemble's test AUC and accuracy; then
-each workload's mean AUCs.  Run it with ``PYTHONPATH`` pointing at
-another tree's ``src`` to compare two versions of the package on the same
-inputs.
+own ``train gbc`` and ``train cnn`` commands, then four ``evaluate``
+commands on the test split: the GBC alone, the CNN alone, and the two
+models at ``--weight 0.5`` and ``--weight tune``.  It prints, per
+workload and seed, the GBC's test AUC and accuracy with the wall time of
+its ``train gbc`` command, the CNN's and the w = 0.5 ensemble's test AUC
+and accuracy, then the tuned weight ``w`` of the CNN and that ensemble's
+test AUC and accuracy; then each workload's mean AUCs.  Run it with
+``PYTHONPATH`` pointing at another tree's ``src`` to compare two versions
+of the package on the same inputs.
 """
 
 import argparse
@@ -44,7 +46,7 @@ def _own_flags(w, kind: str) -> list:
 
 
 def quality(name: str, seed: int, work: Path) -> dict:
-    """Test figures of the workload's GBC alone and of its tuned ensemble at seed."""
+    """Test figures of the workload's models alone and of their ensembles at seed."""
     w = workloads.build(name, seed)
     instances = synth.generate_benchmark(count=w.count, n_obs_range=w.n_obs, seed=seed)
     if w.categorical_every:
@@ -63,6 +65,9 @@ def quality(name: str, seed: int, work: Path) -> dict:
         ("train_gbc", ["train", "gbc", *flags, *_own_flags(w, "gbc")]),
         ("train_cnn", ["train", "cnn", *flags, *_own_flags(w, "cnn")]),
         ("gbc", ["evaluate", *flags, "--model", models[1], "--split", "test"]),
+        ("cnn", ["evaluate", *flags, "--model", models[0], "--split", "test"]),
+        ("half", ["evaluate", *flags, "--model", models[0], "--model2", models[1],
+                  "--weight", "0.5", "--split", "test"]),
         ("tuned", ["evaluate", *flags, "--model", models[0], "--model2", models[1],
                    "--weight", "tune", "--split", "test"]),
     ]
@@ -87,22 +92,26 @@ def main(argv=None) -> int:
     first, _, last = args.seeds.partition("-")
     first, last = int(first), int(last or first)
     for name in args.workloads.split(","):
-        gbc_aucs, tuned_aucs = [], []
+        aucs = {step: [] for step in ("gbc", "cnn", "half", "tuned")}
         for seed in range(first, last + 1):
             with tempfile.TemporaryDirectory() as tmp:
                 f = quality(name, seed, Path(tmp))
-            gbc, tuned = f["gbc"], f["tuned"]
-            gbc_aucs.append(gbc["auc"])
-            tuned_aucs.append(tuned["auc"])
+            for step, figures in aucs.items():
+                figures.append(f[step]["auc"])
+            gbc, cnn, half, tuned = (f[step] for step in aucs)
             print(
                 f"{name} seed {seed}: test_auc={gbc['auc']:.6f} test_accuracy={gbc['accuracy']:.6f}"
-                f" train_gbc_s={f['train_gbc_s']:.3f} | tuned w={tuned['w']:.1f}"
+                f" train_gbc_s={f['train_gbc_s']:.3f}"
+                f" | cnn test_auc={cnn['auc']:.6f} test_accuracy={cnn['accuracy']:.6f}"
+                f" | w=0.5 test_auc={half['auc']:.6f} test_accuracy={half['accuracy']:.6f}"
+                f" | tuned w={tuned['w']:.1f}"
                 f" test_auc={tuned['auc']:.6f} test_accuracy={tuned['accuracy']:.6f}",
                 flush=True,
             )
         print(
-            f"{name} mean test_auc={statistics.mean(gbc_aucs):.6f}"
-            f" tuned {statistics.mean(tuned_aucs):.6f} over {len(gbc_aucs)} seeds",
+            f"{name} mean test_auc={statistics.mean(aucs['gbc']):.6f}"
+            f" cnn {statistics.mean(aucs['cnn']):.6f} w=0.5 {statistics.mean(aucs['half']):.6f}"
+            f" tuned {statistics.mean(aucs['tuned']):.6f} over {len(aucs['gbc'])} seeds",
             flush=True,
         )
     return 0

@@ -37,7 +37,7 @@ from causalpairs.nnet import (
     gradient_check,
 )
 from causalpairs.probs import label_classes, log_loss
-from causalpairs.raster import rasterize
+from causalpairs.raster import rasterize, rasterize_all
 from causalpairs.synth import Mechanism, generate_benchmark
 
 BENCH_MIX = {
@@ -108,10 +108,10 @@ def test_criterion_2_rasterizer_symmetry():
             or inst.y_kind is AttributeKind.NUMERICAL
         )
         ok = (
-            np.array_equal(mirrored.pixels, img.pixels.T)
-            and img.pixels.min() >= 0
-            and img.pixels.max() <= 255
-            and (not occupancy or set(np.unique(img.pixels)) <= {0, 255})
+            np.array_equal(mirrored, img.T)
+            and img.min() >= 0
+            and img.max() <= 255
+            and (not occupancy or set(np.unique(img)) <= {0, 255})
         )
         failures += int(not ok)
     report(2, "rasterizer symmetry", failures == 0, f"{failures} failures of 1000")
@@ -240,14 +240,15 @@ def test_criterion_6_augmentation_bookkeeping():
 def test_criterion_7_overfit_sanity():
     t0 = time.time()
     insts = generate_benchmark(20, n_obs_range=(200, 200), seed=42)
-    data = [(rasterize(i, 32), i.label) for i in insts]
+    pixels, labels = rasterize_all(insts, 32), [i.label for i in insts]
     arch = CnnArchitecture(stages=((4, 4),) * 5, input_side=32)
     model, _ = train_cnn(
-        data, data, arch,
+        pixels, labels, arch,
         TrainConfig(epochs=200, batch_size=32, learning_rate=0.1, momentum=0.9, seed=0),
+        pixels, labels,
     )
-    probs = predict_batch(model, [img for img, _ in data])
-    cnn_acc = accuracy(predict_labels(probs), [l for _, l in data])
+    probs = predict_batch(model, pixels)
+    cnn_acc = accuracy(predict_labels(probs), labels)
     cnn_time = time.time() - t0
 
     t0 = time.time()

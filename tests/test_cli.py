@@ -444,6 +444,39 @@ def test_gbc_ending_above_its_initial_loss_is_training_error(corpus, tmp_path, c
     assert not (out / "train-gbc.run.meta").exists()
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_non_finite_cnn_validation_loss_is_training_error(tmp_path, capsys):
+    # lr 1e30: one finite training step, then NaN validation probabilities;
+    # keeping the final parameters wrote a model that evaluate refused
+    flags = ["--pairs", tmp_path / "pairs.csv", "--info", tmp_path / "info.csv",
+             "--target", tmp_path / "target.csv", "--out", tmp_path]
+    assert run("generate", "--out", tmp_path, "--count", 30, "--n-obs", 40, "--seed", 3) == 0
+    assert run("ingest", *flags, "--seed", 1) == 0
+    code = run("train", "cnn", *flags, "--side", 32, "--channels", "1,1,1,1,1,1,1,1,1,1",
+               "--epochs", 1, "--lr", "1e30")
+    assert code == 3
+    assert "non-finite validation log-loss at epoch 0" in capsys.readouterr().err
+    assert not (tmp_path / "models" / "cnn.model").exists()
+    assert not (tmp_path / "train-cnn.run.meta").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["rasterize"],
+    ["train", "cnn", "--channels", TINY_CHANNELS, "--epochs", 1],
+], ids=["rasterize", "train-cnn"])
+def test_side_too_large_to_allocate_is_input_error(corpus, tmp_path, capsys, argv):
+    # a 40000000-pixel side asks numpy for 1.42 PiB per image, which it
+    # refuses before allocating anything
+    out = tmp_path / "run"
+    assert run("ingest", *corpus_flags(corpus), "--out", out, "--seed", 1) == 0
+    capsys.readouterr()
+    assert run(*argv, *corpus_flags(corpus), "--out", out, "--side", 40_000_000) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "images of side 40000000 do not fit in memory" in err
+    assert not (out / "images").exists() and not (out / "models").exists()
+
+
 @pytest.mark.parametrize("command", ["generate", "rasterize"])
 def test_unwritable_out_is_input_error(corpus, tmp_path, capsys, command):
     plain = tmp_path / "plain"
@@ -713,7 +746,7 @@ def test_span_beyond_float64_rasterizes(tmp_path):
                TINY_CHANNELS, "--epochs", 1, "--batch-size", 8) == 0
     image = raster.read_image(out / "images" / f"{instances[5].id}.pgm")
     # the two extremes land in the first and the last column
-    assert image.pixels[:, 0].any() and image.pixels[:, -1].any()
+    assert image[:, 0].any() and image[:, -1].any()
 
 
 # ---------------------------------------------------------------------------

@@ -17,16 +17,16 @@ from causalpairs.cnn import (
     save_model,
     train_cnn,
 )
-from causalpairs.errors import ConfigurationError, InputError, ShapeError
+from causalpairs.errors import ConfigurationError, InputError, ShapeError, TrainingError
 from causalpairs.probs import check_probs, log_loss
-from causalpairs.raster import ScatterImage
 
 TINY_PLAN = ((4, 4),) * 5
 TINY_ARCH = CnnArchitecture(stages=TINY_PLAN, input_side=32)
 
 
-def random_image(rng, side):
-    return ScatterImage(rng.integers(0, 256, size=(side, side)).astype(np.uint8))
+def random_images(rng, n, side=32):
+    """A uint8 [n, side, side] stack of random images."""
+    return rng.integers(0, 256, size=(n, side, side), dtype=np.uint8)
 
 
 class TestArchitecture:
@@ -78,7 +78,7 @@ class TestPredict:
 
         model = CnnModel(network=net, arch=arch)
         rng = np.random.default_rng(0)
-        probs = predict_batch(model, [random_image(rng, 32) for _ in range(2)])
+        probs = predict_batch(model, random_images(rng, 2))
         assert probs == pytest.approx(np.full((2, 3), 1 / 3), abs=1e-12)
 
     def test_purity(self):
@@ -87,9 +87,9 @@ class TestPredict:
 
         model = CnnModel(network=build_network(arch, seed=5), arch=arch)
         rng = np.random.default_rng(1)
-        img = random_image(rng, 32)
-        a = predict_batch(model, [img])
-        b = predict_batch(model, [img])
+        img = random_images(rng, 1)
+        a = predict_batch(model, img)
+        b = predict_batch(model, img)
         assert a.tobytes() == b.tobytes()
 
     def test_distribution(self):
@@ -98,13 +98,13 @@ class TestPredict:
 
         model = CnnModel(network=build_network(arch, seed=5), arch=arch)
         rng = np.random.default_rng(2)
-        probs = predict_batch(model, [random_image(rng, 32) for _ in range(4)])
+        probs = predict_batch(model, random_images(rng, 4))
         assert probs.shape == (4, 3) and probs.dtype == np.float64
         assert np.abs(probs.sum(axis=1) - 1.0).max() < 1e-9
 
     def test_no_images(self):
         model = CnnModel(network=build_network(TINY_ARCH, seed=5), arch=TINY_ARCH)
-        probs = predict_batch(model, [])
+        probs = predict_batch(model, np.zeros((0, 32, 32), dtype=np.uint8))
         assert probs.shape == (0, 3) and probs.dtype == np.float64
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -116,7 +116,7 @@ class TestPredict:
         model.network.params[...] = 1e300
         rng = np.random.default_rng(3)
         with pytest.raises(ValidationError, match="out of range"):
-            predict_batch(model, [random_image(rng, 32)])
+            predict_batch(model, random_images(rng, 1))
 
     def test_size_mismatch(self):
         arch = TINY_ARCH
@@ -124,16 +124,15 @@ class TestPredict:
 
         model = CnnModel(network=build_network(arch, seed=5), arch=arch)
         rng = np.random.default_rng(3)
-        with pytest.raises(ShapeError):
-            predict_batch(model, [random_image(rng, 64)])
+        for images in (random_images(rng, 1, 64), random_images(rng, 2)[:, None],
+                       random_images(rng, 1)[0]):
+            with pytest.raises(ShapeError, match="do not match model side 32"):
+                predict_batch(model, images)
 
 
 def small_training_set(rng, n=8, side=32):
-    data = []
-    for i in range(n):
-        label = (1, 0, -1)[i % 3]
-        data.append((random_image(rng, side), label))
-    return data
+    """(uint8 [n, side, side] image stack, labels cycling through 1, 0, -1)."""
+    return random_images(rng, n, side), [(1, 0, -1)[i % 3] for i in range(n)]
 
 
 @pytest.mark.parametrize("momentum", [1.0, -0.1, float("nan")])
@@ -145,20 +144,20 @@ def test_momentum_outside_unit_interval_is_configuration_error(momentum):
 class TestTraining:
     def test_deterministic_rerun_same_model_bytes(self):
         rng = np.random.default_rng(4)
-        data = small_training_set(rng)
+        px, labels = small_training_set(rng)
         arch = TINY_ARCH
         cfg = TrainConfig(epochs=2, batch_size=4, learning_rate=0.005, seed=7)
-        m1, h1 = train_cnn(data, data[:3], arch, cfg)
-        m2, h2 = train_cnn(data, data[:3], arch, cfg)
+        m1, h1 = train_cnn(px, labels, arch, cfg, px[:3], labels[:3])
+        m2, h2 = train_cnn(px, labels, arch, cfg, px[:3], labels[:3])
         assert h1[0].train_loss == h2[0].train_loss
         assert m1.network.params.tobytes() == m2.network.params.tobytes()
 
     def test_history_and_selection(self):
         rng = np.random.default_rng(5)
-        data = small_training_set(rng)
+        px, labels = small_training_set(rng)
         arch = TINY_ARCH
         cfg = TrainConfig(epochs=3, batch_size=4, learning_rate=0.005, seed=1)
-        model, history = train_cnn(data, data[:3], arch, cfg)
+        model, history = train_cnn(px, labels, arch, cfg, px[:3], labels[:3])
         assert len(history) == 3
         assert all(np.isfinite(m.train_loss) for m in history)
         assert model.train_config["epochs"] == 3
@@ -177,8 +176,8 @@ class TestTraining:
     ], ids=["log-loss-not-accuracy", "tie-keeps-earlier"])
     def test_keeps_the_epoch_of_lowest_validation_log_loss(self, monkeypatch, script, kept):
         rng = np.random.default_rng(7)
-        data = small_training_set(rng, n=6)
-        val = [(random_image(rng, 32), label) for label in (1, 0, -1)]
+        px, labels = small_training_set(rng, n=6)
+        val = random_images(rng, 3), [1, 0, -1]
         cfg = TrainConfig(epochs=3, batch_size=3, learning_rate=0.01, seed=4)
         seen = []
 
@@ -187,12 +186,12 @@ class TestTraining:
             return np.array(script[len(seen) - 1])
 
         monkeypatch.setattr(cnn, "_predict_classes", scripted)
-        model, history = train_cnn(data, val, TINY_ARCH, cfg)
+        model, history = train_cnn(px, labels, TINY_ARCH, cfg, *val)
         assert len(seen) == 3 and not np.array_equal(seen[0], seen[1])
         assert model.network.params.tobytes() == seen[kept].tobytes()
         assert [m.val_log_loss for m in history] == [log_loss(np.array(p), [0, 1, 2]) for p in script]
         # with no validation data the final epoch is kept
-        unvalidated, history = train_cnn(data, [], TINY_ARCH, cfg)
+        unvalidated, history = train_cnn(px, labels, TINY_ARCH, cfg)
         assert unvalidated.network.params.tobytes() == seen[-1].tobytes()
         assert all(np.isnan(m.val_log_loss) for m in history)
 
@@ -200,9 +199,9 @@ class TestTraining:
         # labels {1,0,-1} map to class indices {0,1,2}, and the model file
         # records that mapping
         rng = np.random.default_rng(6)
-        data = small_training_set(rng, n=6)
         model, _ = train_cnn(
-            data, [], TINY_ARCH, TrainConfig(epochs=1, batch_size=6, learning_rate=1e-4, seed=2)
+            *small_training_set(rng, n=6), TINY_ARCH,
+            TrainConfig(epochs=1, batch_size=6, learning_rate=1e-4, seed=2),
         )
         save_model(model, tmp_path / "m.model")
         _, meta, _ = modelfile.read(tmp_path / "m.model", "cnn")
@@ -213,17 +212,39 @@ class TestTraining:
         from causalpairs.errors import ValidationError
 
         with pytest.raises(ValidationError):
-            train_cnn([], [], arch, TrainConfig(epochs=1))
+            train_cnn(np.zeros((0, 32, 32), dtype=np.uint8), [], arch, TrainConfig(epochs=1))
+
+    def test_images_that_do_not_match_their_labels_or_side_are_shape_error(self):
+        px, labels = small_training_set(np.random.default_rng(8), n=4)
+        cfg = TrainConfig(epochs=1, batch_size=4)
+        for args in (
+            (px, labels[:3]),
+            (random_images(np.random.default_rng(9), 4, 64), labels),
+            (px, labels, px[:2], labels[:1]),
+            (px, labels, px[:2, :16, :16], labels[:2]),
+        ):
+            with pytest.raises(ShapeError, match="at model side 32"):
+                train_cnn(*args[:2], TINY_ARCH, cfg, *args[2:])
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_validation_loss_is_training_error(self):
+        # lr 1e30: the one step's training loss is finite, the next
+        # validation pass is not
+        px, labels = small_training_set(np.random.default_rng(10), n=6)
+        cfg = TrainConfig(epochs=1, batch_size=6, learning_rate=1e30, seed=1)
+        with pytest.raises(TrainingError, match="non-finite validation log-loss at epoch 0"):
+            train_cnn(px, labels, TINY_ARCH, cfg, px, labels)
 
 
 class TestModelFile:
     def test_save_load_round_trip(self, tmp_path):
         rng = np.random.default_rng(7)
-        data = small_training_set(rng, n=6)
+        px, labels = small_training_set(rng, n=6)
         arch = TINY_ARCH
         model, _ = train_cnn(
-            data, data[:2], arch,
+            px, labels, arch,
             TrainConfig(epochs=1, batch_size=3, learning_rate=0.001, seed=3),
+            px[:2], labels[:2],
         )
         path = tmp_path / "m.model"
         save_model(model, path)
@@ -235,10 +256,10 @@ class TestModelFile:
 
     def test_save_twice_identical_bytes(self, tmp_path):
         rng = np.random.default_rng(8)
-        data = small_training_set(rng, n=6)
         arch = TINY_ARCH
         model, _ = train_cnn(
-            data, [], arch, TrainConfig(epochs=1, batch_size=3, learning_rate=0.001, seed=4)
+            *small_training_set(rng, n=6), arch,
+            TrainConfig(epochs=1, batch_size=3, learning_rate=0.001, seed=4),
         )
         p1, p2 = tmp_path / "a.model", tmp_path / "b.model"
         save_model(model, p1)
@@ -306,12 +327,31 @@ class TestForwardMemory:
         # and whole-batch activations measured 22.2 MB
         model = CnnModel(network=build_network(self.ARCH, seed=0), arch=self.ARCH)
         rng = np.random.default_rng(12)
-        images = [random_image(rng, 64) for _ in range(256)]
+        images = random_images(rng, 256, 64)
         pixels, batch = 256 * 64 * 64, 64 * 64 * 64 * 4
         bound = pixels + batch + self.chunk_activations(model.network, 64) + self.SLACK
         tracemalloc.start()
         try:
             predict_batch(model, images)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < bound
+
+
+    def test_scoring_through_the_cli_holds_the_pixels_once(self):
+        # the CLI's image path, raster.rasterize_all's one stack scored by
+        # predict_batch: 6.60 MB against a bound of 6.94 MB; a list of
+        # per-image arrays stacked again by predict_batch measured 8.83 MB
+        from causalpairs import cli, synth
+
+        insts = synth.generate_benchmark(512, n_obs_range=(50, 50), seed=3)
+        model = CnnModel(network=build_network(self.ARCH, seed=0), arch=self.ARCH)
+        pixels, batch = 512 * 64 * 64, 64 * 64 * 64 * 4
+        bound = pixels + batch + self.chunk_activations(model.network, 64) + 2 * self.SLACK
+        tracemalloc.start()
+        try:
+            cli._model_probs(model, insts)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -344,7 +384,7 @@ class TestFloat32:
         step = nnet.Network.loss_and_backward
         monkeypatch.setattr(nnet.Network, "loss_and_backward",
                             lambda net, x, cls: batches.append((x, cls)) or step(net, x, cls))
-        train_cnn(small_training_set(rng, n=5), [], arch,
+        train_cnn(*small_training_set(rng, n=5), arch,
                   TrainConfig(epochs=1, batch_size=5, learning_rate=1e-4, seed=2))
         monkeypatch.undo()
         (xs, cls), = batches
@@ -366,7 +406,7 @@ class TestFloat32:
         arch = TINY_ARCH
         model = CnnModel(network=build_network(arch, seed=4), arch=arch)
         rng = np.random.default_rng(10)
-        probs = predict_batch(model, [random_image(rng, 32) for _ in range(5)])
+        probs = predict_batch(model, random_images(rng, 5))
         assert probs.dtype == np.float64 and probs.shape == (5, 3)
         check_probs(probs)  # raises on a row that is not a distribution
 

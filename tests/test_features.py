@@ -264,6 +264,21 @@ def test_memory_is_bounded_by_one_chunk():
     assert peak(insts) < 1.5 * peak(insts[: features._CHUNK_OBS // 1000])
 
 
+def test_one_full_chunk_holds_its_temporaries_below_4_mb():
+    # 16 pairs of 1000 observations: 2.59 MB; 65 of them, a full chunk of
+    # 65,536 observations, measured 10.5 MB
+    insts = synth.generate_benchmark(
+        features._CHUNK_OBS // 1000, n_obs_range=(1000, 1000), seed=3
+    )
+    tracemalloc.start()
+    try:
+        extract_features(insts)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4_000_000
+
+
 # ---------------------------------------------------------------------------
 # The straightforward formulation of the 43 features, kept as the reference
 # for extract_features: one numpy call per statistic, np.ptp for the constant
