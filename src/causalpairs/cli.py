@@ -2,13 +2,14 @@
 evaluate, sparse-sweep.
 
 Output directory layout (created under --out):
-    manifests/   train.ids / val.ids / test.ids, and corpus.cpmf: the
-                 parsed corpus with the checksums of its three files
+    manifests/   corpus.cpmf: the parsed corpus in split order, with its split
+                 sizes and the checksums of its three files; train.ids /
+                 val.ids / test.ids, for reading; no command reads them
     images/      <id>.pgm scatter plots, for viewing; no command reads them
     models/      cnn.model / gbc.model
     reports/     predictions.csv, report.txt, train logs, sparse_sweep.csv
-Only ingest parses the corpus text and writes the store.  Every later
-command loads ingest's corpus.cpmf and split manifests instead, and
+Only ingest parses the corpus text, splits it and writes the store.  Every
+later command loads its splits from ingest's corpus.cpmf instead, and
 refuses the store (exit 2) when it is missing, corrupt or stored for
 other corpus bytes.  Commands that need scatter images rasterize them in
 memory, each split into one uint8 stack (raster.rasterize_all).
@@ -34,7 +35,6 @@ import hashlib
 import json
 import os
 import sys
-from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -95,17 +95,6 @@ def _write_lines(path: Path, lines) -> None:
             f.write(line + "\n")
 
 
-def _read_manifest(path) -> list[str]:
-    p = Path(path)
-    if not p.is_file():
-        raise InputError(f"missing manifest {p}; run `causalpairs ingest` first")
-    try:
-        text = p.read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise InputError(f"manifest {p} is not UTF-8 text ({exc.reason})") from exc
-    return [line.strip() for line in text.splitlines() if line.strip()]
-
-
 class _Corpus:
     """The three corpus files the flags name, and ingest's store of them under --out."""
 
@@ -121,15 +110,17 @@ class _Corpus:
                 raise InputError(f"missing {name} file: {p}")
         return {name: _sha256_file(p) for name, p in self.files.items()}
 
-    def store(self, instances, parts) -> None:
-        """The split manifests, and the corpus in pairs-file order as a "corpus" modelfile."""
+    def store(self, parts) -> None:
+        """The corpus in split order as a "corpus" modelfile, and the split manifests."""
         for name, part in zip(SPLITS, parts):
             _write_lines(self.mdir / f"{name}.ids", (inst.id for inst in part))
+        instances = [inst for part in parts for inst in part]
         meta = {
             "input_checksums": self.checksums,
             "ids": [inst.id for inst in instances],
             "kinds": [[inst.x_kind.value, inst.y_kind.value] for inst in instances],
             "labels": [inst.label for inst in instances],
+            "split_sizes": [len(part) for part in parts],
         }
         arrays = {
             "n_obs": np.array([inst.n_obs for inst in instances], dtype="<i4"),
@@ -139,16 +130,14 @@ class _Corpus:
         modelfile.write(self.mdir / CORPUS_STORE, "corpus", meta, arrays)
 
     def load(self, parts) -> tuple:
-        """The instances each manifest in parts names, from the store.
+        """The instances of each split in parts, sliced from the store.
 
-        All three manifests are checked against the store, which must have been
-        stored for corpus files with these checksums, and no id may be listed
-        twice in them; only the pairs of parts are built.  They copy their
-        values, so the file's buffer is freed on return: views that kept it
-        alive read higher peak RSS in ``train cnn``.
+        The store must have been stored for corpus files with these checksums;
+        only the pairs of parts are built.  They copy their values, so the
+        file's buffer is freed on return: views that kept it alive read
+        higher peak RSS in ``train cnn``.
         """
         checksums = self.checksums
-        manifests = {part: _read_manifest(self.mdir / f"{part}.ids") for part in SPLITS}
         path = self.mdir / CORPUS_STORE
         if not path.is_file():
             raise InputError(f"missing corpus store {path}; run `causalpairs ingest` first")
@@ -156,23 +145,20 @@ class _Corpus:
             _, meta, arrays = modelfile.read(path, "corpus")
             if meta.get("input_checksums") != checksums:
                 raise InputError(f"{path} was stored for other corpus files")
-            ids, kinds, labels = meta["ids"], meta["kinds"], meta["labels"]
+            ids, kinds, labels, sizes = (
+                meta[key] for key in ("ids", "kinds", "labels", "split_sizes")
+            )
             n_obs, x, y = arrays["n_obs"], arrays["x"], arrays["y"]
+            # each split size a non-negative int, together the pair count
             if not (
-                len(ids) == len(kinds) == len(labels) == len(n_obs)
+                len(ids) == len(kinds) == len(labels) == len(n_obs) == sum(sizes)
                 and n_obs.ndim == 1 and n_obs.sum() == len(x) == len(y)
+                and len(sizes) == len(SPLITS) and all(type(n) is int and n >= 0 for n in sizes)
             ):
-                raise InputError(f"{path}: corpus store arrays do not match its ids")
-            row_of = {pid: k for k, pid in enumerate(ids)}
-            listed = [pid for part in SPLITS for pid in manifests[part]]
-            missing = [pid for pid in listed if pid not in row_of]
-            if missing:
-                raise InputError(f"manifest ids missing from corpus: {missing[:5]}...")
-            # an id in two manifests would leak pairs between splits
-            repeated = [pid for pid, count in Counter(listed).items() if count > 1]
-            if repeated:
-                raise InputError(f"manifest ids listed more than once: {repeated[:5]}...")
+                raise InputError(f"{path}: corpus store arrays and split sizes do not match its ids")
             ends = np.cumsum(n_obs)
+            bounds = np.cumsum([0, *sizes]).tolist()
+            rows = dict(zip(SPLITS, map(range, bounds, bounds[1:])))
 
             def pair(k):
                 span = slice(ends[k] - n_obs[k], ends[k])
@@ -182,7 +168,7 @@ class _Corpus:
                     AttributeKind(kx), AttributeKind(ky), labels[k],
                 )
 
-            return tuple([pair(row_of[pid]) for pid in manifests[part]] for part in parts)
+            return tuple([pair(k) for k in rows[part]] for part in parts)
         except (KeyError, TypeError, ValueError, AttributeError, InputError) as exc:
             raise InputError(f"{exc}; run `causalpairs ingest` again") from exc
 
@@ -263,7 +249,7 @@ def cmd_ingest(args, out, corpus):
     instances = read_pairs_files(*corpus.files.values())
     spec = SplitSpec(train_frac=args.train_frac, val_frac=args.val_frac, seed=args.seed)
     parts = split(instances, spec)
-    corpus.store(instances, parts)
+    corpus.store(parts)
     return (
         f"ingested {len(instances)} instances: "
         f"{len(parts[0])}/{len(parts[1])}/{len(parts[2])} train/val/test"
@@ -520,7 +506,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cat-bins", type=int, default=None,
                    help="post-discretize both attributes into this many categories")
 
-    p = _add_command(sub, "ingest", cmd_ingest, "parse a corpus and write split manifests",
+    p = _add_command(sub, "ingest", cmd_ingest, "parse and split a corpus into the corpus store",
                      seed="")
     p.add_argument("--train-frac", type=float, default=0.70)
     p.add_argument("--val-frac", type=float, default=0.15)

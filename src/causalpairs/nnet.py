@@ -75,9 +75,8 @@ import math
 import numpy as np
 
 from .errors import ConfigurationError, ShapeError, TrainingError
+from .probs import log_loss
 from .seeding import make_rng
-
-EPS_LOG = 1e-12
 
 # Byte budget of one chunk of images; see the module docstring.
 _CHUNK_BYTES = 1 << 20
@@ -424,9 +423,10 @@ class Network:
         probs = softmax_batch(inputs.pop())
         n = x.shape[0]
         classes = np.asarray(classes)
+        # log_loss would wrap a negative index round to the last class
         if ((classes < 0) | (classes >= probs.shape[1])).any():
             raise IndexError(f"classes {classes} outside [0, {probs.shape[1]})")
-        loss = float(-np.log(probs[np.arange(n), classes] + EPS_LOG).mean())
+        loss = log_loss(probs, classes)
         g = probs.copy()
         g[np.arange(n), classes] -= 1.0
         g /= n
@@ -450,7 +450,7 @@ def gradient_check(
     """Max relative error between analytic and central-difference gradients.
 
     The analytic gradients are those of Network.loss_and_backward on x as a
-    batch of one; the differences are of -log(p[true_class] + 1e-12).
+    batch of one; the differences are of its loss, probs.log_loss.
     Samples up to max_params parameters (at least 200 when available,
     seeded); relative error is |a - n| / max(|a|, |n|, 1e-8).
     """
@@ -465,7 +465,7 @@ def gradient_check(
 
     def loss():
         # forward alone leaves the analytic gradients in grads untouched
-        return float(-np.log(network.forward(x)[0, true_class] + EPS_LOG))
+        return log_loss(network.forward(x), [true_class])
 
     worst = 0.0
     for i in chosen:

@@ -789,14 +789,20 @@ class TestCorpusStore:
 
         corpus = mixed_kind_corpus(tmp_path)
         assert run("ingest", *corpus_flags(corpus), "--out", tmp_path, "--seed", 1) == 0
-        _, meta, _ = modelfile.read(tmp_path / "manifests" / "corpus.cpmf", "corpus")
-        assert meta["ids"] == ["n1", "c1", "b1", "c2", "n2"]
+        mdir = tmp_path / "manifests"
+        _, meta, _ = modelfile.read(mdir / "corpus.cpmf", "corpus")
+        # split order: train, then val, then test, each as its manifest lists it
+        listed = [(mdir / f"{part}.ids").read_text().split() for part in ("train", "val", "test")]
+        assert meta["ids"] == [pid for ids in listed for pid in ids]
+        assert meta["split_sizes"] == [3, 0, 2]
         args = argparse.Namespace(out=tmp_path, **{
             name: corpus / f"{name}.csv" for name in ("pairs", "info", "target")
         })
         splits = cli._Corpus(args).load(("train", "val", "test"))
-        loaded = sorted((i for part in splits for i in part), key=lambda i: meta["ids"].index(i.id))
+        assert [i.id for part in splits for i in part] == meta["ids"]
         parsed = read_pairs_files(*(corpus / f"{n}.csv" for n in ("pairs", "info", "target")))
+        order = [i.id for i in parsed]
+        loaded = sorted((i for part in splits for i in part), key=lambda i: order.index(i.id))
         assert {i.x_kind.value for i in loaded} | {i.y_kind.value for i in loaded} == {
             "num", "cat", "bin"
         }
@@ -887,27 +893,55 @@ class TestCorpusStore:
             # called a corpus store, not a model file
             assert "retrain" not in err and "model" not in err
 
-    def test_every_manifest_is_checked_against_the_store(self, corpus, tmp_path, capsys):
-        # train builds only its train and val pairs, but an unknown test id still fails
-        assert run("ingest", *corpus_flags(corpus), "--out", tmp_path, "--seed", 1) == 0
-        with open(tmp_path / "manifests" / "test.ids", "a") as f:
-            f.write("no-such-pair\n")
-        capsys.readouterr()
-        assert run("train", "gbc", *corpus_flags(corpus), "--out", tmp_path) == 2
-        assert "manifest ids missing from corpus: ['no-such-pair']" in capsys.readouterr().err
+    @pytest.mark.parametrize("damage", ["deleted", "corrupted"])
+    def test_manifests_are_not_read(self, corpus, trained, tmp_path, damage):
+        # the split lives in the store; the .ids files are for people to read
+        import shutil
 
-    @pytest.mark.parametrize("manifest,source", [("train", "test"), ("train", "train")],
-                             ids=["across-manifests", "within-one"])
-    def test_an_id_listed_twice_is_input_error(self, corpus, tmp_path, capsys, manifest, source):
-        # a test pair listed in train.ids too would be trained on
+        outputs = []
+        for name in ("untouched", damage):
+            out = tmp_path / name
+            shutil.copytree(trained, out)
+            for part in ("train", "val", "test"):
+                manifest = out / "manifests" / f"{part}.ids"
+                if name == "deleted":
+                    manifest.unlink()
+                elif name == "corrupted":
+                    manifest.write_bytes(b"pair\xff\nno-such-pair\npair00003\npair00003\n")
+            assert run("train", "gbc", *corpus_flags(corpus), "--out", out, "--n-estimators", 2) == 0
+            assert run(
+                "evaluate", *corpus_flags(corpus), "--out", out,
+                "--model", out / "models" / "cnn.model", "--model2", out / "models" / "gbc.model",
+            ) == 0
+            outputs.append([
+                (out / path).read_bytes() for path in (
+                    "models/gbc.model", "reports/gbc_train_log.csv",
+                    "reports/predictions.csv", "reports/report.txt",
+                )
+            ])
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("sizes", [
+        None, [3, 1, 1], [50, -1, -1], [40, 4.0, 4], [40, True, 7], [40, "4", 4], [40, 8],
+    ], ids=["missing", "wrong-sum", "negative", "float", "bool", "str", "two"])
+    def test_bad_split_sizes_are_input_error(self, corpus, tmp_path, capsys, sizes):
+        # "missing" is a store written before the store held the split
+        from causalpairs import modelfile
+
         assert run("ingest", *corpus_flags(corpus), "--out", tmp_path, "--seed", 1) == 0
-        mdir = tmp_path / "manifests"
-        pid = (mdir / f"{source}.ids").read_text().split()[0]
-        with open(mdir / f"{manifest}.ids", "a") as f:
-            f.write(pid + "\n")
+        store = tmp_path / "manifests" / "corpus.cpmf"
+        _, meta, arrays = modelfile.read(store, "corpus")
+        assert sum(meta["split_sizes"]) == 48
+        if sizes is None:
+            del meta["split_sizes"]
+        else:
+            meta["split_sizes"] = sizes
+        modelfile.write(store, "corpus", meta, arrays)
         capsys.readouterr()
         assert run("train", "gbc", *corpus_flags(corpus), "--out", tmp_path) == 2
-        assert f"manifest ids listed more than once: [{pid!r}]" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "run `causalpairs ingest` again" in err and "Traceback" not in err
+        assert not (tmp_path / "models").exists()
 
     def test_ingest_writes_identical_stores(self, corpus, tmp_path):
         stores = []
@@ -918,42 +952,24 @@ class TestCorpusStore:
         assert stores[0] == stores[1]
 
 
-def test_empty_train_manifest_is_input_error(corpus, tmp_path, capsys):
-    assert run("ingest", *corpus_flags(corpus), "--out", tmp_path, "--seed", 1) == 0
-    (tmp_path / "manifests" / "train.ids").write_text("")
-    assert run("train", "gbc", *corpus_flags(corpus), "--out", tmp_path) == 2
+def test_empty_train_split_is_input_error(corpus, tmp_path, capsys):
+    # floor(0.02 * 48) = 0 training pairs
+    argv = [*corpus_flags(corpus), "--out", tmp_path]
+    assert run("ingest", *argv, "--seed", 1, "--train-frac", 0.02) == 0
+    assert run("train", "gbc", *argv) == 2
     assert "Traceback" not in capsys.readouterr().err
 
 
-def test_empty_val_manifest_is_input_error_when_tuning(corpus, trained, tmp_path, capsys):
-    import shutil
-
-    out = tmp_path / "run"
-    shutil.copytree(trained, out)
-    (out / "manifests" / "val.ids").write_text("")
+def test_empty_val_split_is_input_error_when_tuning(corpus, trained, tmp_path, capsys):
+    argv = [*corpus_flags(corpus), "--out", tmp_path]
+    assert run("ingest", *argv, "--seed", 1, "--val-frac", 0.02) == 0
     code = run(
-        "evaluate", *corpus_flags(corpus), "--out", out,
-        "--model", out / "models" / "cnn.model",
-        "--model2", out / "models" / "gbc.model", "--weight", "tune",
-    )
-    assert code == 2
-    assert "cannot tune on an empty validation set" in capsys.readouterr().err
-
-
-def test_non_utf8_manifest_is_input_error(corpus, trained, tmp_path, capsys):
-    import shutil
-
-    out = tmp_path / "run"
-    shutil.copytree(trained, out)
-    manifest = out / "manifests" / "test.ids"
-    manifest.write_bytes(manifest.read_bytes() + b"pair\xff\n")
-    code = run(
-        "evaluate", *corpus_flags(corpus), "--out", out,
-        "--model", out / "models" / "gbc.model",
+        "evaluate", *argv, "--model", trained / "models" / "cnn.model",
+        "--model2", trained / "models" / "gbc.model", "--weight", "tune",
     )
     assert code == 2
     err = capsys.readouterr().err
-    assert str(manifest) in err and "not UTF-8" in err
+    assert "cannot tune on an empty validation set" in err and "Traceback" not in err
 
 
 class TestSparseSweep:
@@ -1001,7 +1017,7 @@ class TestSparseSweep:
         assert code == 2
 
     def test_fits_and_scores_on_the_ingested_split(self, corpus, tmp_path, monkeypatch):
-        # other fractions and another seed than the sweep's: the manifests rule
+        # other fractions and another seed than the sweep's: ingest's split rules
         from causalpairs import cli
 
         assert run(
@@ -1124,8 +1140,6 @@ def test_unsafe_pair_id_in_the_store_is_input_error(corpus, tmp_path, capsys):
     _, meta, arrays = modelfile.read(store, "corpus")
     meta["ids"][meta["ids"].index("pair00003")] = "../../escaped"
     modelfile.write(store, "corpus", meta, arrays)
-    train_ids = out / "manifests" / "train.ids"
-    train_ids.write_text(train_ids.read_text().replace("pair00003", "../../escaped"))
     capsys.readouterr()
     assert run("rasterize", *corpus_flags(corpus), "--out", out, "--side", 32) == 2
     assert "instance id '../../escaped' must be non-empty" in capsys.readouterr().err
