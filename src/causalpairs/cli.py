@@ -129,13 +129,14 @@ class _Corpus:
         }
         modelfile.write(self.mdir / CORPUS_STORE, "corpus", meta, arrays)
 
-    def load(self, parts) -> tuple:
-        """The instances of each split in parts, sliced from the store.
+    def load(self, parts) -> dict:
+        """The instances of each split named in parts, by name, sliced from the store.
 
-        The store must have been stored for corpus files with these checksums;
-        only the pairs of parts are built.  They copy their values, so the
-        file's buffer is freed on return: views that kept it alive read
-        higher peak RSS in ``train cnn``.
+        The store must have been stored for corpus files with these checksums.
+        Only the pairs of the named splits are built, each split once however
+        often parts names it.  They copy their values, so the file's buffer
+        is freed on return: views that kept it alive read higher peak RSS in
+        ``train cnn``.
         """
         checksums = self.checksums
         path = self.mdir / CORPUS_STORE
@@ -168,7 +169,7 @@ class _Corpus:
                     AttributeKind(kx), AttributeKind(ky), labels[k],
                 )
 
-            return tuple([pair(k) for k in rows[part]] for part in parts)
+            return {part: [pair(k) for k in rows[part]] for part in dict.fromkeys(parts)}
         except (KeyError, TypeError, ValueError, AttributeError, InputError) as exc:
             raise InputError(f"{exc}; run `causalpairs ingest` again") from exc
 
@@ -257,7 +258,7 @@ def cmd_ingest(args, out, corpus):
 
 
 def cmd_rasterize(args, out, corpus):
-    instances = [i for part in corpus.load(SPLITS) for i in part]
+    instances = [i for part in corpus.load(SPLITS).values() for i in part]
     images = raster.rasterize_all(instances, args.side)
     imgdir = out / "images"
     imgdir.mkdir(parents=True, exist_ok=True)
@@ -297,11 +298,13 @@ def _fit_gbc(args, train_insts):
 
 
 def cmd_train(args, out, corpus):
-    train_insts, val_insts = corpus.load(("train", "val"))
+    # the CNN keeps its epoch of lowest validation log-loss; the GBC uses no val pairs
+    parts = corpus.load(("train", "val") if args.kind == "cnn" else ("train",))
+    train_insts = parts["train"]
     if args.augment:
         train_insts = augment_all(train_insts)
     if args.kind == "cnn":
-        model, history = _fit_cnn(args, train_insts, val_insts)
+        model, history = _fit_cnn(args, train_insts, parts["val"])
         save = cnn.save_model
         header = "epoch,train_loss,train_accuracy,val_accuracy,val_log_loss"
         rows = [
@@ -309,7 +312,8 @@ def cmd_train(args, out, corpus):
             f"{format_float(m.val_accuracy)},{format_float(m.val_log_loss)}"
             for m in history
         ]
-        summary = f"lowest val log-loss {min(m.val_log_loss for m in history):.4f}"
+        summary = (f"lowest val log-loss {min(m.val_log_loss for m in history):.4f}"
+                   if parts["val"] else "no val pairs, last epoch kept")
     else:
         model = _fit_gbc(args, train_insts)
         save = boosting.save_gbc
@@ -361,32 +365,26 @@ def _parse_weight(text):
     # written so that NaN fails too
     if not 0 <= w <= 1:
         raise ConfigurationError(f"--weight must be a number in [0,1] or 'tune', got {text!r}")
-    return w
+    return abs(w)  # -0 as 0, so that its outputs are those of 0
 
 
 def cmd_evaluate(args, out, corpus):
     # checked whether or not there is a --model2, before anything is read
     weight = _parse_weight(args.weight)
     corpus.checksums  # before the models are read
-    model = _load_model(args.model)
-    model2 = _load_model(args.model2) if args.model2 else None
+    models = [_load_model(p) for p in ([args.model, args.model2] if args.model2 else [args.model])]
+    tune = len(models) == 2 and weight == "tune"
     # the corpus after the models: the other way round, bench/run.py read a
-    # peak RSS about 5 MB higher for evaluate
-    target, val = corpus.load((args.split, "val"))
+    # peak RSS about 5 MB higher for evaluate.  Val only to tune on; on
+    # --split val the target's probabilities are the tuning ones.
+    parts = corpus.load((args.split, "val") if tune else (args.split,))
+    scored = {name: [_model_probs(m, insts) for m in models] for name, insts in parts.items()}
+    target = parts[args.split]
     truths = [inst.label for inst in target]
-    p1 = _model_probs(model, target)
-    chosen_w = None
-    if model2 is not None:
-        p2 = _model_probs(model2, target)
-        if weight == "tune":
-            chosen_w = tune_weight(
-                _model_probs(model, val), _model_probs(model2, val), [i.label for i in val]
-            )
-        else:
-            chosen_w = weight
-        probs = combine_probs(p1, p2, chosen_w)
-    else:
-        probs = p1
+    probs, chosen_w = scored[args.split][0], None
+    if len(models) == 2:
+        chosen_w = tune_weight(*scored["val"], [i.label for i in parts["val"]]) if tune else weight
+        probs = combine_probs(*scored[args.split], chosen_w)
     preds = predict_labels(probs)
     acc = accuracy(preds, truths)
     auc, auc_fwd, auc_bwd = auc_bidirectional_parts(
@@ -419,7 +417,7 @@ def cmd_sparse_sweep(args, out, corpus):
     counts = _parse_ints(args.obs_counts, "--obs-counts")
     if any(c < 2 for c in counts):
         raise ConfigurationError(f"observation counts must be >= 2: {counts}")
-    parts = corpus.load(SPLITS)
+    parts = corpus.load(SPLITS).values()
     rows = []
     for count in counts:
         clamped = sum(inst.n_obs < count for part in parts for inst in part)

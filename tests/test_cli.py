@@ -316,6 +316,33 @@ class TestEvaluate:
         assert not (out / "evaluate.run.meta").exists()
 
 
+    def evaluate_outputs(self, corpus, trained, capsys, *flags):
+        """The reports and the summary line of an ensemble evaluate with flags."""
+        code = run(
+            "evaluate", *corpus_flags(corpus), "--out", trained,
+            "--model", trained / "models" / "cnn.model",
+            "--model2", trained / "models" / "gbc.model", *flags,
+        )
+        assert code == 0
+        reports = [(trained / "reports" / name).read_bytes()
+                   for name in ("predictions.csv", "report.txt")]
+        return reports, capsys.readouterr().out
+
+    @pytest.mark.parametrize("split", ["val", "test"])
+    def test_tuned_run_matches_a_run_at_the_chosen_weight(self, corpus, trained, capsys, split):
+        tuned = self.evaluate_outputs(corpus, trained, capsys, "--split", split, "--weight", "tune")
+        report = dict(line.split("=") for line in tuned[0][1].decode().splitlines())
+        fixed = self.evaluate_outputs(
+            corpus, trained, capsys, "--split", split, "--weight", report["w"]
+        )
+        assert fixed == tuned
+
+    def test_negative_zero_weight_is_zero(self, corpus, trained, capsys):
+        outputs = [self.evaluate_outputs(corpus, trained, capsys, "--weight", w)
+                   for w in ("-0", "0")]
+        assert outputs[0] == outputs[1]
+        assert b"w=0.0\n" in outputs[0][0][1] and ", w=0.0\n" in outputs[0][1]
+
     @pytest.mark.parametrize("weight", ["banana", "1.5", "-0.1", "nan"])
     @pytest.mark.parametrize("model2", [False, True], ids=["one-model", "two-models"])
     def test_bad_weight_fails_before_any_file_is_read(
@@ -798,7 +825,7 @@ class TestCorpusStore:
         args = argparse.Namespace(out=tmp_path, **{
             name: corpus / f"{name}.csv" for name in ("pairs", "info", "target")
         })
-        splits = cli._Corpus(args).load(("train", "val", "test"))
+        splits = cli._Corpus(args).load(("train", "val", "test")).values()
         assert [i.id for part in splits for i in part] == meta["ids"]
         parsed = read_pairs_files(*(corpus / f"{n}.csv" for n in ("pairs", "info", "target")))
         order = [i.id for i in parsed]
@@ -970,6 +997,91 @@ def test_empty_val_split_is_input_error_when_tuning(corpus, trained, tmp_path, c
     assert code == 2
     err = capsys.readouterr().err
     assert "cannot tune on an empty validation set" in err and "Traceback" not in err
+
+
+def test_train_cnn_without_val_pairs_keeps_the_last_epoch(corpus, tmp_path, capsys):
+    # floor(0.01 * 48) = 0 validation pairs
+    argv = [*corpus_flags(corpus), "--out", tmp_path]
+    assert run("ingest", *argv, "--seed", 1, "--val-frac", 0.01) == 0
+    capsys.readouterr()
+    assert run("train", "cnn", *argv, "--side", 32, "--channels", TINY_CHANNELS,
+               "--epochs", 2, "--batch-size", 8) == 0
+    summary = capsys.readouterr().out
+    assert summary.endswith("(plain); no val pairs, last epoch kept\n") and "nan" not in summary
+
+
+class TestEachSplitBuiltOnce:
+    """A command builds the pairs of exactly the splits it uses, each once,
+    and each model scores each of them once."""
+
+    @pytest.fixture
+    def record(self, monkeypatch):
+        """(ids of the pairs cli builds, (model kind, ids) of each _model_probs call)."""
+        from causalpairs import cli, cnn
+
+        built, scored = [], []
+        make_pair, model_probs = cli.PairInstance, cli._model_probs
+
+        def record_pair(pid, *args):
+            built.append(pid)
+            return make_pair(pid, *args)
+
+        def record_probs(model, instances):
+            kind = "cnn" if isinstance(model, cnn.CnnModel) else "gbc"
+            scored.append((kind, [i.id for i in instances]))
+            return model_probs(model, instances)
+
+        monkeypatch.setattr(cli, "PairInstance", record_pair)
+        monkeypatch.setattr(cli, "_model_probs", record_probs)
+        return built, scored
+
+    @staticmethod
+    def listed(out):
+        return {part: (out / "manifests" / f"{part}.ids").read_text().split()
+                for part in ("train", "val", "test")}
+
+    @pytest.mark.parametrize("flags, calls", [
+        # on --split val the target's probabilities are the tuning ones
+        (["--model2", "gbc", "--split", "val"], ["cnn val", "gbc val"]),
+        (["--model2", "gbc"], ["cnn test", "gbc test", "cnn val", "gbc val"]),
+        (["--model2", "gbc", "--weight", 0.5], ["cnn test", "gbc test"]),
+        ([], ["cnn test"]),
+    ], ids=["tune-on-val", "tune-on-test", "fixed-weight", "one-model"])
+    def test_evaluate(self, corpus, trained, record, flags, calls):
+        flags = [trained / "models" / "gbc.model" if f == "gbc" else f for f in flags]
+        code = run("evaluate", *corpus_flags(corpus), "--out", trained,
+                   "--model", trained / "models" / "cnn.model", *flags)
+        assert code == 0
+        listed = self.listed(trained)
+        calls = [call.split() for call in calls]
+        splits = dict.fromkeys(part for _, part in calls)
+        assert record == (
+            [pid for part in splits for pid in listed[part]],
+            [(kind, listed[part]) for kind, part in calls],
+        )
+
+    @pytest.mark.parametrize("kind, flags, splits", [
+        ("gbc", ["--n-estimators", 2], ["train"]),
+        ("cnn", ["--side", 32, "--channels", TINY_CHANNELS, "--epochs", 1], ["train", "val"]),
+    ], ids=["gbc", "cnn"])
+    def test_train(self, corpus, tmp_path, record, kind, flags, splits):
+        argv = [*corpus_flags(corpus), "--out", tmp_path]
+        assert run("ingest", *argv, "--seed", 1) == 0
+        assert run("train", kind, *argv, *flags) == 0
+        listed = self.listed(tmp_path)
+        assert record == ([pid for part in splits for pid in listed[part]], [])
+
+    @pytest.mark.parametrize("flags", [
+        ["--model2", "gbc", "--weight", 0.5], [],
+    ], ids=["fixed-weight", "one-model"])
+    def test_evaluate_without_val_pairs(self, corpus, trained, tmp_path, flags):
+        # only tuning the weight of two models needs validation pairs
+        argv = [*corpus_flags(corpus), "--out", tmp_path]
+        assert run("ingest", *argv, "--seed", 1, "--val-frac", 0.02) == 0
+        assert self.listed(tmp_path)["val"] == []
+        flags = [trained / "models" / "gbc.model" if f == "gbc" else f for f in flags]
+        code = run("evaluate", *argv, "--model", trained / "models" / "cnn.model", *flags)
+        assert code == 0
 
 
 class TestSparseSweep:
