@@ -24,9 +24,11 @@ for name in ("pearson", "condstd_mean_xy", "condstd_mean_yx", "resvar_xy", "resv
 # directional features come in xy/yx twins: the asymmetry between the two
 # fits is what carries the causal signal for additive-noise data
 cfg = GbcConfig(n_estimators=120, max_depth=4, min_samples_split=4)
-model = gbc_fit(extract_features(train), [i.label for i in train], cfg)
+# gbc_fit returns the model and its train log-loss, one value per round and
+# one before the first
+model, logloss = gbc_fit(extract_features(train), [i.label for i in train], cfg)
 print(f"\nboosting: {cfg.n_estimators} rounds x 3 class trees, "
-      f"logloss {model.train_logloss[0]:.3f} -> {model.train_logloss[-1]:.3f}")
+      f"logloss {logloss[0]:.3f} -> {logloss[-1]:.3f}")
 
 # one row per pair, columns p_1, p_0, p_-1
 probs = gbc_predict_batch(model, extract_features(test))

@@ -254,7 +254,6 @@ class BoostedModel:
     init_scores: np.ndarray
     n_features: int
     config: GbcConfig
-    train_logloss: list
 
     def decision_scores(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=np.float64)
@@ -274,7 +273,7 @@ class BoostedModel:
         return scores
 
 
-def gbc_fit(X: np.ndarray, labels, cfg: GbcConfig = GbcConfig()) -> BoostedModel:
+def gbc_fit(X: np.ndarray, labels, cfg: GbcConfig = GbcConfig()):
     """Fit the multiclass boosted model on (feature matrix, labels in {1,0,-1}).
 
     A label count other than the row count raises ShapeError; a label
@@ -282,6 +281,7 @@ def gbc_fit(X: np.ndarray, labels, cfg: GbcConfig = GbcConfig()) -> BoostedModel
     fit whose final train log-loss is above the initial one raises
     TrainingError, as does one whose class scores stop being finite; a
     rise of up to 16 ulps of the initial loss is rounding, not divergence.
+    Returns (BoostedModel, [train log-loss before the first round and after each]).
     """
     X = np.asarray(X, dtype=np.float64)
     labels = list(labels)
@@ -337,7 +337,7 @@ def gbc_fit(X: np.ndarray, labels, cfg: GbcConfig = GbcConfig()) -> BoostedModel
             f"boosting diverged: final train log-loss {logloss[-1]:.4f}"
             f" is above the initial {logloss[0]:.4f}"
         )
-    return BoostedModel(
+    model = BoostedModel(
         trees=RegressionTree(
             [tree.n_nodes for tree in trees],
             *(np.concatenate([getattr(tree, name) for tree in trees]) for name in _NODE_DTYPES),
@@ -345,8 +345,8 @@ def gbc_fit(X: np.ndarray, labels, cfg: GbcConfig = GbcConfig()) -> BoostedModel
         init_scores=init_scores,
         n_features=n_feat,
         config=cfg,
-        train_logloss=logloss,
     )
+    return model, logloss
 
 
 def gbc_predict_batch(model: BoostedModel, X: np.ndarray) -> np.ndarray:
@@ -367,7 +367,6 @@ def save_gbc(model: BoostedModel, path) -> None:
         "n_features": model.n_features,
         "config": asdict(model.config),
         "label_to_class": {str(k): v for k, v in LABEL_TO_CLASS.items()},
-        "train_logloss": model.train_logloss,
     }
     arrays = {
         "init_scores": model.init_scores,
@@ -401,12 +400,10 @@ def gbc_from_file(path, meta: dict, arrays: dict) -> BoostedModel:
         config = GbcConfig(**meta["config"])
         n_features = meta["n_features"]
         label_to_class = {int(k): v for k, v in meta["label_to_class"].items()}
-        train_logloss = meta["train_logloss"]
         init_scores, n_nodes, *nodes = columns = [arrays[name] for name in _ARRAYS]
         consistent = (
             type(n_features) is int
             and label_to_class == LABEL_TO_CLASS
-            and len(train_logloss) == config.n_estimators + 1
             and all(a.dtype == dtype and a.ndim == 1 for a, dtype in zip(columns, _ARRAYS.values()))
             and init_scores.shape == (len(LABELS),)
             and n_nodes.shape == (config.n_estimators * len(LABELS),)
@@ -423,5 +420,4 @@ def gbc_from_file(path, meta: dict, arrays: dict) -> BoostedModel:
         init_scores=np.array(init_scores),
         n_features=n_features,
         config=config,
-        train_logloss=train_logloss,
     )

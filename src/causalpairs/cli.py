@@ -23,9 +23,9 @@ flag checks; its outputs, each directory made with its first file; then
 rerun byte for byte) and the summary line.  A failed command writes no
 run.meta, and a refused one no directory.
 
-Exit codes: 0 success, 2 input error (an output path that cannot be written
-and a --side whose image stack cannot be allocated included), 3 training
-failure, 4 undefined metric.
+Exit codes: 0 success, 2 input error (an output path that cannot be written,
+and a --side whose image stack or CNN parameters cannot be allocated,
+included), 3 training failure, 4 undefined metric.
 """
 
 import argparse
@@ -285,7 +285,7 @@ def _fit_cnn(args, train_insts, val_insts):
 
 
 def _fit_gbc(args, train_insts):
-    """BoostedModel from the CLI's GBC flags."""
+    """(BoostedModel, train log-loss) from the CLI's GBC flags."""
     cfg = boosting.GbcConfig(
         n_estimators=args.n_estimators,
         max_depth=args.max_depth,
@@ -315,11 +315,11 @@ def cmd_train(args, out, corpus):
         summary = (f"lowest val log-loss {min(m.val_log_loss for m in history):.4f}"
                    if parts["val"] else "no val pairs, last epoch kept")
     else:
-        model = _fit_gbc(args, train_insts)
+        model, logloss = _fit_gbc(args, train_insts)
         save = boosting.save_gbc
         header = "round,train_logloss"
-        rows = [f"{r},{format_float(ll)}" for r, ll in enumerate(model.train_logloss)]
-        summary = f"final train logloss {model.train_logloss[-1]:.4f}"
+        rows = [f"{r},{format_float(ll)}" for r, ll in enumerate(logloss)]
+        summary = f"final train logloss {logloss[-1]:.4f}"
     (out / "models").mkdir(parents=True, exist_ok=True)
     save(model, out / "models" / f"{args.kind}.model")
     _write_lines(
@@ -434,7 +434,7 @@ def cmd_sparse_sweep(args, out, corpus):
         if args.augment:
             train_insts = augment_all(train_insts)
         cnn_model, _ = _fit_cnn(args, train_insts, val_insts)
-        gbc_model = _fit_gbc(args, train_insts)
+        gbc_model, _ = _fit_gbc(args, train_insts)
         truths = [i.label for i in test_insts]
         row = [count]
         for probs in [_model_probs(m, test_insts) for m in (cnn_model, gbc_model)]:

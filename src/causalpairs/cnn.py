@@ -23,10 +23,8 @@ files store that vector as it is, and a loaded model's params are the
 array read from its file.
 """
 
-import hashlib
 import math
-import struct
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 
 import numpy as np
 
@@ -52,14 +50,11 @@ DTYPE = np.float32
 class CnnArchitecture:
     stages: tuple
     dense_units: tuple = DENSE_UNITS
-    output_units: int = OUTPUT_UNITS
     input_side: int = 200
 
     def __post_init__(self):
         if len(self.stages) != N_STAGES or any(len(s) != 2 for s in self.stages):
             raise ConfigurationError(f"exactly {N_STAGES} stages of two channel counts required")
-        if type(self.output_units) is not int or self.output_units != 3:
-            raise ConfigurationError("output layer must have 3 units")
         sizes = [self.input_side, *self.dense_units, *(c for s in self.stages for c in s)]
         # five poolings must leave a side of at least 1
         if not all(type(v) is int and v > 0 for v in sizes) or self.input_side < 32:
@@ -104,21 +99,24 @@ def _layers(arch: CnnArchitecture) -> list:
         if i < 2:
             layers.append(nnet.Relu())
         n_in = units
-    layers.append(nnet.Dense(n_in, arch.output_units))
+    layers.append(nnet.Dense(n_in, OUTPUT_UNITS))
     return layers
 
 
 def build_network(arch: CnnArchitecture, seed: int) -> nnet.Network:
-    """The layer stack of arch in DTYPE, with seeded Glorot-uniform weights."""
-    return nnet.Network(_layers(arch), DTYPE, make_rng(derive_seed(seed, "init")))
+    """The layer stack of arch in DTYPE, with seeded Glorot-uniform weights;
+    parameters too large to allocate raise ConfigurationError."""
+    try:
+        return nnet.Network(_layers(arch), DTYPE, make_rng(derive_seed(seed, "init")))
+    except MemoryError:
+        side = arch.input_side
+        raise ConfigurationError(f"CNN parameters at input side {side} do not fit in memory") from None
 
 
 @dataclass
 class CnnModel:
     network: nnet.Network
     arch: CnnArchitecture
-    train_config: dict = field(default_factory=dict)
-    data_checksum: str = ""
 
 
 @dataclass(frozen=True)
@@ -208,22 +206,7 @@ def train_cnn(pixels, labels, arch: CnnArchitecture, cfg: TrainConfig,
             best_params = network.params.copy()
     if best_params is not None:
         network.params[...] = best_params
-    model = CnnModel(
-        network=network,
-        arch=arch,
-        train_config=asdict(cfg),
-        data_checksum=_dataset_checksum(pixels, labels),
-    )
-    return model, history
-
-
-def _dataset_checksum(pixels, labels) -> str:
-    """SHA-256 over each image's label, side and pixel bytes, in order."""
-    h = hashlib.sha256()
-    for img, label in zip(pixels, labels):
-        h.update(struct.pack("<iI", label, len(img)))
-        h.update(img.tobytes())
-    return h.hexdigest()
+    return CnnModel(network, arch), history
 
 
 def predict_batch(model: CnnModel, pixels) -> np.ndarray:
@@ -243,8 +226,6 @@ def save_model(model: CnnModel, path) -> None:
     meta = {
         "arch": asdict(model.arch),
         "label_to_class": {str(k): v for k, v in LABEL_TO_CLASS.items()},
-        "train_config": model.train_config,
-        "data_checksum": model.data_checksum,
     }
     modelfile.write(path, "cnn", meta, {"params": model.network.params})
 
@@ -259,11 +240,10 @@ def model_from_file(path, meta: dict, arrays: dict) -> CnnModel:
     """The CnnModel a model file's meta and arrays describe (see load_model)."""
     try:
         a = meta["arch"]
-        arch = CnnArchitecture(**dict(
-            a, stages=tuple(tuple(s) for s in a["stages"]), dense_units=tuple(a["dense_units"])
-        ))
+        arch = CnnArchitecture(
+            tuple(tuple(s) for s in a["stages"]), tuple(a["dense_units"]), a["input_side"]
+        )
         label_to_class = {int(k): v for k, v in meta["label_to_class"].items()}
-        train_config, data_checksum = meta["train_config"], meta["data_checksum"]
         params = arrays["params"]
     except (ValueError, KeyError, TypeError, AttributeError, ConfigurationError) as exc:
         raise InputError(f"{path}: bad CNN model metadata: {exc}") from exc
@@ -280,4 +260,4 @@ def model_from_file(path, meta: dict, arrays: dict) -> CnnModel:
     if label_to_class != LABEL_TO_CLASS:
         raise InputError(f"{path}: CNN model label mapping {label_to_class} is not the fixed one")
     # the file's own array becomes params: a loaded model holds one copy
-    return CnnModel(nnet.Network(layers, DTYPE, params=params), arch, train_config, data_checksum)
+    return CnnModel(nnet.Network(layers, DTYPE, params=params), arch)

@@ -1,4 +1,4 @@
-"""Weighted probability ensemble, its weight tuned on log-loss, accuracy and ranked AUC.
+"""Weighted probability ensemble, its weight tuned on validation log-loss.
 
 The challenge-style metric is a symmetrized two-direction AUC over the
 signed score s = p_1 - p_-1: the forward AUC ranks s against

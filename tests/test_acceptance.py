@@ -256,8 +256,8 @@ def test_criterion_7_overfit_sanity():
     labels = [int(l) for l in np.array([1, 0, -1])[rng.integers(0, 3, size=60)]]
     centers = {1: (2.0, 0.0), 0: (0.0, 2.0), -1: (-2.0, -2.0)}
     X = np.array([centers[l] for l in labels]) + rng.normal(scale=0.2, size=(60, 2))
-    gmodel = gbc_fit(X, labels, GbcConfig(n_estimators=50, max_depth=3,
-                                          min_samples_split=2))
+    gmodel, _ = gbc_fit(X, labels, GbcConfig(n_estimators=50, max_depth=3,
+                                             min_samples_split=2))
     gpreds = predict_labels(gbc_predict_batch(gmodel, X))
     gbc_acc = accuracy(gpreds, labels)
     gbc_time = time.time() - t0

@@ -289,10 +289,10 @@ class TestPresortedSearch:
         X = tied_matrix(rng, n=90)
         labels = [int(v) for v in rng.integers(-1, 2, size=len(X))]
         cfg = GbcConfig(n_estimators=4, max_depth=5, min_samples_split=4)
-        got = gbc_fit(X, labels, cfg)
+        got, got_logloss = gbc_fit(X, labels, cfg)
         monkeypatch.setattr("causalpairs.boosting.fit_tree", reference_fit_tree)
-        want = gbc_fit(X, labels, cfg)
-        assert got.train_logloss == want.train_logloss
+        want, want_logloss = gbc_fit(X, labels, cfg)
+        assert got_logloss == want_logloss
         assert len(got.trees.sizes) == 4 * 3
         for name in TABLE_ARRAYS:
             assert np.array_equal(getattr(got.trees, name), getattr(want.trees, name)), name
@@ -349,10 +349,10 @@ class TestPresortedSearch:
         X, _ = unsplittable_case(case, np.random.default_rng(12))
         labels = [int(v) for v in np.random.default_rng(13).integers(-1, 2, size=len(X))]
         cfg = GbcConfig(n_estimators=4, max_depth=5, min_samples_split=4)
-        got = gbc_fit(X, labels, cfg)
+        got, got_logloss = gbc_fit(X, labels, cfg)
         monkeypatch.setattr("causalpairs.boosting.fit_tree", reference_fit_tree)
-        want = gbc_fit(X, labels, cfg)
-        assert got.train_logloss == want.train_logloss
+        want, want_logloss = gbc_fit(X, labels, cfg)
+        assert got_logloss == want_logloss
         for name in TABLE_ARRAYS:
             assert np.array_equal(getattr(got.trees, name), getattr(want.trees, name)), name
 
@@ -427,7 +427,7 @@ class TestGbcFit:
     def test_zero_rounds_equal_priors(self):
         X = np.zeros((30, 2))
         labels = [1] * 10 + [0] * 10 + [-1] * 10
-        model = gbc_fit(X, labels, GbcConfig(n_estimators=1, learning_rate=0.0))
+        model, _ = gbc_fit(X, labels, GbcConfig(n_estimators=1, learning_rate=0.0))
         p = gbc_predict_batch(model, np.zeros((1, 2)))
         assert p == pytest.approx(np.full((1, 3), 1 / 3), abs=1e-9)
 
@@ -435,15 +435,15 @@ class TestGbcFit:
         rng = np.random.default_rng(3)
         X = rng.normal(size=(40, 3))
         labels = [1] * 20 + [0] * 10 + [-1] * 10
-        model = gbc_fit(X, labels, GbcConfig(n_estimators=5, learning_rate=0.0))
+        model, _ = gbc_fit(X, labels, GbcConfig(n_estimators=5, learning_rate=0.0))
         p = gbc_predict_batch(model, rng.normal(size=(5, 3)))
         assert p == pytest.approx(np.tile([0.5, 0.25, 0.25], (5, 1)), abs=1e-9)
 
     def test_separable_reaches_perfect_accuracy(self):
         rng = np.random.default_rng(5)
         X, labels = separable_toy(rng)
-        model = gbc_fit(X, labels, GbcConfig(n_estimators=50, max_depth=3,
-                                             min_samples_split=2))
+        model, _ = gbc_fit(X, labels, GbcConfig(n_estimators=50, max_depth=3,
+                                                min_samples_split=2))
         from causalpairs.ensemble import predict_labels
 
         assert predict_labels(gbc_predict_batch(model, X)).tolist() == labels
@@ -453,9 +453,9 @@ class TestGbcFit:
         X = rng.normal(size=(80, 4))
         margin = X[:, 0] + 0.5 * X[:, 1] + rng.normal(scale=0.3, size=80)
         labels = [1 if m > 0.5 else (-1 if m < -0.5 else 0) for m in margin]
-        model = gbc_fit(X, labels, GbcConfig(n_estimators=60, max_depth=3,
+        _, ll = gbc_fit(X, labels, GbcConfig(n_estimators=60, max_depth=3,
                                              min_samples_split=4, learning_rate=0.05))
-        ll = np.array(model.train_logloss)
+        ll = np.array(ll)
         assert (np.diff(ll) <= 1e-12).all()
         assert ll[60] <= ll[30]
 
@@ -472,8 +472,8 @@ class TestGbcFit:
         # ended these fits 1 to 3 ulps above their initial loss
         X = np.tile([1.5, -2.0, 0.0, 7.0], (90, 1))
         labels = np.random.default_rng(label_seed).integers(-1, 2, 90)
-        model = gbc_fit(X, labels, GbcConfig(n_estimators=rounds, max_depth=5))
-        assert model.train_logloss[-1] == pytest.approx(model.train_logloss[0], rel=1e-14)
+        model, ll = gbc_fit(X, labels, GbcConfig(n_estimators=rounds, max_depth=5))
+        assert ll[-1] == pytest.approx(ll[0], rel=1e-14)
         assert (model.trees.feature < 0).all()
 
     def test_single_class_rejected(self):
@@ -501,9 +501,9 @@ class TestGbcFit:
         rng = np.random.default_rng(13)
         X, labels = separable_toy(rng, n=40)
         cfg = GbcConfig(n_estimators=10, max_depth=3, min_samples_split=2)
-        m1 = gbc_fit(X, labels, cfg)
-        m2 = gbc_fit(X, labels, cfg)
-        assert m1.train_logloss == m2.train_logloss
+        _, ll1 = gbc_fit(X, labels, cfg)
+        _, ll2 = gbc_fit(X, labels, cfg)
+        assert ll1 == ll2
 
     def test_config_defaults_match_contract(self):
         cfg = GbcConfig()
@@ -527,8 +527,8 @@ class TestGbcPredict:
     def test_probabilities_sum_to_one(self):
         rng = np.random.default_rng(15)
         X, labels = separable_toy(rng, n=30)
-        model = gbc_fit(X, labels, GbcConfig(n_estimators=10, max_depth=2,
-                                             min_samples_split=2))
+        model, _ = gbc_fit(X, labels, GbcConfig(n_estimators=10, max_depth=2,
+                                                min_samples_split=2))
         p = gbc_predict_batch(model, rng.normal(size=(10, 2)))
         assert p.shape == (10, 3) and p.dtype == np.float64
         assert np.abs(p.sum(axis=1) - 1.0).max() < 1e-9
@@ -536,8 +536,8 @@ class TestGbcPredict:
     def test_purity(self):
         rng = np.random.default_rng(16)
         X, labels = separable_toy(rng, n=30)
-        model = gbc_fit(X, labels, GbcConfig(n_estimators=5, max_depth=2,
-                                             min_samples_split=2))
+        model, _ = gbc_fit(X, labels, GbcConfig(n_estimators=5, max_depth=2,
+                                                min_samples_split=2))
         rows = rng.normal(size=(3, 2))
         assert gbc_predict_batch(model, rows).tobytes() == gbc_predict_batch(model, rows).tobytes()
 
@@ -545,8 +545,8 @@ class TestGbcPredict:
     def test_non_finite_output_is_validation_error(self):
         rng = np.random.default_rng(18)
         X, labels = separable_toy(rng, n=30)
-        model = gbc_fit(X, labels, GbcConfig(n_estimators=2, max_depth=2,
-                                             min_samples_split=2))
+        model, _ = gbc_fit(X, labels, GbcConfig(n_estimators=2, max_depth=2,
+                                                min_samples_split=2))
         model.init_scores[...] = np.inf
         with pytest.raises(ValidationError, match="out of range"):
             gbc_predict_batch(model, X[:2])
@@ -554,8 +554,8 @@ class TestGbcPredict:
     def test_feature_width_mismatch(self):
         rng = np.random.default_rng(17)
         X, labels = separable_toy(rng, n=30)
-        model = gbc_fit(X, labels, GbcConfig(n_estimators=2, max_depth=2,
-                                             min_samples_split=2))
+        model, _ = gbc_fit(X, labels, GbcConfig(n_estimators=2, max_depth=2,
+                                                min_samples_split=2))
         with pytest.raises(ShapeError):
             gbc_predict_batch(model, np.zeros((1, 5)))
 
@@ -609,8 +609,8 @@ class TestNodeTable:
     def test_decision_scores_bytes_match_a_per_tree_reference(self):
         rng = np.random.default_rng(23)
         X, labels = separable_toy(rng, n=60)
-        model = gbc_fit(X, labels, GbcConfig(n_estimators=40, max_depth=3,
-                                             min_samples_split=2))
+        model, _ = gbc_fit(X, labels, GbcConfig(n_estimators=40, max_depth=3,
+                                                min_samples_split=2))
         # several chunks of rows, the last one partial
         rows = rng.normal(scale=2.0, size=(3 * boosting._WALK_SIZE // 120 + 7, 2))
         assert model.decision_scores(rows).tobytes() == reference_scores(model, rows).tobytes()
@@ -618,8 +618,8 @@ class TestNodeTable:
     def test_walk_memory_is_bounded_by_one_chunk(self):
         rng = np.random.default_rng(24)
         X, labels = separable_toy(rng, n=60)
-        model = gbc_fit(X, labels, GbcConfig(n_estimators=10, max_depth=3,
-                                             min_samples_split=2))
+        model, _ = gbc_fit(X, labels, GbcConfig(n_estimators=10, max_depth=3,
+                                                min_samples_split=2))
         # the same rounds eight times over: eight times the trees
         longer = dataclasses.replace(model, trees=joined(split_up(model.trees) * 8))
         chunk = boosting._WALK_SIZE // len(model.trees.sizes)
@@ -641,8 +641,8 @@ class TestSerialization:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(19)
         X, labels = separable_toy(rng, n=50)
-        model = gbc_fit(X, labels, GbcConfig(n_estimators=8, max_depth=3,
-                                             min_samples_split=2))
+        model, _ = gbc_fit(X, labels, GbcConfig(n_estimators=8, max_depth=3,
+                                                min_samples_split=2))
         path = tmp_path / "g.model"
         save_gbc(model, path)
         loaded = load_gbc(path)
@@ -656,8 +656,8 @@ class TestSerialization:
     def test_load_returns_the_saved_table(self, tmp_path):
         rng = np.random.default_rng(25)
         X, labels = separable_toy(rng, n=40)
-        model = gbc_fit(X, labels, GbcConfig(n_estimators=6, max_depth=3,
-                                             min_samples_split=2))
+        model, _ = gbc_fit(X, labels, GbcConfig(n_estimators=6, max_depth=3,
+                                                min_samples_split=2))
         save_gbc(model, tmp_path / "g.model")
         loaded = load_gbc(tmp_path / "g.model")
         assert loaded.init_scores.tobytes() == model.init_scores.tobytes()
@@ -668,8 +668,8 @@ class TestSerialization:
     def test_save_twice_identical(self, tmp_path):
         rng = np.random.default_rng(20)
         X, labels = separable_toy(rng, n=30)
-        model = gbc_fit(X, labels, GbcConfig(n_estimators=3, max_depth=2,
-                                             min_samples_split=2))
+        model, _ = gbc_fit(X, labels, GbcConfig(n_estimators=3, max_depth=2,
+                                                min_samples_split=2))
         p1, p2 = tmp_path / "a", tmp_path / "b"
         save_gbc(model, p1)
         save_gbc(model, p2)
@@ -681,8 +681,8 @@ def small_model(tmp_path_factory):
     """Path and bytes of a 2-round depth-2 model file."""
     rng = np.random.default_rng(21)
     X, labels = separable_toy(rng, n=30)
-    model = gbc_fit(X, labels, GbcConfig(n_estimators=2, max_depth=2,
-                                         min_samples_split=2))
+    model, _ = gbc_fit(X, labels, GbcConfig(n_estimators=2, max_depth=2,
+                                            min_samples_split=2))
     path = tmp_path_factory.mktemp("gbc") / "small.model"
     save_gbc(model, path)
     return path, path.read_bytes()
@@ -733,7 +733,7 @@ class TestCorruptModel:
 
     def test_bad_metadata(self, small_model, tmp_path):
         edits = [
-            lambda meta, arrays: meta.pop("train_logloss"),
+            lambda meta, arrays: meta.pop("n_features"),
             lambda meta, arrays: meta["config"].update(depth=3),
             lambda meta, arrays: meta["config"].update(max_depth=0),
             lambda meta, arrays: meta.update(label_to_class={"one": 0}),
@@ -743,11 +743,21 @@ class TestCorruptModel:
             with pytest.raises(InputError, match=r"edited\.model: bad boosted model metadata"):
                 self.rewrite(small_model, tmp_path, edit)
 
+    def test_file_with_older_meta_keys_scores_the_same(self, small_model, tmp_path):
+        def older(meta, arrays):
+            meta["train_logloss"] = [1.09, 0.8, 0.6]
+
+        X = np.random.default_rng(26).normal(scale=2.0, size=(20, 2))
+        want = gbc_predict_batch(self.rewrite(small_model, tmp_path, lambda meta, arrays: None), X)
+        got = gbc_predict_batch(self.rewrite(small_model, tmp_path, older), X)
+        assert got.tobytes() == want.tobytes()
+
     def test_metadata_disagreeing_with_arrays(self, small_model, tmp_path):
         edits = [
             lambda meta, arrays: meta.update(n_features="2"),
             lambda meta, arrays: meta.update(label_to_class={"1": 2, "0": 1, "-1": 0}),
-            lambda meta, arrays: meta["train_logloss"].append(0.5),
+            # a round more than the file's node counts hold
+            lambda meta, arrays: meta["config"].update(n_estimators=3),
             lambda meta, arrays: arrays.update(left=arrays["left"].astype(np.float64)),
             lambda meta, arrays: arrays.update(value=arrays["value"][None]),
             lambda meta, arrays: arrays.update(init_scores=arrays["init_scores"][:2]),

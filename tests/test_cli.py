@@ -259,7 +259,7 @@ class TestEvaluate:
             bad.write_bytes(data[: len(data) // 2])
         else:
             X = np.array([[0.0, 1.0], [1.0, 0.0], [2.0, 2.0], [3.0, 1.0]])
-            save_gbc(gbc_fit(X, [1, 0, -1, 1], GbcConfig(n_estimators=1)), bad)
+            save_gbc(gbc_fit(X, [1, 0, -1, 1], GbcConfig(n_estimators=1))[0], bad)
         code = run(
             "evaluate", *corpus_flags(corpus), "--out", trained, "--model", bad,
         )
@@ -398,10 +398,11 @@ class TestEvaluate:
         assert "not a version 2 model file; retrain" in capsys.readouterr().err
 
     def test_models_record_no_deterministic_flag(self, trained):
-        from causalpairs import cnn
+        from causalpairs import modelfile
 
-        model = cnn.load_model(trained / "models" / "cnn.model")
-        assert "deterministic" not in model.train_config
+        for kind in ("cnn", "gbc"):
+            _, meta, _ = modelfile.read(trained / "models" / f"{kind}.model", kind)
+            assert "deterministic" not in json.dumps(meta)
         # each kind's run.meta holds its own flags and no other
         common = {"command", "kind", "pairs", "info", "target", "out", "augment", "seed"}
         own = {
