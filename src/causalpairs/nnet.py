@@ -10,13 +10,16 @@ flat vector, params, in the dtype it is given, plus a grads vector of the
 same layout; given a params vector instead, it takes that one uncopied.
 Every Conv and Dense parameter and gradient attribute is a view of them:
 backward writes the gradients in place, and sgd_step updates params with
-one velocity vector.  Given a generator, the Network
-draws each weight Glorot-uniform in declaration order: a float64 draw
-within sqrt(6 / (fan_in + fan_out)), with fan_in = prod(shape[1:]) and
-fan_out = shape[0] * prod(shape[2:]), cast into params.  Biases start at
-zero.  A Network has no softmax layer: forward and loss_and_backward apply
-softmax_batch to the last layer's output, in float64 whatever its dtype,
-so probabilities are float64.
+one velocity vector.  Given a generator, the Network draws each weight
+Glorot-uniform in declaration order: a float64 draw within
+sqrt(6 / (fan_in + fan_out)), with fan_in = prod(shape[1:]) and
+fan_out = shape[0] * prod(shape[2:]), cast into params.  Each weight is
+drawn in blocks of whole rows, each within _CHUNK_BYTES of float64 (one
+row when a row is larger), which hold the values of one whole draw, so
+building holds one block beside params.  Biases start at zero.  A Network
+has no softmax layer: forward and loss_and_backward apply softmax_batch to
+the last layer's output, in float64 whatever its dtype, so probabilities
+are float64.
 
 Layers operate on batches (NCHW for spatial data).  Convolutions are 3x3,
 stride 1, zero same-padding; pooling is 2x2 stride 2 with floor semantics
@@ -28,25 +31,32 @@ many whole images as keep the chunk's bytes within _CHUNK_BYTES (1 MiB, at
 the array's itemsize; one image per chunk when a single image is larger),
 and an empty batch is one empty chunk.  What the bytes count is what the
 chunk holds: a convolution's [C*9, H*W] patch matrix per image, a backward
-mask's slice of x, or in Network.forward the largest activation.
+mask's or a pool record's slice of the layer input, or in Network.forward
+the largest activation.
 
-Layers keep no state: forward(x) stores nothing, and backward(g, x) is given
-the layer's input x.  Network.loss_and_backward keeps the step's activations
-in a local list and drops each once its layer's backward has run.
-Network.forward runs the layers before the first Dense chunk by chunk, one
-layer's activation at a time, then the dense head over the whole batch.
-Conv, ReLU and pooling compute image by image (a convolution makes one GEMM
-per image), so the chunks change no bit; a dense GEMM's bits depend on its
-row count, so the head keeps the caller's batch.  ReLU works in place, so
-its input is its output, and its backward zeroes g in place where x > 0
-fails.  Max pooling takes the max of the four strided window views; its
-backward recomputes each window's winner from x.  Both backwards select
-with bit masks rather than masked copies: g viewed as a signed integer of
-its width, ANDed with an integer mask that is all ones where g is kept and
-0 elsewhere, which gives +0.0, whatever g holds, where it is not kept.  The
-masks are built chunk by chunk, so no mask spans the batch.  The backward
-sweep stops at the first layer's parameter gradients: no gradient is
-formed for the network input.
+Layers keep no state: forward(x) stores nothing.  backward(g, x) is given
+the layer's input x, except pooling's: MaxPool.record builds, from the
+pool's input and output, a uint8 per window naming its winner, and
+backward(g, record) is given that.  Network.loss_and_backward keeps, in a
+local list, what each layer's backward reads and drops it once that
+backward has run.  A ReLU feeding a pool keeps nothing and runs no
+backward: the pool's record also marks each window whose max is not above
+0 as getting nothing, which is that ReLU's backward, so the pair's input
+is dropped as soon as it is pooled.  Network.forward runs the layers
+before the first Dense chunk by chunk, one layer's activation at a time,
+then the dense head over the whole batch.  Conv, ReLU and pooling compute
+image by image (a convolution makes one GEMM per image), so the chunks
+change no bit; a dense GEMM's bits depend on its row count, so the head
+keeps the caller's batch.  ReLU works in place, so its input is its
+output, and its backward zeroes g in place where x > 0 fails.  Max pooling
+takes the max of the four strided window views; its record compares three
+of them with the max, so backward finds no max again.  Both backwards
+select with bit masks rather than masked copies: g viewed as a signed
+integer of its width, ANDed with an integer mask that is all ones where g
+is kept and 0 elsewhere, which gives +0.0, whatever g holds, where it is
+not kept.  The masks are built chunk by chunk, so no mask spans the batch.
+The backward sweep stops at the first layer's parameter gradients: no
+gradient is formed for the network input.
 
 A convolution unrolls each chunk's patches into one reused buffer and
 multiplies them in one GEMM per image.  The chunk's images are copied into
@@ -160,9 +170,9 @@ def _maxpool_batch(x):
     return out
 
 
-def _mask_chunks(x, g, n_bools):
+def _mask_chunks(x, g):
     """Yield (batch slice, g[sl] viewed as a signed integer of its width, an
-    integer mask and n_bools bool buffers of that shape), chunk by chunk.
+    integer mask and a bool buffer of that shape), chunk by chunk.
 
     A chunk's bytes are its slice of x; the next chunk reuses the buffers.
     """
@@ -170,10 +180,10 @@ def _mask_chunks(x, g, n_bools):
     slices, most = _chunks(len(x), math.prod(x.shape[1:]) * x.itemsize)
     shape = (most, *g.shape[1:])
     mask = np.empty(shape, dtype=bits.dtype)
-    bools = [np.empty(shape, dtype=bool) for _ in range(n_bools)]
+    held = np.empty(shape, dtype=bool)
     for sl in slices:
         m = len(bits[sl])
-        yield sl, bits[sl], mask[:m], *(b[:m] for b in bools)
+        yield sl, bits[sl], mask[:m], held[:m]
 
 
 def _keep(bits, held, mask, out):
@@ -250,23 +260,48 @@ class MaxPool:
             raise ShapeError(f"maxpool needs H,W >= 2, input is {x.shape}")
         return _maxpool_batch(x)
 
-    def backward(self, g, x):
-        """Route each window's gradient to its winner, recomputed from x: the first
-        element, in row-major order, equal to the max, or the last element when
-        none is.  Other inputs get +0.0."""
-        dx = np.zeros(x.shape, dtype=g.dtype)
+    def record(self, x, out, after_relu=False):
+        """(winners, x.shape): what backward reads of the pooling of x into out.
+
+        winners holds a uint8 per window: the index, in row-major order, of
+        the first element equal to the max, or 3, the last, when none is.
+        after_relu, for x a ReLU's output, adds 4 where the max is not above
+        0, where the ReLU's backward would zero the winner's gradient; the
+        record then does that backward too.  Built chunk by chunk, as
+        _mask_chunks walks x.
+        """
+        winners = np.empty(out.shape, dtype=np.uint8)
+        slices, most = _chunks(len(x), math.prod(x.shape[1:]) * x.itemsize)
+        unequal = np.empty((most, *out.shape[1:]), dtype=bool)
+        for sl in slices:
+            a, b, c, _ = _pool_windows(x[sl])
+            top, won = out[sl], winners[sl]
+            ne = unequal[: len(top)]
+            ne8 = ne.view(np.uint8)
+            # (1 - e0) * (1 + (1 - e1) * (1 + (1 - e2))), e_k: window k equals the max
+            np.not_equal(c, top, out=ne)
+            np.add(ne8, 1, out=won)
+            np.not_equal(b, top, out=ne)
+            won *= ne8
+            won += 1
+            np.not_equal(a, top, out=ne)
+            won *= ne8
+            if after_relu:
+                # 4 where the window gets nothing (ne is rewritten before it is read again)
+                np.less_equal(top, 0, out=ne)
+                np.left_shift(ne8, 2, out=ne8)
+                won |= ne8
+        return winners, x.shape
+
+    def backward(self, g, record):
+        """Route each window's gradient to the element its record names (see
+        record); every other input gets +0.0."""
+        winners, shape = record
+        dx = np.zeros(shape, dtype=g.dtype)
         dx_bits = dx.view(f"i{dx.itemsize}")
-        for sl, bits, mask, taken, won in _mask_chunks(x, g, 2):
-            out = _maxpool_batch(x[sl])
-            taken[...] = False
-            windows = zip(_pool_windows(x[sl]), _pool_windows(dx_bits[sl]))
-            for k, (window, view) in enumerate(windows):
-                if k < 3:
-                    np.equal(window, out, out=won)
-                    np.greater(won, taken, out=won)  # equal to the max, and no earlier one is
-                    np.logical_or(taken, won, out=taken)
-                else:
-                    np.logical_not(taken, out=won)
+        for sl, bits, mask, won in _mask_chunks(dx, g):
+            for k, view in enumerate(_pool_windows(dx_bits[sl])):
+                np.equal(winners[sl], k, out=won)
                 _keep(bits, won, mask, view)
         return dx
 
@@ -289,7 +324,7 @@ class Relu:
     def backward(self, g, x):
         # x > 0 holds at the same places in the input and the output, and g
         # is always a fresh array
-        for sl, bits, mask, positive in _mask_chunks(x, g, 1):
+        for sl, bits, mask, positive in _mask_chunks(x, g):
             np.greater(x[sl], 0, out=positive)
             _keep(bits, positive, mask, bits)
         return g
@@ -364,9 +399,15 @@ class Network:
                 if rng is not None and len(shape) > 1:
                     fan_in, fan_out = math.prod(shape[1:]), shape[0] * math.prod(shape[2:])
                     limit = np.sqrt(6.0 / (fan_in + fan_out))
-                    param[...] = rng.uniform(-limit, limit, size=shape)
+                    # blocks of whole rows, each at most _CHUNK_BYTES of float64:
+                    # uniform consumes the stream in order, so the values are
+                    # those of one whole draw
+                    rows = max(1, _CHUNK_BYTES // (8 * max(fan_in, 1)))
+                    for start_row in range(0, shape[0], rows):
+                        block = param[start_row : start_row + rows]
+                        block[...] = rng.uniform(-limit, limit, size=block.shape)
                 setattr(layer, name, param)
-        # np.zeros after the draws: building peaks at params plus one draw,
+        # np.zeros after the draws: building peaks at params plus one block,
         # and no page of grads is written before backward writes it
         self.grads = np.zeros(self.params.size, dtype=self.params.dtype)
         for layer, name, span, shape in spans:
@@ -417,10 +458,22 @@ class Network:
         (p - onehot)/N for stability.  That gradient is formed from the
         float64 probabilities, then cast to x's dtype for the backward sweep.
         """
-        inputs = [self._owned(x)]
+        # (layer, what its backward reads): its input, or a pool's record,
+        # which also does the backward of a ReLU feeding it, so that ReLU
+        # has no step and the pair's input is dropped once pooled
+        steps = []
+        a = self._owned(x)
         for layer in self.layers:
-            inputs.append(layer.forward(inputs[-1]))
-        probs = softmax_batch(inputs.pop())
+            out = layer.forward(a)
+            if isinstance(layer, MaxPool):
+                after_relu = bool(steps) and isinstance(steps[-1][0], Relu)
+                if after_relu:
+                    steps.pop()
+                steps.append((layer, layer.record(a, out, after_relu)))
+            else:
+                steps.append((layer, a))
+            a = out
+        probs = softmax_batch(a)
         n = x.shape[0]
         classes = np.asarray(classes)
         # log_loss would wrap a negative index round to the last class
@@ -431,11 +484,14 @@ class Network:
         g[np.arange(n), classes] -= 1.0
         g /= n
         g = g.astype(x.dtype, copy=False)
-        for layer in reversed(self.layers[1:]):
-            g = layer.backward(g, inputs.pop())
-        # the gradient with respect to the input itself is not needed
-        if self.layers and isinstance(self.layers[0], (Conv, Dense)):
-            self.layers[0].backward(g, inputs.pop(), input_grad=False)
+        while steps:
+            # each step's kept array is dropped once the next one is popped
+            layer, kept = steps.pop()
+            if steps:
+                g = layer.backward(g, kept)
+            elif isinstance(layer, (Conv, Dense)):
+                # the gradient with respect to the input itself is not needed
+                layer.backward(g, kept, input_grad=False)
         return loss, probs
 
 

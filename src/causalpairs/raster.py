@@ -133,7 +133,12 @@ def write_image(pixels: np.ndarray, path) -> None:
 
 
 def read_image(path) -> np.ndarray:
-    """Read a PGM written by write_image as a read-only [m, m] uint8 image, bit-exact."""
+    """Read a PGM written by write_image as a read-only [m, m] uint8 image, bit-exact.
+
+    No command reads a PGM back: the CNN takes rasterize_all's stack.  This
+    stays as write_image's inverse: the tests check the files `rasterize`
+    writes through it, and bench/child.py's tracer wraps it by name.
+    """
     try:
         with open(path, "rb") as f:
             data = f.read()

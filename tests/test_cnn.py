@@ -397,8 +397,12 @@ class TestFloat32:
             assert network.params.dtype == np.float32
             log = self.record_outputs(network)
             _, probs = network.loss_and_backward(xs, cls)
-            # every layer runs both passes; the first conv forms no input gradient
-            assert len(log) == 2 * len(network.layers)
+            # every layer runs both passes, except the ReLU before each pool,
+            # whose backward the pool's record does; the first conv forms no
+            # input gradient
+            assert len(log) == 2 * len(network.layers) - cnn.N_STAGES
+            # the ReLU before each stage's second conv and the two in the dense head
+            assert log.count(("relu", "backward", np.float32)) == cnn.N_STAGES + 2
             assert log[-1] == ("conv", "backward", None)
             assert all(dtype == np.float32 for _, _, dtype in log[:-1])
             assert probs.dtype == np.float64

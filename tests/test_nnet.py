@@ -92,8 +92,7 @@ class TestMaxPool:
     def test_tie_gradient_goes_to_first_scanned(self):
         pool = MaxPool()
         x = np.full((1, 1, 2, 2), 7.0)
-        pool.forward(x)
-        dx = pool.backward(np.ones((1, 1, 1, 1)), x)
+        dx = pool.backward(np.ones((1, 1, 1, 1)), pool.record(x, pool.forward(x)))
         assert dx[0, 0].tolist() == [[1.0, 0.0], [0.0, 0.0]]
 
 
@@ -343,7 +342,7 @@ class TestFlatParameters:
                 if getattr(layers[i], "param_shapes", {}):
                     grads[layers[i]] = param_grads(layers[i], g, x)
                 if i:
-                    g = layers[i].backward(g, x)
+                    g = backward_from_input(layers[i], g, x)
             grads = [grads[layer][k] for layer in layers if layer in grads for k in (0, 1)]
             for (layer, name), grad, vel in zip(owned, grads, vels):
                 vel *= momentum
@@ -417,6 +416,19 @@ class TestFlatParameters:
             tracemalloc.stop()
         largest_draw = 1000 * 1000 * np.dtype(np.float64).itemsize
         assert peak < net.params.nbytes + net.grads.nbytes + largest_draw
+
+    def test_building_draws_each_weight_in_row_blocks(self):
+        # one dominant float32 weight of 8 MB: drawn whole in float64, it
+        # would peak at params plus a 16 MB draw, above this bound
+        layers = [Dense(2000, 1000), Dense(1000, 3)]
+        tracemalloc.start()
+        try:
+            net = Network(layers, np.float32, np.random.Generator(np.random.PCG64(0)))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        slack = 64 * 1024  # array headers
+        assert peak < net.params.nbytes + net.grads.nbytes + nnet._CHUNK_BYTES + slack
 
     def test_given_params_become_the_vector_uncopied(self):
         params = np.arange(8, dtype=np.float32)
@@ -625,15 +637,20 @@ class TestChunkedConv:
 # bit on everything a pool can receive, which is ReLU output.
 
 
-def ref_maxpool(x):
+def ref_windows(x):
+    """[N, C, H//2, W//2, 4]: each 2x2 window's elements in row-major order."""
     n, c, h, w = x.shape
     ho, wo = h // 2, w // 2
-    windows = (
+    return (
         x[:, :, : 2 * ho, : 2 * wo]
         .reshape(n, c, ho, 2, wo, 2)
         .transpose(0, 1, 2, 4, 3, 5)
         .reshape(n, c, ho, wo, 4)
     )
+
+
+def ref_maxpool(x):
+    windows = ref_windows(x)
     arg = windows.argmax(axis=-1)
     out = np.take_along_axis(windows, arg[..., None], axis=-1)[..., 0]
     return out, arg
@@ -656,6 +673,20 @@ def ref_maxpool_backward(g, arg, in_shape):
 def ref_relu(x):
     mask = x > 0
     return np.where(mask, x, 0.0), mask
+
+
+def first_equal_winners(x):
+    """Each window's first element, in row-major order, equal to the pool's
+    max, or 3, the last, when none is (a NaN max)."""
+    equal = ref_windows(x) == MaxPool().forward(x)[..., None]
+    return np.where(equal.any(axis=-1), equal.argmax(axis=-1), 3)
+
+
+def backward_from_input(layer, g, x):
+    """layer.backward given the layer's input x; a pool gets the record of x."""
+    if isinstance(layer, MaxPool):
+        return layer.backward(g, layer.record(x, layer.forward(x)))
+    return layer.backward(g, x)
 
 
 SPECIALS = np.array([0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, -5e-324, 1.0, 1.0])
@@ -708,15 +739,15 @@ class TestLeanPoolAndRelu:
         pool = MaxPool()
         got = pool.forward(x)
         assert got.tobytes() == want.tobytes()
-        assert pool.backward(g, x).tobytes() == ref_maxpool_backward(g, arg, x.shape).tobytes()
+        dx = pool.backward(g, pool.record(x, got))
+        assert dx.tobytes() == ref_maxpool_backward(g, arg, x.shape).tobytes()
 
     def test_pool_tie_order_is_row_major(self):
         # every subset of tied maxima in one window: the first one wins
         pool = MaxPool()
         for bits in range(1, 16):
             x = np.array([1.0 if bits >> k & 1 else 0.0 for k in range(4)]).reshape(1, 1, 2, 2)
-            pool.forward(x)
-            dx = pool.backward(np.ones((1, 1, 1, 1)), x)
+            dx = pool.backward(np.ones((1, 1, 1, 1)), pool.record(x, pool.forward(x)))
             first = (bits & -bits).bit_length() - 1
             assert dx.reshape(-1).tolist() == [1.0 if k == first else 0.0 for k in range(4)]
 
@@ -752,22 +783,34 @@ class TestLeanPoolAndRelu:
         x = np.maximum(rng.normal(size=(32, 8, 64, 64)), 0.0).astype(np.float32)
         chunk = nnet._CHUNK_BYTES
         slack = 128 * 1024  # array headers and numpy's iteration buffers
-        peaks = []
-        for layer, g_shape in ((Relu(), x.shape), (MaxPool(), (32, 8, 32, 32))):
-            g = rng.normal(size=g_shape).astype(np.float32)
+        pool = MaxPool()
+        out = pool.forward(x)
+
+        def traced_peak(call):
+            """(what call returns, the tracemalloc peak while it ran)."""
             tracemalloc.start()
             try:
-                dx = layer.backward(g, x)
+                got = call()
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
-            peaks.append(peak - (0 if dx is g else dx.nbytes))
+            return got, peak
+
+        g = rng.normal(size=x.shape).astype(np.float32)
+        dx, relu_peak = traced_peak(lambda: Relu().backward(g, x))
+        assert dx is g
+        record, record_peak = traced_peak(lambda: pool.record(x, out, after_relu=True))
+        g = rng.normal(size=out.shape).astype(np.float32)
+        dx, pool_peak = traced_peak(lambda: pool.backward(g, record))
         # ReLU works in g: one chunk's integer mask and its bool, 1.25 MiB;
         # over the whole batch they would take 5 MiB
-        assert peaks[0] < chunk + chunk // 4 + slack
-        # pooling: beside dx, one chunk's window max, integer mask and two
-        # bools, 0.625 MiB; over the whole batch they would take 2.5 MiB
-        assert peaks[1] < chunk + slack
+        assert relu_peak < chunk + chunk // 4 + slack
+        # the record: beside its uint8 per window, one chunk's bool per
+        # window, 64 KiB; over the whole batch it would take 256 KiB
+        assert record_peak - record[0].nbytes < chunk // 16 + slack
+        # pooling: beside dx, one chunk's integer mask and bool, 320 KiB;
+        # over the whole batch they would take 1.25 MiB
+        assert pool_peak - dx.nbytes < chunk // 4 + chunk // 16 + slack
 
     @pytest.mark.parametrize("first", ["relu", "flatten", "conv"])
     def test_network_never_modifies_its_input(self, first):
@@ -804,7 +847,7 @@ class TestLeanPoolAndRelu:
         g[np.arange(5), cls] -= 1.0
         g /= 5
         for layer in reversed(net.layers):
-            g = layer.backward(g, inputs.pop())
+            g = backward_from_input(layer, g, inputs.pop())
         assert g.shape == x.shape
         assert got == net.grads.tobytes()
         assert net.layers[0].backward(np.ones((5, 3, 8, 8)), x, input_grad=False) is None
@@ -838,6 +881,118 @@ class TestLeanPoolAndRelu:
                 "in_channels", "out_channels", "in_features", "units", "param_shapes",
                 "kernels", "bias", "d_kernels", "d_bias", "weights", "d_weights",
             }
+
+
+POOLED_SHAPES = [s for s in LAYER_SHAPES if min(s[2:]) >= 2]
+
+
+def sweep_keeping_every_input(net, x, classes):
+    """net.grads as bytes after a sweep that keeps every layer's input and
+    runs every layer's backward, through the references for pooling and ReLU."""
+    inputs = [x]
+    for layer in net.layers:
+        # ReLU works in place: its input is kept apart
+        inputs.append(layer.forward(inputs[-1].copy() if isinstance(layer, Relu) else inputs[-1]))
+    n = len(x)
+    g = softmax_batch(inputs.pop())
+    g[np.arange(n), classes] -= 1.0
+    g = (g / n).astype(x.dtype)
+    for layer in reversed(net.layers):
+        kept = inputs.pop()
+        if isinstance(layer, MaxPool):
+            g = ref_maxpool_backward(g, first_equal_winners(kept), kept.shape).astype(g.dtype)
+        elif isinstance(layer, Relu):
+            g = np.where(ref_relu(kept)[1], g, 0.0)
+        else:
+            g = layer.backward(g, kept)
+    return net.grads.tobytes()
+
+
+class TestPoolRecord:
+    """A training step keeps a pool's record of its winners, not its input; after
+    a ReLU the record also does that ReLU's backward."""
+
+    @pytest.mark.parametrize("shape", POOLED_SHAPES)
+    @pytest.mark.parametrize("integer_valued", [False, True])
+    @pytest.mark.parametrize("after_relu", [False, True])
+    def test_backward_matches_the_reference(self, shape, integer_valued, after_relu):
+        rng = np.random.Generator(np.random.PCG64(sum(shape) * 7 + integer_valued))
+        # NaN, +-inf, -0.0 and subnormals, fed to the pool or to the ReLU before it
+        x = special_input(rng, shape, integer_valued)
+        a = Relu().forward(x.copy()) if after_relu else x
+        pool = MaxPool()
+        out = pool.forward(a)
+        g = special_input(rng, out.shape)
+        want = ref_maxpool_backward(g, first_equal_winners(a), shape)
+        if after_relu:
+            want = np.where(ref_relu(x)[1], want, 0.0)
+        winners, in_shape = pool.record(a, out, after_relu)
+        assert winners.dtype == np.uint8 and winners.shape == out.shape and in_shape == shape
+        assert pool.backward(g, (winners, in_shape)).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("shape", POOLED_SHAPES)
+    @pytest.mark.parametrize("integer_valued", [False, True])
+    def test_step_matches_a_sweep_keeping_every_input(self, shape, integer_valued):
+        n, c, h, w = shape
+        rng = np.random.Generator(np.random.PCG64(sum(shape) * 11 + integer_valued))
+        net = Network([
+            Conv(c, 3), Relu(), Conv(3, 4), Relu(), MaxPool(),
+            Flatten(), Dense(4 * (h // 2) * (w // 2), 3),
+        ], np.float32, rng)
+        if integer_valued:
+            # integer kernels on integer inputs: ties among positive maxima
+            for conv in (net.layers[0], net.layers[2]):
+                conv.kernels[...] = rng.integers(-1, 2, size=conv.kernels.shape)
+        # channel 0 feeds NaN to the second ReLU: every window all zeros, tied
+        net.layers[2].bias[0] = np.nan
+        x = special_input(rng, shape, integer_valued).astype(np.float32)
+        # a NaN or infinite pixel would make every first-conv kernel gradient NaN
+        x[~np.isfinite(x)] = -0.0
+        classes = np.arange(n) % 3
+        net.loss_and_backward(x, classes)
+        got = net.grads.tobytes()
+        assert got == sweep_keeping_every_input(net, x, classes)
+
+    @pytest.mark.parametrize("shape", POOLED_SHAPES)
+    def test_step_without_relu_matches_a_sweep_keeping_every_input(self, shape):
+        n, c, h, w = shape
+        rng = np.random.Generator(np.random.PCG64(sum(shape) * 13))
+        net = Network([
+            Conv(c, 2), MaxPool(), Flatten(), Dense(2 * (h // 2) * (w // 2), 3),
+        ], np.float32, rng)
+        conv = net.layers[0]
+        # integer kernels and inputs tie often; channel 1's maxima are negative
+        conv.kernels[...] = rng.integers(-1, 2, size=conv.kernels.shape)
+        conv.bias[1] = -20.0
+        x = rng.integers(-2, 3, size=shape).astype(np.float32)
+        classes = np.arange(n) % 3
+        net.loss_and_backward(x, classes)
+        got = net.grads.tobytes()
+        assert got == sweep_keeping_every_input(net, x, classes)
+
+    def test_step_drops_each_pool_input(self):
+        # two conv-ReLU-conv-ReLU-pool stages on 32 float32 images of side 64
+        def stage(c, k):
+            return [Conv(c, k), Relu(), Conv(k, k), Relu(), MaxPool()]
+
+        rng = np.random.Generator(np.random.PCG64(46))
+        net = Network([*stage(1, 8), *stage(8, 16), Flatten(), Dense(16 * 16 * 16, 3)],
+                      np.float32, rng)
+        x = rng.random((32, 1, 64, 64)).astype(np.float32)
+        classes = np.arange(32) % 3
+        net.loss_and_backward(x, classes)
+        tracemalloc.start()
+        try:
+            net.loss_and_backward(x, classes)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the peak, 3.32 activations of the first stage (4 MiB each), is in
+        # its second conv's backward: its input, its output gradient, its
+        # input gradient and a chunk of patches.  Holding each pool's input
+        # as well peaked at 4.11, in the second stage's backward.
+        activation = 32 * 8 * 64 * 64 * 4
+        assert peak < 3.5 * activation
 
 
 class TestChunkedForward:
@@ -993,7 +1148,7 @@ class TestFloat32Layers:
                 values.append(inputs[-1])
             a = g.astype(dtype)
             for layer in reversed(layers):
-                a = layer.backward(a, inputs.pop(-2))
+                a = backward_from_input(layer, a, inputs.pop(-2))
                 # ReLU backward zeroes its gradient in place
                 values.append(a.copy())
             return values
