@@ -54,7 +54,6 @@ from .dataset import (
     AttributeKind,
     PairInstance,
     SplitSpec,
-    augment_all,
     format_float,
     read_pairs_files,
     split,
@@ -268,8 +267,17 @@ def cmd_rasterize(args, out, corpus):
     return f"rasterized {len(instances)} images at side {args.side} -> {imgdir}"
 
 
+def _with_twins(rows, twins, labels):
+    """(rows, labels) with each row followed by its swapped twin and each label
+    by its negation, as a read-only stack: the training set --augment gives."""
+    stack = np.stack([rows, twins], axis=1).reshape(-1, *rows.shape[1:])
+    stack.flags.writeable = False
+    return stack, [v for label in labels for v in (label, -label)]
+
+
 def _fit_cnn(args, train_insts, val_insts):
-    """(CnnModel, history) from the CLI's CNN flags, on images rasterized in memory."""
+    """(CnnModel, history) from the CLI's CNN flags, on images rasterized in memory;
+    with --augment each image is followed by its transpose, its swapped twin's."""
     arch = cnn.CnnArchitecture(stages=_parse_channels(args.channels), input_side=args.side)
     cfg = cnn.TrainConfig(
         epochs=args.epochs,
@@ -278,31 +286,36 @@ def _fit_cnn(args, train_insts, val_insts):
         momentum=args.momentum,
         seed=args.seed,
     )
+    images, labels = raster.rasterize_all(train_insts, args.side), [i.label for i in train_insts]
+    if args.augment:
+        # rebound, so the plain stack is freed before training
+        images, labels = _with_twins(images, images.transpose(0, 2, 1), labels)
     return cnn.train_cnn(
-        raster.rasterize_all(train_insts, args.side), [i.label for i in train_insts], arch, cfg,
+        images, labels, arch, cfg,
         raster.rasterize_all(val_insts, args.side), [i.label for i in val_insts],
     )
 
 
 def _fit_gbc(args, train_insts):
-    """(BoostedModel, train log-loss) from the CLI's GBC flags."""
+    """(BoostedModel, train log-loss) from the CLI's GBC flags; with --augment each
+    feature row is followed by its swapped twin's, the row in features.SWAP_ORDER."""
     cfg = boosting.GbcConfig(
         n_estimators=args.n_estimators,
         max_depth=args.max_depth,
         min_samples_split=args.min_samples_split,
         learning_rate=args.gbc_lr,
     )
-    return boosting.gbc_fit(
-        features.extract_features(train_insts), [i.label for i in train_insts], cfg
-    )
+    rows, labels = features.extract_features(train_insts), [i.label for i in train_insts]
+    if args.augment:
+        rows, labels = _with_twins(rows, rows[:, features.SWAP_ORDER], labels)
+    return boosting.gbc_fit(rows, labels, cfg)
 
 
 def cmd_train(args, out, corpus):
     # the CNN keeps its epoch of lowest validation log-loss; the GBC uses no val pairs
     parts = corpus.load(("train", "val") if args.kind == "cnn" else ("train",))
     train_insts = parts["train"]
-    if args.augment:
-        train_insts = augment_all(train_insts)
+    n_train = len(train_insts) * (2 if args.augment else 1)
     if args.kind == "cnn":
         model, history = _fit_cnn(args, train_insts, parts["val"])
         save = cnn.save_model
@@ -324,10 +337,10 @@ def cmd_train(args, out, corpus):
     save(model, out / "models" / f"{args.kind}.model")
     _write_lines(
         out / "reports" / f"{args.kind}_train_log.csv",
-        [f"{header},n_train"] + [f"{row},{len(train_insts)}" for row in rows],
+        [f"{header},n_train"] + [f"{row},{n_train}" for row in rows],
     )
     return (
-        f"trained {args.kind} on {len(train_insts)} instances "
+        f"trained {args.kind} on {n_train} instances "
         f"({'augmented' if args.augment else 'plain'}); {summary}"
     )
 
@@ -431,8 +444,6 @@ def cmd_sparse_sweep(args, out, corpus):
             [_subsample(i, count, derive_seed(args.seed, "sparse", i.id)) for i in part]
             for part in parts
         )
-        if args.augment:
-            train_insts = augment_all(train_insts)
         cnn_model, _ = _fit_cnn(args, train_insts, val_insts)
         gbc_model, _ = _fit_gbc(args, train_insts)
         truths = [i.label for i in test_insts]
@@ -474,17 +485,17 @@ def _add_cnn_flags(p):
                    help="scatter image side length / bin count")
     p.add_argument("--channels", default=None,
                    help="10 comma-separated conv channel counts (5 stage pairs)")
-    p.add_argument("--epochs", type=int, default=30)
-    p.add_argument("--batch-size", type=int, default=32)
-    p.add_argument("--lr", type=float, default=0.01)
-    p.add_argument("--momentum", type=float, default=0.9)
+    p.add_argument("--epochs", type=int, default=cnn.TrainConfig.epochs)
+    p.add_argument("--batch-size", type=int, default=cnn.TrainConfig.batch_size)
+    p.add_argument("--lr", type=float, default=cnn.TrainConfig.learning_rate)
+    p.add_argument("--momentum", type=float, default=cnn.TrainConfig.momentum)
 
 
 def _add_gbc_flags(p):
-    p.add_argument("--n-estimators", type=int, default=500)
-    p.add_argument("--max-depth", type=int, default=9)
-    p.add_argument("--min-samples-split", type=int, default=8)
-    p.add_argument("--gbc-lr", type=float, default=0.1)
+    p.add_argument("--n-estimators", type=int, default=boosting.GbcConfig.n_estimators)
+    p.add_argument("--max-depth", type=int, default=boosting.GbcConfig.max_depth)
+    p.add_argument("--min-samples-split", type=int, default=boosting.GbcConfig.min_samples_split)
+    p.add_argument("--gbc-lr", type=float, default=boosting.GbcConfig.learning_rate)
 
 
 def build_parser() -> argparse.ArgumentParser:

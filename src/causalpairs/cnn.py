@@ -49,8 +49,8 @@ DTYPE = np.float32
 @dataclass(frozen=True)
 class CnnArchitecture:
     stages: tuple
+    input_side: int
     dense_units: tuple = DENSE_UNITS
-    input_side: int = 200
 
     def __post_init__(self):
         if len(self.stages) != N_STAGES or any(len(s) != 2 for s in self.stages):
@@ -241,7 +241,8 @@ def model_from_file(path, meta: dict, arrays: dict) -> CnnModel:
     try:
         a = meta["arch"]
         arch = CnnArchitecture(
-            tuple(tuple(s) for s in a["stages"]), tuple(a["dense_units"]), a["input_side"]
+            stages=tuple(tuple(s) for s in a["stages"]), input_side=a["input_side"],
+            dense_units=tuple(a["dense_units"]),
         )
         label_to_class = {int(k): v for k, v in meta["label_to_class"].items()}
         params = arrays["params"]

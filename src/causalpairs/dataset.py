@@ -23,9 +23,6 @@ from .errors import (
 )
 from .seeding import fisher_yates, make_rng
 
-SWAP_SUFFIX = "~swap"
-
-
 class AttributeKind(Enum):
     NUMERICAL = "num"
     CATEGORICAL = "cat"
@@ -292,21 +289,12 @@ def split(instances, spec: SplitSpec):
 
 
 def augment_swap(instance: PairInstance) -> PairInstance:
-    """Exchange the two attributes and negate the label."""
+    """The pair with its two attributes exchanged, its label negated and its id kept."""
     return PairInstance(
-        id=instance.id + SWAP_SUFFIX,
+        id=instance.id,
         x=instance.y,
         y=instance.x,
         x_kind=instance.y_kind,
         y_kind=instance.x_kind,
         label=-instance.label,
     )
-
-
-def augment_all(instances) -> list[PairInstance]:
-    """Each instance followed by its swapped twin; doubles the list."""
-    out = []
-    for inst in instances:
-        out.append(inst)
-        out.append(augment_swap(inst))
-    return out

@@ -12,7 +12,8 @@ discretization of the (normalized) attribute.
 Naming convention: a ``_x``/``_y`` suffix marks per-attribute features and
 an ``_xy``/``_yx`` suffix marks directional features.  Swapping the two
 attributes of an instance exchanges each such pair and leaves every other
-feature unchanged; SWAP_EXCHANGE lists the exchanged index pairs.
+feature unchanged: the swapped pair's row is the pair's row in SWAP_ORDER,
+which is how ``train --augment`` builds each twin's row.
 
 Batching: ``extract_features`` takes a list of pairs and works on chunks
 of them, each chunk's observations concatenated into one vector per
@@ -71,13 +72,10 @@ FEATURE_NAMES = tuple(
 
 N_FEATURES = len(FEATURE_NAMES)
 
-SWAP_EXCHANGE = tuple(
-    (FEATURE_NAMES.index(f"{base}_x"), FEATURE_NAMES.index(f"{base}_y"))
-    for base in _PAIRED
-) + tuple(
-    (FEATURE_NAMES.index(f"{base}_xy"), FEATURE_NAMES.index(f"{base}_yx"))
-    for base in _DIRECTIONAL
-)
+# FEATURE_NAMES puts each _x/_y and _xy/_yx twin side by side, so the swap
+# trades columns 2k and 2k + 1 below _N_SWAPPED and keeps the rest
+_N_SWAPPED = 2 * (len(_PAIRED) + len(_DIRECTIONAL))
+SWAP_ORDER = tuple(i ^ 1 if i < _N_SWAPPED else i for i in range(N_FEATURES))
 
 # observations per chunk: a chunk's temporaries peak near 20 float64
 # vectors of this length, about 2.5 MB, however many pairs a batch holds

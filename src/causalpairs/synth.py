@@ -150,10 +150,7 @@ def generate(spec: GenSpec) -> PairInstance:
         y_kind=AttributeKind.NUMERICAL,
         label=label,
     )
-    if coin:
-        swapped = augment_swap(inst)
-        inst = dataclasses.replace(swapped, id=inst.id)
-    return inst
+    return augment_swap(inst) if coin else inst
 
 
 DEFAULT_MIX = {

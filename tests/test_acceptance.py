@@ -18,7 +18,8 @@ from causalpairs.boosting import (
     split_workspace,
 )
 from causalpairs.cnn import CnnArchitecture, TrainConfig, predict_batch, train_cnn
-from causalpairs.dataset import AttributeKind, PairInstance, augment_all, augment_swap
+from causalpairs.cli import _with_twins
+from causalpairs.dataset import AttributeKind, PairInstance, augment_swap
 from causalpairs.ensemble import (
     WEIGHT_GRID,
     accuracy,
@@ -27,6 +28,7 @@ from causalpairs.ensemble import (
     rank_auc,
     tune_weight,
 )
+from causalpairs.features import SWAP_ORDER, extract_features
 from causalpairs.nnet import (
     Conv,
     Dense,
@@ -216,6 +218,8 @@ def test_criterion_5_ensemble_endpoint_guarantee():
 
 
 def test_criterion_6_augmentation_bookkeeping():
+    # --augment's training set: each feature row and image, then its swapped
+    # twin's, taken as the row in SWAP_ORDER and as the transpose
     rng = np.random.default_rng(66)
     ok = True
     for _ in range(50):
@@ -228,9 +232,18 @@ def test_criterion_6_augmentation_bookkeeping():
             )
             for i in range(n)
         ]
-        out = augment_all(insts)
-        labels = [i.label for i in out]
-        ok = ok and len(out) == 2 * n and labels.count(1) == labels.count(-1)
+        swapped = [augment_swap(inst) for inst in insts]
+        rows, images = extract_features(insts), rasterize_all(insts, 32)
+        out, labels = _with_twins(rows, rows[:, SWAP_ORDER], [i.label for i in insts])
+        pixels, _ = _with_twins(images, images.transpose(0, 2, 1), labels)
+        ok = (
+            ok and len(out) == len(pixels) == len(labels) == 2 * n
+            and labels.count(1) == labels.count(-1)
+            and out[0::2].tobytes() == rows.tobytes()
+            and out[1::2].tobytes() == extract_features(swapped).tobytes()
+            and pixels[0::2].tobytes() == images.tobytes()
+            and pixels[1::2].tobytes() == rasterize_all(swapped, 32).tobytes()
+        )
     report(6, "augmentation bookkeeping", ok)
 
 

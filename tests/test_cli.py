@@ -749,7 +749,53 @@ def test_train_gbc_extracts_each_row_once(corpus, tmp_path, monkeypatch):
     code = run("train", "gbc", *flags, "--out", tmp_path, "--augment", "--n-estimators", 2)
     assert code == 0
     n_train = len((tmp_path / "manifests" / "train.ids").read_text().split())
-    assert len(ids) == 2 * n_train == len(set(ids))
+    # each twin's row is its pair's row in SWAP_ORDER, not a second extraction
+    assert len(ids) == n_train == len(set(ids))
+
+
+def test_augment_trains_on_each_pair_then_its_swapped_twin(corpus, tmp_path, monkeypatch):
+    # the reference builds the swapped pairs, [p, augment_swap(p), ...], and
+    # extracts and rasterizes each one
+    from causalpairs import boosting, cnn, dataset, features, raster
+
+    flags = corpus_flags(corpus)
+    assert run("ingest", *flags, "--out", tmp_path, "--seed", 1) == 0
+    by_id = {inst.id: inst for inst in dataset.read_pairs_files(
+        *(corpus / f"{n}.csv" for n in ("pairs", "info", "target")))}
+    train, val = (
+        [by_id[i] for i in (tmp_path / "manifests" / f"{part}.ids").read_text().split()]
+        for part in ("train", "val")
+    )
+    pairs = [q for p in train for q in (p, dataset.augment_swap(p))]
+    labels = [p.label for p in pairs]
+
+    assert run("train", "gbc", *flags, "--out", tmp_path, "--augment", "--n-estimators", 3) == 0
+    model, _ = boosting.gbc_fit(
+        features.extract_features(pairs), labels, boosting.GbcConfig(n_estimators=3))
+    boosting.save_gbc(model, tmp_path / "reference.model")
+    assert ((tmp_path / "models" / "gbc.model").read_bytes()
+            == (tmp_path / "reference.model").read_bytes())
+
+    rasterized = []
+    original = raster.rasterize
+
+    def counted(inst, m):
+        rasterized.append(inst.id)
+        return original(inst, m)
+
+    monkeypatch.setattr(raster, "rasterize", counted)
+    assert run("train", "cnn", *flags, "--out", tmp_path, "--augment", "--side", 32,
+               "--channels", ",".join(["1"] * 10), "--epochs", 1) == 0
+    # each training and validation pair once, and no twin
+    assert rasterized == [p.id for p in train + val]
+    model, _ = cnn.train_cnn(
+        raster.rasterize_all(pairs, 32), labels,
+        cnn.CnnArchitecture(stages=((1, 1),) * 5, input_side=32), cnn.TrainConfig(epochs=1),
+        raster.rasterize_all(val, 32), [p.label for p in val],
+    )
+    cnn.save_model(model, tmp_path / "reference.model")
+    assert ((tmp_path / "models" / "cnn.model").read_bytes()
+            == (tmp_path / "reference.model").read_bytes())
 
 
 def test_span_beyond_float64_rasterizes(tmp_path):

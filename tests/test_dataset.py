@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from causalpairs.cli import _with_twins
 from causalpairs.dataset import (
     AttributeKind,
     PairInstance,
     SplitSpec,
     _encode_categories,
     _file_rows,
-    augment_all,
     augment_swap,
     format_pairs,
     parse_pairs,
@@ -237,7 +237,7 @@ class TestAugment:
         assert np.array_equal(sw.y, inst.x)
         assert sw.x_kind is AttributeKind.BINARY
         assert sw.y_kind is AttributeKind.NUMERICAL
-        assert sw.id.startswith(inst.id)
+        assert sw.id == inst.id
 
     def test_zero_label_stays_zero(self):
         assert augment_swap(make_instance(label=0)).label == 0
@@ -250,27 +250,28 @@ class TestAugment:
         assert back.label == inst.label
         assert (back.x_kind, back.y_kind) == (inst.x_kind, inst.y_kind)
 
-    def test_augment_all_doubles_and_interleaves(self):
-        insts = [make_instance(pid=f"p{i}", label=1) for i in range(70)]
-        out = augment_all(insts)
-        assert len(out) == 140
-        assert out[0].id == "p0" and out[1].id.startswith("p0")
+    def test_twins_double_and_interleave(self):
+        # --augment's training set: each row, then its twin; each label, then -label
+        rows = np.arange(70 * 6, dtype=np.uint8).reshape(70, 6)
+        twins = rows[:, ::-1]
+        out, labels = _with_twins(rows, twins, [1, 0, -1, 1, 1] * 14)
+        assert out.shape == (140, 6) and not out.flags.writeable
+        assert out[0::2].tobytes() == rows.tobytes()
+        assert out[1::2].tobytes() == twins.tobytes()
+        assert labels[:6] == [1, -1, 0, 0, -1, 1]
 
     def test_label_bookkeeping(self):
         # counts (a, b, c) for labels (1, 0, -1) become (a+c, 2b, a+c)
-        insts = (
-            [make_instance(pid=f"a{i}", label=1) for i in range(5)]
-            + [make_instance(pid=f"b{i}", label=0) for i in range(3)]
-            + [make_instance(pid=f"c{i}", label=-1) for i in range(2)]
-        )
-        out = augment_all(insts)
-        labels = [i.label for i in out]
-        assert labels.count(1) == 7
-        assert labels.count(0) == 6
-        assert labels.count(-1) == 7
+        labels = [1] * 5 + [0] * 3 + [-1] * 2
+        _, out = _with_twins(np.zeros((10, 1)), np.ones((10, 1)), labels)
+        assert out.count(1) == 7
+        assert out.count(0) == 6
+        assert out.count(-1) == 7
 
     def test_empty(self):
-        assert augment_all([]) == []
+        images = np.empty((0, 4, 4), dtype=np.uint8)
+        out, labels = _with_twins(images, images.transpose(0, 2, 1), [])
+        assert out.shape == (0, 4, 4) and labels == []
 
 
 @given(
@@ -297,10 +298,9 @@ def test_split_partition_property(n, seed, fracs):
 @given(labels=st.lists(st.sampled_from([1, 0, -1]), min_size=0, max_size=60))
 @settings(max_examples=40, deadline=None)
 def test_augment_equalizes_direction_labels(labels):
-    insts = [make_instance(pid=f"p{i}", label=l) for i, l in enumerate(labels)]
-    out = augment_all(insts)
-    got = [i.label for i in out]
-    assert len(out) == 2 * len(insts)
+    rows = np.zeros((len(labels), 2))
+    out, got = _with_twins(rows, rows, labels)
+    assert len(out) == len(got) == 2 * len(labels)
     assert got.count(1) == got.count(-1)
 
 

@@ -12,7 +12,7 @@ from causalpairs.features import (
     FEATURE_BINS,
     FEATURE_NAMES,
     N_FEATURES,
-    SWAP_EXCHANGE,
+    SWAP_ORDER,
     extract_features,
 )
 from causalpairs.ranks import rankdata
@@ -53,10 +53,13 @@ class TestVectorLayout:
         assert len(set(FEATURE_NAMES)) == 43
 
     def test_exchange_covers_all_directional_names(self):
-        exchanged = {i for pair in SWAP_EXCHANGE for i in pair}
-        for i, name in enumerate(FEATURE_NAMES):
-            directional = name.endswith(("_x", "_y", "_xy", "_yx"))
-            assert (i in exchanged) == directional
+        # the swap trades each _x with its _y and each _xy with its _yx
+        swapped = {"x": "y", "y": "x", "xy": "yx", "yx": "xy"}
+        assert sorted(SWAP_ORDER) == list(range(N_FEATURES))
+        for name, source in zip(FEATURE_NAMES, SWAP_ORDER):
+            base, _, side = name.rpartition("_")
+            twin = f"{base}_{swapped[side]}" if side in swapped else name
+            assert FEATURE_NAMES[source] == twin
 
 
 class TestValues:
@@ -99,21 +102,15 @@ class TestValues:
         assert feat(vec, "condstd_mean_xy") < feat(vec, "condstd_mean_yx")
 
 
-def swap_permutation():
-    perm = np.arange(N_FEATURES)
-    for i, j in SWAP_EXCHANGE:
-        perm[i], perm[j] = j, i
-    return perm
-
-
 def assert_swap_exact(insts):
     base = extract_features(insts)
     swapped = extract_features([augment_swap(inst) for inst in insts])
-    assert swapped.tobytes() == base[:, swap_permutation()].tobytes()
+    assert swapped.tobytes() == base[:, SWAP_ORDER].tobytes()
 
 
 class TestSwapSymmetry:
-    @pytest.mark.parametrize("kinds", [(NUM, NUM), (NUM, BIN), (CAT, CAT), (BIN, NUM)])
+    @pytest.mark.parametrize("kinds", [(NUM, NUM), (NUM, BIN), (CAT, CAT), (BIN, NUM),
+                                       (NUM, CAT), (CAT, NUM), (CAT, BIN), (BIN, CAT), (BIN, BIN)])
     def test_swap_exchanges_paired_features(self, kinds):
         # bit for bit: a tree must not split a pair from its swapped twin
         rng = np.random.default_rng(11)

@@ -90,6 +90,7 @@ class TestGenerate:
             assert any(np.array_equal(natural.x, inst.x) for inst in (plain, flipped))
             swapped = augment_swap(plain)
             assert flipped.label == swapped.label == -plain.label
+            assert flipped.id == swapped.id == plain.id
             assert np.array_equal(flipped.x, swapped.x)
             assert np.array_equal(flipped.y, swapped.y)
 
