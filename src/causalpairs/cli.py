@@ -275,9 +275,14 @@ def _with_twins(rows, twins, labels):
     return stack, [v for label in labels for v in (label, -label)]
 
 
-def _fit_cnn(args, train_insts, val_insts):
+def _fit_cnn(args, parts):
     """(CnnModel, history) from the CLI's CNN flags, on images rasterized in memory;
-    with --augment each image is followed by its transpose, its swapped twin's."""
+    with --augment each image is followed by its transpose, its swapped twin's.
+
+    Takes the "train" and "val" instances out of the dict parts and drops
+    them once rasterized, so that, unless the caller holds them too, their
+    observations are freed before training.
+    """
     arch = cnn.CnnArchitecture(stages=_parse_channels(args.channels), input_side=args.side)
     cfg = cnn.TrainConfig(
         epochs=args.epochs,
@@ -286,14 +291,16 @@ def _fit_cnn(args, train_insts, val_insts):
         momentum=args.momentum,
         seed=args.seed,
     )
+    train_insts = parts.pop("train")
     images, labels = raster.rasterize_all(train_insts, args.side), [i.label for i in train_insts]
+    del train_insts
     if args.augment:
         # rebound, so the plain stack is freed before training
         images, labels = _with_twins(images, images.transpose(0, 2, 1), labels)
-    return cnn.train_cnn(
-        images, labels, arch, cfg,
-        raster.rasterize_all(val_insts, args.side), [i.label for i in val_insts],
-    )
+    val_insts = parts.pop("val")
+    val_images, val_labels = raster.rasterize_all(val_insts, args.side), [i.label for i in val_insts]
+    del val_insts
+    return cnn.train_cnn(images, labels, arch, cfg, val_images, val_labels)
 
 
 def _fit_gbc(args, train_insts):
@@ -314,10 +321,10 @@ def _fit_gbc(args, train_insts):
 def cmd_train(args, out, corpus):
     # the CNN keeps its epoch of lowest validation log-loss; the GBC uses no val pairs
     parts = corpus.load(("train", "val") if args.kind == "cnn" else ("train",))
-    train_insts = parts["train"]
-    n_train = len(train_insts) * (2 if args.augment else 1)
+    n_train = len(parts["train"]) * (2 if args.augment else 1)
     if args.kind == "cnn":
-        model, history = _fit_cnn(args, train_insts, parts["val"])
+        has_val = bool(parts["val"])
+        model, history = _fit_cnn(args, parts)
         save = cnn.save_model
         header = "epoch,train_loss,train_accuracy,val_accuracy,val_log_loss"
         rows = [
@@ -326,9 +333,9 @@ def cmd_train(args, out, corpus):
             for m in history
         ]
         summary = (f"lowest val log-loss {min(m.val_log_loss for m in history):.4f}"
-                   if parts["val"] else "no val pairs, last epoch kept")
+                   if has_val else "no val pairs, last epoch kept")
     else:
-        model, logloss = _fit_gbc(args, train_insts)
+        model, logloss = _fit_gbc(args, parts["train"])
         save = boosting.save_gbc
         header = "round,train_logloss"
         rows = [f"{r},{format_float(ll)}" for r, ll in enumerate(logloss)]
@@ -444,7 +451,7 @@ def cmd_sparse_sweep(args, out, corpus):
             [_subsample(i, count, derive_seed(args.seed, "sparse", i.id)) for i in part]
             for part in parts
         )
-        cnn_model, _ = _fit_cnn(args, train_insts, val_insts)
+        cnn_model, _ = _fit_cnn(args, {"train": train_insts, "val": val_insts})
         gbc_model, _ = _fit_gbc(args, train_insts)
         truths = [i.label for i in test_insts]
         row = [count]

@@ -18,7 +18,8 @@ nnet.Network with DTYPE, the first with its seeded generator, which draws
 the weights straight into the float32 params vector.  The softmax
 computes in float64, so class probabilities are float64.  Training
 updates the network's flat params vector with one velocity vector, and
-keeps the epoch of lowest validation log-loss as one copy of it; model
+keeps the epoch of lowest validation log-loss in one copy of it, allocated
+once and overwritten at each improvement; model
 files store that vector as it is, and a loaded model's params are the
 array read from its file.
 """
@@ -172,7 +173,8 @@ def train_cnn(pixels, labels, arch: CnnArchitecture, cfg: TrainConfig,
     n = len(pixels)
     history = []
     best_loss = np.inf
-    best_params = None
+    # allocated once; with validation the first epoch always improves on inf
+    best_params = np.empty_like(network.params) if validate else None
     for epoch in range(cfg.epochs):
         order = np.arange(n)
         rng = make_rng(derive_seed(cfg.seed, "epoch", epoch))
@@ -203,8 +205,8 @@ def train_cnn(pixels, labels, arch: CnnArchitecture, cfg: TrainConfig,
         )
         if val_loss < best_loss:
             best_loss = val_loss
-            best_params = network.params.copy()
-    if best_params is not None:
+            np.copyto(best_params, network.params)
+    if validate:
         network.params[...] = best_params
     return CnnModel(network, arch), history
 

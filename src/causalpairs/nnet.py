@@ -32,30 +32,35 @@ the array's itemsize; one image per chunk when a single image is larger),
 and an empty batch is one empty chunk.  What the bytes count is what the
 chunk holds: a convolution's [C*9, H*W] patch matrix per image, a backward
 mask's or a pool record's slice of the layer input, or in Network.forward
-the largest activation.
+and Network.loss_and_backward the largest activation.
 
 Layers keep no state: forward(x) stores nothing.  backward(g, x) is given
 the layer's input x, except pooling's: MaxPool.record builds, from the
 pool's input and output, a uint8 per window naming its winner, and
-backward(g, record) is given that.  Network.loss_and_backward keeps, in a
-local list, what each layer's backward reads and drops it once that
-backward has run.  A ReLU feeding a pool keeps nothing and runs no
-backward: the pool's record also marks each window whose max is not above
-0 as getting nothing, which is that ReLU's backward, so the pair's input
-is dropped as soon as it is pooled.  Network.forward runs the layers
+backward(g, record) is given that.  Network.forward runs the layers
 before the first Dense chunk by chunk, one layer's activation at a time,
 then the dense head over the whole batch.  Conv, ReLU and pooling compute
 image by image (a convolution makes one GEMM per image), so the chunks
 change no bit; a dense GEMM's bits depend on its row count, so the head
-keeps the caller's batch.  ReLU works in place, so its input is its
-output, and its backward zeroes g in place where x > 0 fails.  Max pooling
+keeps the caller's batch.  Network.loss_and_backward runs forward the
+same way, keeping, in a local list per chunk and one for the head, what
+each layer's backward reads; its walk back runs the head's backwards,
+then each chunk's in batch order, and drops what a layer kept once its
+backward has run.  A ReLU feeding a pool keeps nothing and runs no
+backward: the pool's record also marks each window whose max is not above
+0 as getting nothing, which is that ReLU's backward, so the pair's input
+is dropped as soon as it is pooled.  The output of a leading conv->ReLU
+is not kept either: the walk back recomputes it from the chunk's input,
+bit for bit, running the first conv forward again.  ReLU works in place,
+so its input is its output, and its backward zeroes g in place where
+x > 0 fails.  Max pooling
 takes the max of the four strided window views; its record compares three
 of them with the max, so backward finds no max again.  Both backwards
 select with bit masks rather than masked copies: g viewed as a signed
 integer of its width, ANDed with an integer mask that is all ones where g
 is kept and 0 elsewhere, which gives +0.0, whatever g holds, where it is
 not kept.  The masks are built chunk by chunk, so no mask spans the batch.
-The backward sweep stops at the first layer's parameter gradients: no
+The walk back stops at the first layer's parameter gradients: no
 gradient is formed for the network input.
 
 A convolution unrolls each chunk's patches into one reused buffer and
@@ -72,10 +77,15 @@ OpenBLAS 0.3.31 runs faster than the [K, C*9] product g . patches^T and,
 adding in the same order, gives its transpose bit for bit.  That was
 checked at 1 and 2 threads, in float32 at the benchmark's, the --quick and
 the paper's layer shapes and in float64 at the first two;
-tests/test_nnet.py pins it in both dtypes.  The products are accumulated
-image by image in batch order, which is the order a sum over the whole
-batch's per-image products adds in, so results do not depend on the chunk
-size.  The input gradient is itself a same convolution, run through the
+tests/test_nnet.py pins it in both dtypes.  The products, and each image's
+bias gradient (its sum over the pixels), are added image by image in batch
+order, starting from -0.0, the additive identity, so that the first image's
+are copied bit for bit.  That is the order a sum over the whole batch's
+per-image products adds in, and for the bias that of np.sum over the batch
+and pixel axes when there is more than one channel, so results do not
+depend on the chunk size.  In a training step the sums run on across the
+chunks: each conv sums its kernel gradient's transpose in its own
+d_kernels memory and puts it in place after the last chunk.  The input gradient is itself a same convolution, run through the
 forward routine: that of the output gradient with the kernels flipped in
 space and with their input and output channels swapped.
 """
@@ -225,23 +235,33 @@ class Conv:
             )
         return _conv2d_batch(x, self.kernels, self.bias)
 
-    def backward(self, g, x, input_grad=True):
-        """Write d_kernels and d_bias in place; return dx, or None when not input_grad."""
+    def backward(self, g, x, input_grad=True, total=None):
+        """Write d_kernels and d_bias in place; return dx, or None when not input_grad.
+
+        Given total, a [C*9, K] array, adds the kernel gradient's transpose
+        to total and the bias gradient to d_bias instead, and leaves
+        d_kernels as it is: Network.loss_and_backward sums a batch's
+        gradients over its chunks so.
+        """
         n, c, h, w = x.shape
-        gmat = g.reshape(n, self.out_channels, h * w)
+        k = self.out_channels
+        gmat = g.reshape(n, k, h * w)
+        fresh = total is None
+        if fresh:
+            # -0.0 is the additive identity: adding the first image's parts
+            # copies them, -0.0 included
+            total = np.full((c * 9, k), -0.0, dtype=x.dtype)
+            self.d_bias.fill(-0.0)
+        # image by image in batch order, as a sum over the batch axis adds;
         # each image's [C*9, K] product patches . g^T is the transpose of
         # g . patches^T, bit for bit (see the module docstring)
-        parts = (
-            part
-            for sl, cols in _patch_chunks(x)
-            for part in np.matmul(cols, gmat[sl].transpose(0, 2, 1))
-        )
-        # image by image in batch order, as a sum over the batch axis adds
-        total = next(parts).copy()
-        for part in parts:
-            total += part
-        np.copyto(self.d_kernels.reshape(self.out_channels, c * 9), total.T)
-        np.sum(g, axis=(0, 2, 3), out=self.d_bias)
+        for sl, cols in _patch_chunks(x):
+            for part, g_image in zip(np.matmul(cols, gmat[sl].transpose(0, 2, 1)), gmat[sl]):
+                total += part
+                self.d_bias += g_image.sum(axis=1)
+        del cols  # the last chunk's patches, freed before dx's are built
+        if fresh:
+            np.copyto(self.d_kernels.reshape(k, c * 9), total.T)
         if not input_grad:
             return None
         # dx is g correlated with the kernels flipped in space and with their
@@ -456,23 +476,26 @@ class Network:
 
         The softmax/cross-entropy pair is differentiated jointly as
         (p - onehot)/N for stability.  That gradient is formed from the
-        float64 probabilities, then cast to x's dtype for the backward sweep.
+        float64 probabilities, then cast to x's dtype for the walk back.
+
+        As in forward, the layers before the first Dense run a chunk of
+        images at a time and the dense head over the whole batch; each
+        chunk keeps what its layers' backwards read, except the output of
+        a leading conv->ReLU, which the walk back recomputes from the
+        chunk's input.  The walk back runs the head, then each chunk in
+        batch order, and sums each conv's gradients over the chunks image
+        by image, so they are those of one whole-batch backward bit for bit.
         """
-        # (layer, what its backward reads): its input, or a pool's record,
-        # which also does the backward of a ReLU feeding it, so that ReLU
-        # has no step and the pair's input is dropped once pooled
-        steps = []
-        a = self._owned(x)
-        for layer in self.layers:
-            out = layer.forward(a)
-            if isinstance(layer, MaxPool):
-                after_relu = bool(steps) and isinstance(steps[-1][0], Relu)
-                if after_relu:
-                    steps.pop()
-                steps.append((layer, layer.record(a, out, after_relu)))
-            else:
-                steps.append((layer, a))
-            a = out
+        front, image_bytes = self._front(x)
+        slices = _chunks(len(x), image_bytes)[0]
+        lead = len(front) > 1 and isinstance(front[0], Conv) and isinstance(front[1], Relu)
+        walks, outs = [], []
+        for sl in slices:
+            walks.append([])
+            outs.append(_forward_keeping(front, self._owned(x[sl]), walks[-1], lead))
+        head = []
+        a = _forward_keeping(self.layers[len(front) :], np.concatenate(outs), head)
+        del outs
         probs = softmax_batch(a)
         n = x.shape[0]
         classes = np.asarray(classes)
@@ -483,16 +506,70 @@ class Network:
         g = probs.copy()
         g[np.arange(n), classes] -= 1.0
         g /= n
-        g = g.astype(x.dtype, copy=False)
-        while steps:
-            # each step's kept array is dropped once the next one is popped
-            layer, kept = steps.pop()
-            if steps:
-                g = layer.backward(g, kept)
-            elif isinstance(layer, (Conv, Dense)):
-                # the gradient with respect to the input itself is not needed
-                layer.backward(g, kept, input_grad=False)
+        g = self._walk_back(head, g.astype(x.dtype, copy=False), bool(front), {})
+        # each conv sums its kernel gradient's [C*9, K] transpose in its own
+        # d_kernels memory, from -0.0, the additive identity, and its bias
+        # gradient in d_bias; the transposes are put in place at the end
+        totals = {
+            layer: layer.d_kernels.reshape(-1, layer.out_channels)
+            for layer in front if isinstance(layer, Conv)
+        }
+        for layer, total in totals.items():
+            total.fill(-0.0)
+            layer.d_bias.fill(-0.0)
+        for sl, steps in zip(slices, walks):
+            if steps:  # none without a front, where g is None
+                self._walk_back(steps, g[sl], False, totals)
+        for layer, total in totals.items():
+            # numpy copies total first, as the two overlap
+            np.copyto(layer.d_kernels.reshape(layer.out_channels, -1), total.T)
         return loss, probs
+
+    def _walk_back(self, steps, g, input_grad, totals):
+        """From g, the gradient of the last step's output, run each step's
+        backward, last first, dropping what it kept once it has run; return
+        the gradient of the first step's input when input_grad.
+
+        A conv in totals sums its gradients there (see Conv.backward).
+        """
+        redone = None
+        while steps:
+            layer, kept = steps.pop()
+            if kept is None:
+                # the leading conv->ReLU's output, recomputed from the chunk's
+                # input, which the first step keeps
+                if redone is None:
+                    redone = self.layers[1].forward(self.layers[0].forward(steps[0][1]))
+                kept = redone
+            needed = bool(steps) or input_grad
+            if isinstance(layer, Conv):
+                g = layer.backward(g, kept, needed, totals.get(layer))
+            elif isinstance(layer, Dense):
+                g = layer.backward(g, kept, needed)
+            elif needed:
+                g = layer.backward(g, kept)
+        return g
+
+
+def _forward_keeping(layers, a, steps, lead=False):
+    """Output of layers run on a; appends to steps (layer, what its backward reads).
+
+    That is the layer's input, or a pool's record, which also does the
+    backward of a ReLU feeding it: that ReLU has no step, and the pair's
+    input is dropped once pooled.  With lead, layers start with a conv and
+    a ReLU, whose output is kept as None.
+    """
+    for i, layer in enumerate(layers):
+        out = layer.forward(a)
+        if isinstance(layer, MaxPool):
+            after_relu = bool(steps) and isinstance(steps[-1][0], Relu)
+            if after_relu:
+                steps.pop()
+            steps.append((layer, layer.record(a, out, after_relu)))
+        else:
+            steps.append((layer, None if lead and i in (1, 2) else a))
+        a = out
+    return a
 
 
 def gradient_check(

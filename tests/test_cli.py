@@ -174,6 +174,36 @@ class TestTrain:
         assert len(rows) == 2
         assert all(0 < float(row.split(",")[4]) < 10 for row in rows)
 
+    def test_cnn_trains_holding_no_pair(self, corpus, tmp_path, monkeypatch):
+        # the train and val pairs' observations are freed once rasterized
+        import gc
+        import weakref
+
+        from causalpairs import cli, cnn
+
+        made, alive = [], []
+        make_pair, train_cnn = cli.PairInstance, cnn.train_cnn
+
+        def record_pair(*args):
+            pair = make_pair(*args)
+            made.append(weakref.ref(pair))
+            return pair
+
+        def counting(*args, **kwargs):
+            gc.collect()
+            alive.append(sum(ref() is not None for ref in made))
+            return train_cnn(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "PairInstance", record_pair)
+        monkeypatch.setattr(cnn, "train_cnn", counting)
+        argv = [*corpus_flags(corpus), "--out", tmp_path]
+        assert run("ingest", *argv, "--seed", 1) == 0
+        made.clear()
+        assert run("train", "cnn", *argv, "--side", 32, "--channels", TINY_CHANNELS,
+                   "--epochs", 1, "--augment") == 0
+        # 33 train and 7 val pairs were built, and none is alive in training
+        assert len(made) == 40 and alive == [0]
+
     def test_gbc_metadata_records_hyperparameters(self, trained):
         from causalpairs.boosting import load_gbc
 
@@ -1186,10 +1216,10 @@ class TestSparseSweep:
         seen = {"train": [], "val": [], "test": []}
         fit_cnn, fit_gbc, model_probs = cli._fit_cnn, cli._fit_gbc, cli._model_probs
 
-        def record_cnn(args, train_insts, val_insts):
-            seen["train"].append([i.id for i in train_insts])
-            seen["val"].append([i.id for i in val_insts])
-            return fit_cnn(args, train_insts, val_insts)
+        def record_cnn(args, parts):
+            seen["train"].append([i.id for i in parts["train"]])
+            seen["val"].append([i.id for i in parts["val"]])
+            return fit_cnn(args, parts)
 
         def record_gbc(args, train_insts):
             seen["train"].append([i.id for i in train_insts])

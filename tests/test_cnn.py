@@ -199,6 +199,36 @@ class TestTraining:
         assert unvalidated.network.params.tobytes() == seen[-1].tobytes()
         assert all(np.isnan(m.val_log_loss) for m in history)
 
+    def test_best_epoch_is_copied_into_one_buffer(self, monkeypatch):
+        # validation log-loss falls in each of 3 epochs, so the kept
+        # parameters are replaced twice.  params, grads, velocity and the
+        # best epoch's copy are 4 params-sized vectors, and a step adds about
+        # one chunk's buffers: 9.84 MB against a bound of 10.02 MB.  A new
+        # copy at each improvement, made while the last one was alive,
+        # peaked at 5 vectors, 10.93 MB.
+        script = [self.UNIFORM, self.RIGHT_BUT_UNSURE, [[0.6, 0.2, 0.2], [0.2, 0.6, 0.2], [0.2, 0.2, 0.6]]]
+        rng = np.random.default_rng(11)
+        px, labels = small_training_set(rng, n=6)
+        val = random_images(rng, 3), [1, 0, -1]
+        cfg = TrainConfig(epochs=3, batch_size=3, learning_rate=0.01, seed=4)
+        seen = []
+
+        def scripted(network, pixels, batch_size):
+            seen.append(hashlib.sha256(network.params).hexdigest())
+            return np.array(script[len(seen) - 1])
+
+        monkeypatch.setattr(cnn, "_predict_classes", scripted)
+        tracemalloc.start()
+        try:
+            model, history = train_cnn(px, labels, TINY_ARCH, cfg, *val)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        losses = [m.val_log_loss for m in history]
+        assert losses[0] > losses[1] > losses[2] and len(set(seen)) == 3
+        assert hashlib.sha256(model.network.params).hexdigest() == seen[2]
+        assert peak < 4 * model.network.params.nbytes + 1.25 * nnet._CHUNK_BYTES
+
     def test_label_mapping_round_trip(self, tmp_path):
         # labels {1,0,-1} map to class indices {0,1,2}, and the model file
         # records that mapping
@@ -360,6 +390,53 @@ class TestForwardMemory:
         assert peak < bound
 
 
+class TestStepMemory:
+    """A training step keeps what each backward reads and walks the conv front
+    a chunk of images at a time."""
+
+    @staticmethod
+    def step_bytes(network, side, n):
+        """Bytes that bound a float32 training step on n images.
+
+        What the steps keep over the whole batch: each layer's input, but
+        for the caller's images and the first ReLU's output, which is
+        recomputed; a ReLU's input is its output, kept by the layer after
+        it, and a pool keeps a byte per window.  Besides that, for one
+        chunk of the largest activation, the kept or recomputed input, the
+        output gradient and the input gradient, and one patch buffer, as
+        in TestForwardMemory.
+        """
+        a = np.zeros((1, 1, side, side), dtype=np.float32)
+        kept, largest, patches = 0, 0, nnet._CHUNK_BYTES
+        for i, layer in enumerate(network.layers):
+            if layer.kind == "conv":
+                patches = max(patches, 9 * a.nbytes)
+            if i > 2 and layer.kind not in ("relu", "pool"):
+                kept += a.nbytes
+            a = layer.forward(a)
+            if layer.kind == "pool":
+                kept += a.size
+            largest = max(largest, a.nbytes)
+        return n * kept + 3 * (nnet._CHUNK_BYTES // largest) * largest + patches
+
+    def test_benchmark_network_step(self):
+        # 8.00 MiB against a bound of 9.52 MiB.  Sweeping the whole batch
+        # measured 13.27 MiB, and the chunk walk keeping the first ReLU's
+        # output 11.00 MiB.
+        network = build_network(TestForwardMemory.ARCH, seed=0)
+        x = np.random.default_rng(13).random((32, 1, 64, 64), dtype=np.float32)
+        classes = np.arange(32) % 3
+        bound = self.step_bytes(network, 64, 32) + TestForwardMemory.SLACK
+        network.loss_and_backward(x, classes)
+        tracemalloc.start()
+        try:
+            network.loss_and_backward(x, classes)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < bound
+
+
 class TestFloat32:
     """The network computes in float32; its softmax and probabilities are float64."""
 
@@ -399,8 +476,10 @@ class TestFloat32:
             _, probs = network.loss_and_backward(xs, cls)
             # every layer runs both passes, except the ReLU before each pool,
             # whose backward the pool's record does; the first conv forms no
-            # input gradient
-            assert len(log) == 2 * len(network.layers) - cnn.N_STAGES
+            # input gradient.  The batch is one chunk, and the walk back runs
+            # the first conv and its ReLU forward once more, to recompute
+            # their output.
+            assert len(log) == 2 * len(network.layers) - cnn.N_STAGES + 2
             # the ReLU before each stage's second conv and the two in the dense head
             assert log.count(("relu", "backward", np.float32)) == cnn.N_STAGES + 2
             assert log[-1] == ("conv", "backward", None)

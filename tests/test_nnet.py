@@ -1,3 +1,4 @@
+import functools
 import itertools
 import struct
 import tracemalloc
@@ -573,7 +574,8 @@ def ref_conv(x, kernels, bias, g):
     out = (np.matmul(wmat, cols) + bias[:, None]).reshape(n, k, h, w)
     gmat = g.reshape(n, k, h * w)
     d_kernels = np.matmul(gmat, cols.transpose(0, 2, 1)).sum(axis=0).reshape(kernels.shape)
-    d_bias = g.sum(axis=(0, 2, 3))
+    # image by image in batch order
+    d_bias = functools.reduce(np.add, g.sum(axis=(2, 3)))
     dx = ref_col2im(np.matmul(wmat.T, gmat), x.shape)
     return out, dx, d_kernels, d_bias
 
@@ -602,6 +604,10 @@ class TestChunkedConv:
             conv = Network([Conv(c, k)], dtype, rng).layers[0]
             conv.bias[...] = rng.normal(size=k)
             expected = ref_conv(x, conv.kernels, conv.bias, g)
+            if k > 1:
+                # numpy's sum over the batch adds image by image too; with one
+                # channel it is one pairwise sum over the whole batch
+                assert expected[3].tobytes() == g.sum(axis=(0, 2, 3)).tobytes()
             got = (conv.forward(x), conv.backward(g, x), conv.d_kernels, conv.d_bias)
             for name, a, b in zip(("out", "dx", "d_kernels", "d_bias"), got, expected):
                 assert a.shape == b.shape, (name, dtype)
@@ -987,12 +993,92 @@ class TestPoolRecord:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # the peak, 3.32 activations of the first stage (4 MiB each), is in
-        # its second conv's backward: its input, its output gradient, its
-        # input gradient and a chunk of patches.  Holding each pool's input
-        # as well peaked at 4.11, in the second stage's backward.
+        # the peak, 1.92 activations of the first stage (4 MiB each), is in
+        # a chunk's walk back through the first stage, beside what the steps
+        # keep of the second.  The whole-batch sweep peaked at 3.32, in the
+        # first stage's second conv backward (its input, its output
+        # gradient, its input gradient and a chunk of patches), and at 4.11
+        # holding each pool's input as well; the chunk walk keeping the
+        # first conv's ReLU output read 2.67.
         activation = 32 * 8 * 64 * 64 * 4
-        assert peak < 3.5 * activation
+        assert peak < 2.1 * activation
+
+
+class TestChunkedStep:
+    """loss_and_backward walks the layers before the first Dense chunk by
+    chunk, recomputing a leading conv->ReLU's output; its gradients are
+    those of a sweep over the whole batch, bit for bit."""
+
+    STACKS = {
+        # the first ReLU's output feeds a conv, so the walk back recomputes it
+        "relu-conv": lambda c, h, w: [
+            Conv(c, 3), Relu(), Conv(3, 4), Relu(), MaxPool(),
+            Flatten(), Dense(4 * (h // 2) * (w // 2), 3),
+        ],
+        # it feeds a pool, whose record does the ReLU's backward
+        "relu-pool": lambda c, h, w: [
+            Conv(c, 3), Relu(), MaxPool(), Flatten(), Dense(3 * (h // 2) * (w // 2), 3),
+        ],
+        # no leading conv->ReLU: nothing is recomputed
+        "pool": lambda c, h, w: [
+            Conv(c, 2), MaxPool(), Flatten(), Dense(2 * (h // 2) * (w // 2), 3),
+        ],
+    }
+
+    @staticmethod
+    def walk_in_chunks(monkeypatch, net, x, per_chunk):
+        """Set the chunk budget to per_chunk of x's images; return the batch
+        rows of each forward of the first conv, which it logs from now on."""
+        monkeypatch.setattr(nnet, "_CHUNK_BYTES", per_chunk * net._front(x)[1])
+        rows = []
+        conv = net.layers[0]
+        monkeypatch.setattr(conv, "forward", lambda a, f=conv.forward: rows.append(len(a)) or f(a))
+        return rows
+
+    @pytest.mark.parametrize("shape", POOLED_SHAPES)
+    @pytest.mark.parametrize("integer_valued", [False, True])
+    @pytest.mark.parametrize("stack", list(STACKS))
+    def test_matches_a_sweep_keeping_every_input(self, shape, integer_valued, stack, monkeypatch):
+        n, c, h, w = shape
+        rng = np.random.Generator(np.random.PCG64(sum(shape) * 17 + integer_valued))
+        net = Network(self.STACKS[stack](c, h, w), np.float32, rng)
+        if integer_valued:
+            # integer kernels on integer inputs: ties among positive maxima
+            for conv in [layer for layer in net.layers if isinstance(layer, Conv)]:
+                conv.kernels[...] = rng.integers(-1, 2, size=conv.kernels.shape)
+        x = special_input(rng, shape, integer_valued).astype(np.float32)
+        # a NaN or infinite pixel would make every first-conv kernel gradient NaN
+        x[~np.isfinite(x)] = -0.0
+        # the first image's kernel-gradient parts are all zero
+        x[0] = -0.0
+        classes = np.arange(n) % 3
+        # several chunks, the last one partial from 3 images on: 4 -> 3 + 1
+        per_chunk = max(1, n - 1)
+        rows = self.walk_in_chunks(monkeypatch, net, x, per_chunk)
+        _, probs = net.loss_and_backward(x, classes)
+        chunks = [min(per_chunk, n - start) for start in range(0, n, per_chunk)]
+        assert rows == chunks * (2 if stack == "relu-conv" else 1)
+        got = net.grads.tobytes()
+        assert got == sweep_keeping_every_input(net, x, classes)
+        assert probs.tobytes() == net.forward(x).tobytes()
+
+    def test_benchmark_network_matches_a_sweep_keeping_every_input(self, monkeypatch):
+        from causalpairs import cnn
+
+        # side 64, channels 8,8,16,16,16,16,32,32,32,32, float32
+        arch = cnn.CnnArchitecture(((8, 8), (16, 16), (16, 16), (32, 32), (32, 32)), 64)
+        net = cnn.build_network(arch, seed=3)
+        rng = np.random.Generator(np.random.PCG64(47))
+        x = rng.random((32, 1, 64, 64)).astype(np.float32)
+        x[0] = -0.0
+        x[1, :, :32] = 0.0
+        classes = np.arange(32) % 3
+        rows = self.walk_in_chunks(monkeypatch, net, x, 3)
+        loss, probs = net.loss_and_backward(x, classes)
+        assert rows == ([3] * 10 + [2]) * 2
+        got = net.grads.tobytes()
+        assert got == sweep_keeping_every_input(net, x, classes)
+        assert probs.tobytes() == net.forward(x).tobytes()
 
 
 class TestChunkedForward:
