@@ -19,9 +19,10 @@ the weights straight into the float32 params vector.  The softmax
 computes in float64, so class probabilities are float64.  Training
 updates the network's flat params vector with one velocity vector, and
 keeps the epoch of lowest validation log-loss in one copy of it, allocated
-once and overwritten at each improvement; model
-files store that vector as it is, and a loaded model's params are the
-array read from its file.
+at the first improvement that a later epoch follows and overwritten at
+each one after it; the last epoch is never copied, as params hold it at
+the end.  Model files store that vector as it is, and a loaded model's
+params are the array read from its file.
 """
 
 import math
@@ -172,9 +173,11 @@ def train_cnn(pixels, labels, arch: CnnArchitecture, cfg: TrainConfig,
     velocity = np.zeros_like(network.params)
     n = len(pixels)
     history = []
-    best_loss = np.inf
-    # allocated once; with validation the first epoch always improves on inf
-    best_params = np.empty_like(network.params) if validate else None
+    # params hold the last epoch at the end, so it is never copied (with no
+    # validation it is the one kept); the copy of an earlier best epoch is
+    # allocated at the first improvement
+    last = cfg.epochs - 1
+    best_loss, best_epoch, best_params = np.inf, last, None
     for epoch in range(cfg.epochs):
         order = np.arange(n)
         rng = make_rng(derive_seed(cfg.seed, "epoch", epoch))
@@ -204,9 +207,12 @@ def train_cnn(pixels, labels, arch: CnnArchitecture, cfg: TrainConfig,
             EpochMetrics(epoch, epoch_loss / n, epoch_correct / n, val_acc, val_loss)
         )
         if val_loss < best_loss:
-            best_loss = val_loss
-            np.copyto(best_params, network.params)
-    if validate:
+            best_loss, best_epoch = val_loss, epoch
+            if epoch < last:
+                if best_params is None:
+                    best_params = np.empty_like(network.params)
+                np.copyto(best_params, network.params)
+    if best_epoch < last:
         network.params[...] = best_params
     return CnnModel(network, arch), history
 

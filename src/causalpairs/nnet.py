@@ -49,19 +49,21 @@ then each chunk's in batch order, and drops what a layer kept once its
 backward has run.  A ReLU feeding a pool keeps nothing and runs no
 backward: the pool's record also marks each window whose max is not above
 0 as getting nothing, which is that ReLU's backward, so the pair's input
-is dropped as soon as it is pooled.  The output of a leading conv->ReLU
-is not kept either: the walk back recomputes it from the chunk's input,
-bit for bit, running the first conv forward again.  ReLU works in place,
-so its input is its output, and its backward zeroes g in place where
-x > 0 fails.  Max pooling
-takes the max of the four strided window views; its record compares three
-of them with the max, so backward finds no max again.  Both backwards
-select with bit masks rather than masked copies: g viewed as a signed
-integer of its width, ANDed with an integer mask that is all ones where g
-is kept and 0 elsewhere, which gives +0.0, whatever g holds, where it is
-not kept.  The masks are built chunk by chunk, so no mask spans the batch.
-The walk back stops at the first layer's parameter gradients: no
-gradient is formed for the network input.
+is dropped as soon as it is pooled.  A conv->ReLU output that feeds a
+conv, where the first conv's input is kept, is not kept either: the walk
+back recomputes it from that input, bit for bit, running the pair forward
+again, once for both the second conv's backward and the ReLU's.  In the
+CNN's conv-ReLU-conv-ReLU-pool stages a step so keeps one activation per
+stage, its input, beside the pool's record.  ReLU works in place, so its
+input is its output, and its backward zeroes g in place where x > 0
+fails.  Max pooling takes the max of the four strided window views; its
+record compares three of them with the max, so backward finds no max
+again.  Both backwards select with bit masks rather than masked copies:
+g viewed as a signed integer of its width, ANDed with an integer mask
+that is all ones where g is kept and 0 elsewhere, which gives +0.0,
+whatever g holds, where it is not kept.  The masks are built chunk by
+chunk, so no mask spans the batch.  The walk back stops at the first
+layer's parameter gradients: no gradient is formed for the network input.
 
 A convolution unrolls each chunk's patches into one reused buffer and
 multiplies them in one GEMM per image.  The chunk's images are copied into
@@ -85,9 +87,10 @@ per-image products adds in, and for the bias that of np.sum over the batch
 and pixel axes when there is more than one channel, so results do not
 depend on the chunk size.  In a training step the sums run on across the
 chunks: each conv sums its kernel gradient's transpose in its own
-d_kernels memory and puts it in place after the last chunk.  The input gradient is itself a same convolution, run through the
-forward routine: that of the output gradient with the kernels flipped in
-space and with their input and output channels swapped.
+d_kernels memory and puts it in place after the last chunk.  The input
+gradient is itself a same convolution, run through the forward routine:
+that of the output gradient with the kernels flipped in space and with
+their input and output channels swapped.
 """
 
 import math
@@ -480,19 +483,19 @@ class Network:
 
         As in forward, the layers before the first Dense run a chunk of
         images at a time and the dense head over the whole batch; each
-        chunk keeps what its layers' backwards read, except the output of
-        a leading conv->ReLU, which the walk back recomputes from the
-        chunk's input.  The walk back runs the head, then each chunk in
-        batch order, and sums each conv's gradients over the chunks image
-        by image, so they are those of one whole-batch backward bit for bit.
+        chunk keeps what its layers' backwards read, except each
+        conv->ReLU output that feeds a conv after a conv whose input is
+        kept, which the walk back recomputes from that input.  The walk
+        back runs the head, then each chunk in batch order, and sums each
+        conv's gradients over the chunks image by image, so they are those
+        of one whole-batch backward bit for bit.
         """
         front, image_bytes = self._front(x)
         slices = _chunks(len(x), image_bytes)[0]
-        lead = len(front) > 1 and isinstance(front[0], Conv) and isinstance(front[1], Relu)
         walks, outs = [], []
         for sl in slices:
             walks.append([])
-            outs.append(_forward_keeping(front, self._owned(x[sl]), walks[-1], lead))
+            outs.append(_forward_keeping(front, self._owned(x[sl]), walks[-1]))
         head = []
         a = _forward_keeping(self.layers[len(front) :], np.concatenate(outs), head)
         del outs
@@ -530,17 +533,17 @@ class Network:
         backward, last first, dropping what it kept once it has run; return
         the gradient of the first step's input when input_grad.
 
-        A conv in totals sums its gradients there (see Conv.backward).
+        A conv in totals sums its gradients there (see Conv.backward).  A
+        conv that kept None rebuilds its input, the output of the conv->ReLU
+        before it, from that conv's kept input, and hands it to the ReLU's
+        step too, so the pair runs forward once more.
         """
-        redone = None
         while steps:
             layer, kept = steps.pop()
             if kept is None:
-                # the leading conv->ReLU's output, recomputed from the chunk's
-                # input, which the first step keeps
-                if redone is None:
-                    redone = self.layers[1].forward(self.layers[0].forward(steps[0][1]))
-                kept = redone
+                (relu, _), (conv, x) = steps[-1], steps[-2]
+                kept = relu.forward(conv.forward(x))
+                steps[-1] = (relu, kept)
             needed = bool(steps) or input_grad
             if isinstance(layer, Conv):
                 g = layer.backward(g, kept, needed, totals.get(layer))
@@ -551,23 +554,28 @@ class Network:
         return g
 
 
-def _forward_keeping(layers, a, steps, lead=False):
+def _forward_keeping(layers, a, steps):
     """Output of layers run on a; appends to steps (layer, what its backward reads).
 
     That is the layer's input, or a pool's record, which also does the
     backward of a ReLU feeding it: that ReLU has no step, and the pair's
-    input is dropped once pooled.  With lead, layers start with a conv and
-    a ReLU, whose output is kept as None.
+    input is dropped once pooled.  A conv->ReLU output that feeds a conv,
+    where the first conv kept its input, is kept by neither the ReLU nor
+    the second conv: both keep None, and _walk_back rebuilds it.
     """
-    for i, layer in enumerate(layers):
+    for layer in layers:
         out = layer.forward(a)
         if isinstance(layer, MaxPool):
             after_relu = bool(steps) and isinstance(steps[-1][0], Relu)
             if after_relu:
                 steps.pop()
             steps.append((layer, layer.record(a, out, after_relu)))
+        elif (isinstance(layer, Conv) and len(steps) > 1 and isinstance(steps[-1][0], Relu)
+              and isinstance(steps[-2][0], Conv) and steps[-2][1] is not None):
+            steps[-1] = (steps[-1][0], None)
+            steps.append((layer, None))
         else:
-            steps.append((layer, None if lead and i in (1, 2) else a))
+            steps.append((layer, a))
         a = out
     return a
 

@@ -229,6 +229,27 @@ class TestTraining:
         assert hashlib.sha256(model.network.params).hexdigest() == seen[2]
         assert peak < 4 * model.network.params.nbytes + 1.25 * nnet._CHUNK_BYTES
 
+    def test_last_epoch_is_not_copied(self):
+        # one epoch with validation: params hold the best epoch at the end,
+        # so no copy is made.  params, grads and velocity are 3 params-sized
+        # vectors, and a step adds about one chunk's buffers: 7.23 MB against
+        # a bound of 7.84 MB.  Copying the last epoch out and back peaked at
+        # 4 vectors, 9.40 MB.
+        rng = np.random.default_rng(11)
+        px, labels = small_training_set(rng, n=6)
+        val = random_images(rng, 3), [1, 0, -1]
+        cfg = TrainConfig(epochs=1, batch_size=3, learning_rate=0.01, seed=4)
+        tracemalloc.start()
+        try:
+            model, history = train_cnn(px, labels, TINY_ARCH, cfg, *val)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.isfinite(history[0].val_log_loss)
+        unvalidated, _ = train_cnn(px, labels, TINY_ARCH, cfg)
+        assert model.network.params.tobytes() == unvalidated.network.params.tobytes()
+        assert peak < 3 * model.network.params.nbytes + 1.25 * nnet._CHUNK_BYTES
+
     def test_label_mapping_round_trip(self, tmp_path):
         # labels {1,0,-1} map to class indices {0,1,2}, and the model file
         # records that mapping
@@ -399,19 +420,21 @@ class TestStepMemory:
         """Bytes that bound a float32 training step on n images.
 
         What the steps keep over the whole batch: each layer's input, but
-        for the caller's images and the first ReLU's output, which is
-        recomputed; a ReLU's input is its output, kept by the layer after
-        it, and a pool keeps a byte per window.  Besides that, for one
-        chunk of the largest activation, the kept or recomputed input, the
-        output gradient and the input gradient, and one patch buffer, as
-        in TestForwardMemory.
+        for the caller's images and each conv->ReLU output that feeds a
+        conv, which is recomputed; a ReLU's input is its output, kept by
+        the layer after it, and a pool keeps a byte per window.  Besides
+        that, for one chunk of the largest activation, the kept or
+        recomputed input, the output gradient and the input gradient, and
+        one patch buffer, as in TestForwardMemory.
         """
         a = np.zeros((1, 1, side, side), dtype=np.float32)
         kept, largest, patches = 0, 0, nnet._CHUNK_BYTES
-        for i, layer in enumerate(network.layers):
+        layers = network.layers
+        for i, layer in enumerate(layers):
             if layer.kind == "conv":
                 patches = max(patches, 9 * a.nbytes)
-            if i > 2 and layer.kind not in ("relu", "pool"):
+            recomputed = layer.kind == "conv" and layers[i - 1].kind == "relu"
+            if i > 0 and layer.kind not in ("relu", "pool") and not recomputed:
                 kept += a.nbytes
             a = layer.forward(a)
             if layer.kind == "pool":
@@ -420,9 +443,9 @@ class TestStepMemory:
         return n * kept + 3 * (nnet._CHUNK_BYTES // largest) * largest + patches
 
     def test_benchmark_network_step(self):
-        # 8.00 MiB against a bound of 9.52 MiB.  Sweeping the whole batch
-        # measured 13.27 MiB, and the chunk walk keeping the first ReLU's
-        # output 11.00 MiB.
+        # 5.88 MiB against a bound of 6.71 MiB.  Sweeping the whole batch
+        # measured 13.27 MiB, the chunk walk keeping every ReLU output that
+        # feeds a conv 11.00 MiB, and recomputing only the first 8.00 MiB.
         network = build_network(TestForwardMemory.ARCH, seed=0)
         x = np.random.default_rng(13).random((32, 1, 64, 64), dtype=np.float32)
         classes = np.arange(32) % 3
@@ -477,9 +500,9 @@ class TestFloat32:
             # every layer runs both passes, except the ReLU before each pool,
             # whose backward the pool's record does; the first conv forms no
             # input gradient.  The batch is one chunk, and the walk back runs
-            # the first conv and its ReLU forward once more, to recompute
-            # their output.
-            assert len(log) == 2 * len(network.layers) - cnn.N_STAGES + 2
+            # each stage's first conv and its ReLU forward once more, to
+            # recompute their output.
+            assert len(log) == 2 * len(network.layers) - cnn.N_STAGES + 2 * cnn.N_STAGES
             # the ReLU before each stage's second conv and the two in the dense head
             assert log.count(("relu", "backward", np.float32)) == cnn.N_STAGES + 2
             assert log[-1] == ("conv", "backward", None)

@@ -1006,33 +1006,50 @@ class TestPoolRecord:
 
 class TestChunkedStep:
     """loss_and_backward walks the layers before the first Dense chunk by
-    chunk, recomputing a leading conv->ReLU's output; its gradients are
-    those of a sweep over the whole batch, bit for bit."""
+    chunk, recomputing each conv->ReLU output that feeds a conv from the
+    first conv's kept input; its gradients are those of a sweep over the
+    whole batch, bit for bit."""
 
+    # (forwards of each conv per chunk, the stack); a conv whose ReLU's output
+    # feeds a conv runs twice, once more on the walk back
     STACKS = {
         # the first ReLU's output feeds a conv, so the walk back recomputes it
-        "relu-conv": lambda c, h, w: [
+        "relu-conv": ((2, 1), lambda c, h, w: [
             Conv(c, 3), Relu(), Conv(3, 4), Relu(), MaxPool(),
             Flatten(), Dense(4 * (h // 2) * (w // 2), 3),
-        ],
+        ]),
         # it feeds a pool, whose record does the ReLU's backward
-        "relu-pool": lambda c, h, w: [
+        "relu-pool": ((1,), lambda c, h, w: [
             Conv(c, 3), Relu(), MaxPool(), Flatten(), Dense(3 * (h // 2) * (w // 2), 3),
-        ],
-        # no leading conv->ReLU: nothing is recomputed
-        "pool": lambda c, h, w: [
+        ]),
+        # no conv->ReLU: nothing is recomputed
+        "pool": ((1,), lambda c, h, w: [
             Conv(c, 2), MaxPool(), Flatten(), Dense(2 * (h // 2) * (w // 2), 3),
-        ],
+        ]),
+        # a conv->ReLU->conv after a pool: recomputed from the pool's output
+        "pool-relu-conv": ((1, 2, 1), lambda c, h, w: [
+            Conv(c, 2), MaxPool(), Conv(2, 3), Relu(), Conv(3, 4),
+            Flatten(), Dense(4 * (h // 2) * (w // 2), 3),
+        ]),
+        # the second conv keeps no input, so the second ReLU's output is kept
+        "chain": ((2, 1, 1), lambda c, h, w: [
+            Conv(c, 3), Relu(), Conv(3, 3), Relu(), Conv(3, 4), Relu(), MaxPool(),
+            Flatten(), Dense(4 * (h // 2) * (w // 2), 3),
+        ]),
     }
 
     @staticmethod
     def walk_in_chunks(monkeypatch, net, x, per_chunk):
-        """Set the chunk budget to per_chunk of x's images; return the batch
-        rows of each forward of the first conv, which it logs from now on."""
+        """Set the chunk budget to per_chunk of x's images; return, for each
+        conv in stack order, the batch rows of each of its forwards, which
+        it logs from now on."""
         monkeypatch.setattr(nnet, "_CHUNK_BYTES", per_chunk * net._front(x)[1])
         rows = []
-        conv = net.layers[0]
-        monkeypatch.setattr(conv, "forward", lambda a, f=conv.forward: rows.append(len(a)) or f(a))
+        for conv in [layer for layer in net.layers if isinstance(layer, Conv)]:
+            rows.append([])
+            monkeypatch.setattr(
+                conv, "forward", lambda a, f=conv.forward, log=rows[-1]: log.append(len(a)) or f(a)
+            )
         return rows
 
     @pytest.mark.parametrize("shape", POOLED_SHAPES)
@@ -1041,7 +1058,8 @@ class TestChunkedStep:
     def test_matches_a_sweep_keeping_every_input(self, shape, integer_valued, stack, monkeypatch):
         n, c, h, w = shape
         rng = np.random.Generator(np.random.PCG64(sum(shape) * 17 + integer_valued))
-        net = Network(self.STACKS[stack](c, h, w), np.float32, rng)
+        runs, layers = self.STACKS[stack]
+        net = Network(layers(c, h, w), np.float32, rng)
         if integer_valued:
             # integer kernels on integer inputs: ties among positive maxima
             for conv in [layer for layer in net.layers if isinstance(layer, Conv)]:
@@ -1057,7 +1075,7 @@ class TestChunkedStep:
         rows = self.walk_in_chunks(monkeypatch, net, x, per_chunk)
         _, probs = net.loss_and_backward(x, classes)
         chunks = [min(per_chunk, n - start) for start in range(0, n, per_chunk)]
-        assert rows == chunks * (2 if stack == "relu-conv" else 1)
+        assert rows == [chunks * r for r in runs]
         got = net.grads.tobytes()
         assert got == sweep_keeping_every_input(net, x, classes)
         assert probs.tobytes() == net.forward(x).tobytes()
@@ -1075,7 +1093,9 @@ class TestChunkedStep:
         classes = np.arange(32) % 3
         rows = self.walk_in_chunks(monkeypatch, net, x, 3)
         loss, probs = net.loss_and_backward(x, classes)
-        assert rows == ([3] * 10 + [2]) * 2
+        # each stage's first conv runs again on the walk back
+        chunks = [3] * 10 + [2]
+        assert rows == [chunks * 2, chunks] * cnn.N_STAGES
         got = net.grads.tobytes()
         assert got == sweep_keeping_every_input(net, x, classes)
         assert probs.tobytes() == net.forward(x).tobytes()
